@@ -1,0 +1,31 @@
+"""Golden CSVs: every experiment's output at one small fixed config, byte for byte.
+
+The files under ``tests/golden/`` pin the emitted numbers, so a refactor that
+changes any digit fails here. An intended change of the numbers regenerates
+them, from the repository root:
+
+    PYTHONPATH=src python -c "from tests.test_golden import regenerate; regenerate()"
+"""
+
+from pathlib import Path
+
+import pytest
+
+from squintlab import EXPERIMENTS, ScenarioConfig, run_experiment
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_CONFIG = ScenarioConfig(num_antennas=128, num_subcarriers=16, trials=4,
+                               num_users=4, num_subarrays=4, seed=7)
+
+
+def regenerate() -> None:
+    """Rewrite every golden CSV from the current code."""
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in EXPERIMENTS:
+        run_experiment(name, GOLDEN_CONFIG).write_csv(GOLDEN_DIR / f"{name}.csv")
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_csv_matches_golden(name):
+    expected = (GOLDEN_DIR / f"{name}.csv").read_bytes()
+    assert run_experiment(name, GOLDEN_CONFIG).to_csv().encode("ascii") == expected
