@@ -3,9 +3,10 @@
 Each experiment draws per-trial channels from counter-based substreams, runs a
 fixed set of precoding schemes, and averages spectral efficiency over trials in
 ascending-trial order, so the emitted CSV is byte-identical for any worker
-count. Trials whose slicing plan is infeasible are skipped and counted in the
-result metadata; the remaining trials still form a paired comparison because
-every scheme sees the same draws.
+count. One reducer serves every Monte Carlo experiment: an axis point whose
+slicing plan is infeasible in a trial is skipped and counted per axis point in
+the result metadata; the trials kept at a point still form a paired comparison
+because every scheme sees the same draws.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import numpy as np
 from .boundaries import antenna_boundary, freq_boundary, is_unbounded
 from .precoding import (
     Scheme,
-    analog_slice_precoder,
-    analog_subband_precoder,
     hybrid_gain_amplitudes,
     narrowband_mrt,
     normalized_array_gain,
     power_for_snr_db,
+    slice_analog_matrix,
+    subband_analog_matrix,
 )
 from .scenario import RngStream, ScenarioConfig, sample_scenario, sample_user_paths
 from .slicing import InfeasiblePlanError, allocate_subbands, plan_antenna_slices
@@ -177,15 +178,9 @@ def _binding_boundaries(
 
 def _mean_or_none(values: Sequence[float | None]) -> float | None:
     kept = [v for v in values if v is not None]
+    if len(set(kept)) == 1:  # a column every trial shares is emitted exactly
+        return float(kept[0])
     return float(np.mean(kept)) if kept else None
-
-
-def _slice_analog(geom: ArrayGeometry, paths, plan) -> np.ndarray:
-    """Block-diagonal analog matrix of an antenna-slicing plan."""
-    analog = np.zeros((geom.num_antennas, plan.num_subarrays), dtype=np.complex128)
-    for t, (start, size) in enumerate(zip(plan.starts(), plan.subarray_sizes)):
-        analog[start : start + size, t] = analog_slice_precoder(geom, paths, plan, t)
-    return analog
 
 
 def _single_link_amps(
@@ -200,7 +195,7 @@ def _single_link_amps(
     Raises InfeasiblePlanError when no slicing plan exists for the draw.
     """
     plan = plan_antenna_slices(geom, grid, paths, thr)
-    analog = _slice_analog(geom, paths, plan)
+    analog = slice_analog_matrix(geom, paths, plan)
     beam = narrowband_mrt(geom, paths)
     return {
         Scheme.ANTENNA_SLICING.value: hybrid_gain_amplitudes(
@@ -215,11 +210,70 @@ def _rates(amps: np.ndarray, power: float, noise_power: float) -> np.ndarray:
     return np.log2(1.0 + power * amps**2 / noise_power)
 
 
-def _raise_if_empty(completed: int, name: str) -> None:
-    if completed == 0:
-        raise InfeasiblePlanError(
-            f"every trial of {name} drew an infeasible slicing scenario"
-        )
+def _scheme_se(
+    amps: dict[str, np.ndarray], schemes, power: float, noise_power: float
+) -> np.ndarray:
+    """Subcarrier-averaged rate of each scheme."""
+    return np.array([np.mean(_rates(amps[s.value], power, noise_power))
+                     for s in schemes])
+
+
+# ---------------------------------------------------------------------------
+# the sweep reducer
+# ---------------------------------------------------------------------------
+
+
+def _feasible(fn: Callable, *args):
+    """fn(*args), or None when its slicing plan is infeasible."""
+    try:
+        return fn(*args)
+    except InfeasiblePlanError:
+        return None
+
+
+def _sweep(
+    config: ScenarioConfig,
+    name: str,
+    axis_name: str,
+    axis_values: Sequence[float],
+    schemes: Sequence[Scheme],
+    trial_fn: Callable[[int], list],
+) -> SweepResult:
+    """The one reducer: per axis point, average over the trials feasible there.
+
+    ``trial_fn(trial)`` returns one entry per axis point: None when that
+    point's plan is infeasible, else (SE per scheme, (b, n) boundary columns,
+    users served). A trial_fn raising InfeasiblePlanError voids every point of
+    that trial. Trials reduce in ascending order for any worker count.
+    """
+
+    def entries(trial: int) -> list:
+        return _feasible(trial_fn, trial) or [None] * len(axis_values)
+
+    results = _map_trials(config.trials, entries)
+    rows, completed, users = [], {}, []
+    for i, value in enumerate(map(float, axis_values)):
+        kept = [r[i] for r in results if r[i] is not None]
+        if not kept:
+            raise InfeasiblePlanError(
+                f"every trial of {name} at {axis_name}={_fmt(value)} drew an "
+                "infeasible slicing scenario"
+            )
+        mean_se = np.mean(np.stack([se for se, _, _ in kept]), axis=0)
+        b_col = _mean_or_none([b for _, (b, _), _ in kept])
+        n_col = _mean_or_none([n for _, (_, n), _ in kept])
+        rows += [SweepRow(value, scheme.value, float(mean_se[j]), b_col, n_col)
+                 for j, scheme in enumerate(schemes)]
+        completed[value] = len(kept)
+        users += [k for _, _, k in kept]
+    meta = {
+        "experiment": name,
+        "config": config.to_dict(),
+        "infeasible_trials": {v: config.trials - c for v, c in completed.items()},
+        "completed_trials": completed,
+        "mean_users": float(np.mean(users)),
+    }
+    return SweepResult(axis_name, tuple(rows), config.trials, config.seed, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -260,48 +314,33 @@ def _sweep_trial_gain(config: ScenarioConfig, trial: int) -> complex:
     return complex((re + 1j * im) / np.sqrt(2.0))
 
 
-def _fixed_geometry_sweep(
+def _fixed_geometry_trial(
     config: ScenarioConfig,
-    axis_name: str,
-    axis_values: Sequence[float],
     geoms: Sequence[ArrayGeometry],
     grids: Sequence[CarrierGrid],
     boundary_cols: Sequence[tuple[float | None, float | None]],
-    name: str,
-) -> SweepResult:
-    """Single-path sweep over per-axis (geometry, grid) pairs.
+) -> Callable[[int], list]:
+    """trial_fn of a single-path sweep over per-axis (geometry, grid) pairs.
 
     The path direction and ranges are fixed; only the complex gain is drawn per
     trial, and transmit power is re-anchored to the configured SNR for each
     draw, so the ratio curves are sharp rather than smeared over geometry.
     """
     thr = config.thresholds()
-    num_axis = len(axis_values)
 
-    def one_trial(trial: int) -> np.ndarray:
+    def point(path, power, geom, grid, cols):
+        entries = channel_columns(geom, grid, [path])
+        amps = _single_link_amps(geom, grid, [path], thr, entries)
+        return _scheme_se(amps, _AS_SCHEMES, power, config.noise_power), cols, 1
+
+    def trial_fn(trial: int) -> list:
         gain = _sweep_trial_gain(config, trial)
         path = PathParams(gain, _SWEEP_THETA, _SWEEP_DISTANCE_M, _SWEEP_RANGE_M)
         power = power_for_snr_db(config.snr_db, gain, config.noise_power)
-        out = np.empty((num_axis, len(_AS_SCHEMES)))
-        for i, (geom_i, grid_i) in enumerate(zip(geoms, grids)):
-            entries = channel_columns(geom_i, grid_i, [path])
-            amps = _single_link_amps(geom_i, grid_i, [path], thr, entries)
-            for j, scheme in enumerate(_AS_SCHEMES):
-                out[i, j] = float(
-                    np.mean(_rates(amps[scheme.value], power, config.noise_power))
-                )
-        return out
+        return [_feasible(point, path, power, *axis_point)
+                for axis_point in zip(geoms, grids, boundary_cols)]
 
-    stacked = np.stack(_map_trials(config.trials, one_trial))
-    mean_se = stacked.mean(axis=0)
-    rows = [
-        SweepRow(float(axis_values[i]), scheme.value, float(mean_se[i, j]),
-                 boundary_cols[i][0], boundary_cols[i][1])
-        for i in range(num_axis)
-        for j, scheme in enumerate(_AS_SCHEMES)
-    ]
-    meta = {"experiment": name, "config": config.to_dict(), "infeasible_trials": 0}
-    return SweepResult(axis_name, tuple(rows), config.trials, config.seed, meta)
+    return trial_fn
 
 
 def _experiment_sweep_bandwidth(config: ScenarioConfig) -> SweepResult:
@@ -316,10 +355,8 @@ def _experiment_sweep_bandwidth(config: ScenarioConfig) -> SweepResult:
                                        wave_speed=geom.wave_speed)))
         for b in axis
     ]
-    return _fixed_geometry_sweep(
-        config, "bandwidth_hz", axis, [geom] * len(axis), grids, cols,
-        "sweep-bandwidth",
-    )
+    trial_fn = _fixed_geometry_trial(config, [geom] * len(axis), grids, cols)
+    return _sweep(config, "sweep-bandwidth", "bandwidth_hz", axis, _AS_SCHEMES, trial_fn)
 
 
 def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
@@ -335,15 +372,12 @@ def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
         if n not in axis_n:
             axis_n.append(n)
     geoms = [ArrayGeometry(n, config.center_freq_hz) for n in axis_n]
-    grid = config.grid()
     cols = [
         (float(freq_boundary(g, ref_path, thr)), n_ref)
         for g in geoms
     ]
-    return _fixed_geometry_sweep(
-        config, "num_antennas", [float(n) for n in axis_n], geoms,
-        [grid] * len(axis_n), cols, "sweep-antennas",
-    )
+    trial_fn = _fixed_geometry_trial(config, geoms, [config.grid()] * len(axis_n), cols)
+    return _sweep(config, "sweep-antennas", "num_antennas", axis_n, _AS_SCHEMES, trial_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -351,134 +385,53 @@ def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _as_sweep(
-    config: ScenarioConfig,
-    name: str,
-    axis_name: str,
-    axis_values: Sequence[float],
-    trial_amps: Callable[[int], tuple[dict[str, np.ndarray], tuple] | None],
-    se_from_amps: Callable[[dict[str, np.ndarray]], np.ndarray],
-) -> SweepResult:
-    """Shared reduction: per-trial amplitudes -> per-axis mean SE + boundaries."""
-
-    def one_trial(trial: int):
-        try:
-            amps, bounds = trial_amps(trial)
-        except InfeasiblePlanError:
-            return None
-        return se_from_amps(amps), bounds
-
-    results = _map_trials(config.trials, one_trial)
-    kept = [r for r in results if r is not None]
-    _raise_if_empty(len(kept), name)
-    mean_se = np.mean(np.stack([se for se, _ in kept]), axis=0)
-    b_col = _mean_or_none([b for _, (b, _) in kept])
-    n_col = _mean_or_none([n for _, (_, n) in kept])
-    rows = [
-        SweepRow(float(axis_values[i]), scheme.value, float(mean_se[i, j]), b_col, n_col)
-        for i in range(len(axis_values))
-        for j, scheme in enumerate(_AS_SCHEMES)
-    ]
-    meta = {
-        "experiment": name,
-        "config": config.to_dict(),
-        "infeasible_trials": len(results) - len(kept),
-        "completed_trials": len(kept),
-    }
-    return SweepResult(axis_name, tuple(rows), config.trials, config.seed, meta)
+def _link_draw(config: ScenarioConfig, geom, grid, thr, trial: int):
+    """Amplitudes and binding boundary columns of one sampled single-link draw."""
+    paths = sample_scenario(config, trial)
+    entries = channel_columns(geom, grid, paths)
+    amps = _single_link_amps(geom, grid, paths, thr, entries)
+    return amps, _binding_boundaries(geom, grid, paths, thr)
 
 
 def _experiment_se_snr_as(config: ScenarioConfig) -> SweepResult:
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
 
-    def trial_amps(trial: int):
-        paths = sample_scenario(config, trial)
-        entries = channel_columns(geom, grid, paths)
-        amps = _single_link_amps(geom, grid, paths, thr, entries)
-        return amps, _binding_boundaries(geom, grid, paths, thr)
+    def trial_fn(trial: int) -> list:
+        amps, bounds = _link_draw(config, geom, grid, thr, trial)
+        power = [10.0 ** (snr / 10.0) * config.noise_power for snr in _SNR_AXIS_DB]
+        return [(_scheme_se(amps, _AS_SCHEMES, p, config.noise_power), bounds, 1)
+                for p in power]
 
-    def se_from_amps(amps: dict[str, np.ndarray]) -> np.ndarray:
-        out = np.empty((len(_SNR_AXIS_DB), len(_AS_SCHEMES)))
-        for i, snr in enumerate(_SNR_AXIS_DB):
-            power = 10.0 ** (snr / 10.0) * config.noise_power
-            for j, scheme in enumerate(_AS_SCHEMES):
-                out[i, j] = float(
-                    np.mean(_rates(amps[scheme.value], power, config.noise_power))
-                )
-        return out
-
-    return _as_sweep(config, "se-snr-as", "snr_db", _SNR_AXIS_DB,
-                     trial_amps, se_from_amps)
+    return _sweep(config, "se-snr-as", "snr_db", _SNR_AXIS_DB, _AS_SCHEMES, trial_fn)
 
 
 def _experiment_se_subcarrier_as(config: ScenarioConfig) -> SweepResult:
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     axis = [float(m) for m in range(config.num_subcarriers)]
 
-    def trial_amps(trial: int):
-        paths = sample_scenario(config, trial)
-        entries = channel_columns(geom, grid, paths)
-        amps = _single_link_amps(geom, grid, paths, thr, entries)
-        return amps, _binding_boundaries(geom, grid, paths, thr)
+    def trial_fn(trial: int) -> list:
+        amps, bounds = _link_draw(config, geom, grid, thr, trial)
+        table = np.stack([_rates(amps[s.value], config.power, config.noise_power)
+                          for s in _AS_SCHEMES], axis=1)
+        return [(row, bounds, 1) for row in table]
 
-    def se_from_amps(amps: dict[str, np.ndarray]) -> np.ndarray:
-        out = np.empty((config.num_subcarriers, len(_AS_SCHEMES)))
-        for j, scheme in enumerate(_AS_SCHEMES):
-            out[:, j] = _rates(amps[scheme.value], config.power, config.noise_power)
-        return out
-
-    return _as_sweep(config, "se-subcarrier-as", "subcarrier_index", axis,
-                     trial_amps, se_from_amps)
+    return _sweep(config, "se-subcarrier-as", "subcarrier_index", axis, _AS_SCHEMES,
+                  trial_fn)
 
 
 def _experiment_se_paths_as(config: ScenarioConfig) -> SweepResult:
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
-    axis = [float(l) for l in _PATH_AXIS]
 
-    def one_trial(trial: int):
-        se = np.full((len(_PATH_AXIS), len(_AS_SCHEMES)), np.nan)
-        bounds: list[tuple[float | None, float | None]] = []
-        for i, l_n in enumerate(_PATH_AXIS):
-            cfg_l = config.replace(num_near_paths=l_n)
-            paths = sample_scenario(cfg_l, trial)
-            try:
-                entries = channel_columns(geom, grid, paths)
-                amps = _single_link_amps(geom, grid, paths, thr, entries)
-            except InfeasiblePlanError:
-                bounds.append((None, None))
-                continue
-            for j, scheme in enumerate(_AS_SCHEMES):
-                se[i, j] = float(
-                    np.mean(_rates(amps[scheme.value], config.power,
-                                   config.noise_power))
-                )
-            bounds.append(_binding_boundaries(geom, grid, paths, thr))
-        return se, bounds
+    def point(trial: int, l_n: int):
+        cfg_l = config.replace(num_near_paths=l_n)
+        amps, bounds = _link_draw(cfg_l, geom, grid, thr, trial)
+        return _scheme_se(amps, _AS_SCHEMES, config.power, config.noise_power), bounds, 1
 
-    results = _map_trials(config.trials, one_trial)
-    stacked = np.stack([se for se, _ in results])
-    completed = np.sum(~np.isnan(stacked[:, :, 0]), axis=0)
-    if int(completed.min()) == 0:
-        raise InfeasiblePlanError(
-            "an axis point of se-paths-as had no feasible trials"
-        )
-    mean_se = np.nanmean(stacked, axis=0)
-    rows = []
-    for i in range(len(_PATH_AXIS)):
-        b_col = _mean_or_none([bounds[i][0] for _, bounds in results])
-        n_col = _mean_or_none([bounds[i][1] for _, bounds in results])
-        for j, scheme in enumerate(_AS_SCHEMES):
-            rows.append(SweepRow(axis[i], scheme.value, float(mean_se[i, j]),
-                                 b_col, n_col))
-    meta = {
-        "experiment": "se-paths-as",
-        "config": config.to_dict(),
-        "infeasible_trials": {
-            int(_PATH_AXIS[i]): int(len(results) - completed[i])
-            for i in range(len(_PATH_AXIS))
-        },
-    }
-    return SweepResult("num_near_paths", tuple(rows), config.trials, config.seed, meta)
+    def trial_fn(trial: int) -> list:
+        return [_feasible(point, trial, l_n) for l_n in _PATH_AXIS]
+
+    return _sweep(config, "se-paths-as", "num_near_paths", _PATH_AXIS, _AS_SCHEMES,
+                  trial_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +472,9 @@ def _fs_user_amps(
     idx = subband.global_indices()
     cols = channel_columns(geom, grid, user_paths, subcarrier_indices=idx)
     size = geom.num_antennas // num_subarrays
-    fs_analog = np.zeros((geom.num_antennas, num_subarrays), dtype=np.complex128)
-    for t in range(num_subarrays):
-        fs_analog[t * size : (t + 1) * size, t] = analog_subband_precoder(
-            geom, user_paths, subband.center_hz, t, num_subarrays
-        )
+    fs_analog = subband_analog_matrix(geom, user_paths, subband.center_hz, num_subarrays)
     as_plan = plan_antenna_slices(geom, grid, user_paths, thr)
-    as_analog = _slice_analog(geom, user_paths, as_plan)
+    as_analog = slice_analog_matrix(geom, user_paths, as_plan)
     beam = narrowband_mrt(geom, user_paths)
     return {
         Scheme.SUBBAND_SLICING.value: hybrid_gain_amplitudes(
@@ -556,66 +505,30 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
 
 def _fs_mean_se(per_user, power: float, noise_power: float) -> np.ndarray:
     """(1/K) sum over users of their sub-band-average rate, per scheme."""
-    out = np.zeros(len(_FS_SCHEMES))
-    for _, amps in per_user:
-        for j, scheme in enumerate(_FS_SCHEMES):
-            out[j] += float(np.mean(_rates(amps[scheme.value], power, noise_power)))
-    return out / len(per_user)
+    return np.mean([_scheme_se(amps, _FS_SCHEMES, power, noise_power)
+                    for _, amps in per_user], axis=0)
 
 
-def _fs_sweep(
-    config: ScenarioConfig,
-    name: str,
-    axis_name: str,
-    axis_values: Sequence[float],
-    trial_fn: Callable[[int], tuple[np.ndarray, tuple, int]],
-) -> SweepResult:
-    """Shared reduction for the multiuser experiments."""
-
-    def one_trial(trial: int):
-        try:
-            return trial_fn(trial)
-        except InfeasiblePlanError:
-            return None
-
-    results = _map_trials(config.trials, one_trial)
-    kept = [r for r in results if r is not None]
-    _raise_if_empty(len(kept), name)
-    mean_se = np.mean(np.stack([se for se, _, _ in kept]), axis=0)
-    b_col = _mean_or_none([b for _, (b, _), _ in kept])
-    n_col = _mean_or_none([n for _, (_, n), _ in kept])
-    rows = [
-        SweepRow(float(axis_values[i]), scheme.value, float(mean_se[i, j]),
-                 b_col, n_col)
-        for i in range(len(axis_values))
-        for j, scheme in enumerate(_FS_SCHEMES)
-    ]
-    meta = {
-        "experiment": name,
-        "config": config.to_dict(),
-        "infeasible_trials": len(results) - len(kept),
-        "completed_trials": len(kept),
-        "mean_users": float(np.mean([k for _, _, k in kept])),
-    }
-    return SweepResult(axis_name, tuple(rows), config.trials, config.seed, meta)
+def _fs_point(config: ScenarioConfig, trial: int, num_subarrays: int):
+    """Reducer entry of one multiuser draw at the configured power."""
+    per_user, bounds = _fs_trial_amps(config, trial, num_subarrays)
+    return _fs_mean_se(per_user, config.power, config.noise_power), bounds, len(per_user)
 
 
 def _experiment_se_snr_fs(config: ScenarioConfig) -> SweepResult:
-    def trial_fn(trial: int):
+    def trial_fn(trial: int) -> list:
         per_user, bounds = _fs_trial_amps(config, trial, config.num_subarrays)
-        se = np.empty((len(_SNR_AXIS_DB), len(_FS_SCHEMES)))
-        for i, snr in enumerate(_SNR_AXIS_DB):
-            power = 10.0 ** (snr / 10.0) * config.noise_power
-            se[i] = _fs_mean_se(per_user, power, config.noise_power)
-        return se, bounds, len(per_user)
+        power = [10.0 ** (snr / 10.0) * config.noise_power for snr in _SNR_AXIS_DB]
+        return [(_fs_mean_se(per_user, p, config.noise_power), bounds, len(per_user))
+                for p in power]
 
-    return _fs_sweep(config, "se-snr-fs", "snr_db", _SNR_AXIS_DB, trial_fn)
+    return _sweep(config, "se-snr-fs", "snr_db", _SNR_AXIS_DB, _FS_SCHEMES, trial_fn)
 
 
 def _experiment_se_subcarrier_fs(config: ScenarioConfig) -> SweepResult:
     axis = [float(m) for m in range(config.num_subcarriers)]
 
-    def trial_fn(trial: int):
+    def trial_fn(trial: int) -> list:
         per_user, bounds = _fs_trial_amps(config, trial, config.num_subarrays)
         se = np.empty((config.num_subcarriers, len(_FS_SCHEMES)))
         for subband, amps in per_user:
@@ -623,29 +536,19 @@ def _experiment_se_subcarrier_fs(config: ScenarioConfig) -> SweepResult:
             for j, scheme in enumerate(_FS_SCHEMES):
                 se[idx, j] = _rates(amps[scheme.value], config.power,
                                     config.noise_power)
-        return se, bounds, len(per_user)
+        return [(row, bounds, len(per_user)) for row in se]
 
-    return _fs_sweep(config, "se-subcarrier-fs", "subcarrier_index", axis, trial_fn)
+    return _sweep(config, "se-subcarrier-fs", "subcarrier_index", axis, _FS_SCHEMES,
+                  trial_fn)
 
 
 def _experiment_se_paths_fs(config: ScenarioConfig) -> SweepResult:
-    axis = [float(l) for l in _PATH_AXIS]
+    def trial_fn(trial: int) -> list:
+        return [_feasible(_fs_point, config.replace(num_near_paths=l_n), trial,
+                          config.num_subarrays) for l_n in _PATH_AXIS]
 
-    def trial_fn(trial: int):
-        se = np.empty((len(_PATH_AXIS), len(_FS_SCHEMES)))
-        bound_list = []
-        users_seen = []
-        for i, l_n in enumerate(_PATH_AXIS):
-            cfg_l = config.replace(num_near_paths=l_n)
-            per_user, bounds = _fs_trial_amps(cfg_l, trial, config.num_subarrays)
-            se[i] = _fs_mean_se(per_user, config.power, config.noise_power)
-            bound_list.append(bounds)
-            users_seen.append(len(per_user))
-        merged = (_mean_or_none([b for b, _ in bound_list]),
-                  _mean_or_none([n for _, n in bound_list]))
-        return se, merged, int(np.mean(users_seen))
-
-    return _fs_sweep(config, "se-paths-fs", "num_near_paths", axis, trial_fn)
+    return _sweep(config, "se-paths-fs", "num_near_paths", _PATH_AXIS, _FS_SCHEMES,
+                  trial_fn)
 
 
 def _experiment_se_subarrays_fs(config: ScenarioConfig) -> SweepResult:
@@ -653,21 +556,11 @@ def _experiment_se_subarrays_fs(config: ScenarioConfig) -> SweepResult:
     if not axis_t:
         raise ValueError("no subarray count in the axis divides num_antennas")
 
-    def trial_fn(trial: int):
-        se = np.empty((len(axis_t), len(_FS_SCHEMES)))
-        bound_list = []
-        users_seen = []
-        for i, t_count in enumerate(axis_t):
-            per_user, bounds = _fs_trial_amps(config, trial, t_count)
-            se[i] = _fs_mean_se(per_user, config.power, config.noise_power)
-            bound_list.append(bounds)
-            users_seen.append(len(per_user))
-        merged = (_mean_or_none([b for b, _ in bound_list]),
-                  _mean_or_none([n for _, n in bound_list]))
-        return se, merged, int(np.mean(users_seen))
+    def trial_fn(trial: int) -> list:
+        return [_feasible(_fs_point, config, trial, t_count) for t_count in axis_t]
 
-    return _fs_sweep(config, "se-subarrays-fs", "num_subarrays",
-                     [float(t) for t in axis_t], trial_fn)
+    return _sweep(config, "se-subarrays-fs", "num_subarrays", axis_t, _FS_SCHEMES,
+                  trial_fn)
 
 
 # ---------------------------------------------------------------------------

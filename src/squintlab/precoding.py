@@ -181,6 +181,23 @@ def digital_mrt(channel_column: ComplexVector, analog: ComplexMatrix) -> Complex
     return projected / denom
 
 
+def _mrt_projection(
+    analog: ComplexMatrix,
+    block_sizes: Sequence[int],
+    columns: ComplexMatrix,
+) -> tuple[ComplexMatrix, NDArray[np.float64]]:
+    """F^H h per column and the digital MRT denominator ||F F^H h||.
+
+    For a block-diagonal F with unit-modulus entries,
+    ||F F^H h||^2 = sum_t N_t |(F^H h)_t|^2 (the two denominator forms of the
+    digital MRT), so the denominator needs no N-row product.
+    """
+    projected = analog.conj().T @ np.asarray(columns)
+    weights = np.asarray(block_sizes, dtype=np.float64)[:, None]
+    den = np.sqrt(np.sum(weights * np.abs(projected) ** 2, axis=0))
+    return projected, den
+
+
 def hybrid_gain_amplitudes(
     analog: ComplexMatrix,
     block_sizes: Sequence[int],
@@ -188,31 +205,39 @@ def hybrid_gain_amplitudes(
 ) -> NDArray[np.float64]:
     """|f_D^H F^H h| per column under per-column digital MRT, vectorized.
 
-    Uses the identity |f_D^H F^H h| = ||F^H h||^2 / ||F F^H h|| with
-    ||F F^H h||^2 = sum_t N_t |(F^H h)_t|^2 for a block-diagonal F with
-    unit-modulus entries (the two denominator forms of the digital MRT).
-    Degenerate columns yield amplitude 0.
+    Uses the identity |f_D^H F^H h| = ||F^H h||^2 / ||F F^H h||. Degenerate
+    columns yield amplitude 0.
     """
-    projected = analog.conj().T @ np.asarray(columns)
-    weights = np.asarray(block_sizes, dtype=np.float64)[:, None]
+    projected, den = _mrt_projection(analog, block_sizes, columns)
     num = np.sum(np.abs(projected) ** 2, axis=0)
-    den = np.sqrt(np.sum(weights * np.abs(projected) ** 2, axis=0))
     out = np.zeros_like(num)
     good = den > 0.0
     out[good] = num[good] / den[good]
     return out
 
 
-def _hybrid_digital(analog: ComplexMatrix, entries: ComplexMatrix) -> ComplexMatrix:
-    """Column-wise digital MRT; degenerate columns become zero vectors."""
-    num_beams, num_cols = analog.shape[1], entries.shape[1]
-    digital = np.zeros((num_beams, num_cols), dtype=np.complex128)
-    for m in range(num_cols):
-        try:
-            digital[:, m] = digital_mrt(entries[:, m], analog)
-        except DegenerateSubcarrierError:
-            pass
-    return digital
+def _hybrid_set(
+    scheme: Scheme,
+    analog: ComplexMatrix,
+    block_sizes: Sequence[int],
+    entries: ComplexMatrix,
+) -> PrecoderSet:
+    """Hybrid set with every column's digital MRT at once (degenerate ones stay zero)."""
+    projected, den = _mrt_projection(analog, block_sizes, entries)
+    digital = np.zeros_like(projected)
+    good = den > 0.0
+    digital[:, good] = projected[:, good] / den[good]
+    return PrecoderSet(scheme, digital, analog, tuple(block_sizes))
+
+
+def slice_analog_matrix(
+    geom: ArrayGeometry, paths: Sequence[PathParams], plan: SlicingPlan
+) -> ComplexMatrix:
+    """N x T block-diagonal analog matrix of an antenna-slicing plan."""
+    analog = np.zeros((geom.num_antennas, plan.num_subarrays), dtype=np.complex128)
+    for t, (start, size) in enumerate(zip(plan.starts(), plan.subarray_sizes)):
+        analog[start : start + size, t] = analog_slice_precoder(geom, paths, plan, t)
+    return analog
 
 
 def slice_precoder_set(
@@ -220,14 +245,9 @@ def slice_precoder_set(
     plan: SlicingPlan,
 ) -> PrecoderSet:
     """Antenna-slicing hybrid set: per-subarray analog beams + digital MRT."""
-    geom, paths = channel.geometry, channel.paths
-    n = geom.num_antennas
-    analog = np.zeros((n, plan.num_subarrays), dtype=np.complex128)
-    starts = plan.starts()
-    for t, (start, size) in enumerate(zip(starts, plan.subarray_sizes)):
-        analog[start : start + size, t] = analog_slice_precoder(geom, paths, plan, t)
-    digital = _hybrid_digital(analog, channel.entries)
-    return PrecoderSet(Scheme.ANTENNA_SLICING, digital, analog, tuple(plan.subarray_sizes))
+    analog = slice_analog_matrix(channel.geometry, channel.paths, plan)
+    return _hybrid_set(Scheme.ANTENNA_SLICING, analog, plan.subarray_sizes,
+                       channel.entries)
 
 
 def analog_subband_precoder(
@@ -269,6 +289,22 @@ def analog_subband_precoder(
     return np.exp(1j * np.angle(acc))
 
 
+def subband_analog_matrix(
+    geom: ArrayGeometry,
+    user_paths: Sequence[PathParams],
+    subband_center_hz: float,
+    num_subarrays: int,
+) -> ComplexMatrix:
+    """N x T block-diagonal analog matrix of equal subarrays retuned to a sub-band."""
+    size = geom.num_antennas // num_subarrays
+    analog = np.zeros((geom.num_antennas, num_subarrays), dtype=np.complex128)
+    for t in range(num_subarrays):
+        analog[t * size : (t + 1) * size, t] = analog_subband_precoder(
+            geom, user_paths, subband_center_hz, t, num_subarrays
+        )
+    return analog
+
+
 def subband_precoder_set(
     geom: ArrayGeometry,
     user_paths: Sequence[PathParams],
@@ -277,15 +313,9 @@ def subband_precoder_set(
     channel_block: ComplexMatrix,
 ) -> PrecoderSet:
     """Sub-band hybrid set for one user over its own subcarriers."""
-    n = geom.num_antennas
-    size = n // num_subarrays
-    analog = np.zeros((n, num_subarrays), dtype=np.complex128)
-    for t in range(num_subarrays):
-        analog[t * size : (t + 1) * size, t] = analog_subband_precoder(
-            geom, user_paths, subband.center_hz, t, num_subarrays
-        )
-    digital = _hybrid_digital(analog, np.asarray(channel_block))
-    return PrecoderSet(Scheme.SUBBAND_SLICING, digital, analog, (size,) * num_subarrays)
+    analog = subband_analog_matrix(geom, user_paths, subband.center_hz, num_subarrays)
+    sizes = (geom.num_antennas // num_subarrays,) * num_subarrays
+    return _hybrid_set(Scheme.SUBBAND_SLICING, analog, sizes, channel_block)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ from squintlab import (
     SweepRow,
     antenna_boundary,
     freq_boundary,
+    plan_antenna_slices,
     run_experiment,
 )
-from squintlab.experiments import resolve_threads
+from squintlab.experiments import _allocate_adaptive, resolve_threads
 
 # single deterministic near path at the sweep reference geometry
 _SWEEP_PATH = PathParams(1.0, 0.1, 10.0, 10.0)
@@ -219,7 +220,7 @@ def test_bandwidth_sweep_axis_spans_boundary_multiples(bandwidth_sweep):
     cfg, result = bandwidth_sweep
     b_ref = freq_boundary(cfg.geometry(), _SWEEP_PATH, cfg.thresholds())
     assert result.axis_values == pytest.approx([b_ref * m for m in _MULTS])
-    assert result.meta["infeasible_trials"] == 0
+    assert result.meta["infeasible_trials"] == dict.fromkeys(result.axis_values, 0)
     assert result.meta["config"] == cfg.to_dict()
 
 
@@ -314,8 +315,8 @@ def test_snr_sweep_axis_and_schemes(snr_sweep):
     cfg, result = snr_sweep
     assert result.axis_values == _SNR_AXIS
     assert result.schemes == ("antenna-slicing", "narrowband-mrt", "optimal")
-    assert result.meta["infeasible_trials"] == 0
-    assert result.meta["completed_trials"] == cfg.trials
+    assert result.meta["infeasible_trials"] == dict.fromkeys(_SNR_AXIS, 0)
+    assert result.meta["completed_trials"] == dict.fromkeys(_SNR_AXIS, cfg.trials)
 
 
 def test_snr_sweep_rates_increase_with_power(snr_sweep):
@@ -356,8 +357,8 @@ def test_infeasible_trials_are_counted_not_fatal():
     result = run_experiment("se-snr-as", cfg)
     infeasible = result.meta["infeasible_trials"]
     completed = result.meta["completed_trials"]
-    assert infeasible == 14
-    assert infeasible + completed == cfg.trials
+    assert infeasible == dict.fromkeys(_SNR_AXIS, 14)
+    assert all(infeasible[snr] + completed[snr] == cfg.trials for snr in _SNR_AXIS)
     assert np.all(np.isfinite([row.se for row in result.rows]))
 
 
@@ -384,8 +385,8 @@ def test_subband_snr_schemes_and_meta(subband_snr_sweep):
     assert result.axis_values == _SNR_AXIS
     assert result.schemes == ("subband-slicing", "antenna-slicing",
                               "narrowband-mrt", "optimal")
-    assert result.meta["completed_trials"] == cfg.trials
-    assert result.meta["infeasible_trials"] == 0
+    assert result.meta["completed_trials"] == dict.fromkeys(_SNR_AXIS, cfg.trials)
+    assert result.meta["infeasible_trials"] == dict.fromkeys(_SNR_AXIS, 0)
     assert result.meta["mean_users"] == pytest.approx(cfg.num_users)
 
 
@@ -420,6 +421,35 @@ def test_subband_path_axis_matches_link_experiment():
     result = run_experiment("se-paths-fs", cfg)
     assert result.axis_values == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     assert result.meta["mean_users"] >= cfg.num_users
+
+
+def test_subband_path_sweep_counts_infeasibility_per_axis_point():
+    # a trial infeasible at one path count still counts at the others, and
+    # mean_users is the exact mean over the feasible (trial, point) draws
+    cfg = ScenarioConfig(num_antennas=6, num_subcarriers=8, num_near_paths=1,
+                         num_far_paths=0, num_users=2, num_subarrays=2,
+                         trials=40, seed=3)
+    geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
+    feasible, users_served = {}, []
+    for l_n in (1, 2, 3, 4, 5, 6):
+        feasible[float(l_n)] = 0
+        for trial in range(cfg.trials):
+            try:
+                users, plan = _allocate_adaptive(cfg.replace(num_near_paths=l_n),
+                                                 trial, cfg.num_subarrays)
+                for subband in plan.subbands:
+                    plan_antenna_slices(geom, grid, users[subband.user], thr)
+            except InfeasiblePlanError:
+                continue
+            feasible[float(l_n)] += 1
+            users_served.append(len(plan.subbands))
+    assert len(set(feasible.values())) > 1 and max(feasible.values()) < cfg.trials
+    result = run_experiment("se-paths-fs", cfg)
+    assert result.meta["completed_trials"] == feasible
+    assert result.meta["infeasible_trials"] == {
+        axis: cfg.trials - count for axis, count in feasible.items()
+    }
+    assert result.meta["mean_users"] == np.mean(users_served)
 
 
 def test_subarray_axis_keeps_divisors_only():

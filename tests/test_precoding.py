@@ -1,5 +1,6 @@
 """Precoder constructions, array-gain metrics, and SE cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from squintlab import (
     UserSubband,
     analog_slice_precoder,
     analog_subband_precoder,
+    channel_columns,
     digital_mrt,
     freq_boundary,
     hybrid_gain_amplitudes,
@@ -49,6 +51,7 @@ from squintlab import (
     subcarrier_frequencies,
     synth_channel,
 )
+from squintlab.experiments import _allocate_adaptive, _fs_user_amps, _single_link_amps
 
 THR = SquintThresholds()
 
@@ -243,6 +246,38 @@ def test_vectorized_amplitudes_match_the_scalar_route():
         f_d = digital_mrt(cols[:, m], analog)
         want = abs(np.vdot(analog @ f_d, cols[:, m]))
         assert amps[m] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("trial", range(2))
+def test_precoder_sets_match_the_experiment_amplitudes(trial):
+    # the precoder sets and the experiments share one analog builder per
+    # scheme and one digital MRT; a zero column gets a zero digital vector
+    cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64, num_users=8,
+                         num_subarrays=8, seed=11)
+    geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
+    paths = sample_scenario(cfg, trial)
+    ch = synth_channel(geom, grid, paths)
+    entries = ch.entries.copy()
+    entries[:, 5] = 0.0
+    hybrid = slice_precoder_set(dataclasses.replace(ch, entries=entries),
+                                plan_antenna_slices(geom, grid, paths, thr))
+    amps = np.abs(np.einsum("nm,nm->m", hybrid.combined().conj(), entries))
+    want = _single_link_amps(geom, grid, paths, thr, entries)["antenna-slicing"]
+    np.testing.assert_allclose(amps, want, rtol=1e-12, atol=0.0)
+    assert not np.any(hybrid.digital[:, 5]) and amps[5] == 0.0 and want[5] == 0.0
+    for m in (0, 31, 63):
+        np.testing.assert_allclose(hybrid.digital[:, m],
+                                   digital_mrt(entries[:, m], hybrid.analog), rtol=1e-12)
+
+    users, plan = _allocate_adaptive(cfg, trial, cfg.num_subarrays)
+    for subband in plan.subbands:
+        user = users[subband.user]
+        cols = channel_columns(geom, grid, user,
+                               subcarrier_indices=subband.global_indices())
+        sub = subband_precoder_set(geom, user, subband, cfg.num_subarrays, cols)
+        amps = np.abs(np.einsum("nm,nm->m", sub.combined().conj(), cols))
+        want = _fs_user_amps(geom, grid, thr, user, subband, cfg.num_subarrays)
+        np.testing.assert_allclose(amps, want["subband-slicing"], rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
