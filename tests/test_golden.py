@@ -1,8 +1,10 @@
 """Golden CSVs: every experiment's output at one small fixed config, byte for byte.
 
 The files under ``tests/golden/`` pin the emitted numbers, so a refactor that
-changes any digit fails here. An intended change of the numbers regenerates
-them, from the repository root:
+changes any digit fails here. ``tests/golden/desk/`` adds the two SNR sweeps
+at desk scale (256 antennas x 64 subcarriers), where subarray blocks hold 32
+antennas and the sub-band sweep serves about 64 users. An intended change of
+the numbers regenerates them, from the repository root:
 
     PYTHONPATH=src python -c "from tests.test_golden import regenerate; regenerate()"
 """
@@ -16,6 +18,9 @@ from squintlab import EXPERIMENTS, ScenarioConfig, run_experiment
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CONFIG = ScenarioConfig(num_antennas=128, num_subcarriers=16, trials=4,
                                num_users=4, num_subarrays=4, seed=7)
+DESK_DIR = GOLDEN_DIR / "desk"
+DESK_CONFIG = ScenarioConfig(num_antennas=256, num_subcarriers=64, trials=2, seed=1)
+DESK_EXPERIMENTS = ("se-snr-as", "se-snr-fs")
 
 
 def regenerate() -> None:
@@ -23,9 +28,18 @@ def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in EXPERIMENTS:
         run_experiment(name, GOLDEN_CONFIG).write_csv(GOLDEN_DIR / f"{name}.csv")
+    DESK_DIR.mkdir(exist_ok=True)
+    for name in DESK_EXPERIMENTS:
+        run_experiment(name, DESK_CONFIG).write_csv(DESK_DIR / f"{name}.csv")
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_csv_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.csv").read_bytes()
     assert run_experiment(name, GOLDEN_CONFIG).to_csv().encode("ascii") == expected
+
+
+@pytest.mark.parametrize("name", DESK_EXPERIMENTS)
+def test_desk_csv_matches_golden(name):
+    expected = (DESK_DIR / f"{name}.csv").read_bytes()
+    assert run_experiment(name, DESK_CONFIG).to_csv().encode("ascii") == expected
