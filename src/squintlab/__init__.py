@@ -31,8 +31,6 @@ from .precoding import (
     DegenerateSubcarrierError,
     PrecoderSet,
     Scheme,
-    analog_slice_precoder,
-    analog_subband_precoder,
     digital_mrt,
     hybrid_gain_amplitudes,
     mrt_full_array,
@@ -49,10 +47,12 @@ from .precoding import (
     se_single_path_bound,
     se_slicing_closed_form,
     se_subband_closed_form,
+    slice_analog_matrix,
     slice_precoder_set,
     snr_db,
     spectral_efficiency,
     static_precoder_set,
+    subband_analog_matrix,
     subband_precoder_set,
 )
 from .scenario import (
@@ -84,6 +84,7 @@ from .wavefield import (
     delay_steering,
     far_field_steering,
     near_field_steering,
+    path_phases,
     read_channel_dump,
     scatterer_antenna_distance,
     subarray_center_distance,

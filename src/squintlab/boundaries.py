@@ -194,6 +194,17 @@ def _quadratic_root_plus_one(a1: float, a2: float, rhs: float) -> float:
     return (-a2 + math.sqrt(a2 * a2 + 4.0 * a1 * rhs)) / (2.0 * a1) + 1.0
 
 
+def _carrier_coefficients(
+    path: PathParams, center_freq_hz: float, kappa_a: float, s: float, c: float
+) -> tuple[float, float, float]:
+    """A1, A2 and A5 of the carrier-phase quadratic A1 (N-1)^2 + A2 (N-1) = A5."""
+    d = path.scatterer_distance_m
+    a5 = (kappa_a * kappa_a * c * c + 4.0 * kappa_a * c * d * center_freq_hz) / (
+        4.0 * center_freq_hz * center_freq_hz
+    )
+    return s * s / 4.0, d * s * abs(path.sine_angle), a5
+
+
 def boundary_coefficients(
     bandwidth_hz: float,
     path: PathParams,
@@ -208,15 +219,9 @@ def boundary_coefficients(
     s = c / (2.0 * center_freq_hz) if spacing_m is None else spacing_m
     kappa = thr.total
     d = path.scatterer_distance_m
-    theta = abs(path.sine_angle)
-    a1 = s * s / 4.0
-    a4 = d * s
-    a2 = a4 * theta
+    a1, a2, a5 = _carrier_coefficients(path, center_freq_hz, thr.kappa_a, s, c)
     a3 = (kappa * kappa * c * c + 2.0 * kappa * c * d * bandwidth_hz) / (bandwidth_hz * bandwidth_hz)
-    a5 = (
-        thr.kappa_a * thr.kappa_a * c * c + 4.0 * thr.kappa_a * c * d * center_freq_hz
-    ) / (4.0 * center_freq_hz * center_freq_hz)
-    return QuadraticCoefficients(a1, a2, a3, a4, a5)
+    return QuadraticCoefficients(a1, a2, a3, d * s, a5)
 
 
 def antenna_boundary(
@@ -268,13 +273,7 @@ def near_field_threshold(
     """
     c = wave_speed
     s = c / (2.0 * center_freq_hz) if spacing_m is None else spacing_m
-    d = path.scatterer_distance_m
-    a1 = s * s / 4.0
-    a2 = d * s * abs(path.sine_angle)
-    a5 = (kappa_a * kappa_a * c * c + 4.0 * kappa_a * c * d * center_freq_hz) / (
-        4.0 * center_freq_hz * center_freq_hz
-    )
-    return _quadratic_root_plus_one(a1, a2, a5)
+    return _quadratic_root_plus_one(*_carrier_coefficients(path, center_freq_hz, kappa_a, s, c))
 
 
 def near_field_threshold_approx(sine_angle: float, kappa_a: float = 0.125) -> float:

@@ -16,8 +16,6 @@ from .experiments import EXPERIMENTS, run_experiment
 from .scenario import ScenarioConfig, sample_scenario
 from .slicing import InfeasiblePlanError, plan_antenna_slices
 from .wavefield import (
-    ArrayGeometry,
-    CarrierGrid,
     FieldModel,
     PathParams,
     synth_channel,
@@ -61,7 +59,7 @@ def _add_path_flags(parser: argparse.ArgumentParser) -> None:
                         help="sine of the path angle, in (-1, 1)")
     parser.add_argument("--d", type=float, default=None,
                         help="scatterer-to-array distance in meters")
-    parser.add_argument("--r", type=float, default=0.0,
+    parser.add_argument("--r", type=float, default=None,
                         help="scatterer-to-receiver range in meters (default 0)")
 
 
@@ -80,10 +78,26 @@ def _build_config(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
-def _require_path(args: argparse.Namespace, parser: argparse.ArgumentParser) -> PathParams:
+def _path_flags(args: argparse.Namespace) -> str:
+    """The path flags given on the command line, e.g. "--theta/--r"."""
+    return "/".join(f"--{name}" for name in ("theta", "d", "r") if getattr(args, name) is not None)
+
+
+def _given_path(args: argparse.Namespace, parser: argparse.ArgumentParser) -> PathParams | None:
+    """The path of --theta/--d/--r, or None when none of them is given."""
+    flags = _path_flags(args)
+    if not flags:
+        return None
     if args.theta is None or args.d is None:
+        parser.error(f"{flags} given, but a path needs both --theta and --d")
+    return PathParams(1.0, args.theta, args.d, args.r or 0.0)
+
+
+def _require_path(args: argparse.Namespace, parser: argparse.ArgumentParser) -> PathParams:
+    path = _given_path(args, parser)
+    if path is None:
         parser.error("--theta and --d are required")
-    return PathParams(1.0, args.theta, args.d, args.r)
+    return path
 
 
 def _jsonable(value):
@@ -182,10 +196,8 @@ def _cmd_classify(args, parser) -> int:
 def _cmd_channel(args, parser) -> int:
     config = _build_config(args)
     geom, grid, _ = _scenario_objects(config)
-    if args.theta is not None and args.d is not None:
-        paths = [PathParams(1.0, args.theta, args.d, args.r)]
-    else:
-        paths = sample_scenario(config, args.trial)
+    path = _given_path(args, parser)
+    paths = [path] if path else sample_scenario(config, args.trial)
     tensor = synth_channel(geom, grid, paths, args.model)
     write_channel_dump(tensor, args.output)
     print(f"wrote {args.output}: {geom.num_antennas}x{grid.num_subcarriers} "
@@ -197,13 +209,13 @@ def _cmd_plan(args, parser) -> int:
     config = _build_config(args)
     geom, grid, thr = _scenario_objects(config)
     if args.kind == "antenna":
-        if args.theta is not None and args.d is not None:
-            paths = [PathParams(1.0, args.theta, args.d, args.r)]
-        else:
-            paths = sample_scenario(config, args.trial)
+        path = _given_path(args, parser)
+        paths = [path] if path else sample_scenario(config, args.trial)
         plan = plan_antenna_slices(geom, grid, paths, thr)
         print(json.dumps(plan.to_json_dict(), indent=2))
         return 0
+    if _path_flags(args):
+        parser.error(f"plan subband samples its users and takes no {_path_flags(args)}")
     from .experiments import _allocate_adaptive
 
     _, plan = _allocate_adaptive(config, args.trial, config.num_subarrays)

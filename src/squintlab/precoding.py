@@ -9,7 +9,7 @@ fully digital upper bound every hybrid scheme is measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -26,10 +26,11 @@ from .wavefield import (
     ComplexVector,
     FieldModel,
     PathParams,
-    _element_ranges,
     beam_squint_matrix,
     far_field_steering,
     near_field_steering,
+    path_phases,
+    subarray_center_distance,
 )
 
 
@@ -107,15 +108,9 @@ def optimal_receiver(
     """
     if not 0 <= m < grid.num_subcarriers:
         raise ValueError("subcarrier index out of range")
-    offsets = geom.element_offsets()
-    dd = (
-        _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, offsets)
-        - path.scatterer_distance_m
-    )
     freq_dev = float(grid.subcarrier_offsets()[m]) * grid.subcarrier_spacing_hz
-    k = 2.0 * np.pi / geom.wave_speed
-    phases = k * (geom.center_freq_hz + freq_dev) * dd
-    return np.exp(1j * phases) / np.sqrt(geom.num_antennas)
+    retuned = replace(geom, center_freq_hz=geom.center_freq_hz + freq_dev)
+    return near_field_steering(retuned, path) / np.sqrt(geom.num_antennas)
 
 
 def static_precoder_set(beam: ComplexVector, num_subcarriers: int, scheme: Scheme) -> PrecoderSet:
@@ -134,54 +129,11 @@ def optimal_precoder_set(channel: ChannelTensor | ComplexMatrix) -> PrecoderSet:
     return PrecoderSet(Scheme.OPTIMAL, digital)
 
 
-def _block_offsets(plan_offset: float, size: int) -> NDArray[np.float64]:
-    return plan_offset + (np.arange(size, dtype=np.float64) - (size - 1) / 2.0)
-
-
-def _slice_beams(
-    geom: ArrayGeometry, paths: Sequence[PathParams], plan: SlicingPlan
-) -> ComplexVector:
-    """Nonzero entries of the antenna-slicing analog matrix, in row order.
-
-    Row n carries exp(j angle(B_t)) of the subarray t that holds it (see
-    :func:`analog_slice_precoder`), with the element arithmetic of
-    :func:`far_field_steering` and :func:`near_field_steering` evaluated for
-    all rows at once.
-    """
-    sizes = plan.subarray_sizes
-    offsets = geom.element_offsets()
-    acc = np.zeros(geom.num_antennas, dtype=np.complex128)
-    for path in paths:
-        if path.field_model is FieldModel.FAR:
-            acc += path.gain * far_field_steering(geom, path.sine_angle, element_offsets=offsets)
-    near = [paths[plan.path_order[j]] for j in plan.path_assignment]
-    theta = np.array([p.sine_angle for p in near])
-    dist = np.array([p.scatterer_distance_m for p in near])
-    gain = np.array([p.gain for p in near], dtype=np.complex128)
-    ref = _element_ranges(geom, theta, dist, np.asarray(plan.offsets))
-    ranges = _element_ranges(geom, np.repeat(theta, sizes), np.repeat(dist, sizes), offsets)
-    k = 2.0 * np.pi / geom.wave_speed * geom.center_freq_hz
-    acc += np.repeat(gain, sizes) * np.exp(1j * k * (ranges - np.repeat(ref, sizes)))
-    return np.exp(1j * np.angle(acc))
-
-
-def analog_slice_precoder(
-    geom: ArrayGeometry,
-    paths: Sequence[PathParams],
-    plan: SlicingPlan,
-    t: int,
-) -> ComplexVector:
-    """Constant-modulus beam of subarray t: its near path plus all far paths.
-
-    Entries are exp(j angle(B_t)) with B_t the gain-weighted sum of the far-path
-    planar steerings and the assigned near path's spherical steering, both
-    restricted to the subarray's rows (near part referenced to the subarray
-    center). ``t`` is 0-based.
-    """
-    if not 0 <= t < plan.num_subarrays:
-        raise ValueError("subarray index out of range")
-    start = plan.starts()[t]
-    return _slice_beams(geom, paths, plan)[start : start + plan.subarray_sizes[t]]
+def _block_diagonal(entries: ComplexVector, sizes: Sequence[int]) -> ComplexMatrix:
+    """N x T matrix holding ``entries`` in contiguous column blocks of ``sizes``."""
+    analog = np.zeros((len(entries), len(sizes)), dtype=np.complex128)
+    analog[np.arange(len(entries)), np.repeat(np.arange(len(sizes)), sizes)] = entries
+    return analog
 
 
 def digital_mrt(channel_column: ComplexVector, analog: ComplexMatrix) -> ComplexVector:
@@ -250,11 +202,30 @@ def _hybrid_set(
 def slice_analog_matrix(
     geom: ArrayGeometry, paths: Sequence[PathParams], plan: SlicingPlan
 ) -> ComplexMatrix:
-    """N x T block-diagonal analog matrix of an antenna-slicing plan."""
-    analog = np.zeros((geom.num_antennas, plan.num_subarrays), dtype=np.complex128)
-    columns = np.repeat(np.arange(plan.num_subarrays), plan.subarray_sizes)
-    analog[np.arange(geom.num_antennas), columns] = _slice_beams(geom, paths, plan)
-    return analog
+    """N x T block-diagonal analog matrix of an antenna-slicing plan.
+
+    Row n of subarray t carries exp(j angle(B_t)), with B_t the gain-weighted
+    sum of the far-path planar steerings and the assigned near path's
+    spherical steering referenced to the subarray center's range. Each near
+    path's phases come from one :func:`path_phases` call over the rows it owns.
+    """
+    acc = np.zeros(geom.num_antennas, dtype=np.complex128)
+    for path in paths:
+        if path.field_model is FieldModel.FAR:
+            acc += path.gain * far_field_steering(geom, path.sine_angle)
+    sizes = np.asarray(plan.subarray_sizes)
+    assignment = np.asarray(plan.path_assignment)
+    owner = np.repeat(assignment, sizes)
+    offsets = geom.element_offsets()
+    for j in np.unique(assignment):
+        path = paths[plan.path_order[j]]
+        blocks = assignment == j
+        ref = subarray_center_distance(geom, path, np.asarray(plan.offsets)[blocks])
+        rows = owner == j
+        phases = path_phases(geom, path, [0.0], offsets=offsets[rows],
+                             reference_m=np.repeat(ref, sizes[blocks]))
+        acc[rows] += path.gain * np.exp(1j * phases[:, 0])
+    return _block_diagonal(np.exp(1j * np.angle(acc)), plan.subarray_sizes)
 
 
 def slice_precoder_set(
@@ -267,59 +238,34 @@ def slice_precoder_set(
                        channel.entries)
 
 
-def analog_subband_precoder(
-    geom: ArrayGeometry,
-    user_paths: Sequence[PathParams],
-    subband_center_hz: float,
-    t: int,
-    num_subarrays: int,
-) -> ComplexVector:
-    """Constant-modulus beam of subarray t, retuned to one user's sub-band.
-
-    Sums the user's near-field path terms evaluated at the sub-band center
-    frequency — per element, gain times
-    exp(j (2 pi/c) (f_c dd_n + (f_sub - f_c)(r + d_n))) — and keeps only the
-    angles. Evaluating the steering at the sub-band frequency (rather than the
-    carrier) keeps every element of the block phase-aligned to the channel at
-    the sub-band center for any subarray size, and the full-array range
-    reference preserves the paths' relative carrier phases.
-    """
-    if geom.num_antennas % num_subarrays != 0:
-        raise ValueError("num_subarrays must divide num_antennas")
-    if not 0 <= t < num_subarrays:
-        raise ValueError("subarray index out of range")
-    size = geom.num_antennas // num_subarrays
-    center_offset = -geom.num_antennas / 2.0 + t * size + size / 2.0
-    offsets = _block_offsets(center_offset, size)
-    k = 2.0 * np.pi / geom.wave_speed
-    detune = subband_center_hz - geom.center_freq_hz
-    acc = np.zeros(size, dtype=np.complex128)
-    for path in user_paths:
-        if path.field_model is FieldModel.FAR:
-            continue
-        ranges = _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, offsets)
-        phases = k * geom.center_freq_hz * (ranges - path.scatterer_distance_m)
-        phases += k * detune * (path.ue_range_m + ranges)
-        acc += path.gain * np.exp(1j * phases)
-    if not np.any(acc):
-        raise ValueError("user has no near-field paths")
-    return np.exp(1j * np.angle(acc))
-
-
 def subband_analog_matrix(
     geom: ArrayGeometry,
     user_paths: Sequence[PathParams],
     subband_center_hz: float,
     num_subarrays: int,
 ) -> ComplexMatrix:
-    """N x T block-diagonal analog matrix of equal subarrays retuned to a sub-band."""
-    size = geom.num_antennas // num_subarrays
-    analog = np.zeros((geom.num_antennas, num_subarrays), dtype=np.complex128)
-    for t in range(num_subarrays):
-        analog[t * size : (t + 1) * size, t] = analog_subband_precoder(
-            geom, user_paths, subband_center_hz, t, num_subarrays
-        )
-    return analog
+    """N x T block-diagonal analog matrix of equal subarrays retuned to a sub-band.
+
+    Sums the user's near-field path terms at the sub-band center frequency —
+    per element, gain times exp(j (2 pi/c) (f_c dd_n + (f_sub - f_c)(r + d_n)))
+    — and keeps only the angles; block t holds rows t N/T .. (t+1) N/T - 1.
+    Evaluating the steering at the sub-band frequency (rather than the carrier)
+    keeps every element of a block phase-aligned to the channel at the sub-band
+    center for any subarray size, and the full-array range reference preserves
+    the paths' relative carrier phases. Far paths are ignored.
+    """
+    if geom.num_antennas % num_subarrays != 0:
+        raise ValueError("num_subarrays must divide num_antennas")
+    detune = [subband_center_hz - geom.center_freq_hz]
+    acc = np.zeros(geom.num_antennas, dtype=np.complex128)
+    for path in user_paths:
+        if path.field_model is not FieldModel.FAR:
+            acc += path.gain * np.exp(1j * path_phases(geom, path, detune,
+                                                       model=FieldModel.WIDEBAND_NEAR)[:, 0])
+    if not np.any(acc):
+        raise ValueError("user has no near-field paths")
+    sizes = (geom.num_antennas // num_subarrays,) * num_subarrays
+    return _block_diagonal(np.exp(1j * np.angle(acc)), sizes)
 
 
 def subband_precoder_set(

@@ -139,7 +139,6 @@ def plan_antenna_slices(
     grid: CarrierGrid,
     paths: Sequence[PathParams],
     thr: SquintThresholds,
-    policy: str = "power",
 ) -> SlicingPlan:
     """Partition the array into contiguous subarrays over the near-field paths.
 
@@ -155,8 +154,6 @@ def plan_antenna_slices(
     threshold) when the remainder would be too small to host the next
     subarray's path; an irreducible runt folds into the last subarray.
     """
-    if policy != "power":
-        raise ValueError(f"unknown policy {policy!r}")
     near = _near_paths(paths)
     if not near:
         raise InfeasiblePlanError("no near-field paths to serve")
@@ -272,24 +269,20 @@ def allocate_subbands(
     grid: CarrierGrid,
     thr: SquintThresholds,
     num_subarrays: int,
-    policy: str = "equal",
 ) -> SubbandPlan:
     """Partition the band into per-user sub-bands under per-user caps.
 
     Caps combine the squint frequency boundary evaluated for one subarray of
     N / num_subarrays antennas with the user's multipath delay-spread limit,
-    both discretized to the occupied subcarrier span. Shares start equal (or
-    proportional to total path power under policy="proportional"), are clipped
-    to the caps, and the leftover subcarriers are handed out round-robin to
-    users with slack.
+    both discretized to the occupied subcarrier span. Shares start equal, are
+    clipped to the caps, and the leftover subcarriers are handed out
+    round-robin to users with slack.
     """
     k_users = len(users)
     if k_users < 1:
         raise ValueError("at least one user is required")
     if geom.num_antennas % num_subarrays != 0:
         raise ValueError("num_subarrays must divide num_antennas")
-    if policy not in ("equal", "proportional"):
-        raise ValueError(f"unknown policy {policy!r}")
     m_total = grid.num_subcarriers
     if k_users > m_total:
         raise InfeasiblePlanError(
@@ -304,30 +297,9 @@ def allocate_subbands(
             {"caps": caps, "required": m_total},
         )
 
-    if policy == "equal":
-        shares = [m_total // k_users] * k_users
-        for k in range(m_total % k_users):
-            shares[k] += 1
-    else:
-        weights = [sum(abs(p.gain) ** 2 for p in up) for up in users]
-        total_w = sum(weights)
-        if total_w <= 0.0:
-            raise ValueError("proportional policy needs positive total path power")
-        raw = [m_total * w / total_w for w in weights]
-        shares = [math.floor(x) for x in raw]
-        remainder = m_total - sum(shares)
-        by_fraction = sorted(range(k_users), key=lambda k: -(raw[k] - shares[k]))
-        for k in by_fraction[:remainder]:
-            shares[k] += 1
-        for k in range(k_users):  # every user owns at least one subcarrier
-            if shares[k] == 0:
-                shares[k] = 1
-        surplus = sum(shares) - m_total
-        for k in sorted(range(k_users), key=lambda k: -shares[k]):
-            while surplus > 0 and shares[k] > 1:
-                shares[k] -= 1
-                surplus -= 1
-
+    shares = [m_total // k_users] * k_users
+    for k in range(m_total % k_users):
+        shares[k] += 1
     shares = [min(sh, cap) for sh, cap in zip(shares, caps)]
     deficit = m_total - sum(shares)
     k = 0

@@ -249,6 +249,43 @@ def scatterer_antenna_distance(
     return float(ranges[antenna_index])
 
 
+def path_phases(
+    geom: ArrayGeometry,
+    path: PathParams,
+    freq_dev: NDArray[np.float64] | Sequence[float],
+    *,
+    offsets: NDArray[np.float64] | None = None,
+    reference_m: float | NDArray[np.float64] | None = None,
+    model: FieldModel | None = None,
+) -> NDArray[np.float64]:
+    """Real phase of one path over (element offsets, frequency deviations).
+
+    Entry (n, m) is (2 pi/c) (f_c (d_n - ref) + ramp_n df_m), with ramp_n the
+    delay range r + d_n for wideband-near paths and r + d otherwise; far paths
+    replace d_n - ref by the planar offset delta_n s theta. Every channel and
+    beam builder evaluates its per-element phases here. ``offsets`` default to
+    the whole array, ``reference_m`` (scalar or one per offset) to d, and
+    ``model`` to the path's own regime.
+    """
+    if offsets is None:
+        offsets = geom.element_offsets()
+    if model is None:
+        model = path.field_model
+    k = 2.0 * np.pi / geom.wave_speed
+    ramp = path.total_range_m  # one row, broadcast over the elements
+    if model is FieldModel.FAR:
+        carrier = k * geom.center_freq_hz * offsets * geom.spacing_m * path.sine_angle
+    else:
+        if reference_m is None:
+            reference_m = path.scatterer_distance_m
+        ranges = _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, offsets)
+        carrier = k * geom.center_freq_hz * (ranges - reference_m)
+        if model is FieldModel.WIDEBAND_NEAR:
+            # squint folds in: the delay ramp sees each element's true range
+            ramp = path.ue_range_m + ranges
+    return carrier[:, None] + k * np.outer(ramp, freq_dev)
+
+
 def near_field_steering(
     geom: ArrayGeometry,
     path: PathParams,
@@ -262,13 +299,9 @@ def near_field_steering(
     full-array definition; pass ``element_offsets``/``reference_m`` to build the
     steering of a subarray block referenced to its own center.
     """
-    if element_offsets is None:
-        element_offsets = geom.element_offsets()
-    if reference_m is None:
-        reference_m = path.scatterer_distance_m
-    ranges = _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, element_offsets)
-    k = 2.0 * np.pi / geom.wave_speed * geom.center_freq_hz
-    return np.exp(1j * k * (ranges - reference_m))
+    phases = path_phases(geom, path, [0.0], offsets=element_offsets,
+                         reference_m=reference_m, model=FieldModel.NARROWBAND_NEAR)
+    return np.exp(1j * phases[:, 0])
 
 
 def far_field_steering(
@@ -278,12 +311,8 @@ def far_field_steering(
     element_offsets: NDArray[np.float64] | None = None,
 ) -> ComplexVector:
     """Planar-wave steering vector exp(+j (2 pi/c) f_c delta s theta)."""
-    if not -1.0 < sine_angle < 1.0:
-        raise ValueError("sine_angle must lie strictly inside (-1, 1)")
-    if element_offsets is None:
-        element_offsets = geom.element_offsets()
-    k = 2.0 * np.pi / geom.wave_speed * geom.center_freq_hz
-    return np.exp(1j * k * element_offsets * geom.spacing_m * sine_angle)
+    path = PathParams(1.0, sine_angle, 1.0, field_model=FieldModel.FAR)  # d, r unused at the carrier
+    return np.exp(1j * path_phases(geom, path, [0.0], offsets=element_offsets)[:, 0])
 
 
 def delay_steering(
@@ -346,32 +375,6 @@ _MODEL_TAGS = (
 )
 
 
-def _path_term(
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    path: PathParams,
-    model: FieldModel,
-    freq_dev: NDArray[np.float64],
-) -> ComplexMatrix:
-    """One path's N x len(freq_dev) contribution under the given regime."""
-    k = 2.0 * np.pi / geom.wave_speed
-    offsets = geom.element_offsets()
-    total = path.total_range_m
-    if model is FieldModel.FAR:
-        carrier = k * geom.center_freq_hz * offsets * geom.spacing_m * path.sine_angle
-        ramp = np.full(geom.num_antennas, total)
-    else:
-        ranges = _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, offsets)
-        carrier = k * geom.center_freq_hz * (ranges - path.scatterer_distance_m)
-        if model is FieldModel.WIDEBAND_NEAR:
-            # squint folds in: the delay ramp sees each element's true range
-            ramp = path.ue_range_m + ranges
-        else:
-            ramp = np.full(geom.num_antennas, total)
-    phases = carrier[:, None] + k * np.outer(ramp, freq_dev)
-    return path.gain * np.exp(1j * phases)
-
-
 def channel_columns(
     geom: ArrayGeometry,
     grid: CarrierGrid,
@@ -399,7 +402,7 @@ def channel_columns(
     out = np.zeros((geom.num_antennas, freq_dev.size), dtype=np.complex128)
     for path in paths:
         model = path.field_model if model_tag == HYBRID else FieldModel(model_tag)
-        out += _path_term(geom, grid, path, model, freq_dev)
+        out += path.gain * np.exp(1j * path_phases(geom, path, freq_dev, model=model))
     return out
 
 
@@ -419,14 +422,16 @@ def synth_channel(
     return ChannelTensor(entries, geom, grid, tuple(paths), model_tag)
 
 
-def subarray_center_distance(geom: ArrayGeometry, path: PathParams, offset: float) -> float:
-    """Scatterer distance to a subarray center sitting ``offset`` elements off-center."""
-    return float(
-        _element_ranges(
-            geom, path.sine_angle, path.scatterer_distance_m,
-            np.asarray([offset], dtype=np.float64),
-        )[0]
-    )
+def subarray_center_distance(
+    geom: ArrayGeometry, path: PathParams, offset: float | NDArray[np.float64]
+) -> float | NDArray[np.float64]:
+    """Scatterer distance to a subarray center sitting ``offset`` elements off-center.
+
+    An array of offsets gives one distance per offset.
+    """
+    offsets = np.atleast_1d(np.asarray(offset, dtype=np.float64))
+    ranges = _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, offsets)
+    return float(ranges[0]) if np.ndim(offset) == 0 else ranges
 
 
 def subarray_channel(
@@ -451,23 +456,11 @@ def subarray_channel(
     size = sizes[t]
     block_offsets = plan.offsets[t] + (np.arange(size, dtype=np.float64) - (size - 1) / 2.0)
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-    k = 2.0 * np.pi / geom.wave_speed
     out = np.zeros((size, grid.num_subcarriers), dtype=np.complex128)
     for path in paths:
-        if path.field_model is FieldModel.FAR:
-            carrier = k * geom.center_freq_hz * block_offsets * geom.spacing_m * path.sine_angle
-            ramp = np.full(size, path.total_range_m)
-        else:
-            ranges = _element_ranges(
-                geom, path.sine_angle, path.scatterer_distance_m, block_offsets
-            )
-            d_sub = subarray_center_distance(geom, path, plan.offsets[t])
-            carrier = k * geom.center_freq_hz * (ranges - d_sub)
-            if path.field_model is FieldModel.WIDEBAND_NEAR:
-                ramp = path.ue_range_m + ranges
-            else:
-                ramp = np.full(size, path.total_range_m)
-        out += path.gain * np.exp(1j * (carrier[:, None] + k * np.outer(ramp, freq_dev)))
+        d_sub = subarray_center_distance(geom, path, plan.offsets[t])
+        phases = path_phases(geom, path, freq_dev, offsets=block_offsets, reference_m=d_sub)
+        out += path.gain * np.exp(1j * phases)
     sub_geom = geom.with_antennas(size)
     return ChannelTensor(out, sub_geom, grid, tuple(paths), HYBRID)
 

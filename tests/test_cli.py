@@ -141,6 +141,50 @@ def test_plan_subband_matches_library(capsys):
     assert set(json.loads(out)) == {"subbands"}
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["--theta", "0.3", "--d", "40"], "--theta/--d"),
+    (["--r", "5"], "--r"),
+])
+def test_plan_subband_rejects_path_flags(capsys, argv, flags):
+    code, out, err = invoke(capsys, ["plan", "subband", "--n", "64", "--m", "16"] + argv)
+    assert code == 1 and out == ""
+    assert f"plan subband samples its users and takes no {flags}" in err
+
+
+@pytest.mark.parametrize("command", [["plan", "antenna"], ["channel"]])
+@pytest.mark.parametrize("argv, flags", [
+    (["--theta", "0.3"], "--theta"),
+    (["--d", "40"], "--d"),
+    (["--r", "5"], "--r"),
+    (["--theta", "0.3", "--r", "5"], "--theta/--r"),
+])
+def test_partial_path_flags_are_usage_errors(capsys, tmp_path, command, argv, flags):
+    target = tmp_path / "chan.bin"
+    extra = ["--output", str(target)] if command == ["channel"] else []
+    code, out, err = invoke(capsys, command + ["--n", "16", "--m", "4"] + argv + extra)
+    assert code == 1 and out == ""
+    assert f"{flags} given, but a path needs both --theta and --d" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command", ["boundary", "classify"])
+def test_range_without_path_is_a_usage_error(capsys, command):
+    code, _, err = invoke(capsys, [command, "--r", "5"])
+    assert code == 1
+    assert "--r given, but a path needs both --theta and --d" in err
+
+
+def test_range_flag_reaches_the_path(capsys, tmp_path):
+    target = tmp_path / "chan.bin"
+    code, _, _ = invoke(capsys, ["channel", "--n", "16", "--m", "4", "--theta", "0.2",
+                                 "--d", "25", "--r", "7.5", "--output", str(target)])
+    assert code == 0
+    config = ScenarioConfig(num_antennas=16, num_subcarriers=4)
+    tensor = synth_channel(config.geometry(), config.grid(),
+                           [PathParams(1.0, 0.2, 25.0, 7.5)], "hybrid")
+    np.testing.assert_array_equal(read_channel_dump(target), tensor.entries)
+
+
 def test_plan_infeasible_maps_to_exit_2(capsys):
     code, _, err = invoke(capsys, ["plan", "antenna", "--n", "1",
                                    "--theta", "0.3", "--d", "40"])

@@ -19,8 +19,6 @@ from squintlab import (
     SlicingPlan,
     SquintThresholds,
     UserSubband,
-    analog_slice_precoder,
-    analog_subband_precoder,
     channel_columns,
     digital_mrt,
     freq_boundary,
@@ -42,11 +40,13 @@ from squintlab import (
     se_single_path_bound,
     se_slicing_closed_form,
     se_subband_closed_form,
+    slice_analog_matrix,
     slice_precoder_set,
     snr_db,
     spectral_efficiency,
     static_precoder_set,
     subarray_center_distance,
+    subband_analog_matrix,
     subband_precoder_set,
     subcarrier_frequencies,
     synth_channel,
@@ -65,6 +65,21 @@ def equal_plan(n, num_blocks, num_paths=1):
     offsets = tuple(-n / 2.0 + t * size + size / 2.0 for t in range(num_blocks))
     assign = tuple(t % num_paths for t in range(num_blocks))
     return SlicingPlan((size,) * num_blocks, assign, tuple(range(num_paths)), offsets, n)
+
+
+def column_blocks(analog, sizes):
+    """Nonzero block of each column of a block-diagonal analog matrix.
+
+    Asserts that every entry outside the blocks is zero.
+    """
+    assert analog.shape == (sum(sizes), len(sizes))
+    out, start = [], 0
+    for t, size in enumerate(sizes):
+        col = analog[:, t]
+        assert not np.any(col[:start]) and not np.any(col[start + size :])
+        out.append(col[start : start + size])
+        start += size
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +156,8 @@ def test_slice_beam_is_single_path_phase_without_far_paths():
     geom = ArrayGeometry(64, 7e9)
     path = make_path(gain=np.exp(0.7j))
     plan = equal_plan(64, 4)
-    for t in range(4):
-        beam = analog_slice_precoder(geom, [path], plan, t)
+    beams = column_blocks(slice_analog_matrix(geom, [path], plan), plan.subarray_sizes)
+    for t, beam in enumerate(beams):
         np.testing.assert_allclose(np.abs(beam), 1.0, atol=1e-12)
         ref = subarray_center_distance(geom, path, plan.offsets[t])
         size = plan.subarray_sizes[t]
@@ -156,37 +171,39 @@ def test_weak_far_path_barely_perturbs_the_slice_beam():
     near = make_path(gain=1.0 + 0j)
     far = make_path(theta=-0.5, gain=1e-6 + 0j, model=FieldModel.FAR)
     plan = equal_plan(64, 2)
-    for t in range(2):
-        clean = analog_slice_precoder(geom, [near], plan, t)
-        mixed = analog_slice_precoder(geom, [near, far], plan, t)
-        drift = np.abs(np.angle(mixed / clean))
-        assert drift.max() < 1e-4
+    clean = column_blocks(slice_analog_matrix(geom, [near], plan), plan.subarray_sizes)
+    mixed = column_blocks(slice_analog_matrix(geom, [near, far], plan), plan.subarray_sizes)
+    for a, b in zip(clean, mixed):
+        assert np.abs(np.angle(b / a)).max() < 1e-4
 
 
 def test_slice_beam_matches_scalar_oracle_with_far_paths():
-    geom = ArrayGeometry(32, 7e9)
-    near = make_path(theta=0.2, d=30.0, gain=1.3 * np.exp(0.4j))
-    fars = [
+    # two near and two far paths, planned by the library: every row of every
+    # subarray against the coordinate-geometry oracle
+    geom = ArrayGeometry(256, 7e9)
+    grid = CarrierGrid.from_bandwidth(600e6, 64)
+    paths = [
+        make_path(theta=0.2, d=30.0, gain=1.3 * np.exp(0.4j)),
         make_path(theta=-0.5, gain=0.5 * np.exp(1.1j), model=FieldModel.FAR),
+        make_path(theta=-0.35, d=55.0, r=8.0, gain=0.7 * np.exp(-1.9j)),
         make_path(theta=0.65, gain=0.25 * np.exp(-0.8j), model=FieldModel.FAR),
     ]
-    plan = equal_plan(32, 4)
-    t = 2
-    beam = analog_slice_precoder(geom, [near] + fars, plan, t)
-    far_terms = [(p.gain, p.sine_angle) for p in fars]
-    for i in range(8):
-        want = oracles.slice_beam_entry(
-            near.gain, near.sine_angle, near.scatterer_distance_m, far_terms,
-            plan.offsets[t], 8, i, 7e9,
-        )
-        assert beam[i] == pytest.approx(want, rel=1e-12)
-
-
-def test_slice_beam_rejects_bad_block_index():
-    geom = ArrayGeometry(32, 7e9)
-    plan = equal_plan(32, 4)
-    with pytest.raises(ValueError):
-        analog_slice_precoder(geom, [make_path()], plan, 4)
+    plan = plan_antenna_slices(geom, grid, paths, THR)
+    assert len(set(plan.subarray_sizes)) > 1
+    assert set(plan.path_assignment) == {0, 1}
+    far_terms = [(p.gain, p.sine_angle) for p in paths if p.field_model is FieldModel.FAR]
+    beams = column_blocks(slice_analog_matrix(geom, paths, plan), plan.subarray_sizes)
+    for t, beam in enumerate(beams):
+        near = paths[plan.path_order[plan.path_assignment[t]]]
+        size = plan.subarray_sizes[t]
+        want = [
+            oracles.slice_beam_entry(
+                near.gain, near.sine_angle, near.scatterer_distance_m, far_terms,
+                plan.offsets[t], size, i, 7e9,
+            )
+            for i in range(size)
+        ]
+        np.testing.assert_allclose(beam, want, rtol=1e-11, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +311,9 @@ def test_subband_beam_at_carrier_matches_slice_beam_per_block():
     plan = equal_plan(32, 4)
     grid = CarrierGrid.from_bandwidth(40e6, 8)
     ch = synth_channel(geom, grid, [path])
-    for t in range(4):
-        slice_beam = analog_slice_precoder(geom, [path], plan, t)
-        sub_beam = analog_subband_precoder(geom, [path], 7e9, t, 4)
+    slice_beams = column_blocks(slice_analog_matrix(geom, [path], plan), plan.subarray_sizes)
+    sub_beams = column_blocks(subband_analog_matrix(geom, [path], 7e9, 4), plan.subarray_sizes)
+    for slice_beam, sub_beam in zip(slice_beams, sub_beams):
         ratio = sub_beam / slice_beam
         np.testing.assert_allclose(np.abs(ratio), 1.0, atol=1e-12)
         assert np.std(ratio) < 1e-12
@@ -315,29 +332,28 @@ def test_subband_beam_matches_two_path_scalar_oracle():
         make_path(theta=-0.4, d=55.0, r=5.0, gain=np.exp(0.9j)),
     ]
     f_sub = 7e9 + 17e6
-    t, size = 1, 8
-    beam = analog_subband_precoder(geom, paths, f_sub, t, 4)
-    np.testing.assert_allclose(np.abs(beam), 1.0, atol=1e-12)
-    center_offset = -16.0 + t * size + size / 2.0
+    size = 8
+    beams = column_blocks(subband_analog_matrix(geom, paths, f_sub, 4), (size,) * 4)
     terms = [(p.gain, p.sine_angle, p.scatterer_distance_m, p.ue_range_m) for p in paths]
-    for i in range(size):
-        want = oracles.subband_beam_entry(terms, f_sub, center_offset, size, i, 7e9)
-        assert beam[i] == pytest.approx(want, rel=1e-12)
+    for t, beam in enumerate(beams):
+        np.testing.assert_allclose(np.abs(beam), 1.0, atol=1e-12)
+        center_offset = -16.0 + t * size + size / 2.0
+        for i in range(size):
+            want = oracles.subband_beam_entry(terms, f_sub, center_offset, size, i, 7e9)
+            assert beam[i] == pytest.approx(want, rel=1e-12)
 
 
 def test_subband_beam_ignores_far_paths_and_validates():
     geom = ArrayGeometry(32, 7e9)
     near = make_path()
     far = make_path(theta=0.6, model=FieldModel.FAR)
-    with_far = analog_subband_precoder(geom, [near, far], 7e9, 0, 4)
-    without = analog_subband_precoder(geom, [near], 7e9, 0, 4)
+    with_far = subband_analog_matrix(geom, [near, far], 7e9, 4)
+    without = subband_analog_matrix(geom, [near], 7e9, 4)
     np.testing.assert_allclose(with_far, without, atol=1e-14)
     with pytest.raises(ValueError):
-        analog_subband_precoder(geom, [far], 7e9, 0, 4)
+        subband_analog_matrix(geom, [far], 7e9, 4)
     with pytest.raises(ValueError):
-        analog_subband_precoder(geom, [near], 7e9, 4, 4)
-    with pytest.raises(ValueError):
-        analog_subband_precoder(geom, [near], 7e9, 0, 5)
+        subband_analog_matrix(geom, [near], 7e9, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -182,13 +182,6 @@ def test_planner_requires_a_near_path():
         plan_antenna_slices(geom, grid, far_only, THR)
 
 
-def test_planner_rejects_unknown_policy():
-    geom = ArrayGeometry(64, 7e9)
-    grid = CarrierGrid.from_bandwidth(300e6, 16)
-    with pytest.raises(ValueError):
-        plan_antenna_slices(geom, grid, [make_path()], THR, policy="dp")
-
-
 def test_planner_is_deterministic():
     cfg = ScenarioConfig(num_antennas=512)
     paths = sample_scenario(cfg, 3)
@@ -356,22 +349,12 @@ def test_multipath_user_span_respects_the_phase_oracle():
     assert over > THR.kappa_f * math.pi
 
 
-def test_proportional_policy_follows_path_power():
+def test_equal_shares_ignore_path_power():
     geom = ArrayGeometry(16, 7e9)
     grid = CarrierGrid.from_bandwidth(1e6, 10)
     users = [[make_path(gain=2.0 + 0j)], [make_path(gain=1.0 + 0j, theta=0.2)]]
-    plan = allocate_subbands(users, geom, grid, THR, 2, policy="proportional")
-    assert plan.user_subcarriers == (8, 2)
-    equal = allocate_subbands(users, geom, grid, THR, 2, policy="equal")
+    equal = allocate_subbands(users, geom, grid, THR, 2)
     assert equal.user_subcarriers == (5, 5)
-
-
-def test_proportional_policy_keeps_every_user_nonempty():
-    geom = ArrayGeometry(16, 7e9)
-    grid = CarrierGrid.from_bandwidth(1e6, 8)
-    users = [[make_path(gain=100.0 + 0j)], [make_path(gain=0.01 + 0j, theta=0.2)]]
-    plan = allocate_subbands(users, geom, grid, THR, 2, policy="proportional")
-    assert plan.user_subcarriers == (7, 1)
 
 
 def test_allocator_input_validation():
@@ -382,8 +365,6 @@ def test_allocator_input_validation():
         allocate_subbands([], geom, grid, THR, 2)
     with pytest.raises(ValueError):
         allocate_subbands([user], geom, grid, THR, 3)  # 3 does not divide 16
-    with pytest.raises(ValueError):
-        allocate_subbands([user], geom, grid, THR, 2, policy="greedy")
     with pytest.raises(InfeasiblePlanError):
         allocate_subbands([user] * 9, geom, grid, THR, 2)  # 9 users, 8 subcarriers
 

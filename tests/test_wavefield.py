@@ -21,6 +21,7 @@ from squintlab import (
     far_field_steering,
     max_squint_phase,
     near_field_steering,
+    path_phases,
     read_channel_dump,
     scatterer_antenna_distance,
     subarray_center_distance,
@@ -200,6 +201,43 @@ def test_planar_steering_conjugates_under_angle_flip():
 def test_planar_steering_rejects_boundary_angle():
     with pytest.raises(ValueError):
         far_field_steering(make_geom(4), 1.0)
+
+
+@pytest.mark.parametrize("model, field", [
+    (FieldModel.WIDEBAND_NEAR, "wn"),
+    (FieldModel.NARROWBAND_NEAR, "nn"),
+    (FieldModel.FAR, "far"),
+])
+def test_path_phases_match_the_scalar_oracle(model, field):
+    geom = make_geom(24)
+    grid = CarrierGrid.from_bandwidth(400e6, 6)
+    path = make_path(theta=-0.35, d=18.0, r=6.0, gain=0.8 * np.exp(0.3j), model=model)
+    freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
+    phases = path_phases(geom, path, freq_dev)
+    assert phases.shape == (24, 6) and phases.dtype == np.float64
+    for n in range(24):
+        for m in range(6):
+            want = oracles.channel_entry(path.gain, -0.35, 18.0, 6.0, n, m, 24, 6,
+                                         400e6, 7e9, field)
+            assert path.gain * np.exp(1j * phases[n, m]) == pytest.approx(want, abs=1e-12)
+
+
+def test_path_phases_take_one_reference_per_offset():
+    geom = make_geom(16)
+    path = make_path(theta=0.4, d=12.0, r=3.0)
+    offsets = geom.element_offsets()[4:12]
+    refs = np.repeat([11.5, 12.5], 4)
+    rows = path_phases(geom, path, [0.0, 2e6], offsets=offsets, reference_m=refs)
+    for ref, half in ((11.5, slice(0, 4)), (12.5, slice(4, 8))):
+        one = path_phases(geom, path, [0.0, 2e6], offsets=offsets[half], reference_m=ref)
+        np.testing.assert_array_equal(rows[half], one)
+    # the carrier column is the steering phase; far paths ignore the reference
+    np.testing.assert_array_equal(
+        np.exp(1j * path_phases(geom, path, [0.0], model=FieldModel.NARROWBAND_NEAR)[:, 0]),
+        near_field_steering(geom, path),
+    )
+    far = path_phases(geom, path, [0.0], reference_m=99.0, model=FieldModel.FAR)
+    np.testing.assert_array_equal(far, path_phases(geom, path, [0.0], model=FieldModel.FAR))
 
 
 def test_delay_steering_center_subcarrier_is_one():
