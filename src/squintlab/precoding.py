@@ -217,7 +217,7 @@ def slice_analog_matrix(
     assignment = np.asarray(plan.path_assignment)
     owner = np.repeat(assignment, sizes)
     offsets = geom.element_offsets()
-    for j in np.unique(assignment):
+    for j in sorted(set(plan.path_assignment)):
         path = paths[plan.path_order[j]]
         blocks = assignment == j
         ref = subarray_center_distance(geom, path, np.asarray(plan.offsets)[blocks])
