@@ -31,10 +31,12 @@ from .precoding import (
     DegenerateSubcarrierError,
     PrecoderSet,
     Scheme,
+    block_diagonal,
     digital_mrt,
     hybrid_gain_amplitudes,
     mrt_full_array,
     multiuser_gain,
+    narrowband_beams,
     narrowband_mrt,
     normalized_array_gain,
     optimal_precoder_set,
@@ -48,11 +50,13 @@ from .precoding import (
     se_slicing_closed_form,
     se_subband_closed_form,
     slice_analog_matrix,
+    slice_analog_rows,
     slice_precoder_set,
     snr_db,
     spectral_efficiency,
     static_precoder_set,
     subband_analog_matrix,
+    subband_analog_rows,
     subband_precoder_set,
 )
 from .scenario import (
@@ -62,6 +66,7 @@ from .scenario import (
     sample_paths,
     sample_scenario,
     sample_user_paths,
+    user_path_stream,
 )
 from .slicing import (
     InfeasiblePlanError,
@@ -69,7 +74,9 @@ from .slicing import (
     SubbandPlan,
     UserSubband,
     allocate_subbands,
+    partition_subbands,
     plan_antenna_slices,
+    subband_caps,
     user_subcarrier_cap,
 )
 from .wavefield import (
@@ -78,6 +85,7 @@ from .wavefield import (
     CarrierGrid,
     ChannelTensor,
     FieldModel,
+    PathBatch,
     PathParams,
     beam_squint_matrix,
     channel_columns,
@@ -85,12 +93,14 @@ from .wavefield import (
     far_field_steering,
     near_field_steering,
     path_phases,
+    path_slots,
     read_channel_dump,
     scatterer_antenna_distance,
     subarray_center_distance,
     subarray_channel,
     subcarrier_frequencies,
     synth_channel,
+    user_channel_columns,
     write_channel_dump,
 )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,16 +22,32 @@ import numpy as np
 from .boundaries import antenna_boundary, freq_boundary, is_unbounded
 from .precoding import (
     Scheme,
+    block_diagonal,
     hybrid_gain_amplitudes,
+    narrowband_beams,
     narrowband_mrt,
     normalized_array_gain,
     power_for_snr_db,
     slice_analog_matrix,
-    subband_analog_matrix,
+    slice_analog_rows,
+    subband_analog_rows,
 )
-from .scenario import RngStream, ScenarioConfig, sample_scenario, sample_user_paths
-from .slicing import InfeasiblePlanError, allocate_subbands, plan_antenna_slices
-from .wavefield import ArrayGeometry, CarrierGrid, FieldModel, PathParams, channel_columns
+from .scenario import RngStream, ScenarioConfig, sample_scenario, user_path_stream
+from .slicing import (
+    InfeasiblePlanError,
+    SubbandPlan,
+    partition_subbands,
+    plan_antenna_slices,
+    subband_caps,
+)
+from .wavefield import (
+    ArrayGeometry,
+    CarrierGrid,
+    FieldModel,
+    PathParams,
+    channel_columns,
+    user_channel_columns,
+)
 
 CSV_HEADER = "axis,scheme,se_bits_per_hz,trials,seed,boundary_b_wn_hz,boundary_n_wn"
 
@@ -56,6 +73,9 @@ _GAIN_MAP_CURVES = (
     (0.1, 20.0), (0.3, 20.0), (0.5, 20.0), (0.8, 20.0),
     (0.1, 10.0), (0.1, 50.0), (0.1, 100.0),
 )
+#: users whose channel columns and analog beams are built in one batch, which
+#: bounds the batch arrays at this many users' N x (sub-band width) entries
+_USER_CHUNK = 16
 
 
 def resolve_threads(env: dict | None = None) -> int:
@@ -442,85 +462,108 @@ def _experiment_se_paths_as(config: ScenarioConfig) -> SweepResult:
 def _allocate_adaptive(config: ScenarioConfig, trial: int, num_subarrays: int):
     """Draw users and allocate sub-bands, doubling the user count on infeasibility.
 
-    Growing the user pool re-uses the trial substream, so existing users'
-    draws never change; K is capped at M where one-subcarrier sub-bands make
-    the allocation always feasible.
+    Growing the user pool extends one draw from the trial substream, so
+    existing users' draws never change and each user's cap is computed once;
+    K is capped at M where one-subcarrier sub-bands make the allocation always
+    feasible.
     """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
+    draws = user_path_stream(config, trial)
+    users: list[list[PathParams]] = []
+    caps: list[int] = []
     k = min(config.num_users, config.num_subcarriers)
     while True:
-        users = sample_user_paths(config, trial, k)
+        new = list(islice(draws, k - len(users)))
+        caps += subband_caps(new, geom, grid, thr, num_subarrays)
+        users += new
         try:
-            plan = allocate_subbands(users, geom, grid, thr, num_subarrays)
+            return users, partition_subbands(caps, geom, grid, num_subarrays)
         except InfeasiblePlanError:
             if k >= config.num_subcarriers:
                 raise
             k = min(2 * k, config.num_subcarriers)
-            continue
-        return users, plan
-
-
-def _fs_user_amps(
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    thr,
-    user_paths: Sequence[PathParams],
-    subband,
-    num_subarrays: int,
-) -> dict[str, np.ndarray]:
-    """Per-subcarrier amplitudes of all four schemes on one user's sub-band."""
-    idx = subband.global_indices()
-    cols = channel_columns(geom, grid, user_paths, subcarrier_indices=idx)
-    size = geom.num_antennas // num_subarrays
-    fs_analog = subband_analog_matrix(geom, user_paths, subband.center_hz, num_subarrays)
-    as_plan = plan_antenna_slices(geom, grid, user_paths, thr)
-    as_analog = slice_analog_matrix(geom, user_paths, as_plan)
-    beam = narrowband_mrt(geom, user_paths)
-    return {
-        Scheme.SUBBAND_SLICING.value: hybrid_gain_amplitudes(
-            fs_analog, (size,) * num_subarrays, cols
-        ),
-        Scheme.ANTENNA_SLICING.value: hybrid_gain_amplitudes(
-            as_analog, as_plan.subarray_sizes, cols
-        ),
-        Scheme.NARROWBAND_BASELINE.value: np.abs(beam.conj() @ cols),
-        Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=0),
-    }
 
 
 def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
-    """All users' amplitudes for one trial plus binding boundary columns."""
+    """Every scheme's amplitude per subcarrier of one multiuser draw.
+
+    Returns ({scheme: M amplitudes}, sub-band plan, binding boundary columns);
+    subcarrier m is evaluated for the user whose sub-band holds it. Users go
+    through the batched channel and analog builders ``_USER_CHUNK`` at a time;
+    the products with each user's own analog matrix and beam stay per user.
+    """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     users, plan = _allocate_adaptive(config, trial, num_subarrays)
-    per_user = []
-    all_near: list[PathParams] = []
-    for subband in plan.subbands:
-        paths = users[subband.user]
-        per_user.append((subband, _fs_user_amps(geom, grid, thr, paths, subband,
-                                                num_subarrays)))
-        all_near.extend(paths)
-    bounds = _binding_boundaries(geom, grid, all_near, thr)
-    return per_user, bounds
+    fs_sizes = (plan.subarray_size,) * num_subarrays
+    amps = {s.value: np.empty(config.num_subcarriers) for s in _FS_SCHEMES}
+    served = [users[sb.user] for sb in plan.subbands]
+    for lo in range(0, len(served), _USER_CHUNK):
+        subbands = plan.subbands[lo:lo + _USER_CHUNK]
+        paths = served[lo:lo + _USER_CHUNK]
+        as_plans = [plan_antenna_slices(geom, grid, p, thr) for p in paths]
+        widths = [sb.num_subcarriers for sb in subbands]
+        cols = user_channel_columns(
+            geom, grid, paths, [m for sb in subbands for m in sb.global_indices()],
+            np.repeat(np.arange(len(subbands)), widths))
+        fs_rows = subband_analog_rows(geom, paths, [sb.center_hz for sb in subbands])
+        as_rows = slice_analog_rows(geom, paths, as_plans)
+        beams = narrowband_beams(geom, paths)
+        first = np.cumsum([0] + widths)
+        for u, sb in enumerate(subbands):
+            block = np.ascontiguousarray(cols[:, first[u]:first[u + 1]])
+            at = slice(sb.start, sb.start + sb.num_subcarriers)
+            as_sizes = as_plans[u].subarray_sizes
+            amps[Scheme.SUBBAND_SLICING.value][at] = hybrid_gain_amplitudes(
+                block_diagonal(fs_rows[u], fs_sizes), fs_sizes, block)
+            amps[Scheme.ANTENNA_SLICING.value][at] = hybrid_gain_amplitudes(
+                block_diagonal(as_rows[u], as_sizes), as_sizes, block)
+            amps[Scheme.NARROWBAND_BASELINE.value][at] = np.abs(beams[u].conj() @ block)
+            amps[Scheme.OPTIMAL.value][at] = np.linalg.norm(block, axis=0)
+    bounds = _binding_boundaries(geom, grid, [p for paths in served for p in paths], thr)
+    return amps, plan, bounds
 
 
-def _fs_mean_se(per_user, power: float, noise_power: float) -> np.ndarray:
-    """(1/K) sum over users of their sub-band-average rate, per scheme."""
-    return np.mean([_scheme_se(amps, _FS_SCHEMES, power, noise_power)
-                    for _, amps in per_user], axis=0)
+def _fs_mean_se(
+    amps: dict[str, np.ndarray], plan: SubbandPlan, powers: Sequence[float],
+    noise_power: float,
+) -> np.ndarray:
+    """(1/K) sum over users of their sub-band-average rate, per power and scheme.
+
+    One (powers x M) rate table per scheme; per power, the users of one
+    sub-band width average their subcarriers in one call. Row i of the result
+    holds every scheme's SE at ``powers[i]``.
+    """
+    widths = np.array(plan.user_subcarriers)
+    starts = np.array([sb.start for sb in plan.subbands])
+    groups = []
+    for w in sorted(set(plan.user_subcarriers)):
+        members = np.flatnonzero(widths == w)
+        groups.append((members, starts[members][:, None] + np.arange(w)))
+    power = np.asarray(powers, dtype=np.float64)[:, None]
+    tables = [_rates(amps[s.value], power, noise_power) for s in _FS_SCHEMES]
+    per_user = np.empty((len(widths), len(tables)))
+    out = np.empty((len(power), len(tables)))
+    for i in range(len(power)):
+        for j, table in enumerate(tables):
+            for members, cols in groups:
+                per_user[members, j] = np.mean(table[i][cols], axis=1)
+        out[i] = np.mean(per_user, axis=0)
+    return out
 
 
 def _fs_point(config: ScenarioConfig, trial: int, num_subarrays: int):
     """Reducer entry of one multiuser draw at the configured power."""
-    per_user, bounds = _fs_trial_amps(config, trial, num_subarrays)
-    return _fs_mean_se(per_user, config.power, config.noise_power), bounds, len(per_user)
+    amps, plan, bounds = _fs_trial_amps(config, trial, num_subarrays)
+    se = _fs_mean_se(amps, plan, [config.power], config.noise_power)[0]
+    return se, bounds, len(plan.subbands)
 
 
 def _experiment_se_snr_fs(config: ScenarioConfig) -> SweepResult:
     def trial_fn(trial: int) -> list:
-        per_user, bounds = _fs_trial_amps(config, trial, config.num_subarrays)
+        amps, plan, bounds = _fs_trial_amps(config, trial, config.num_subarrays)
         power = [10.0 ** (snr / 10.0) * config.noise_power for snr in _SNR_AXIS_DB]
-        return [(_fs_mean_se(per_user, p, config.noise_power), bounds, len(per_user))
-                for p in power]
+        se = _fs_mean_se(amps, plan, power, config.noise_power)
+        return [(row, bounds, len(plan.subbands)) for row in se]
 
     return _sweep(config, "se-snr-fs", "snr_db", _SNR_AXIS_DB, _FS_SCHEMES, trial_fn)
 
@@ -529,14 +572,10 @@ def _experiment_se_subcarrier_fs(config: ScenarioConfig) -> SweepResult:
     axis = [float(m) for m in range(config.num_subcarriers)]
 
     def trial_fn(trial: int) -> list:
-        per_user, bounds = _fs_trial_amps(config, trial, config.num_subarrays)
-        se = np.empty((config.num_subcarriers, len(_FS_SCHEMES)))
-        for subband, amps in per_user:
-            idx = subband.global_indices()
-            for j, scheme in enumerate(_FS_SCHEMES):
-                se[idx, j] = _rates(amps[scheme.value], config.power,
-                                    config.noise_power)
-        return [(row, bounds, len(per_user)) for row in se]
+        amps, plan, bounds = _fs_trial_amps(config, trial, config.num_subarrays)
+        table = np.stack([_rates(amps[s.value], config.power, config.noise_power)
+                          for s in _FS_SCHEMES], axis=1)
+        return [(row, bounds, len(plan.subbands)) for row in table]
 
     return _sweep(config, "se-subcarrier-fs", "subcarrier_index", axis, _FS_SCHEMES,
                   trial_fn)

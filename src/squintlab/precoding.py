@@ -25,11 +25,12 @@ from .wavefield import (
     ComplexMatrix,
     ComplexVector,
     FieldModel,
+    PathBatch,
     PathParams,
     beam_squint_matrix,
-    far_field_steering,
     near_field_steering,
     path_phases,
+    path_slots,
     subarray_center_distance,
 )
 
@@ -82,20 +83,32 @@ def mrt_full_array(geom: ArrayGeometry, path: PathParams) -> ComplexVector:
     return near_field_steering(geom, path) / np.sqrt(geom.num_antennas)
 
 
-def narrowband_mrt(geom: ArrayGeometry, paths: Sequence[PathParams]) -> ComplexVector:
-    """Frequency-flat full-array MRT matched to the strongest near-field path.
+def narrowband_beams(
+    geom: ArrayGeometry, users: Sequence[Sequence[PathParams]]
+) -> ComplexMatrix:
+    """K x N frequency-flat full-array MRT beams, row k matched to user k.
 
-    This is the narrowband baseline: it ignores both beam squint and the weaker
-    paths. Falls back to the strongest far-field path if no near path exists.
+    Each beam is the narrowband baseline of its user: matched to the
+    strongest near-field path, ignoring both beam squint and the weaker
+    paths, or to the strongest far-field path if no near path exists. The
+    near and the far beams take one :func:`path_phases` call each.
     """
-    near = [p for p in paths if p.field_model is not FieldModel.FAR]
-    pool = near if near else list(paths)
-    best = max(pool, key=lambda p: abs(p.gain))
-    if best.field_model is FieldModel.FAR:
-        beam = far_field_steering(geom, best.sine_angle)
-    else:
-        beam = near_field_steering(geom, best)
-    return beam / np.sqrt(geom.num_antennas)
+    best = []
+    for paths in users:
+        near = [p for p in paths if p.field_model is not FieldModel.FAR]
+        best.append(max(near or list(paths), key=lambda p: abs(p.gain)))
+    far = np.array([p.field_model is FieldModel.FAR for p in best], dtype=bool)
+    beams = np.empty((len(best), geom.num_antennas), dtype=np.complex128)
+    for model, rows in ((FieldModel.NARROWBAND_NEAR, ~far), (FieldModel.FAR, far)):
+        if rows.any():
+            batch = PathBatch.stack([p for p, row in zip(best, rows) if row], model)
+            beams[rows] = np.exp(1j * path_phases(geom, batch[:, None], [0.0])[..., 0])
+    return beams / np.sqrt(geom.num_antennas)
+
+
+def narrowband_mrt(geom: ArrayGeometry, paths: Sequence[PathParams]) -> ComplexVector:
+    """Narrowband baseline beam of one user (see :func:`narrowband_beams`)."""
+    return narrowband_beams(geom, [paths])[0]
 
 
 def optimal_receiver(
@@ -129,8 +142,8 @@ def optimal_precoder_set(channel: ChannelTensor | ComplexMatrix) -> PrecoderSet:
     return PrecoderSet(Scheme.OPTIMAL, digital)
 
 
-def _block_diagonal(entries: ComplexVector, sizes: Sequence[int]) -> ComplexMatrix:
-    """N x T matrix holding ``entries`` in contiguous column blocks of ``sizes``."""
+def block_diagonal(entries: ComplexVector, sizes: Sequence[int]) -> ComplexMatrix:
+    """N x T analog matrix holding ``entries`` in contiguous column blocks of ``sizes``."""
     analog = np.zeros((len(entries), len(sizes)), dtype=np.complex128)
     analog[np.arange(len(entries)), np.repeat(np.arange(len(sizes)), sizes)] = entries
     return analog
@@ -199,33 +212,50 @@ def _hybrid_set(
     return PrecoderSet(scheme, digital, analog, tuple(block_sizes))
 
 
-def slice_analog_matrix(
-    geom: ArrayGeometry, paths: Sequence[PathParams], plan: SlicingPlan
+def slice_analog_rows(
+    geom: ArrayGeometry,
+    users: Sequence[Sequence[PathParams]],
+    plans: Sequence[SlicingPlan],
 ) -> ComplexMatrix:
-    """N x T block-diagonal analog matrix of an antenna-slicing plan.
+    """K x N phase-shifter entries of each user's antenna-slicing plan.
 
     Row n of subarray t carries exp(j angle(B_t)), with B_t the gain-weighted
     sum of the far-path planar steerings and the assigned near path's
-    spherical steering referenced to the subarray center's range. Each near
-    path's phases come from one :func:`path_phases` call over the rows it owns.
+    spherical steering referenced to the subarray center's range;
+    :func:`block_diagonal` scatters row k into user k's N x T analog matrix.
+    The far paths take one :func:`path_phases` call per position in the
+    users' path lists (every user must have as many), and the near paths one
+    call with one path per element: the path its subarray serves.
     """
-    acc = np.zeros(geom.num_antennas, dtype=np.complex128)
-    for path in paths:
-        if path.field_model is FieldModel.FAR:
-            acc += path.gain * far_field_steering(geom, path.sine_angle)
-    sizes = np.asarray(plan.subarray_sizes)
-    assignment = np.asarray(plan.path_assignment)
-    owner = np.repeat(assignment, sizes)
-    offsets = geom.element_offsets()
-    for j in sorted(set(plan.path_assignment)):
-        path = paths[plan.path_order[j]]
-        blocks = assignment == j
-        ref = subarray_center_distance(geom, path, np.asarray(plan.offsets)[blocks])
-        rows = owner == j
-        phases = path_phases(geom, path, [0.0], offsets=offsets[rows],
-                             reference_m=np.repeat(ref, sizes[blocks]))
-        acc[rows] += path.gain * np.exp(1j * phases[:, 0])
-    return _block_diagonal(np.exp(1j * np.angle(acc)), plan.subarray_sizes)
+    n = geom.num_antennas
+    acc = np.zeros((len(users), n), dtype=np.complex128)
+    far = [[p for p in paths if p.field_model is FieldModel.FAR] for paths in users]
+    for batch in path_slots(far):
+        acc += batch.gain[:, None] * np.exp(1j * path_phases(geom, batch[:, None], [0.0])[..., 0])
+    first = np.cumsum([0] + [len(paths) for paths in users])
+    owner = np.concatenate([
+        first[u] + np.repeat(np.asarray(plan.path_order)[list(plan.path_assignment)],
+                             plan.subarray_sizes)
+        for u, plan in enumerate(plans)
+    ]).reshape(len(users), n)
+    centers = np.concatenate([np.repeat(plan.offsets, plan.subarray_sizes)
+                              for plan in plans]).reshape(len(users), n)
+    near = PathBatch.stack([p for paths in users for p in paths],
+                           FieldModel.NARROWBAND_NEAR)[owner]
+    phases = path_phases(geom, near, [0.0],
+                         reference_m=subarray_center_distance(geom, near, centers))
+    acc += near.gain * np.exp(1j * phases[..., 0])
+    return np.exp(1j * np.angle(acc))
+
+
+def slice_analog_matrix(
+    geom: ArrayGeometry, paths: Sequence[PathParams], plan: SlicingPlan
+) -> ComplexMatrix:
+    """N x T block-diagonal analog matrix of one antenna-slicing plan.
+
+    The one-user case of :func:`slice_analog_rows`.
+    """
+    return block_diagonal(slice_analog_rows(geom, [paths], [plan])[0], plan.subarray_sizes)
 
 
 def slice_precoder_set(
@@ -238,6 +268,35 @@ def slice_precoder_set(
                        channel.entries)
 
 
+def subband_analog_rows(
+    geom: ArrayGeometry,
+    users: Sequence[Sequence[PathParams]],
+    subband_centers_hz: Sequence[float],
+) -> ComplexMatrix:
+    """K x N phase-shifter entries of each user's sub-band analog beams.
+
+    Row k sums user k's near-field path terms at its sub-band center
+    frequency — per element, gain times
+    exp(j (2 pi/c) (f_c dd_n + (f_sub - f_c)(r + d_n))) — and keeps only the
+    angles. Evaluating the steering at the sub-band frequency (rather than the
+    carrier) keeps every element of a block phase-aligned to the channel at
+    the sub-band center for any subarray size, and the full-array range
+    reference preserves the paths' relative carrier phases. Far paths are
+    ignored. Every user must have as many near paths; each position in their
+    lists takes one :func:`path_phases` call.
+    """
+    detune = np.asarray(subband_centers_hz, dtype=np.float64) - geom.center_freq_hz
+    near = [[p for p in paths if p.field_model is not FieldModel.FAR] for paths in users]
+    acc = np.zeros((len(users), geom.num_antennas), dtype=np.complex128)
+    for batch in path_slots(near):
+        phases = path_phases(geom, batch[:, None], detune[:, None, None],
+                             model=FieldModel.WIDEBAND_NEAR)
+        acc += batch.gain[:, None] * np.exp(1j * phases[..., 0])
+    if not np.all(np.any(acc, axis=1)):
+        raise ValueError("user has no near-field paths")
+    return np.exp(1j * np.angle(acc))
+
+
 def subband_analog_matrix(
     geom: ArrayGeometry,
     user_paths: Sequence[PathParams],
@@ -246,26 +305,14 @@ def subband_analog_matrix(
 ) -> ComplexMatrix:
     """N x T block-diagonal analog matrix of equal subarrays retuned to a sub-band.
 
-    Sums the user's near-field path terms at the sub-band center frequency —
-    per element, gain times exp(j (2 pi/c) (f_c dd_n + (f_sub - f_c)(r + d_n)))
-    — and keeps only the angles; block t holds rows t N/T .. (t+1) N/T - 1.
-    Evaluating the steering at the sub-band frequency (rather than the carrier)
-    keeps every element of a block phase-aligned to the channel at the sub-band
-    center for any subarray size, and the full-array range reference preserves
-    the paths' relative carrier phases. Far paths are ignored.
+    Block t holds rows t N/T .. (t+1) N/T - 1 of the one-user case of
+    :func:`subband_analog_rows`.
     """
     if geom.num_antennas % num_subarrays != 0:
         raise ValueError("num_subarrays must divide num_antennas")
-    detune = [subband_center_hz - geom.center_freq_hz]
-    acc = np.zeros(geom.num_antennas, dtype=np.complex128)
-    for path in user_paths:
-        if path.field_model is not FieldModel.FAR:
-            acc += path.gain * np.exp(1j * path_phases(geom, path, detune,
-                                                       model=FieldModel.WIDEBAND_NEAR)[:, 0])
-    if not np.any(acc):
-        raise ValueError("user has no near-field paths")
     sizes = (geom.num_antennas // num_subarrays,) * num_subarrays
-    return _block_diagonal(np.exp(1j * np.angle(acc)), sizes)
+    return block_diagonal(subband_analog_rows(geom, [user_paths], [subband_center_hz])[0],
+                          sizes)
 
 
 def subband_precoder_set(

@@ -249,30 +249,83 @@ def scatterer_antenna_distance(
     return float(ranges[antenna_index])
 
 
+@dataclass(frozen=True, eq=False)
+class PathBatch:
+    """Several paths of one field model, each parameter an array of one shape.
+
+    The batched :class:`PathParams` of :func:`path_phases`: its arrays
+    broadcast against the element offsets, so shape (K, 1) gives K rows of
+    the array and shape (N,) one path per element. Indexing indexes every
+    parameter array.
+    """
+
+    gain: NDArray[np.complex128]
+    sine_angle: NDArray[np.float64]
+    scatterer_distance_m: NDArray[np.float64]
+    ue_range_m: NDArray[np.float64]
+    field_model: FieldModel
+
+    @classmethod
+    def stack(cls, paths: Sequence[PathParams], field_model: FieldModel) -> "PathBatch":
+        """One batch entry per path, in order."""
+        return cls(
+            np.array([p.gain for p in paths], dtype=np.complex128),
+            np.array([p.sine_angle for p in paths], dtype=np.float64),
+            np.array([p.scatterer_distance_m for p in paths], dtype=np.float64),
+            np.array([p.ue_range_m for p in paths], dtype=np.float64),
+            field_model,
+        )
+
+    def __getitem__(self, key) -> "PathBatch":
+        return PathBatch(self.gain[key], self.sine_angle[key],
+                         self.scatterer_distance_m[key], self.ue_range_m[key],
+                         self.field_model)
+
+    @property
+    def total_range_m(self) -> NDArray[np.float64]:
+        return self.ue_range_m + self.scatterer_distance_m
+
+
+def path_slots(users: Sequence[Sequence[PathParams]]) -> list[PathBatch]:
+    """The l-th paths of every user as one batch per l, in path order.
+
+    Every user must list the same sequence of field models, so each batch
+    holds one model.
+    """
+    models = [p.field_model for p in users[0]]
+    if any([p.field_model for p in paths] != models for paths in users):
+        raise ValueError("users must share one sequence of path field models")
+    return [PathBatch.stack([paths[l] for paths in users], model)
+            for l, model in enumerate(models)]
+
+
 def path_phases(
     geom: ArrayGeometry,
-    path: PathParams,
+    path: PathParams | PathBatch,
     freq_dev: NDArray[np.float64] | Sequence[float],
     *,
     offsets: NDArray[np.float64] | None = None,
     reference_m: float | NDArray[np.float64] | None = None,
     model: FieldModel | None = None,
 ) -> NDArray[np.float64]:
-    """Real phase of one path over (element offsets, frequency deviations).
+    """Real phase of one path, or a batch of paths, over (elements, frequencies).
 
     Entry (n, m) is (2 pi/c) (f_c (d_n - ref) + ramp_n df_m), with ramp_n the
     delay range r + d_n for wideband-near paths and r + d otherwise; far paths
     replace d_n - ref by the planar offset delta_n s theta. Every channel and
     beam builder evaluates its per-element phases here. ``offsets`` default to
-    the whole array, ``reference_m`` (scalar or one per offset) to d, and
-    ``model`` to the path's own regime.
+    the whole array, ``reference_m`` to d, and ``model`` to the path's own
+    regime. The path parameters, ``offsets`` and ``reference_m`` broadcast into
+    one element shape, and ``freq_dev`` broadcasts against it plus a trailing
+    frequency axis: one :class:`PathParams` with 1-D offsets and frequencies
+    gives the N x M table, a :class:`PathBatch` of shape (K, 1) a K x N x M one.
     """
     if offsets is None:
         offsets = geom.element_offsets()
     if model is None:
         model = path.field_model
     k = 2.0 * np.pi / geom.wave_speed
-    ramp = path.total_range_m  # one row, broadcast over the elements
+    ramp = path.total_range_m  # one per path, broadcast over the elements
     if model is FieldModel.FAR:
         carrier = k * geom.center_freq_hz * offsets * geom.spacing_m * path.sine_angle
     else:
@@ -283,7 +336,7 @@ def path_phases(
         if model is FieldModel.WIDEBAND_NEAR:
             # squint folds in: the delay ramp sees each element's true range
             ramp = path.ue_range_m + ranges
-    return carrier[:, None] + k * np.outer(ramp, freq_dev)
+    return carrier[..., None] + k * (np.expand_dims(ramp, -1) * np.asarray(freq_dev))
 
 
 def near_field_steering(
@@ -375,6 +428,44 @@ _MODEL_TAGS = (
 )
 
 
+def user_channel_columns(
+    geom: ArrayGeometry,
+    grid: CarrierGrid,
+    users: Sequence[Sequence[PathParams]],
+    subcarrier_indices: Iterable[int] | None,
+    owners: Sequence[int] | None,
+    model_tag: str = HYBRID,
+) -> ComplexMatrix:
+    """N x C channel columns of several users, one batched phase call per path.
+
+    Column j is the channel of user ``owners[j]`` at subcarrier
+    ``subcarrier_indices[j]`` (None: the whole grid). ``model_tag`` forces one
+    regime for every path; ``hybrid`` keeps each path's own, so the users must
+    share one sequence of field models. A lone user's parameters broadcast over
+    every column and need no ``owners``.
+    """
+    if model_tag not in _MODEL_TAGS:
+        raise ValueError(f"unknown model_tag {model_tag!r}")
+    if not users or not users[0]:
+        raise ValueError("at least one path is required")
+    freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
+    if subcarrier_indices is not None:
+        idx = np.asarray(list(subcarrier_indices), dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= grid.num_subcarriers):
+            raise ValueError("subcarrier index out of range")
+        freq_dev = freq_dev[idx]
+    columns = None if len(users) == 1 else np.asarray(owners, dtype=np.intp)
+    offsets = geom.element_offsets()[:, None]
+    out = np.zeros((geom.num_antennas, freq_dev.size), dtype=np.complex128)
+    for batch in path_slots(users):
+        if columns is not None:
+            batch = batch[columns]  # one parameter set per column
+        model = batch.field_model if model_tag == HYBRID else FieldModel(model_tag)
+        phases = path_phases(geom, batch, freq_dev[:, None], offsets=offsets, model=model)
+        out += batch.gain * np.exp(1j * phases[..., 0])
+    return out
+
+
 def channel_columns(
     geom: ArrayGeometry,
     grid: CarrierGrid,
@@ -386,24 +477,9 @@ def channel_columns(
 
     ``model_tag`` forces one regime for every path; ``hybrid`` dispatches on each
     path's own ``field_model``. Entries are the sum of per-path terms, linear in
-    the gains.
+    the gains. This is the one-user case of :func:`user_channel_columns`.
     """
-    if model_tag not in _MODEL_TAGS:
-        raise ValueError(f"unknown model_tag {model_tag!r}")
-    paths = list(paths)
-    if not paths:
-        raise ValueError("at least one path is required")
-    freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-    if subcarrier_indices is not None:
-        idx = np.asarray(list(subcarrier_indices), dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= grid.num_subcarriers):
-            raise ValueError("subcarrier index out of range")
-        freq_dev = freq_dev[idx]
-    out = np.zeros((geom.num_antennas, freq_dev.size), dtype=np.complex128)
-    for path in paths:
-        model = path.field_model if model_tag == HYBRID else FieldModel(model_tag)
-        out += path.gain * np.exp(1j * path_phases(geom, path, freq_dev, model=model))
-    return out
+    return user_channel_columns(geom, grid, [paths], subcarrier_indices, None, model_tag)
 
 
 def synth_channel(

@@ -296,3 +296,20 @@ def user_phase_spread(
             )
             worst = max(worst, abs(phase))
     return worst
+
+
+def per_user_mean_se(amps, subbands, schemes, power, noise_power):
+    """Multiuser SE per scheme, one user at a time.
+
+    Each user's rates log2(1 + P a^2 / sigma^2) on its own sub-band are
+    averaged with ``np.mean``, then the per-user SEs are averaged over the
+    users: the loop the batched reduction replaced, kept as its reference.
+    """
+    per_user = []
+    for sb in subbands:
+        at = slice(sb.start, sb.start + sb.num_subcarriers)
+        per_user.append(np.array([
+            np.mean(np.log2(1.0 + power * amps[scheme][at] ** 2 / noise_power))
+            for scheme in schemes
+        ]))
+    return np.mean(per_user, axis=0)

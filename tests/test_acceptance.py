@@ -319,22 +319,42 @@ def test_desk_scale_relative_improvement():
             f"subcarriers, {elapsed:.1f}s (<300s)")
 
 
-def test_csv_identical_across_worker_counts(tmp_path, monkeypatch):
-    # a rerun of the same experiment must emit byte-identical CSV no matter
-    # how many worker threads execute the trials
-    start = time.perf_counter()
+def emitted_per_worker_count(tmp_path, monkeypatch, argv):
+    """CSV bytes of one run request at 1, 4 and 8 worker threads."""
     emitted = []
     for workers in ("1", "4", "8"):
         monkeypatch.setenv("SQUINTLAB_THREADS", workers)
         target = tmp_path / f"threads{workers}.csv"
-        argv = ["run", "se-snr-as", "--n", "64", "--m", "8", "--trials", "8",
-                "--output", str(target)]
-        assert cli_main(argv) == 0
+        assert cli_main(argv + ["--output", str(target)]) == 0
         emitted.append(target.read_bytes())
+    return emitted
+
+
+def test_csv_identical_across_worker_counts(tmp_path, monkeypatch):
+    # a rerun of the same experiment must emit byte-identical CSV no matter
+    # how many worker threads execute the trials
+    start = time.perf_counter()
+    emitted = emitted_per_worker_count(
+        tmp_path, monkeypatch,
+        ["run", "se-snr-as", "--n", "64", "--m", "8", "--trials", "8"])
     elapsed = time.perf_counter() - start
     ok = emitted[0] == emitted[1] == emitted[2]
     verdict("thread-determinism", ok,
             f"CSV bytes identical across 1/4/8 workers: {ok}, {elapsed:.2f}s")
+
+
+def test_multiuser_csv_identical_across_worker_counts(tmp_path, monkeypatch):
+    # the same for the multiuser sweep, whose trials batch their users: 8 to
+    # 32 users per trial on sub-bands of 1 to 39 subcarriers
+    start = time.perf_counter()
+    emitted = emitted_per_worker_count(
+        tmp_path, monkeypatch,
+        ["run", "se-snr-fs", "--n", "128", "--m", "64", "--bandwidth-hz", "100e6",
+         "--num-near-paths", "2", "--trials", "8"])
+    elapsed = time.perf_counter() - start
+    ok = emitted[0] == emitted[1] == emitted[2]
+    verdict("multiuser-thread-determinism", ok,
+            f"se-snr-fs CSV bytes identical across 1/4/8 workers: {ok}, {elapsed:.2f}s")
 
 
 def test_supplementary_full_scale_improvement():

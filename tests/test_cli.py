@@ -278,16 +278,32 @@ def test_run_invalid_config_value_maps_to_exit_1(capsys, tmp_path):
     assert err.startswith("error:")
 
 
-def test_run_thread_env_does_not_change_output(capsys, tmp_path, monkeypatch):
+def emitted_per_worker_count(capsys, tmp_path, monkeypatch, argv):
+    """CSV bytes of one run request at 1, 4 and 8 worker threads."""
     emitted = []
     for workers in ("1", "4", "8"):
         monkeypatch.setenv("SQUINTLAB_THREADS", workers)
         target = tmp_path / f"out{workers}.csv"
-        argv = ["run", "se-snr-as", "--n", "64", "--m", "8", "--trials", "6",
-                "--output", str(target)]
-        assert cli_main(argv) == 0
+        assert cli_main(argv + ["--output", str(target)]) == 0
         emitted.append(target.read_bytes())
     capsys.readouterr()
+    return emitted
+
+
+def test_run_thread_env_does_not_change_output(capsys, tmp_path, monkeypatch):
+    emitted = emitted_per_worker_count(
+        capsys, tmp_path, monkeypatch,
+        ["run", "se-snr-as", "--n", "64", "--m", "8", "--trials", "6"])
+    assert emitted[0] == emitted[1] == emitted[2]
+
+
+def test_run_thread_env_does_not_change_multiuser_output(capsys, tmp_path, monkeypatch):
+    # 8 to 32 users per trial on sub-bands of 1 to 39 subcarriers, so the
+    # batched trials span several user chunks and sub-band widths
+    emitted = emitted_per_worker_count(
+        capsys, tmp_path, monkeypatch,
+        ["run", "se-snr-fs", "--n", "128", "--m", "64", "--bandwidth-hz", "100e6",
+         "--num-near-paths", "2", "--trials", "6"])
     assert emitted[0] == emitted[1] == emitted[2]
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from squintlab import (
     CSV_HEADER,
     EXPERIMENTS,
@@ -11,14 +12,17 @@ from squintlab import (
     PathParams,
     ScenarioConfig,
     SquintThresholds,
+    SubbandPlan,
     SweepResult,
     SweepRow,
+    UserSubband,
     antenna_boundary,
     freq_boundary,
     plan_antenna_slices,
     run_experiment,
+    sample_user_paths,
 )
-from squintlab.experiments import _allocate_adaptive, resolve_threads
+from squintlab.experiments import _FS_SCHEMES, _allocate_adaptive, _fs_mean_se, resolve_threads
 
 # single deterministic near path at the sweep reference geometry
 _SWEEP_PATH = PathParams(1.0, 0.1, 10.0, 10.0)
@@ -39,6 +43,14 @@ def draw_config(**overrides):
     """Small multipath config for the Monte Carlo link experiments."""
     base = dict(num_antennas=128, num_subcarriers=16, trials=4,
                 num_near_paths=2, num_far_paths=1)
+    base.update(overrides)
+    return ScenarioConfig(**base)
+
+
+def mixed_width_config(**overrides):
+    """Desk-scale multiuser config on a narrow band: sub-bands of several widths."""
+    base = dict(num_antennas=256, num_subcarriers=64, num_near_paths=2,
+                bandwidth_hz=100e6, seed=7)
     base.update(overrides)
     return ScenarioConfig(**base)
 
@@ -487,3 +499,60 @@ def test_repeated_runs_are_identical():
     first = run_experiment("se-snr-as", cfg).to_csv()
     second = run_experiment("se-snr-as", cfg).to_csv()
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# the multiuser regime and the batched reduction
+# ---------------------------------------------------------------------------
+
+
+def test_desk_scale_multiuser_trials_run_one_tone_sub_bands():
+    # ROADMAP item 3: with the default geometry the per-user delay-spread cap
+    # admits about one subcarrier, so every desk trial doubles K from 8 to M
+    # and serves 64 users one subcarrier each; changing that is deliberate
+    cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64, seed=42)
+    served, widths = [], []
+    for trial in range(20):
+        _, plan = _allocate_adaptive(cfg, trial, cfg.num_subarrays)
+        served.append(len(plan.subbands))
+        widths += plan.user_subcarriers
+    assert served == [64] * 20
+    assert len(widths) == 1280 and set(widths) == {1}
+
+
+def test_mixed_width_config_realizes_several_sub_band_widths():
+    cfg = mixed_width_config()
+    widths = set()
+    for trial in range(4):
+        _, plan = _allocate_adaptive(cfg, trial, cfg.num_subarrays)
+        widths |= set(plan.user_subcarriers)
+    assert len(widths) > 1
+
+
+def test_allocation_grows_one_user_draw():
+    # the users of a grown pool are the first users of one draw
+    cfg = mixed_width_config()
+    for trial in range(4):
+        users, plan = _allocate_adaptive(cfg, trial, cfg.num_subarrays)
+        assert users == sample_user_paths(cfg, trial, len(users))
+        assert [sb.user for sb in plan.subbands] == list(range(len(users)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_mean_se_equals_the_per_user_loop(seed):
+    # bit-equal to averaging each user's rates on its own, over ragged
+    # sub-band widths in random order and several powers
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, 41, size=rng.integers(1, 30))
+    starts = np.concatenate([[0], np.cumsum(widths)[:-1]])
+    plan = SubbandPlan(tuple(UserSubband(k, int(w), int(s), 1e6, 7e9)
+                             for k, (w, s) in enumerate(zip(widths, starts))), 4, 8)
+    amps = {scheme.value: rng.uniform(0.0, 30.0, widths.sum()) * (rng.random() < 0.9)
+            for scheme in _FS_SCHEMES}
+    schemes = [scheme.value for scheme in _FS_SCHEMES]
+    powers = [0.1, 1.0, 3.1622776601683795, 10.0, 100.0]
+    got = _fs_mean_se(amps, plan, powers, 1.0)
+    assert got.shape == (len(powers), len(schemes))
+    for row, power in zip(got, powers):
+        assert np.array_equal(row, oracles.per_user_mean_se(amps, plan.subbands, schemes,
+                                                            power, 1.0))

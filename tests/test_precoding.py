@@ -19,12 +19,14 @@ from squintlab import (
     SlicingPlan,
     SquintThresholds,
     UserSubband,
+    block_diagonal,
     channel_columns,
     digital_mrt,
     freq_boundary,
     hybrid_gain_amplitudes,
     mrt_full_array,
     multiuser_gain,
+    narrowband_beams,
     narrowband_mrt,
     near_field_steering,
     normalized_array_gain,
@@ -34,6 +36,7 @@ from squintlab import (
     plan_antenna_slices,
     power_for_snr_db,
     sample_scenario,
+    sample_user_paths,
     se_closed_forms,
     se_equal_slicing_closed_form,
     se_optimal,
@@ -41,17 +44,19 @@ from squintlab import (
     se_slicing_closed_form,
     se_subband_closed_form,
     slice_analog_matrix,
+    slice_analog_rows,
     slice_precoder_set,
     snr_db,
     spectral_efficiency,
     static_precoder_set,
     subarray_center_distance,
     subband_analog_matrix,
+    subband_analog_rows,
     subband_precoder_set,
     subcarrier_frequencies,
     synth_channel,
 )
-from squintlab.experiments import _allocate_adaptive, _fs_user_amps, _single_link_amps
+from squintlab.experiments import _fs_trial_amps, _single_link_amps
 
 THR = SquintThresholds()
 
@@ -265,12 +270,17 @@ def test_vectorized_amplitudes_match_the_scalar_route():
         assert amps[m] == pytest.approx(want, rel=1e-12)
 
 
+DESK_USERS = ScenarioConfig(num_antennas=256, num_subcarriers=64, num_users=8,
+                            num_subarrays=8, seed=11)
+MIXED_WIDTHS = ScenarioConfig(num_antennas=256, num_subcarriers=64, num_near_paths=2,
+                              bandwidth_hz=100e6, seed=7)
+
+
 @pytest.mark.parametrize("trial", range(2))
-def test_precoder_sets_match_the_experiment_amplitudes(trial):
+def test_precoder_sets_match_the_single_link_amplitudes(trial):
     # the precoder sets and the experiments share one analog builder per
     # scheme and one digital MRT; a zero column gets a zero digital vector
-    cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64, num_users=8,
-                         num_subarrays=8, seed=11)
+    cfg = DESK_USERS
     geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
     paths = sample_scenario(cfg, trial)
     ch = synth_channel(geom, grid, paths)
@@ -286,15 +296,40 @@ def test_precoder_sets_match_the_experiment_amplitudes(trial):
         np.testing.assert_allclose(hybrid.digital[:, m],
                                    digital_mrt(entries[:, m], hybrid.analog), rtol=1e-12)
 
-    users, plan = _allocate_adaptive(cfg, trial, cfg.num_subarrays)
+
+@pytest.mark.parametrize("cfg, trial", [(DESK_USERS, 0), (DESK_USERS, 1),
+                                        (MIXED_WIDTHS, 0), (MIXED_WIDTHS, 1)],
+                         ids=["0", "1", "mixed-0", "mixed-1"])
+def test_precoder_sets_match_the_experiment_amplitudes(cfg, trial):
+    # every user's library precoder sets, built one user at a time, give the
+    # amplitudes the batched multiuser trial computes for its subcarriers
+    geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
+    amps, plan, _ = _fs_trial_amps(cfg, trial, cfg.num_subarrays)
+    users = sample_user_paths(cfg, trial, len(plan.subbands))
     for subband in plan.subbands:
         user = users[subband.user]
-        cols = channel_columns(geom, grid, user,
-                               subcarrier_indices=subband.global_indices())
-        sub = subband_precoder_set(geom, user, subband, cfg.num_subarrays, cols)
-        amps = np.abs(np.einsum("nm,nm->m", sub.combined().conj(), cols))
-        want = _fs_user_amps(geom, grid, thr, user, subband, cfg.num_subarrays)
-        np.testing.assert_allclose(amps, want["subband-slicing"], rtol=1e-12, atol=0.0)
+        idx = list(subband.global_indices())
+        ch = synth_channel(geom, grid, user)
+        cols = ch.entries[:, idx]
+        sets = {
+            "subband-slicing": subband_precoder_set(geom, user, subband,
+                                                    cfg.num_subarrays, cols),
+            "antenna-slicing": slice_precoder_set(
+                ch, plan_antenna_slices(geom, grid, user, thr)),
+            "narrowband-mrt": static_precoder_set(narrowband_mrt(geom, user),
+                                                  grid.num_subcarriers,
+                                                  Scheme.NARROWBAND_BASELINE),
+            "optimal": optimal_precoder_set(ch),
+        }
+        for scheme, precoders in sets.items():
+            combined = precoders.combined()
+            if combined.shape[1] != len(idx):
+                combined = combined[:, idx]
+            got = np.abs(np.einsum("nm,nm->m", combined.conj(), cols))
+            np.testing.assert_allclose(got, amps[scheme][idx], rtol=1e-12, atol=0.0,
+                                       err_msg=f"{scheme}, user {subband.user}")
+    if cfg is MIXED_WIDTHS:
+        assert max(plan.user_subcarriers) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +389,32 @@ def test_subband_beam_ignores_far_paths_and_validates():
         subband_analog_matrix(geom, [far], 7e9, 4)
     with pytest.raises(ValueError):
         subband_analog_matrix(geom, [near], 7e9, 5)
+
+
+def test_batched_analog_builders_equal_one_user_at_a_time():
+    # each user's row in a batch is bit-equal to the one-user builder; a user
+    # without near paths gets the planar beam of its far path
+    cfg = ScenarioConfig(num_antennas=128, num_subcarriers=16, num_near_paths=3,
+                         num_far_paths=2, seed=5)
+    geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
+    users = [sample_scenario(cfg, trial) for trial in range(6)]
+    far_only = [make_path(theta=0.2, gain=0.3j, model=FieldModel.FAR),
+                make_path(theta=-0.5, gain=0.6, model=FieldModel.FAR)]
+    beams = narrowband_beams(geom, users + [far_only])
+    for beam, user in zip(beams, users + [far_only]):
+        assert np.array_equal(beam, narrowband_mrt(geom, user))
+    plans = [plan_antenna_slices(geom, grid, user, thr) for user in users]
+    for row, user, plan in zip(slice_analog_rows(geom, users, plans), users, plans):
+        assert np.array_equal(block_diagonal(row, plan.subarray_sizes),
+                              slice_analog_matrix(geom, user, plan))
+    centers = 7e9 + np.linspace(-250e6, 250e6, len(users))
+    rows = subband_analog_rows(geom, users, centers)
+    assert rows.shape == (len(users), 128)
+    for row, user, center in zip(rows, users, centers):
+        assert np.array_equal(block_diagonal(row, (32,) * 4),
+                              subband_analog_matrix(geom, user, center, 4))
+    with pytest.raises(ValueError, match="field models"):
+        subband_analog_rows(geom, [users[0], users[1][1:]], centers[:2])
 
 
 # ---------------------------------------------------------------------------

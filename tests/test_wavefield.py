@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from squintlab import (
@@ -13,6 +15,7 @@ from squintlab import (
     CarrierGrid,
     ChannelTensor,
     FieldModel,
+    PathBatch,
     PathParams,
     SlicingPlan,
     beam_squint_matrix,
@@ -28,6 +31,7 @@ from squintlab import (
     subarray_channel,
     subcarrier_frequencies,
     synth_channel,
+    user_channel_columns,
     write_channel_dump,
 )
 
@@ -238,6 +242,81 @@ def test_path_phases_take_one_reference_per_offset():
     )
     far = path_phases(geom, path, [0.0], reference_m=99.0, model=FieldModel.FAR)
     np.testing.assert_array_equal(far, path_phases(geom, path, [0.0], model=FieldModel.FAR))
+
+
+# the batch axis: wide geometry, every field model, bit-equal to one path at a time
+_PATHS = st.lists(
+    st.tuples(
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),  # sine angle
+        st.floats(0.5, 200.0),  # scatterer distance d
+        st.floats(0.0, 200.0),  # UE range r
+        st.floats(0.5, 200.0),  # reference range
+    ),
+    min_size=1, max_size=6,
+)
+_FREQ_DEVS = st.lists(st.floats(-500e6, 500e6), min_size=1, max_size=8)
+
+
+def _paths(drawn, model):
+    return [PathParams(1.0, theta, d, r, model) for theta, d, r, _ in drawn]
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_antennas=st.integers(1, 2048), center_hz=st.floats(1e9, 30e9),
+       model=st.sampled_from(FieldModel), drawn=_PATHS, freq_dev=_FREQ_DEVS,
+       per_row_reference=st.booleans())
+def test_batched_path_phases_rows_equal_single_path_calls(
+        num_antennas, center_hz, model, drawn, freq_dev, per_row_reference):
+    geom = ArrayGeometry(num_antennas, center_hz)
+    paths = _paths(drawn, model)
+    refs = np.array([ref for *_, ref in drawn]) if per_row_reference else None
+    batch = PathBatch.stack(paths, model)[:, None]
+    rows = path_phases(geom, batch, freq_dev,
+                       reference_m=None if refs is None else refs[:, None])
+    assert rows.shape == (len(paths), num_antennas, len(freq_dev))
+    for k, path in enumerate(paths):
+        one = path_phases(geom, path, freq_dev,
+                          reference_m=None if refs is None else refs[k])
+        assert np.array_equal(rows[k], one)
+
+
+@settings(max_examples=60, deadline=None)
+@given(num_antennas=st.integers(1, 2048), model=st.sampled_from(FieldModel),
+       drawn=_PATHS, freq_dev=_FREQ_DEVS)
+def test_per_column_path_phases_equal_single_path_calls(num_antennas, model, drawn,
+                                                        freq_dev):
+    # one path per column, each at its own frequency, as the multiuser channel
+    geom = ArrayGeometry(num_antennas, 7e9)
+    paths = _paths(drawn, model)
+    dev = np.resize(np.asarray(freq_dev), len(paths))
+    cols = path_phases(geom, PathBatch.stack(paths, model), dev[:, None],
+                       offsets=geom.element_offsets()[:, None])
+    assert cols.shape == (num_antennas, len(paths), 1)
+    for c, path in enumerate(paths):
+        assert np.array_equal(cols[:, c, 0], path_phases(geom, path, dev[c:c + 1])[:, 0])
+
+
+def test_user_channel_columns_equal_each_users_channel():
+    geom, grid = make_geom(48), CarrierGrid.from_bandwidth(300e6, 12)
+    rng = np.random.default_rng(3)
+    users = [[make_path(theta=rng.uniform(-0.9, 0.9), d=rng.uniform(2.0, 60.0),
+                        r=rng.uniform(0.0, 60.0), gain=complex(*rng.standard_normal(2)),
+                        model=model)
+              for model in (FieldModel.WIDEBAND_NEAR, FieldModel.FAR,
+                            FieldModel.NARROWBAND_NEAR)]
+             for _ in range(5)]
+    widths = [1, 4, 2, 3, 2]
+    owners = np.repeat(np.arange(5), widths)
+    idx = np.arange(12)[::-1]
+    cols = user_channel_columns(geom, grid, users, idx, owners)
+    for j, (user, m) in enumerate(zip(owners, idx)):
+        one = channel_columns(geom, grid, users[user], subcarrier_indices=[m])
+        assert np.array_equal(cols[:, j], one[:, 0])
+    forced = user_channel_columns(geom, grid, users, idx, owners, "far")
+    assert np.array_equal(forced[:, 0],
+                          channel_columns(geom, grid, users[0], "far", [11])[:, 0])
+    with pytest.raises(ValueError, match="field models"):
+        user_channel_columns(geom, grid, [users[0], users[1][::-1]], [0, 1], [0, 1])
 
 
 def test_delay_steering_center_subcarrier_is_one():
