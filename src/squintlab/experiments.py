@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -473,7 +472,7 @@ def _allocate_adaptive(config: ScenarioConfig, trial: int, num_subarrays: int):
     caps: list[int] = []
     k = min(config.num_users, config.num_subcarriers)
     while True:
-        new = list(islice(draws, k - len(users)))
+        new = [next(draws) for _ in range(k - len(users))]
         caps += subband_caps(new, geom, grid, thr, num_subarrays)
         users += new
         try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -173,7 +172,8 @@ def sample_user_paths(
     perturbing existing ones.
     """
     k = config.num_users if num_users is None else num_users
-    return list(islice(user_path_stream(config, trial, num_far), k))
+    draws = user_path_stream(config, trial, num_far)
+    return [next(draws) for _ in range(k)]
 
 
 def mean_path_power(paths: Sequence[PathParams]) -> float:

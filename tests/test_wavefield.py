@@ -277,7 +277,9 @@ def test_batched_path_phases_rows_equal_single_path_calls(
     for k, path in enumerate(paths):
         one = path_phases(geom, path, freq_dev,
                           reference_m=None if refs is None else refs[k])
-        assert np.array_equal(rows[k], one)
+        # a scatterer within rounding of an element may give the square root
+        # of a rounded negative, which both sides must then give alike
+        assert np.array_equal(rows[k], one, equal_nan=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,7 +295,8 @@ def test_per_column_path_phases_equal_single_path_calls(num_antennas, model, dra
                        offsets=geom.element_offsets()[:, None])
     assert cols.shape == (num_antennas, len(paths), 1)
     for c, path in enumerate(paths):
-        assert np.array_equal(cols[:, c, 0], path_phases(geom, path, dev[c:c + 1])[:, 0])
+        assert np.array_equal(cols[:, c, 0], path_phases(geom, path, dev[c:c + 1])[:, 0],
+                              equal_nan=True)
 
 
 def test_user_channel_columns_equal_each_users_channel():
