@@ -461,8 +461,9 @@ def user_channel_columns(
         if columns is not None:
             batch = batch[columns]  # one parameter set per column
         model = batch.field_model if model_tag == HYBRID else FieldModel(model_tag)
-        phases = path_phases(geom, batch, freq_dev[:, None], offsets=offsets, model=model)
-        out += batch.gain * np.exp(1j * phases[..., 0])
+        # one expression, so each N x C temporary is freed as soon as it is used
+        out += batch.gain * np.exp(1j * path_phases(geom, batch, freq_dev[:, None],
+                                                    offsets=offsets, model=model)[..., 0])
     return out
 
 

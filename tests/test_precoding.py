@@ -20,7 +20,6 @@ from squintlab import (
     SquintThresholds,
     UserSubband,
     block_diagonal,
-    channel_columns,
     digital_mrt,
     freq_boundary,
     hybrid_gain_amplitudes,
