@@ -480,7 +480,7 @@ def channel_columns(
     path's own ``field_model``. Entries are the sum of per-path terms, linear in
     the gains. This is the one-user case of :func:`user_channel_columns`.
     """
-    return user_channel_columns(geom, grid, [paths], subcarrier_indices, None, model_tag)
+    return user_channel_columns(geom, grid, [list(paths)], subcarrier_indices, None, model_tag)
 
 
 def synth_channel(
