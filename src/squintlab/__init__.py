@@ -31,7 +31,6 @@ from .precoding import (
     DegenerateSubcarrierError,
     PrecoderSet,
     Scheme,
-    block_diagonal,
     digital_mrt,
     hybrid_gain_amplitudes,
     mrt_full_array,
@@ -66,7 +65,6 @@ from .scenario import (
     sample_paths,
     sample_scenario,
     sample_user_paths,
-    user_path_stream,
 )
 from .slicing import (
     InfeasiblePlanError,
@@ -74,9 +72,7 @@ from .slicing import (
     SubbandPlan,
     UserSubband,
     allocate_subbands,
-    partition_subbands,
     plan_antenna_slices,
-    subband_caps,
     user_subcarrier_cap,
 )
 from .wavefield import (
@@ -85,7 +81,6 @@ from .wavefield import (
     CarrierGrid,
     ChannelTensor,
     FieldModel,
-    PathBatch,
     PathParams,
     beam_squint_matrix,
     channel_columns,
@@ -93,14 +88,12 @@ from .wavefield import (
     far_field_steering,
     near_field_steering,
     path_phases,
-    path_slots,
     read_channel_dump,
     scatterer_antenna_distance,
     subarray_center_distance,
     subarray_channel,
     subcarrier_frequencies,
     synth_channel,
-    user_channel_columns,
     write_channel_dump,
 )
 

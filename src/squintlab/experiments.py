@@ -31,21 +31,15 @@ from .precoding import (
     slice_analog_rows,
     subband_analog_rows,
 )
-from .scenario import RngStream, ScenarioConfig, sample_scenario, user_path_stream
-from .slicing import (
-    InfeasiblePlanError,
-    SubbandPlan,
-    partition_subbands,
-    plan_antenna_slices,
-    subband_caps,
-)
+from .scenario import RngStream, ScenarioConfig, sample_scenario, sample_user_paths
+from .slicing import InfeasiblePlanError, SubbandPlan, allocate_subbands, plan_antenna_slices
 from .wavefield import (
     ArrayGeometry,
     CarrierGrid,
     FieldModel,
     PathParams,
     channel_columns,
-    user_channel_columns,
+    path_slots,
 )
 
 CSV_HEADER = "axis,scheme,se_bits_per_hz,trials,seed,boundary_b_wn_hz,boundary_n_wn"
@@ -461,26 +455,22 @@ def _experiment_se_paths_as(config: ScenarioConfig) -> SweepResult:
 def _allocate_adaptive(config: ScenarioConfig, trial: int, num_subarrays: int):
     """Draw users and allocate sub-bands, doubling the user count on infeasibility.
 
-    Growing the user pool extends one draw from the trial substream, so
-    existing users' draws never change and each user's cap is computed once;
-    K is capped at M where one-subcarrier sub-bands make the allocation always
-    feasible.
+    Growing the user pool re-uses the trial substream, so existing users'
+    draws never change; K is capped at M where one-subcarrier sub-bands make
+    the allocation always feasible.
     """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
-    draws = user_path_stream(config, trial)
-    users: list[list[PathParams]] = []
-    caps: list[int] = []
     k = min(config.num_users, config.num_subcarriers)
     while True:
-        new = [next(draws) for _ in range(k - len(users))]
-        caps += subband_caps(new, geom, grid, thr, num_subarrays)
-        users += new
+        users = sample_user_paths(config, trial, k)
         try:
-            return users, partition_subbands(caps, geom, grid, num_subarrays)
+            plan = allocate_subbands(users, geom, grid, thr, num_subarrays)
         except InfeasiblePlanError:
             if k >= config.num_subcarriers:
                 raise
             k = min(2 * k, config.num_subcarriers)
+            continue
+        return users, plan
 
 
 def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
@@ -501,9 +491,10 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
         paths = served[lo:lo + _USER_CHUNK]
         as_plans = [plan_antenna_slices(geom, grid, p, thr) for p in paths]
         widths = [sb.num_subcarriers for sb in subbands]
-        cols = user_channel_columns(
-            geom, grid, paths, [m for sb in subbands for m in sb.global_indices()],
-            np.repeat(np.arange(len(subbands)), widths))
+        owners = np.repeat(np.arange(len(subbands)), widths)
+        cols = channel_columns(geom, grid, [slot[owners] for slot in path_slots(paths)],
+                               subcarrier_indices=[m for sb in subbands
+                                                   for m in sb.global_indices()])
         fs_rows = subband_analog_rows(geom, paths, [sb.center_hz for sb in subbands])
         as_rows = slice_analog_rows(geom, paths, as_plans)
         beams = narrowband_beams(geom, paths)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,30 +150,23 @@ def sample_scenario(config: ScenarioConfig, trial: int) -> list[PathParams]:
     return sample_paths(rng, config, config.num_near_paths, config.num_far_paths)
 
 
-def user_path_stream(
-    config: ScenarioConfig, trial: int, num_far: int = 0
-) -> Iterator[list[PathParams]]:
-    """Endless per-user path lists, drawn one user at a time from the trial's substream."""
-    rng = RngStream(config.seed, trial).generator()
-    while True:
-        yield sample_paths(rng, config, config.num_near_paths, num_far)
-
-
 def sample_user_paths(
     config: ScenarioConfig,
     trial: int,
     num_users: int | None = None,
     num_far: int = 0,
 ) -> list[list[PathParams]]:
-    """The first users of :func:`user_path_stream`.
+    """Per-user path lists drawn sequentially from the trial's substream.
 
     Growing ``num_users`` extends the same stream, so the first users' draws are
     unchanged — the sub-band allocator can request more users without
     perturbing existing ones.
     """
     k = config.num_users if num_users is None else num_users
-    draws = user_path_stream(config, trial, num_far)
-    return [next(draws) for _ in range(k)]
+    rng = RngStream(config.seed, trial).generator()
+    return [
+        sample_paths(rng, config, config.num_near_paths, num_far) for _ in range(k)
+    ]
 
 
 def mean_path_power(paths: Sequence[PathParams]) -> float:

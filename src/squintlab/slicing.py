@@ -263,32 +263,22 @@ def user_subcarrier_cap(
     return cap
 
 
-def subband_caps(
+def allocate_subbands(
     users: Sequence[Sequence[PathParams]],
     geom: ArrayGeometry,
     grid: CarrierGrid,
     thr: SquintThresholds,
     num_subarrays: int,
-) -> list[int]:
-    """Each user's sub-band size cap for subarrays of N / num_subarrays antennas."""
-    if geom.num_antennas % num_subarrays != 0:
-        raise ValueError("num_subarrays must divide num_antennas")
-    size = geom.num_antennas // num_subarrays
-    return [user_subcarrier_cap(paths, geom, grid, thr, size) for paths in users]
-
-
-def partition_subbands(
-    caps: Sequence[int],
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    num_subarrays: int,
 ) -> SubbandPlan:
-    """Partition the band into one sub-band per user under the given caps.
+    """Partition the band into per-user sub-bands under per-user caps.
 
-    Shares start equal, are clipped to the caps, and the leftover subcarriers
-    are handed out round-robin to users with slack.
+    Caps combine the squint frequency boundary evaluated for one subarray of
+    N / num_subarrays antennas with the user's multipath delay-spread limit,
+    both discretized to the occupied subcarrier span. Shares start equal, are
+    clipped to the caps, and the leftover subcarriers are handed out
+    round-robin to users with slack.
     """
-    k_users = len(caps)
+    k_users = len(users)
     if k_users < 1:
         raise ValueError("at least one user is required")
     if geom.num_antennas % num_subarrays != 0:
@@ -298,10 +288,13 @@ def partition_subbands(
         raise InfeasiblePlanError(
             "more users than subcarriers", {"users": k_users, "subcarriers": m_total}
         )
+    size = geom.num_antennas // num_subarrays
+
+    caps = [user_subcarrier_cap(up, geom, grid, thr, size) for up in users]
     if sum(caps) < m_total:
         raise InfeasiblePlanError(
             "per-user caps cannot cover the band",
-            {"caps": list(caps), "required": m_total},
+            {"caps": caps, "required": m_total},
         )
 
     shares = [m_total // k_users] * k_users
@@ -327,22 +320,4 @@ def partition_subbands(
         center = f_c - band / 2.0 + start * spacing + width / 2.0
         subbands.append(UserSubband(k, count, start, spacing, center))
         start += count
-    return SubbandPlan(tuple(subbands), num_subarrays, geom.num_antennas // num_subarrays)
-
-
-def allocate_subbands(
-    users: Sequence[Sequence[PathParams]],
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    thr: SquintThresholds,
-    num_subarrays: int,
-) -> SubbandPlan:
-    """Partition the band into per-user sub-bands under per-user caps.
-
-    Caps (:func:`subband_caps`) combine the squint frequency boundary evaluated
-    for one subarray of N / num_subarrays antennas with the user's multipath
-    delay-spread limit, both discretized to the occupied subcarrier span; the
-    partition is :func:`partition_subbands`.
-    """
-    caps = subband_caps(users, geom, grid, thr, num_subarrays)
-    return partition_subbands(caps, geom, grid, num_subarrays)
+    return SubbandPlan(tuple(subbands), num_subarrays, size)

@@ -428,49 +428,10 @@ _MODEL_TAGS = (
 )
 
 
-def user_channel_columns(
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    users: Sequence[Sequence[PathParams]],
-    subcarrier_indices: Iterable[int] | None,
-    owners: Sequence[int] | None,
-    model_tag: str = HYBRID,
-) -> ComplexMatrix:
-    """N x C channel columns of several users, one batched phase call per path.
-
-    Column j is the channel of user ``owners[j]`` at subcarrier
-    ``subcarrier_indices[j]`` (None: the whole grid). ``model_tag`` forces one
-    regime for every path; ``hybrid`` keeps each path's own, so the users must
-    share one sequence of field models. A lone user's parameters broadcast over
-    every column and need no ``owners``.
-    """
-    if model_tag not in _MODEL_TAGS:
-        raise ValueError(f"unknown model_tag {model_tag!r}")
-    if not users or not users[0]:
-        raise ValueError("at least one path is required")
-    freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-    if subcarrier_indices is not None:
-        idx = np.asarray(list(subcarrier_indices), dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= grid.num_subcarriers):
-            raise ValueError("subcarrier index out of range")
-        freq_dev = freq_dev[idx]
-    columns = None if len(users) == 1 else np.asarray(owners, dtype=np.intp)
-    offsets = geom.element_offsets()[:, None]
-    out = np.zeros((geom.num_antennas, freq_dev.size), dtype=np.complex128)
-    for batch in path_slots(users):
-        if columns is not None:
-            batch = batch[columns]  # one parameter set per column
-        model = batch.field_model if model_tag == HYBRID else FieldModel(model_tag)
-        # one expression, so each N x C temporary is freed as soon as it is used
-        out += batch.gain * np.exp(1j * path_phases(geom, batch, freq_dev[:, None],
-                                                    offsets=offsets, model=model)[..., 0])
-    return out
-
-
 def channel_columns(
     geom: ArrayGeometry,
     grid: CarrierGrid,
-    paths: Sequence[PathParams],
+    paths: Sequence[PathParams | PathBatch],
     model_tag: str = HYBRID,
     subcarrier_indices: Iterable[int] | None = None,
 ) -> ComplexMatrix:
@@ -478,9 +439,35 @@ def channel_columns(
 
     ``model_tag`` forces one regime for every path; ``hybrid`` dispatches on each
     path's own ``field_model``. Entries are the sum of per-path terms, linear in
-    the gains. This is the one-user case of :func:`user_channel_columns`.
+    the gains, one batched phase call per path. A :class:`PathParams` holds for
+    every column; a :class:`PathBatch` holds one path per selected subcarrier,
+    so one call builds several users' columns, each on its own subcarriers
+    (index the users' :func:`path_slots` by each column's user).
     """
-    return user_channel_columns(geom, grid, [list(paths)], subcarrier_indices, None, model_tag)
+    if model_tag not in _MODEL_TAGS:
+        raise ValueError(f"unknown model_tag {model_tag!r}")
+    paths = list(paths)
+    if not paths:
+        raise ValueError("at least one path is required")
+    freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
+    if subcarrier_indices is not None:
+        idx = np.asarray(list(subcarrier_indices), dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= grid.num_subcarriers):
+            raise ValueError("subcarrier index out of range")
+        freq_dev = freq_dev[idx]
+    offsets = geom.element_offsets()[:, None]
+    out = np.zeros((geom.num_antennas, freq_dev.size), dtype=np.complex128)
+    for path in paths:
+        if isinstance(path, PathParams):
+            path = PathBatch.stack([path], path.field_model)  # broadcasts over the columns
+        elif path.gain.shape != freq_dev.shape:
+            raise ValueError(f"a PathBatch needs one path per column: {path.gain.shape} "
+                             f"paths for {freq_dev.size} columns")
+        model = path.field_model if model_tag == HYBRID else FieldModel(model_tag)
+        # one expression, so each N x C temporary is freed as soon as it is used
+        out += path.gain * np.exp(1j * path_phases(geom, path, freq_dev[:, None],
+                                                   offsets=offsets, model=model)[..., 0])
+    return out
 
 
 def synth_channel(

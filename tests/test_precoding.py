@@ -19,7 +19,6 @@ from squintlab import (
     SlicingPlan,
     SquintThresholds,
     UserSubband,
-    block_diagonal,
     digital_mrt,
     freq_boundary,
     hybrid_gain_amplitudes,
@@ -56,6 +55,7 @@ from squintlab import (
     synth_channel,
 )
 from squintlab.experiments import _fs_trial_amps, _single_link_amps
+from squintlab.precoding import block_diagonal
 
 THR = SquintThresholds()
 

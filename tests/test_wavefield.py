@@ -15,7 +15,6 @@ from squintlab import (
     CarrierGrid,
     ChannelTensor,
     FieldModel,
-    PathBatch,
     PathParams,
     SlicingPlan,
     beam_squint_matrix,
@@ -31,9 +30,9 @@ from squintlab import (
     subarray_channel,
     subcarrier_frequencies,
     synth_channel,
-    user_channel_columns,
     write_channel_dump,
 )
+from squintlab.wavefield import PathBatch, path_slots
 
 
 def make_geom(n=8, fc=7e9, spacing=None):
@@ -299,7 +298,9 @@ def test_per_column_path_phases_equal_single_path_calls(num_antennas, model, dra
                               equal_nan=True)
 
 
-def test_user_channel_columns_equal_each_users_channel():
+def test_batched_channel_columns_equal_each_users_channel():
+    # several users' columns in one call: each path slot indexed by the
+    # column's user, bit-equal to building each user's channel on its own
     geom, grid = make_geom(48), CarrierGrid.from_bandwidth(300e6, 12)
     rng = np.random.default_rng(3)
     users = [[make_path(theta=rng.uniform(-0.9, 0.9), d=rng.uniform(2.0, 60.0),
@@ -311,15 +312,29 @@ def test_user_channel_columns_equal_each_users_channel():
     widths = [1, 4, 2, 3, 2]
     owners = np.repeat(np.arange(5), widths)
     idx = np.arange(12)[::-1]
-    cols = user_channel_columns(geom, grid, users, idx, owners)
+    slots = [slot[owners] for slot in path_slots(users)]
+    cols = channel_columns(geom, grid, slots, subcarrier_indices=idx)
     for j, (user, m) in enumerate(zip(owners, idx)):
         one = channel_columns(geom, grid, users[user], subcarrier_indices=[m])
         assert np.array_equal(cols[:, j], one[:, 0])
-    forced = user_channel_columns(geom, grid, users, idx, owners, "far")
+    forced = channel_columns(geom, grid, slots, "far", idx)
     assert np.array_equal(forced[:, 0],
                           channel_columns(geom, grid, users[0], "far", [11])[:, 0])
     with pytest.raises(ValueError, match="field models"):
-        user_channel_columns(geom, grid, [users[0], users[1][::-1]], [0, 1], [0, 1])
+        path_slots([users[0], users[1][::-1]])
+
+
+@pytest.mark.parametrize("columns", [[0, 1, 2], [0, 1, 2, 3, 4], None])
+def test_batched_channel_columns_need_one_path_per_column(columns):
+    # a batch must not broadcast one user over columns it does not own
+    geom, grid = make_geom(8), CarrierGrid.from_bandwidth(300e6, 12)
+    users = [[make_path(theta=0.1 * k)] for k in range(4)]
+    slots = [slot[[0, 1, 2, 3]] for slot in path_slots(users)]
+    with pytest.raises(ValueError, match="one path per column"):
+        channel_columns(geom, grid, slots, subcarrier_indices=columns)
+    with pytest.raises(ValueError, match="one path per column"):
+        channel_columns(geom, grid, [path_slots(users)[0][:1]],
+                        subcarrier_indices=[0, 1])
 
 
 def test_delay_steering_center_subcarrier_is_one():
