@@ -244,7 +244,9 @@ def slice_analog_rows(
                            FieldModel.NARROWBAND_NEAR)[owner]
     phases = path_phases(geom, near, [0.0],
                          reference_m=subarray_center_distance(geom, near, centers))
-    acc += near.gain * np.exp(1j * phases[..., 0])
+    # np.multiply, not *: numpy would multiply a temporary of 256 KiB or more
+    # in place as temporary * gain, which rounds unlike the one-user gain * term
+    acc += np.multiply(near.gain, np.exp(1j * phases[..., 0]))
     return np.exp(1j * np.angle(acc))
 
 

@@ -455,18 +455,22 @@ def channel_columns(
         if idx.size and (idx.min() < 0 or idx.max() >= grid.num_subcarriers):
             raise ValueError("subcarrier index out of range")
         freq_dev = freq_dev[idx]
-    offsets = geom.element_offsets()[:, None]
     out = np.zeros((geom.num_antennas, freq_dev.size), dtype=np.complex128)
     for path in paths:
+        model = path.field_model if model_tag == HYBRID else FieldModel(model_tag)
+        # one expression per path, so each N x C temporary is freed as soon as
+        # it is used. A scalar gain lets numpy multiply a temporary of 256 KiB
+        # or more in place, as temporary * gain, which rounds unlike
+        # gain * temporary; a single-path channel keeps that form.
         if isinstance(path, PathParams):
-            path = PathBatch.stack([path], path.field_model)  # broadcasts over the columns
-        elif path.gain.shape != freq_dev.shape:
+            out += path.gain * np.exp(1j * path_phases(geom, path, freq_dev, model=model))
+        elif path.gain.shape == freq_dev.shape:
+            out += path.gain * np.exp(1j * path_phases(
+                geom, path, freq_dev[:, None], offsets=geom.element_offsets()[:, None],
+                model=model)[..., 0])
+        else:
             raise ValueError(f"a PathBatch needs one path per column: {path.gain.shape} "
                              f"paths for {freq_dev.size} columns")
-        model = path.field_model if model_tag == HYBRID else FieldModel(model_tag)
-        # one expression, so each N x C temporary is freed as soon as it is used
-        out += path.gain * np.exp(1j * path_phases(geom, path, freq_dev[:, None],
-                                                   offsets=offsets, model=model)[..., 0])
     return out
 
 

@@ -20,7 +20,6 @@ from squintlab import (
     freq_boundary,
     plan_antenna_slices,
     run_experiment,
-    sample_user_paths,
 )
 from squintlab.experiments import _FS_SCHEMES, _allocate_adaptive, _fs_mean_se, resolve_threads
 
@@ -527,15 +526,6 @@ def test_mixed_width_config_realizes_several_sub_band_widths():
         _, plan = _allocate_adaptive(cfg, trial, cfg.num_subarrays)
         widths |= set(plan.user_subcarriers)
     assert len(widths) > 1
-
-
-def test_allocation_grows_one_user_draw():
-    # the users of a grown pool are the first users of one draw
-    cfg = mixed_width_config()
-    for trial in range(4):
-        users, plan = _allocate_adaptive(cfg, trial, cfg.num_subarrays)
-        assert users == sample_user_paths(cfg, trial, len(users))
-        assert [sb.user for sb in plan.subbands] == list(range(len(users)))
 
 
 @pytest.mark.parametrize("seed", range(6))

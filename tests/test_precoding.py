@@ -390,13 +390,16 @@ def test_subband_beam_ignores_far_paths_and_validates():
         subband_analog_matrix(geom, [near], 7e9, 5)
 
 
-def test_batched_analog_builders_equal_one_user_at_a_time():
+@pytest.mark.parametrize("num_antennas,num_users", [(128, 6), (1024, 16)])
+def test_batched_analog_builders_equal_one_user_at_a_time(num_antennas, num_users):
     # each user's row in a batch is bit-equal to the one-user builder; a user
-    # without near paths gets the planar beam of its far path
-    cfg = ScenarioConfig(num_antennas=128, num_subcarriers=16, num_near_paths=3,
+    # without near paths gets the planar beam of its far path. 16 x 1024
+    # complex rows fill 256 KiB, where numpy starts to multiply temporaries in
+    # place, in the other operand order
+    cfg = ScenarioConfig(num_antennas=num_antennas, num_subcarriers=16, num_near_paths=3,
                          num_far_paths=2, seed=5)
     geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
-    users = [sample_scenario(cfg, trial) for trial in range(6)]
+    users = [sample_scenario(cfg, trial) for trial in range(num_users)]
     far_only = [make_path(theta=0.2, gain=0.3j, model=FieldModel.FAR),
                 make_path(theta=-0.5, gain=0.6, model=FieldModel.FAR)]
     beams = narrowband_beams(geom, users + [far_only])
@@ -408,9 +411,9 @@ def test_batched_analog_builders_equal_one_user_at_a_time():
                               slice_analog_matrix(geom, user, plan))
     centers = 7e9 + np.linspace(-250e6, 250e6, len(users))
     rows = subband_analog_rows(geom, users, centers)
-    assert rows.shape == (len(users), 128)
+    assert rows.shape == (len(users), num_antennas)
     for row, user, center in zip(rows, users, centers):
-        assert np.array_equal(block_diagonal(row, (32,) * 4),
+        assert np.array_equal(block_diagonal(row, (num_antennas // 4,) * 4),
                               subband_analog_matrix(geom, user, center, 4))
     with pytest.raises(ValueError, match="field models"):
         subband_analog_rows(geom, [users[0], users[1][1:]], centers[:2])

@@ -298,20 +298,23 @@ def test_per_column_path_phases_equal_single_path_calls(num_antennas, model, dra
                               equal_nan=True)
 
 
-def test_batched_channel_columns_equal_each_users_channel():
+@pytest.mark.parametrize("num_antennas,widths", [(48, [1, 4, 2, 3, 2]), (1024, [1] * 16)])
+def test_batched_channel_columns_equal_each_users_channel(num_antennas, widths):
     # several users' columns in one call: each path slot indexed by the
-    # column's user, bit-equal to building each user's channel on its own
-    geom, grid = make_geom(48), CarrierGrid.from_bandwidth(300e6, 12)
+    # column's user, bit-equal to building each user's channel on its own;
+    # 1024 x 16 complex entries fill 256 KiB, where numpy starts to multiply
+    # temporaries in place, in the other operand order
+    geom = make_geom(num_antennas)
+    grid = CarrierGrid.from_bandwidth(300e6, sum(widths))
     rng = np.random.default_rng(3)
     users = [[make_path(theta=rng.uniform(-0.9, 0.9), d=rng.uniform(2.0, 60.0),
                         r=rng.uniform(0.0, 60.0), gain=complex(*rng.standard_normal(2)),
                         model=model)
               for model in (FieldModel.WIDEBAND_NEAR, FieldModel.FAR,
                             FieldModel.NARROWBAND_NEAR)]
-             for _ in range(5)]
-    widths = [1, 4, 2, 3, 2]
-    owners = np.repeat(np.arange(5), widths)
-    idx = np.arange(12)[::-1]
+             for _ in widths]
+    owners = np.repeat(np.arange(len(widths)), widths)
+    idx = np.arange(grid.num_subcarriers)[::-1]
     slots = [slot[owners] for slot in path_slots(users)]
     cols = channel_columns(geom, grid, slots, subcarrier_indices=idx)
     for j, (user, m) in enumerate(zip(owners, idx)):
@@ -319,7 +322,7 @@ def test_batched_channel_columns_equal_each_users_channel():
         assert np.array_equal(cols[:, j], one[:, 0])
     forced = channel_columns(geom, grid, slots, "far", idx)
     assert np.array_equal(forced[:, 0],
-                          channel_columns(geom, grid, users[0], "far", [11])[:, 0])
+                          channel_columns(geom, grid, users[0], "far", idx[:1])[:, 0])
     with pytest.raises(ValueError, match="field models"):
         path_slots([users[0], users[1][::-1]])
 
