@@ -31,6 +31,7 @@ from .wavefield import (
     near_field_steering,
     path_phases,
     path_slots,
+    phasor,
     subarray_center_distance,
 )
 
@@ -102,7 +103,7 @@ def narrowband_beams(
     for model, rows in ((FieldModel.NARROWBAND_NEAR, ~far), (FieldModel.FAR, far)):
         if rows.any():
             batch = PathBatch.stack([p for p, row in zip(best, rows) if row], model)
-            beams[rows] = np.exp(1j * path_phases(geom, batch[:, None], [0.0])[..., 0])
+            beams[rows] = phasor(path_phases(geom, batch[:, None], [0.0])[..., 0])
     return beams / np.sqrt(geom.num_antennas)
 
 
@@ -231,7 +232,7 @@ def slice_analog_rows(
     acc = np.zeros((len(users), n), dtype=np.complex128)
     far = [[p for p in paths if p.field_model is FieldModel.FAR] for paths in users]
     for batch in path_slots(far):
-        acc += batch.gain[:, None] * np.exp(1j * path_phases(geom, batch[:, None], [0.0])[..., 0])
+        acc += batch.gain[:, None] * phasor(path_phases(geom, batch[:, None], [0.0])[..., 0])
     first = np.cumsum([0] + [len(paths) for paths in users])
     owner = np.concatenate([
         first[u] + np.repeat(np.asarray(plan.path_order)[list(plan.path_assignment)],
@@ -246,8 +247,8 @@ def slice_analog_rows(
                          reference_m=subarray_center_distance(geom, near, centers))
     # np.multiply, not *: numpy would multiply a temporary of 256 KiB or more
     # in place as temporary * gain, which rounds unlike the one-user gain * term
-    acc += np.multiply(near.gain, np.exp(1j * phases[..., 0]))
-    return np.exp(1j * np.angle(acc))
+    acc += np.multiply(near.gain, phasor(phases[..., 0]))
+    return phasor(np.angle(acc))
 
 
 def slice_analog_matrix(
@@ -293,10 +294,10 @@ def subband_analog_rows(
     for batch in path_slots(near):
         phases = path_phases(geom, batch[:, None], detune[:, None, None],
                              model=FieldModel.WIDEBAND_NEAR)
-        acc += batch.gain[:, None] * np.exp(1j * phases[..., 0])
+        acc += batch.gain[:, None] * phasor(phases[..., 0])
     if not np.all(np.any(acc, axis=1)):
         raise ValueError("user has no near-field paths")
-    return np.exp(1j * np.angle(acc))
+    return phasor(np.angle(acc))
 
 
 def subband_analog_matrix(
@@ -376,7 +377,7 @@ def multiuser_gain(
     center = totals.mean()
     offset = m_k - (subband.num_subcarriers - 1) / 2.0
     dw = 2.0 * np.pi / wave_speed * offset * subband.subcarrier_spacing_hz * (totals - center)
-    return float(np.abs(np.sum(np.exp(1j * dw) * powers)) / np.sqrt(powers.sum()))
+    return float(np.abs(np.sum(phasor(dw) * powers)) / np.sqrt(powers.sum()))
 
 
 def per_subcarrier_rates(

@@ -339,6 +339,24 @@ def path_phases(
     return carrier[..., None] + k * (np.expand_dims(ramp, -1) * np.asarray(freq_dev))
 
 
+def phasor(phases: NDArray[np.float64]) -> ComplexMatrix:
+    """Unit phasors exp(+j phases), in every bit equal to ``np.exp(1j * phases)``.
+
+    Writes cos and sin straight into the real and imaginary halves of a fresh
+    complex array, instead of making ``1j * phases`` and taking its general
+    complex exponential. The sine half adds 0.0, since the imaginary part of
+    ``exp(1j * -0.0)`` is +0.0. The result is a new array that owns its data,
+    so numpy may multiply it in place, as ``np.exp`` output was, and every
+    product around a call keeps its operand order and rounding.
+    """
+    phases = np.asarray(phases, dtype=np.float64)
+    out = np.empty(phases.shape, dtype=np.complex128)
+    np.cos(phases, out=out.real)
+    np.sin(phases, out=out.imag)
+    out.imag += 0.0
+    return out
+
+
 def near_field_steering(
     geom: ArrayGeometry,
     path: PathParams,
@@ -354,7 +372,7 @@ def near_field_steering(
     """
     phases = path_phases(geom, path, [0.0], offsets=element_offsets,
                          reference_m=reference_m, model=FieldModel.NARROWBAND_NEAR)
-    return np.exp(1j * phases[:, 0])
+    return phasor(phases[:, 0])
 
 
 def far_field_steering(
@@ -365,7 +383,7 @@ def far_field_steering(
 ) -> ComplexVector:
     """Planar-wave steering vector exp(+j (2 pi/c) f_c delta s theta)."""
     path = PathParams(1.0, sine_angle, 1.0, field_model=FieldModel.FAR)  # d, r unused at the carrier
-    return np.exp(1j * path_phases(geom, path, [0.0], offsets=element_offsets)[:, 0])
+    return phasor(path_phases(geom, path, [0.0], offsets=element_offsets)[:, 0])
 
 
 def delay_steering(
@@ -383,7 +401,7 @@ def delay_steering(
         * grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
         * total_range
     )
-    return np.exp(1j * phases)
+    return phasor(phases)
 
 
 def beam_squint_matrix(
@@ -413,7 +431,7 @@ def beam_squint_matrix(
         raise ValueError("field_mode must be 'near' or 'far'")
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
     k = 2.0 * np.pi / geom.wave_speed
-    return np.exp(1j * k * np.outer(dev, freq_dev))
+    return phasor(k * np.outer(dev, freq_dev))
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +481,9 @@ def channel_columns(
         # or more in place, as temporary * gain, which rounds unlike
         # gain * temporary; a single-path channel keeps that form.
         if isinstance(path, PathParams):
-            out += path.gain * np.exp(1j * path_phases(geom, path, freq_dev, model=model))
+            out += path.gain * phasor(path_phases(geom, path, freq_dev, model=model))
         elif path.gain.shape == freq_dev.shape:
-            out += path.gain * np.exp(1j * path_phases(
+            out += path.gain * phasor(path_phases(
                 geom, path, freq_dev[:, None], offsets=geom.element_offsets()[:, None],
                 model=model)[..., 0])
         else:
@@ -528,7 +546,7 @@ def subarray_channel(
     for path in paths:
         d_sub = subarray_center_distance(geom, path, plan.offsets[t])
         phases = path_phases(geom, path, freq_dev, offsets=block_offsets, reference_m=d_sub)
-        out += path.gain * np.exp(1j * phases)
+        out += path.gain * phasor(phases)
     sub_geom = geom.with_antennas(size)
     return ChannelTensor(out, sub_geom, grid, tuple(paths), HYBRID)
 
