@@ -340,14 +340,15 @@ def path_phases(
 
 
 def phasor(phases: NDArray[np.float64]) -> ComplexMatrix:
-    """Unit phasors exp(+j phases), in every bit equal to ``np.exp(1j * phases)``.
+    """Unit phasors exp(+j phases), equal in every bit to numpy's complex exp.
 
-    Writes cos and sin straight into the real and imaginary halves of a fresh
-    complex array, instead of making ``1j * phases`` and taking its general
+    For finite phases the result matches ``np.exp`` of ``1j * phases`` bit for
+    bit, but cos and sin go straight into the real and imaginary halves of a
+    fresh complex array instead of through a complex copy and the general
     complex exponential. The sine half adds 0.0, since the imaginary part of
-    ``exp(1j * -0.0)`` is +0.0. The result is a new array that owns its data,
-    so numpy may multiply it in place, as ``np.exp`` output was, and every
-    product around a call keeps its operand order and rounding.
+    exp(j * -0.0) is +0.0. The result owns its data, as ``np.exp``'s did, so
+    numpy still multiplies it in place at 256 KiB or more and every product
+    around a call keeps its operand order and rounding.
     """
     phases = np.asarray(phases, dtype=np.float64)
     out = np.empty(phases.shape, dtype=np.complex128)

@@ -313,3 +313,32 @@ def per_user_mean_se(amps, subbands, schemes, power, noise_power):
             for scheme in schemes
         ]))
     return np.mean(per_user, axis=0)
+
+
+# The complex-exponential forms the package used before ``wavefield.phasor``.
+# They keep each product's operand order: numpy multiplies a temporary of
+# 256 KiB or more in place (temporary * gain), which rounds unlike
+# gain * temporary, so a builder must match them in every bit, not just to
+# the 12 digits of a CSV.
+
+
+def exp_path_term(gain, phases: np.ndarray) -> np.ndarray:
+    """One path's channel term gain * exp(j phases), in this operand order."""
+    return gain * np.exp(1j * phases)
+
+
+def exp_slice_rows(
+    far_terms: list[tuple[np.ndarray, np.ndarray]],
+    near_gain: np.ndarray,
+    near_phases: np.ndarray,
+) -> np.ndarray:
+    """Antenna-slicing analog rows exp(j angle(acc)) from their phase tables.
+
+    ``far_terms`` holds one (K x 1 gains, K x N phases) pair per far-path slot;
+    the near term multiplies without numpy's in-place rewrite (np.multiply).
+    """
+    acc = np.zeros(near_phases.shape, dtype=np.complex128)
+    for gain, phases in far_terms:
+        acc += gain * np.exp(1j * phases)
+    acc += np.multiply(near_gain, np.exp(1j * near_phases))
+    return np.exp(1j * np.angle(acc))

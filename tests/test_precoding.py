@@ -56,6 +56,7 @@ from squintlab import (
 )
 from squintlab.experiments import _fs_trial_amps, _single_link_amps
 from squintlab.precoding import block_diagonal
+from squintlab.wavefield import PathBatch, path_phases, path_slots
 
 THR = SquintThresholds()
 
@@ -417,6 +418,31 @@ def test_batched_analog_builders_equal_one_user_at_a_time(num_antennas, num_user
                               subband_analog_matrix(geom, user, center, 4))
     with pytest.raises(ValueError, match="field models"):
         subband_analog_rows(geom, [users[0], users[1][1:]], centers[:2])
+
+
+def test_slice_analog_rows_equal_complex_exponential_form_bit_for_bit():
+    # 16 x 1024 rows fill numpy's 256 KiB in-place threshold, so the far
+    # terms are multiplied in place and the near term must not be
+    cfg = ScenarioConfig(num_antennas=1024, num_subcarriers=16, num_near_paths=3,
+                         num_far_paths=2, seed=5)
+    geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
+    users = [sample_scenario(cfg, trial) for trial in range(16)]
+    plans = [plan_antenna_slices(geom, grid, user, thr) for user in users]
+    far = [[p for p in paths if p.field_model is FieldModel.FAR] for paths in users]
+    far_terms = [(batch.gain[:, None], path_phases(geom, batch[:, None], [0.0])[..., 0])
+                 for batch in path_slots(far)]
+    served, centers = [], []
+    for paths, plan in zip(users, plans):
+        for t, size in enumerate(plan.subarray_sizes):
+            served += [paths[plan.path_order[plan.path_assignment[t]]]] * size
+            centers += [plan.offsets[t]] * size
+    rows = np.arange(16 * 1024).reshape(16, 1024)
+    near = PathBatch.stack(served, FieldModel.NARROWBAND_NEAR)[rows]
+    reference = subarray_center_distance(geom, near, np.asarray(centers)[rows])
+    near_phases = path_phases(geom, near, [0.0], reference_m=reference)[..., 0]
+    want = oracles.exp_slice_rows(far_terms, near.gain, near_phases)
+    got = slice_analog_rows(geom, users, plans)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@
 
 import io
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
+import squintlab
 from squintlab import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
@@ -32,7 +36,7 @@ from squintlab import (
     synth_channel,
     write_channel_dump,
 )
-from squintlab.wavefield import PathBatch, path_slots
+from squintlab.wavefield import HYBRID, PathBatch, path_slots, phasor
 
 
 def make_geom(n=8, fc=7e9, spacing=None):
@@ -241,6 +245,68 @@ def test_path_phases_take_one_reference_per_offset():
     )
     far = path_phases(geom, path, [0.0], reference_m=99.0, model=FieldModel.FAR)
     np.testing.assert_array_equal(far, path_phases(geom, path, [0.0], model=FieldModel.FAR))
+
+
+# ---------------------------------------------------------------------------
+# phasor kernel: exp(j phase) as cos + j sin, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _bits(z):
+    return np.asarray(z, dtype=np.complex128).reshape(-1).view(np.uint64)
+
+
+def _near_quarter_turn(turns, ulps):
+    # a few ulps either side of turns * pi / 2, where cos or sin nears zero
+    x = turns * (math.pi / 2.0)
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# every finite float64: +-0.0, subnormals, magnitudes up to 1.8e308
+_PHASES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.builds(_near_quarter_turn, st.integers(-2**40, 2**40),
+                              st.integers(-4, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                                 max_side=5), elements=_PHASES),
+       view=st.sampled_from(["whole", "reversed", "transposed"]))
+def test_phasor_equals_complex_exponential_bit_for_bit(x, view):
+    if view == "reversed" and x.ndim:
+        x = x[..., ::-2]
+    elif view == "transposed":
+        x = x.T
+    got = phasor(x)
+    assert got.shape == x.shape and got.dtype == np.complex128
+    assert np.array_equal(_bits(got), _bits(np.exp(1j * x)))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1e-3, 1.0, 10.0, 1e3, 1e6, 1e20, 1e300])
+def test_phasor_equals_complex_exponential_on_long_arrays(scale):
+    # 65,536 draws per scale, contiguous and every third element
+    x = np.random.default_rng(11).uniform(-scale, scale, 1 << 16)
+    for arr in (x, x[::3], x.reshape(256, 256).T):
+        assert np.array_equal(_bits(phasor(arr)), _bits(np.exp(1j * arr)))
+    assert np.array_equal(_bits(phasor([0.0, -0.0])), _bits([1.0, 1.0]))
+
+
+def test_phasor_returns_a_fresh_array_owning_its_data():
+    # numpy multiplies a temporary in place only when it owns its data, as
+    # np.exp's result did; a view would round the products around it otherwise
+    out = phasor(np.linspace(-4.0, 4.0, 12).reshape(3, 4))
+    assert out.base is None and out.flags.c_contiguous and out.flags.writeable
+
+
+def test_source_builds_every_phase_factor_with_phasor():
+    exp_of_j = re.compile(r"np\.exp\(\s*-?\s*1j")
+    found = [f"{path.name}:{number}"
+             for path in sorted(Path(squintlab.__file__).parent.rglob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if exp_of_j.search(line)]
+    assert not found, f"use wavefield.phasor instead of np.exp(1j ...): {found}"
 
 
 # the batch axis: wide geometry, every field model, bit-equal to one path at a time
@@ -525,6 +591,45 @@ def test_hybrid_channel_is_sum_of_per_path_terms():
     total = synth_channel(geom, grid, paths).entries
     parts = sum(synth_channel(geom, grid, [p]).entries for p in paths)
     assert np.allclose(total, parts, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("num_antennas,num_subcarriers", [(128, 16), (1024, 256)])
+@pytest.mark.parametrize("model_tag", ["wideband-near", "narrowband-near", "far", HYBRID])
+def test_channel_columns_equal_complex_exponential_terms_bit_for_bit(
+        num_antennas, num_subcarriers, model_tag):
+    # 128 x 16 terms stay below numpy's 256 KiB in-place threshold, 1024 x 256
+    # terms (4 MiB) exceed it, so each keeps its own product rounding
+    geom = make_geom(num_antennas)
+    grid = CarrierGrid.from_bandwidth(600e6, num_subcarriers)
+    rng = np.random.default_rng(num_antennas)
+    paths = [make_path(theta=rng.uniform(-0.9, 0.9), d=rng.uniform(2.0, 60.0),
+                       r=rng.uniform(0.0, 60.0), gain=complex(*rng.standard_normal(2)),
+                       model=model)
+             for model in (FieldModel.WIDEBAND_NEAR, FieldModel.NARROWBAND_NEAR,
+                           FieldModel.FAR)]
+    freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
+    want = np.zeros((num_antennas, num_subcarriers), dtype=np.complex128)
+    for path in paths:
+        model = path.field_model if model_tag == HYBRID else FieldModel(model_tag)
+        want += oracles.exp_path_term(path.gain,
+                                      path_phases(geom, path, freq_dev, model=model))
+    got = channel_columns(geom, grid, paths, model_tag)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a batch entry: one path per column, each column its own user
+    batch = PathBatch.stack([make_path(theta=t, d=d, r=r, gain=complex(a, b),
+                                       model=FieldModel.WIDEBAND_NEAR)
+                             for t, d, r, a, b in zip(rng.uniform(-0.9, 0.9, num_subcarriers),
+                                                      rng.uniform(2.0, 60.0, num_subcarriers),
+                                                      rng.uniform(0.0, 60.0, num_subcarriers),
+                                                      *rng.standard_normal((2, num_subcarriers)))],
+                            FieldModel.WIDEBAND_NEAR)
+    model = FieldModel.WIDEBAND_NEAR if model_tag == HYBRID else FieldModel(model_tag)
+    want = np.zeros((num_antennas, num_subcarriers), dtype=np.complex128)
+    want += oracles.exp_path_term(batch.gain, path_phases(
+        geom, batch, freq_dev[:, None], offsets=geom.element_offsets()[:, None],
+        model=model)[..., 0])
+    got = channel_columns(geom, grid, [batch], model_tag)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_channel_columns_subset_matches_full_matrix():
