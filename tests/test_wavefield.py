@@ -616,13 +616,11 @@ def test_channel_columns_equal_complex_exponential_terms_bit_for_bit(
     got = channel_columns(geom, grid, paths, model_tag)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # a batch entry: one path per column, each column its own user
-    batch = PathBatch.stack([make_path(theta=t, d=d, r=r, gain=complex(a, b),
-                                       model=FieldModel.WIDEBAND_NEAR)
-                             for t, d, r, a, b in zip(rng.uniform(-0.9, 0.9, num_subcarriers),
-                                                      rng.uniform(2.0, 60.0, num_subcarriers),
-                                                      rng.uniform(0.0, 60.0, num_subcarriers),
-                                                      *rng.standard_normal((2, num_subcarriers)))],
-                            FieldModel.WIDEBAND_NEAR)
+    batch = PathBatch(rng.standard_normal(num_subcarriers)
+                      + 1j * rng.standard_normal(num_subcarriers),
+                      rng.uniform(-0.9, 0.9, num_subcarriers),
+                      rng.uniform(2.0, 60.0, num_subcarriers),
+                      rng.uniform(0.0, 60.0, num_subcarriers), FieldModel.WIDEBAND_NEAR)
     model = FieldModel.WIDEBAND_NEAR if model_tag == HYBRID else FieldModel(model_tag)
     want = np.zeros((num_antennas, num_subcarriers), dtype=np.complex128)
     want += oracles.exp_path_term(batch.gain, path_phases(
