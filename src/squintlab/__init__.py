@@ -1,6 +1,6 @@
 """Beam-squint boundaries and channel slicing for very large OFDM arrays.
 
-Submodules: ``wavefield`` (geometry, steering, channel synthesis),
+Submodules: ``wavefield`` (geometry, phase kernel, channel synthesis),
 ``boundaries`` (squint/near-field boundaries and classification), ``slicing``
 (antenna and sub-band partition planning), ``precoding`` (precoders and SE
 metrics), ``scenario`` (config and seeded sampling), ``experiments`` (Monte
@@ -21,37 +21,25 @@ from .boundaries import (
     freq_boundary,
     is_unbounded,
     max_distance_variation,
-    max_squint_phase,
     near_field_threshold,
-    near_field_threshold_approx,
     subband_phase_limit,
 )
 from .experiments import CSV_HEADER, EXPERIMENTS, SweepResult, SweepRow, run_experiment
 from .precoding import (
-    DegenerateSubcarrierError,
     PrecoderSet,
     Scheme,
-    digital_mrt,
     hybrid_gain_amplitudes,
-    mrt_full_array,
-    multiuser_gain,
     narrowband_beams,
     narrowband_mrt,
     normalized_array_gain,
-    optimal_precoder_set,
-    optimal_receiver,
     per_subcarrier_rates,
     power_for_snr_db,
-    se_closed_forms,
-    se_equal_slicing_closed_form,
     se_optimal,
-    se_single_path_bound,
     se_slicing_closed_form,
     se_subband_closed_form,
     slice_analog_matrix,
     slice_analog_rows,
     slice_precoder_set,
-    snr_db,
     spectral_efficiency,
     static_precoder_set,
     subband_analog_matrix,
@@ -61,7 +49,6 @@ from .precoding import (
 from .scenario import (
     RngStream,
     ScenarioConfig,
-    mean_path_power,
     sample_paths,
     sample_scenario,
     sample_user_paths,
@@ -84,15 +71,9 @@ from .wavefield import (
     PathParams,
     beam_squint_matrix,
     channel_columns,
-    delay_steering,
-    far_field_steering,
-    near_field_steering,
     path_phases,
     read_channel_dump,
-    scatterer_antenna_distance,
     subarray_center_distance,
-    subarray_channel,
-    subcarrier_frequencies,
     synth_channel,
     write_channel_dump,
 )

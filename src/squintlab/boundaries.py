@@ -135,7 +135,7 @@ class BoundaryReport:
 
 
 # ---------------------------------------------------------------------------
-# distance-variation and phase extremes
+# distance variation
 # ---------------------------------------------------------------------------
 
 
@@ -158,20 +158,6 @@ def max_distance_variation(geom: ArrayGeometry, path: PathParams, field_mode: st
     t2 = (n - 1) * d * s * theta
     t3 = ((n - 1) * s / 2.0) ** 2
     return (t2 + t3) / (math.sqrt(d * d + t2 + t3) + d)
-
-
-def max_squint_phase(
-    geom: ArrayGeometry, grid: CarrierGrid, path: PathParams, field_mode: str = "near"
-) -> float:
-    """Continuous-band squint-phase extreme (pi B / c) * max_distance_variation.
-
-    The discrete M-point grid attains (M-1)/M of this value exactly, since the
-    outermost subcarrier sits at (M-1)/2 * df = B/2 * (M-1)/M.
-    """
-    return (
-        math.pi * grid.bandwidth_hz / geom.wave_speed
-        * max_distance_variation(geom, path, field_mode)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +260,6 @@ def near_field_threshold(
     c = wave_speed
     s = c / (2.0 * center_freq_hz) if spacing_m is None else spacing_m
     return _quadratic_root_plus_one(*_carrier_coefficients(path, center_freq_hz, kappa_a, s, c))
-
-
-def near_field_threshold_approx(sine_angle: float, kappa_a: float = 0.125) -> float:
-    """Large-|theta| approximation 2 kappa_a / |theta| + 1 of the threshold."""
-    theta = abs(sine_angle)
-    if theta == 0.0:
-        raise ValueError("approximation undefined at broadside")
-    return 2.0 * kappa_a / theta + 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 from typing import Sequence
 
 from .boundaries import BoundaryReport, boundary_report, classify_path, is_unbounded
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, _allocate_adaptive, run_experiment
 from .scenario import ScenarioConfig, sample_scenario
 from .slicing import InfeasiblePlanError, plan_antenna_slices
 from .wavefield import (
@@ -216,8 +216,6 @@ def _cmd_plan(args, parser) -> int:
         return 0
     if _path_flags(args):
         parser.error(f"plan subband samples its users and takes no {_path_flags(args)}")
-    from .experiments import _allocate_adaptive
-
     _, plan = _allocate_adaptive(config, args.trial, config.num_subarrays)
     print(json.dumps(plan.to_json_dict(), indent=2))
     return 0

@@ -9,7 +9,7 @@ fully digital upper bound every hybrid scheme is measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -18,7 +18,6 @@ from numpy.typing import NDArray
 
 from .slicing import SlicingPlan, UserSubband
 from .wavefield import (
-    SPEED_OF_LIGHT,
     ArrayGeometry,
     CarrierGrid,
     ChannelTensor,
@@ -28,7 +27,6 @@ from .wavefield import (
     PathBatch,
     PathParams,
     beam_squint_matrix,
-    near_field_steering,
     path_phases,
     path_slots,
     phasor,
@@ -39,15 +37,10 @@ from .wavefield import (
 class Scheme(Enum):
     """Which construction produced a precoder set (also the CSV curve label)."""
 
-    FULL_ARRAY_MRT = "full-array-mrt"
     NARROWBAND_BASELINE = "narrowband-mrt"
     OPTIMAL = "optimal"
     ANTENNA_SLICING = "antenna-slicing"
     SUBBAND_SLICING = "subband-slicing"
-
-
-class DegenerateSubcarrierError(ValueError):
-    """Channel column orthogonal to every analog beam; no digital MRT exists."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +54,6 @@ class PrecoderSet:
     scheme: Scheme
     digital: ComplexMatrix
     analog: ComplexMatrix | None = None
-    block_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.analog is not None and self.analog.shape[1] != self.digital.shape[0]:
@@ -77,11 +69,6 @@ class PrecoderSet:
 # ---------------------------------------------------------------------------
 # precoder constructions
 # ---------------------------------------------------------------------------
-
-
-def mrt_full_array(geom: ArrayGeometry, path: PathParams) -> ComplexVector:
-    """Unit-norm MRT beam (1/sqrt(N)) w(theta, d) matched to one path at carrier."""
-    return near_field_steering(geom, path) / np.sqrt(geom.num_antennas)
 
 
 def narrowband_beams(
@@ -112,35 +99,10 @@ def narrowband_mrt(geom: ArrayGeometry, paths: Sequence[PathParams]) -> ComplexV
     return narrowband_beams(geom, [paths])[0]
 
 
-def optimal_receiver(
-    geom: ArrayGeometry, grid: CarrierGrid, path: PathParams, m: int
-) -> ComplexVector:
-    """Per-subcarrier matched beam (1/sqrt(N)) (w element* squint column m).
-
-    Aligns every element's phase at subcarrier m exactly, so the single-path
-    beamforming gain is sqrt(N) |g| at every subcarrier. ``m`` is 0-based.
-    """
-    if not 0 <= m < grid.num_subcarriers:
-        raise ValueError("subcarrier index out of range")
-    freq_dev = float(grid.subcarrier_offsets()[m]) * grid.subcarrier_spacing_hz
-    retuned = replace(geom, center_freq_hz=geom.center_freq_hz + freq_dev)
-    return near_field_steering(retuned, path) / np.sqrt(geom.num_antennas)
-
-
 def static_precoder_set(beam: ComplexVector, num_subcarriers: int, scheme: Scheme) -> PrecoderSet:
     """Frequency-flat beam wrapped as a fully digital per-subcarrier set."""
     digital = np.repeat(np.asarray(beam, dtype=np.complex128)[:, None], num_subcarriers, axis=1)
     return PrecoderSet(scheme, digital)
-
-
-def optimal_precoder_set(channel: ChannelTensor | ComplexMatrix) -> PrecoderSet:
-    """Per-subcarrier matched filter h_m / ||h_m|| (zero columns stay zero)."""
-    entries = channel.entries if isinstance(channel, ChannelTensor) else np.asarray(channel)
-    norms = np.linalg.norm(entries, axis=0)
-    digital = np.zeros_like(entries)
-    good = norms > 0.0
-    digital[:, good] = entries[:, good] / norms[good]
-    return PrecoderSet(Scheme.OPTIMAL, digital)
 
 
 def block_diagonal(entries: ComplexVector, sizes: Sequence[int]) -> ComplexMatrix:
@@ -148,20 +110,6 @@ def block_diagonal(entries: ComplexVector, sizes: Sequence[int]) -> ComplexMatri
     analog = np.zeros((len(entries), len(sizes)), dtype=np.complex128)
     analog[np.arange(len(entries)), np.repeat(np.arange(len(sizes)), sizes)] = entries
     return analog
-
-
-def digital_mrt(channel_column: ComplexVector, analog: ComplexMatrix) -> ComplexVector:
-    """Per-subcarrier digital MRT f_D = F^H h / ||F F^H h||.
-
-    The returned vector makes the cascade F f_D unit-norm. Raises
-    :class:`DegenerateSubcarrierError` when the column is orthogonal to every
-    analog beam (that subcarrier then carries zero rate).
-    """
-    projected = analog.conj().T @ np.asarray(channel_column)
-    denom = float(np.linalg.norm(analog @ projected))
-    if denom == 0.0:
-        raise DegenerateSubcarrierError("channel column orthogonal to analog beams")
-    return projected / denom
 
 
 def _mrt_projection(
@@ -210,7 +158,7 @@ def _hybrid_set(
     digital = np.zeros_like(projected)
     good = den > 0.0
     digital[:, good] = projected[:, good] / den[good]
-    return PrecoderSet(scheme, digital, analog, tuple(block_sizes))
+    return PrecoderSet(scheme, digital, analog)
 
 
 def slice_analog_rows(
@@ -337,47 +285,15 @@ def subband_precoder_set(
 
 
 def normalized_array_gain(
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    path: PathParams,
-    m: int | None = None,
-) -> float | NDArray[np.float64]:
-    """MRT array gain |sum_n q_c(m)_n| / N at subcarrier m (all m when None).
+    geom: ArrayGeometry, grid: CarrierGrid, path: PathParams
+) -> NDArray[np.float64]:
+    """MRT array gain |sum_n q_c(m)_n| / N at every subcarrier m.
 
     Equals 1 exactly at the center subcarrier offset and decays as squint
     dephases the elements; always in [0, 1].
     """
-    squint = beam_squint_matrix(geom, grid, path, "near")
-    gains = np.abs(squint.sum(axis=0)) / geom.num_antennas
-    if m is None:
-        return gains
-    if not 0 <= m < grid.num_subcarriers:
-        raise ValueError("subcarrier index out of range")
-    return float(gains[m])
-
-
-def multiuser_gain(
-    user_paths: Sequence[PathParams],
-    subband: UserSubband,
-    m_k: int,
-    wave_speed: float = SPEED_OF_LIGHT,
-) -> float:
-    """Delay-spread gain of a user's multipath sum at local subcarrier m_k.
-
-    |sum_l exp(j dw_l) |g_l|^2| / sqrt(sum_l |g_l|^2), with dw_l the sub-band
-    frequency offset times each path's range deviation from the user mean.
-    As defined this is an amplitude-like quantity (not capped at 1).
-    """
-    if not user_paths:
-        raise ValueError("at least one path is required")
-    if not 0 <= m_k < subband.num_subcarriers:
-        raise ValueError("subcarrier index out of range")
-    totals = np.asarray([p.total_range_m for p in user_paths])
-    powers = np.asarray([abs(p.gain) ** 2 for p in user_paths])
-    center = totals.mean()
-    offset = m_k - (subband.num_subcarriers - 1) / 2.0
-    dw = 2.0 * np.pi / wave_speed * offset * subband.subcarrier_spacing_hz * (totals - center)
-    return float(np.abs(np.sum(phasor(dw) * powers)) / np.sqrt(powers.sum()))
+    squint = beam_squint_matrix(geom, grid, path)
+    return np.abs(squint.sum(axis=0)) / geom.num_antennas
 
 
 def per_subcarrier_rates(
@@ -442,18 +358,6 @@ def se_slicing_closed_form(
     return float(np.log2(1.0 + num / den))
 
 
-def se_equal_slicing_closed_form(
-    power: float,
-    noise_power: float,
-    gains: Sequence[complex],
-    num_antennas: int,
-) -> float:
-    """Equal-size special case log2(1 + P N sum_t |g_t|^2 / (T sigma^2))."""
-    g2 = np.asarray([abs(g) ** 2 for g in gains], dtype=np.float64)
-    t = len(g2)
-    return float(np.log2(1.0 + power * num_antennas * g2.sum() / (t * noise_power)))
-
-
 def se_subband_closed_form(
     power: float,
     noise_power: float,
@@ -471,49 +375,13 @@ def se_subband_closed_form(
     return float(np.log2(1.0 + num / den))
 
 
-def se_single_path_bound(
-    power: float, noise_power: float, gain: complex, num_antennas: int
-) -> float:
-    """Single-path fully digital bound log2(1 + P N |g|^2 / sigma^2)."""
-    return float(np.log2(1.0 + power * num_antennas * abs(gain) ** 2 / noise_power))
-
-
-def se_closed_forms(
-    power: float,
-    noise_power: float,
-    gains: Sequence[complex],
-    sizes: Sequence[int],
-    block_gain_sums: Sequence[float] | None = None,
-    subarray_size: int | None = None,
-) -> dict[str, float]:
-    """All applicable closed forms for one scenario, keyed by name."""
-    out = {
-        "antenna_slicing": se_slicing_closed_form(power, noise_power, gains, sizes),
-        "antenna_slicing_equal": se_equal_slicing_closed_form(
-            power, noise_power, gains, int(np.sum(sizes))
-        ),
-    }
-    if block_gain_sums is not None and subarray_size is not None:
-        out["subband_slicing"] = se_subband_closed_form(
-            power, noise_power, block_gain_sums, subarray_size
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # SNR helpers
 # ---------------------------------------------------------------------------
 
 
-def snr_db(power: float, gain: complex, noise_power: float) -> float:
-    """Link SNR 10 log10(P |g|^2 / sigma^2) in dB."""
-    if power <= 0.0 or noise_power <= 0.0 or gain == 0:
-        raise ValueError("power, noise_power and |gain| must be positive")
-    return float(10.0 * np.log10(power * abs(gain) ** 2 / noise_power))
-
-
 def power_for_snr_db(snr: float, gain: complex, noise_power: float) -> float:
-    """Transmit power achieving the given SNR for a path gain (inverse of snr_db)."""
+    """Transmit power P with 10 log10(P |g|^2 / sigma^2) = snr for a path gain."""
     if noise_power <= 0.0 or gain == 0:
         raise ValueError("noise_power and |gain| must be positive")
     return float(10.0 ** (snr / 10.0) * noise_power / abs(gain) ** 2)

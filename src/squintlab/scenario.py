@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -90,10 +89,15 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - names)
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(kinds))
         if unknown:
             raise ValueError(f"unknown config fields: {', '.join(unknown)}")
+        for name, value in data.items():
+            # JSON true/false are ints to Python; no field takes a bool
+            allowed = (int,) if kinds[name] == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"config field {name} must be {kinds[name]}, got {value!r}")
         return cls(**data)
 
 
@@ -167,10 +171,3 @@ def sample_user_paths(
     return [
         sample_paths(rng, config, config.num_near_paths, num_far) for _ in range(k)
     ]
-
-
-def mean_path_power(paths: Sequence[PathParams]) -> float:
-    """Average |gain|^2 over a path list (diagnostic for sampling tests)."""
-    if not paths:
-        raise ValueError("at least one path is required")
-    return float(np.mean([abs(p.gain) ** 2 for p in paths]))

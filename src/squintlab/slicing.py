@@ -51,18 +51,6 @@ class SlicingPlan:
     offsets: tuple[float, ...]
     num_antennas: int
 
-    @property
-    def num_subarrays(self) -> int:
-        return len(self.subarray_sizes)
-
-    def starts(self) -> tuple[int, ...]:
-        """First antenna row of each subarray."""
-        acc, out = 0, []
-        for size in self.subarray_sizes:
-            out.append(acc)
-            acc += size
-        return tuple(out)
-
     def to_json_dict(self) -> dict:
         return {
             "subarrays": [
@@ -101,16 +89,8 @@ class SubbandPlan:
     subarray_size: int
 
     @property
-    def user_bandwidths(self) -> tuple[float, ...]:
-        return tuple(sb.bandwidth_hz for sb in self.subbands)
-
-    @property
     def user_subcarriers(self) -> tuple[int, ...]:
         return tuple(sb.num_subcarriers for sb in self.subbands)
-
-    @property
-    def user_centers(self) -> tuple[float, ...]:
-        return tuple(sb.center_hz for sb in self.subbands)
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,4 +1,4 @@
-"""Array/OFDM geometry, steering vectors, squint matrices, and wideband channel synthesis.
+"""Array/OFDM geometry, the phase kernel, squint matrices, and wideband channel synthesis.
 
 The model is a uniform linear array (ULA) with N antennas at spacing s serving an
 OFDM grid of M subcarriers spanning bandwidth B around a center frequency f_c.
@@ -17,13 +17,10 @@ import os
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import BinaryIO, Iterable, Sequence, TYPE_CHECKING
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-
-if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    from .slicing import SlicingPlan
 
 SPEED_OF_LIGHT = 299792458.0
 """Exact vacuum light speed (m/s)."""
@@ -82,11 +79,6 @@ class ArrayGeometry:
         """Carrier wavelength c / f_c."""
         return self.wave_speed / self.center_freq_hz
 
-    @property
-    def aperture_m(self) -> float:
-        """Physical span (N - 1) s of the array."""
-        return (self.num_antennas - 1) * self.spacing_m
-
     def element_offsets(self) -> NDArray[np.float64]:
         """Signed index offsets of each element from the array center.
 
@@ -138,8 +130,6 @@ class PathParams:
     ``scatterer_distance_m`` is the scatterer-to-array-center distance d > 0 and
     ``ue_range_m`` the UE-to-scatterer range r >= 0 (r = 0 marks the LoS path).
     ``sine_angle`` is sin of the departure angle, strictly inside (-1, 1).
-    ``loss_amp`` keeps the raw small-scale coefficient rho when the gain was
-    derived from one (see :meth:`from_loss_amplitude`); otherwise ``None``.
     """
 
     gain: complex
@@ -147,7 +137,6 @@ class PathParams:
     scatterer_distance_m: float
     ue_range_m: float = 0.0
     field_model: FieldModel = FieldModel.WIDEBAND_NEAR
-    loss_amp: complex | None = None
 
     def __post_init__(self) -> None:
         if not -1.0 < self.sine_angle < 1.0:
@@ -164,27 +153,6 @@ class PathParams:
         """End-to-end path length r + d."""
         return self.ue_range_m + self.scatterer_distance_m
 
-    @classmethod
-    def from_loss_amplitude(
-        cls,
-        loss_amp: complex,
-        sine_angle: float,
-        scatterer_distance_m: float,
-        ue_range_m: float = 0.0,
-        field_model: FieldModel = FieldModel.WIDEBAND_NEAR,
-        *,
-        center_freq_hz: float,
-        wave_speed: float = SPEED_OF_LIGHT,
-    ) -> "PathParams":
-        """Build a path whose gain carries the carrier phase of its length.
-
-        gain = rho * exp(+j (2 pi / c) f_c (r + d)).
-        """
-        phase = 2.0 * np.pi / wave_speed * center_freq_hz * (ue_range_m + scatterer_distance_m)
-        gain = complex(loss_amp) * complex(np.cos(phase), np.sin(phase))
-        return cls(gain, sine_angle, scatterer_distance_m, ue_range_m, field_model, complex(loss_amp))
-
-
 @dataclass(frozen=True, eq=False)
 class ChannelTensor:
     """N x M complex channel with the geometry/grid/paths that produced it."""
@@ -193,7 +161,6 @@ class ChannelTensor:
     geometry: ArrayGeometry
     grid: CarrierGrid
     paths: tuple[PathParams, ...]
-    model_tag: str = HYBRID
 
     def __post_init__(self) -> None:
         expected = (self.geometry.num_antennas, self.grid.num_subcarriers)
@@ -212,13 +179,8 @@ class ChannelTensor:
 
 
 # ---------------------------------------------------------------------------
-# steering / squint operations
+# phase kernel and squint matrix
 # ---------------------------------------------------------------------------
-
-
-def subcarrier_frequencies(grid: CarrierGrid, center_hz: float) -> NDArray[np.float64]:
-    """Absolute subcarrier frequencies center + offset*df (strictly increasing)."""
-    return center_hz + grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
 
 
 def _element_ranges(
@@ -229,24 +191,6 @@ def _element_ranges(
     s = geom.spacing_m
     x = offsets * s
     return np.sqrt(distance_m * distance_m - 2.0 * distance_m * x * sine_angle + x * x)
-
-
-def scatterer_antenna_distance(
-    geom: ArrayGeometry, path: PathParams, antenna_index: int | None = None
-) -> float | NDArray[np.float64]:
-    """Distance from the path's scatterer to one antenna (or to all, index=None).
-
-    Uses the exact law-of-cosines form
-    sqrt(d^2 - 2 d delta s theta + delta^2 s^2); the center element (delta = 0)
-    returns d itself. ``antenna_index`` is 0-based.
-    """
-    offsets = geom.element_offsets()
-    ranges = _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, offsets)
-    if antenna_index is None:
-        return ranges
-    if not 0 <= antenna_index < geom.num_antennas:
-        raise ValueError("antenna_index out of range")
-    return float(ranges[antenna_index])
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,78 +302,16 @@ def phasor(phases: NDArray[np.float64]) -> ComplexMatrix:
     return out
 
 
-def near_field_steering(
-    geom: ArrayGeometry,
-    path: PathParams,
-    *,
-    element_offsets: NDArray[np.float64] | None = None,
-    reference_m: float | None = None,
-) -> ComplexVector:
-    """Spherical-wave steering vector exp(+j (2 pi/c) f_c (d_n - d_ref)).
-
-    By default the reference is the scatterer-to-center distance d, matching the
-    full-array definition; pass ``element_offsets``/``reference_m`` to build the
-    steering of a subarray block referenced to its own center.
-    """
-    phases = path_phases(geom, path, [0.0], offsets=element_offsets,
-                         reference_m=reference_m, model=FieldModel.NARROWBAND_NEAR)
-    return phasor(phases[:, 0])
-
-
-def far_field_steering(
-    geom: ArrayGeometry,
-    sine_angle: float,
-    *,
-    element_offsets: NDArray[np.float64] | None = None,
-) -> ComplexVector:
-    """Planar-wave steering vector exp(+j (2 pi/c) f_c delta s theta)."""
-    path = PathParams(1.0, sine_angle, 1.0, field_model=FieldModel.FAR)  # d, r unused at the carrier
-    return phasor(path_phases(geom, path, [0.0], offsets=element_offsets)[:, 0])
-
-
-def delay_steering(
-    grid: CarrierGrid,
-    path: PathParams | float,
-    wave_speed: float = SPEED_OF_LIGHT,
-) -> ComplexVector:
-    """Frequency ramp exp(+j (2 pi/c) delta_m df (r + d)) across the grid.
-
-    ``path`` may be a :class:`PathParams` or the total range r + d in meters.
-    """
-    total_range = path.total_range_m if isinstance(path, PathParams) else float(path)
-    phases = (
-        2.0 * np.pi / wave_speed
-        * grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-        * total_range
-    )
-    return phasor(phases)
-
-
-def beam_squint_matrix(
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    path: PathParams,
-    field_mode: str = "near",
-    *,
-    element_offsets: NDArray[np.float64] | None = None,
-) -> ComplexMatrix:
+def beam_squint_matrix(geom: ArrayGeometry, grid: CarrierGrid, path: PathParams) -> ComplexMatrix:
     """N x M matrix of the residual antenna-frequency cross phases.
 
-    Near mode: entry (n, m) = exp(+j (2 pi/c) delta_m df (d_n - d)); far mode
-    replaces the range offset d_n - d by delta_n s theta. The center subcarrier
-    column (delta_m = 0) is all ones.
+    Entry (n, m) = exp(+j (2 pi/c) delta_m df (d_n - d)), with d_n the exact
+    range of element n. The center subcarrier column (delta_m = 0) is all ones.
     """
-    if element_offsets is None:
-        element_offsets = geom.element_offsets()
-    if field_mode == "near":
-        dev = (
-            _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, element_offsets)
-            - path.scatterer_distance_m
-        )
-    elif field_mode == "far":
-        dev = element_offsets * geom.spacing_m * path.sine_angle
-    else:
-        raise ValueError("field_mode must be 'near' or 'far'")
+    dev = (
+        _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, geom.element_offsets())
+        - path.scatterer_distance_m
+    )
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
     k = 2.0 * np.pi / geom.wave_speed
     return phasor(k * np.outer(dev, freq_dev))
@@ -506,50 +388,15 @@ def synth_channel(
     paths use planar steering with the common delay ramp.
     """
     entries = channel_columns(geom, grid, paths, model_tag)
-    return ChannelTensor(entries, geom, grid, tuple(paths), model_tag)
+    return ChannelTensor(entries, geom, grid, tuple(paths))
 
 
 def subarray_center_distance(
-    geom: ArrayGeometry, path: PathParams, offset: float | NDArray[np.float64]
-) -> float | NDArray[np.float64]:
-    """Scatterer distance to a subarray center sitting ``offset`` elements off-center.
-
-    An array of offsets gives one distance per offset.
-    """
-    offsets = np.atleast_1d(np.asarray(offset, dtype=np.float64))
-    ranges = _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, offsets)
-    return float(ranges[0]) if np.ndim(offset) == 0 else ranges
-
-
-def subarray_channel(
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    paths: Sequence[PathParams],
-    plan: "SlicingPlan",
-    t: int,
-) -> ChannelTensor:
-    """Channel block of subarray ``t`` (0-based) under ``plan``.
-
-    Near-path steering is referenced to the subarray's own center distance, so
-    stacking the blocks over t reproduces the full-array channel only after each
-    near-path block is multiplied by the relocation phase
-    exp(+j (2 pi/c) f_c (d_sub - d)).
-    """
-    sizes = plan.subarray_sizes
-    if not 0 <= t < len(sizes):
-        raise ValueError("subarray index out of range")
-    if sum(sizes) != geom.num_antennas:
-        raise ValueError("plan does not cover the full array")
-    size = sizes[t]
-    block_offsets = plan.offsets[t] + (np.arange(size, dtype=np.float64) - (size - 1) / 2.0)
-    freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-    out = np.zeros((size, grid.num_subcarriers), dtype=np.complex128)
-    for path in paths:
-        d_sub = subarray_center_distance(geom, path, plan.offsets[t])
-        phases = path_phases(geom, path, freq_dev, offsets=block_offsets, reference_m=d_sub)
-        out += path.gain * phasor(phases)
-    sub_geom = geom.with_antennas(size)
-    return ChannelTensor(out, sub_geom, grid, tuple(paths), HYBRID)
+    geom: ArrayGeometry, path: PathParams | PathBatch, offsets: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Scatterer distance to each subarray center sitting ``offsets`` elements off-center."""
+    return _element_ranges(geom, path.sine_angle, path.scatterer_distance_m,
+                           np.asarray(offsets, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,20 @@ def per_user_mean_se(amps, subbands, schemes, power, noise_power):
     return np.mean(per_user, axis=0)
 
 
+def digital_mrt(channel_column: np.ndarray, analog: np.ndarray) -> np.ndarray:
+    """Per-subcarrier digital MRT f_D = F^H h / ||F F^H h||, one column at a time.
+
+    The cascade F f_D is unit-norm. The package forms every column at once
+    with the block-size form of the denominator; this N-row product is its
+    reference. A column orthogonal to every analog beam has no digital MRT.
+    """
+    projected = analog.conj().T @ np.asarray(channel_column)
+    denom = float(np.linalg.norm(analog @ projected))
+    if denom == 0.0:
+        raise ValueError("channel column orthogonal to analog beams")
+    return projected / denom
+
+
 # The complex-exponential forms the package used before ``wavefield.phasor``.
 # They keep each product's operand order: numpy multiplies a temporary of
 # 256 KiB or more in place (temporary * gain), which rounds unlike

@@ -41,7 +41,6 @@ from squintlab import (
     slice_precoder_set,
     spectral_efficiency,
     subband_precoder_set,
-    subcarrier_frequencies,
     synth_channel,
 )
 from squintlab.cli import cli_main
@@ -274,7 +273,7 @@ def test_closed_form_se_cross_check():
             PathParams(0.6 * np.exp(0.9j), -0.4, 55.0, 5.0)]
     channel = synth_channel(geom, grid, user)
     start_idx, count = 5, 5
-    freqs = subcarrier_frequencies(grid, 7e9)
+    freqs = 7e9 + grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
     center = float(freqs[start_idx:start_idx + count].mean())
     subband = UserSubband(0, count, start_idx, grid.subcarrier_spacing_hz, center)
     block = channel.entries[:, start_idx:start_idx + count]

@@ -21,10 +21,9 @@ from squintlab import (
     classify_path,
     freq_boundary,
     is_unbounded,
+    beam_squint_matrix,
     max_distance_variation,
-    max_squint_phase,
     near_field_threshold,
-    near_field_threshold_approx,
     subband_phase_limit,
 )
 
@@ -85,20 +84,20 @@ def test_variation_is_even_in_angle(seed):
 def test_zero_bandwidth_limit_has_no_squint():
     geom = make_geom(256)
     grid = CarrierGrid(16, 1e-9)
-    assert max_squint_phase(geom, grid, make_path()) < 1e-12
+    assert np.max(np.abs(np.angle(beam_squint_matrix(geom, grid, make_path())))) < 1e-12
 
 
 def test_broadside_far_mode_has_no_squint():
     geom = make_geom(256)
-    grid = CarrierGrid.from_bandwidth(600e6, 16)
-    assert max_squint_phase(geom, grid, make_path(theta=0.0), "far") == 0.0
+    assert max_distance_variation(geom, make_path(theta=0.0), "far") == 0.0
 
 
 def test_phase_extreme_matches_grid_oracle_after_rescale():
     geom = make_geom(512, 7e9)
     grid = CarrierGrid.from_bandwidth(300e6, 4096)
     path = make_path(theta=0.3, d=40.0)
-    closed = max_squint_phase(geom, grid, path)
+    # continuous-band extreme (pi B / c) max |d_n - d|; the grid reaches (M-1)/M of it
+    closed = math.pi * grid.bandwidth_hz / SPEED_OF_LIGHT * max_distance_variation(geom, path)
     grid_max = oracles.squint_phase_grid_max(512, 4096, 0.3, 40.0, 300e6, 7e9)
     assert grid_max == pytest.approx(closed * 4095 / 4096, rel=1e-9)
 
@@ -159,11 +158,12 @@ def test_antenna_boundary_matches_brute_force_largest_n():
     value = antenna_boundary(300e6, make_path(theta=0.3, d=40.0), 7e9, THR)
     assert value == pytest.approx(76.7, rel=5e-3)
     # largest integer below the closed form admits the phase budget; the next
-    # integer violates it (scan on the closed-form phase extreme)
-    grid = CarrierGrid.from_bandwidth(300e6, 64)
+    # integer violates it (continuous-band phase extreme, element-by-element scan)
     cap = THR.total * math.pi
-    below = max_squint_phase(make_geom(int(value)), grid, make_path(theta=0.3, d=40.0))
-    above = max_squint_phase(make_geom(int(value) + 1), grid, make_path(theta=0.3, d=40.0))
+    spacing = make_geom(1).spacing_m
+    below, above = (math.pi * 300e6 / SPEED_OF_LIGHT
+                    * oracles.max_range_spread(n, 0.3, 40.0, spacing)
+                    for n in (int(value), int(value) + 1))
     assert below < cap <= above
     oracle_n = oracles.largest_admissible_antennas(0.3, 40.0, 300e6, 7e9, 4096, cap)
     assert abs(oracle_n - int(value)) <= 1
@@ -237,8 +237,8 @@ def test_threshold_approximation_tracks_closed_form(seed):
         theta = float(rng.uniform(0.1, 0.999))
         d = float(rng.uniform(10.0, 500.0))
         exact = near_field_threshold(make_path(theta=theta, d=d), 7e9, THR.kappa_a)
-        approx = near_field_threshold_approx(theta, THR.kappa_a)
-        assert approx == pytest.approx(2 * THR.kappa_a / theta + 1, rel=1e-14)
+        # large-|theta| approximation 2 kappa_a / |theta| + 1
+        approx = 2 * THR.kappa_a / theta + 1
         assert abs(approx - exact) / exact < 0.10
 
 

@@ -314,11 +314,13 @@ def test_run_thread_env_does_not_change_multiuser_output(capsys, tmp_path, monke
 
 def test_config_file_sets_fields_and_flags_override(capsys, tmp_path):
     config_file = tmp_path / "cfg.json"
-    config_file.write_text(json.dumps({"num_antennas": 64, "kappa_a": 0.25}))
+    # an integer is a valid value for a float field
+    config_file.write_text(json.dumps({"num_antennas": 64, "kappa_a": 0.25,
+                                       "bandwidth_hz": 300000000}))
     code, out, _ = invoke(capsys, ["boundary", "--config", str(config_file),
                                    "--n", "128", "--theta", "0.3", "--d", "40"])
     assert code == 0
-    config = ScenarioConfig(num_antennas=128, kappa_a=0.25)
+    config = ScenarioConfig(num_antennas=128, kappa_a=0.25, bandwidth_hz=300e6)
     assert json.loads(out) == expected_report_json(config,
                                                    PathParams(1.0, 0.3, 40.0, 0.0))
 
@@ -339,6 +341,25 @@ def test_config_file_must_be_an_object(capsys, tmp_path):
                                    "--theta", "0.3", "--d", "40"])
     assert code == 1
     assert "flat JSON object" in err
+
+
+@pytest.mark.parametrize("command, data", [
+    (["boundary", "--theta", "0.3", "--d", "40"], {"num_antennas": 64.5}),
+    (["run", "se-snr-as"], {"num_antennas": 64, "num_subcarriers": 8, "trials": True}),
+    (["boundary", "--theta", "0.3", "--d", "40"], {"num_antennas": "abc"}),
+], ids=["float-for-int", "bool-for-int", "string-for-int"])
+def test_config_file_values_must_have_the_field_type(capsys, tmp_path, command, data):
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps(data))
+    target = tmp_path / "x.csv"
+    argv = command + ["--config", str(config_file)]
+    if command[0] == "run":
+        argv += ["--output", str(target)]
+    code, out, err = invoke(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert list(data)[-1] in err
+    assert out == "" and not target.exists()
 
 
 def test_missing_config_file_maps_to_exit_1(capsys, tmp_path):

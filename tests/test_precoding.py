@@ -10,7 +10,6 @@ import oracles
 from squintlab import (
     ArrayGeometry,
     CarrierGrid,
-    DegenerateSubcarrierError,
     FieldModel,
     PathParams,
     PrecoderSet,
@@ -19,43 +18,32 @@ from squintlab import (
     SlicingPlan,
     SquintThresholds,
     UserSubband,
-    digital_mrt,
     freq_boundary,
     hybrid_gain_amplitudes,
-    mrt_full_array,
-    multiuser_gain,
     narrowband_beams,
     narrowband_mrt,
-    near_field_steering,
     normalized_array_gain,
-    optimal_precoder_set,
-    optimal_receiver,
     per_subcarrier_rates,
     plan_antenna_slices,
     power_for_snr_db,
     sample_scenario,
     sample_user_paths,
-    se_closed_forms,
-    se_equal_slicing_closed_form,
     se_optimal,
-    se_single_path_bound,
     se_slicing_closed_form,
     se_subband_closed_form,
     slice_analog_matrix,
     slice_analog_rows,
     slice_precoder_set,
-    snr_db,
     spectral_efficiency,
     static_precoder_set,
     subarray_center_distance,
     subband_analog_matrix,
     subband_analog_rows,
     subband_precoder_set,
-    subcarrier_frequencies,
     synth_channel,
 )
 from squintlab.experiments import _fs_trial_amps, _single_link_amps
-from squintlab.precoding import block_diagonal
+from squintlab.precoding import _hybrid_set, block_diagonal
 from squintlab.wavefield import PathBatch, path_phases, path_slots
 
 THR = SquintThresholds()
@@ -94,13 +82,13 @@ def column_blocks(analog, sizes):
 
 def test_mrt_single_antenna_is_one():
     geom = ArrayGeometry(1, 7e9)
-    assert mrt_full_array(geom, make_path()) == pytest.approx([1.0 + 0j])
+    assert narrowband_mrt(geom, [make_path()]) == pytest.approx([1.0 + 0j])
 
 
 @pytest.mark.parametrize("n", [2, 17, 256])
 def test_mrt_is_unit_norm(n):
     geom = ArrayGeometry(n, 7e9)
-    assert np.linalg.norm(mrt_full_array(geom, make_path())) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(narrowband_mrt(geom, [make_path()])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mrt_center_subcarrier_gain_is_sqrt_n():
@@ -108,36 +96,8 @@ def test_mrt_center_subcarrier_gain_is_sqrt_n():
     grid = CarrierGrid.from_bandwidth(300e6, 65)
     path = make_path(theta=0.1, d=10.0)
     ch = synth_channel(geom, grid, [path])
-    f = mrt_full_array(geom, path)
+    f = narrowband_mrt(geom, [path])
     assert abs(np.vdot(f, ch.entries[:, 32])) == pytest.approx(math.sqrt(1024), rel=1e-12)
-
-
-def test_optimal_receiver_center_equals_mrt():
-    geom = ArrayGeometry(64, 7e9)
-    grid = CarrierGrid.from_bandwidth(300e6, 17)
-    path = make_path()
-    np.testing.assert_allclose(
-        optimal_receiver(geom, grid, path, 8), mrt_full_array(geom, path), atol=1e-14
-    )
-
-
-def test_optimal_receiver_aligns_every_subcarrier():
-    geom = ArrayGeometry(512, 7e9)
-    grid = CarrierGrid.from_bandwidth(300e6, 64)
-    path = make_path(theta=0.3, d=40.0)
-    ch = synth_channel(geom, grid, [path])
-    got = abs(np.vdot(optimal_receiver(geom, grid, path, 1), ch.entries[:, 1]))
-    assert got == pytest.approx(math.sqrt(512), rel=1e-9)
-    for m in (0, 33, 63):
-        gain = abs(np.vdot(optimal_receiver(geom, grid, path, m), ch.entries[:, m]))
-        assert gain == pytest.approx(math.sqrt(512), rel=1e-9)
-
-
-def test_optimal_receiver_rejects_bad_subcarrier():
-    geom = ArrayGeometry(8, 7e9)
-    grid = CarrierGrid.from_bandwidth(300e6, 16)
-    with pytest.raises(ValueError):
-        optimal_receiver(geom, grid, make_path(), 16)
 
 
 def test_narrowband_baseline_tracks_strongest_near_path():
@@ -146,7 +106,9 @@ def test_narrowband_baseline_tracks_strongest_near_path():
     strong = make_path(theta=-0.4, d=25.0, gain=2.0 + 0j)
     far = make_path(theta=0.7, gain=9.0 + 0j, model=FieldModel.FAR)
     beam = narrowband_mrt(geom, [weak, strong, far])
-    np.testing.assert_allclose(beam, mrt_full_array(geom, strong), atol=1e-14)
+    ranges = oracles.element_distances(32, -0.4, 25.0, geom.spacing_m)
+    want = np.exp(1j * 2 * math.pi / geom.wavelength_m * (ranges - 25.0)) / math.sqrt(32)
+    np.testing.assert_allclose(beam, want, atol=1e-12)
     assert np.linalg.norm(beam) == pytest.approx(1.0, abs=1e-12)
     fallback = narrowband_mrt(geom, [far])
     assert np.linalg.norm(fallback) == pytest.approx(1.0, abs=1e-12)
@@ -164,11 +126,10 @@ def test_slice_beam_is_single_path_phase_without_far_paths():
     beams = column_blocks(slice_analog_matrix(geom, [path], plan), plan.subarray_sizes)
     for t, beam in enumerate(beams):
         np.testing.assert_allclose(np.abs(beam), 1.0, atol=1e-12)
-        ref = subarray_center_distance(geom, path, plan.offsets[t])
         size = plan.subarray_sizes[t]
-        offs = plan.offsets[t] + np.arange(size) - (size - 1) / 2.0
-        w = near_field_steering(geom, path, element_offsets=offs, reference_m=ref)
-        np.testing.assert_allclose(beam, np.exp(0.7j) * w, atol=1e-12)
+        want = [oracles.slice_beam_entry(np.exp(0.7j), 0.3, 40.0, [], plan.offsets[t], size, i, 7e9)
+                for i in range(size)]
+        np.testing.assert_allclose(beam, want, atol=1e-12)
 
 
 def test_weak_far_path_barely_perturbs_the_slice_beam():
@@ -220,8 +181,9 @@ def test_digital_mrt_single_block_normalizes_the_cascade():
     rng = np.random.default_rng(7)
     h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     analog = np.exp(1j * np.angle(h))[:, None]
-    f_d = digital_mrt(h, analog)
-    assert np.linalg.norm(analog @ f_d) == pytest.approx(1.0, abs=1e-12)
+    hybrid = _hybrid_set(Scheme.ANTENNA_SLICING, analog, (16,), h[:, None])
+    assert np.linalg.norm(hybrid.combined()) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(hybrid.digital[:, 0], oracles.digital_mrt(h, analog), rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -239,14 +201,16 @@ def test_digital_mrt_denominator_forms_agree(seed):
     direct = np.linalg.norm(analog @ (analog.conj().T @ h))
     blockwise = math.sqrt(sum(sz * abs(p) ** 2 for sz, p in zip(sizes, proj)))
     assert direct == pytest.approx(blockwise, rel=1e-12)
-    f_d = digital_mrt(h, analog)
-    np.testing.assert_allclose(f_d, proj / blockwise, rtol=1e-12)
+    f_d = _hybrid_set(Scheme.ANTENNA_SLICING, analog, sizes, h[:, None]).digital[:, 0]
+    np.testing.assert_allclose(f_d, oracles.digital_mrt(h, analog), rtol=1e-12)
 
 
 def test_digital_mrt_zero_channel_is_degenerate():
+    # a column orthogonal to every analog beam gets a zero digital vector and amplitude
     analog = np.ones((4, 1), dtype=np.complex128)
-    with pytest.raises(DegenerateSubcarrierError):
-        digital_mrt(np.zeros(4, dtype=np.complex128), analog)
+    h = np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=np.complex128)
+    assert not np.any(_hybrid_set(Scheme.ANTENNA_SLICING, analog, (4,), h).digital)
+    assert hybrid_gain_amplitudes(analog, (4,), h)[0] == 0.0
 
 
 def test_vectorized_amplitudes_match_the_scalar_route():
@@ -265,7 +229,7 @@ def test_vectorized_amplitudes_match_the_scalar_route():
         if m == 2:
             assert amps[m] == 0.0
             continue
-        f_d = digital_mrt(cols[:, m], analog)
+        f_d = oracles.digital_mrt(cols[:, m], analog)
         want = abs(np.vdot(analog @ f_d, cols[:, m]))
         assert amps[m] == pytest.approx(want, rel=1e-12)
 
@@ -294,7 +258,8 @@ def test_precoder_sets_match_the_single_link_amplitudes(trial):
     assert not np.any(hybrid.digital[:, 5]) and amps[5] == 0.0 and want[5] == 0.0
     for m in (0, 31, 63):
         np.testing.assert_allclose(hybrid.digital[:, m],
-                                   digital_mrt(entries[:, m], hybrid.analog), rtol=1e-12)
+                                   oracles.digital_mrt(entries[:, m], hybrid.analog),
+                                   rtol=1e-12)
 
 
 @pytest.mark.parametrize("cfg, trial", [(DESK_USERS, 0), (DESK_USERS, 1),
@@ -319,7 +284,8 @@ def test_precoder_sets_match_the_experiment_amplitudes(cfg, trial):
             "narrowband-mrt": static_precoder_set(narrowband_mrt(geom, user),
                                                   grid.num_subcarriers,
                                                   Scheme.NARROWBAND_BASELINE),
-            "optimal": optimal_precoder_set(ch),
+            "optimal": PrecoderSet(Scheme.OPTIMAL,
+                                   ch.entries / np.linalg.norm(ch.entries, axis=0)),
         }
         for scheme, precoders in sets.items():
             combined = precoders.combined()
@@ -464,52 +430,13 @@ def test_normalized_gain_edge_subcarrier_matches_direct_sum():
     geom = ArrayGeometry(512, 7e9)
     grid = CarrierGrid.from_bandwidth(300e6, 1024)
     path = make_path(theta=0.1, d=20.0)
-    got = normalized_array_gain(geom, grid, path, 1023)
+    got = normalized_array_gain(geom, grid, path)[1023]
     dists = oracles.element_distances(512, 0.1, 20.0, geom.spacing_m)
     delta = (1023 - 1023 / 2.0) * grid.subcarrier_spacing_hz
     k = 2.0 * math.pi / 299792458.0
     want = abs(np.exp(1j * k * delta * dists).sum()) / 512
     assert got == pytest.approx(want, rel=1e-12)
     assert got < 1.0
-
-
-def test_normalized_gain_validates_subcarrier():
-    geom = ArrayGeometry(8, 7e9)
-    grid = CarrierGrid.from_bandwidth(300e6, 16)
-    with pytest.raises(ValueError):
-        normalized_array_gain(geom, grid, make_path(), 16)
-
-
-def test_multiuser_gain_single_path_is_its_amplitude():
-    sb = UserSubband(0, 3, 0, 1e6, 7e9)
-    assert multiuser_gain([make_path(gain=0.7 + 0j)], sb, 1) == pytest.approx(0.7, rel=1e-12)
-
-
-def test_multiuser_gain_opposed_phases_cancel():
-    dev = 299792458.0 / 4e6  # half-turn apart at 1 MHz offset from the center
-    sb = UserSubband(0, 3, 0, 1e6, 7e9)
-    user = [make_path(d=100.0 + dev), make_path(theta=0.2, d=100.0 - dev)]
-    assert multiuser_gain(user, sb, 2) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_multiuser_gain_edge_subcarrier_respects_phase_budget():
-    # the 4-subcarrier sub-band is exactly the delay-spread cap of this user,
-    # so even the edge subcarrier keeps every path phase within kappa_f * pi
-    user = [make_path(d=30.0, r=10.0), make_path(theta=0.2, d=50.0, r=10.0)]
-    sb = UserSubband(0, 4, 0, 1e6, 7e9)
-    spread = oracles.user_phase_spread([(30.0, 10.0), (50.0, 10.0)], 4, 1e6)
-    assert spread <= THR.kappa_f * math.pi
-    eta = multiuser_gain(user, sb, 3)
-    assert eta >= math.cos(THR.kappa_f * math.pi) * math.sqrt(2.0)
-    assert eta == pytest.approx(1.3449019464066279, rel=1e-12)
-
-
-def test_multiuser_gain_validates_inputs():
-    sb = UserSubband(0, 3, 0, 1e6, 7e9)
-    with pytest.raises(ValueError):
-        multiuser_gain([], sb, 0)
-    with pytest.raises(ValueError):
-        multiuser_gain([make_path()], sb, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +448,7 @@ def test_se_vanishes_with_power():
     geom = ArrayGeometry(64, 7e9)
     grid = CarrierGrid.from_bandwidth(300e6, 16)
     ch = synth_channel(geom, grid, [make_path()])
-    pre = static_precoder_set(mrt_full_array(geom, make_path()), 16, Scheme.FULL_ARRAY_MRT)
+    pre = static_precoder_set(narrowband_mrt(geom, [make_path()]), 16, Scheme.NARROWBAND_BASELINE)
     assert spectral_efficiency(ch, pre, 1e-15, 1.0) < 1e-10
     with pytest.raises(ValueError):
         spectral_efficiency(ch, pre, 0.0, 1.0)
@@ -535,10 +462,11 @@ def test_flat_channel_mrt_hits_the_closed_form():
     path = make_path(gain=0.5 + 0.5j, model=FieldModel.NARROWBAND_NEAR)
     ch = synth_channel(geom, grid, [path])
     power = power_for_snr_db(10.0, path.gain, 1.0)
-    pre = static_precoder_set(mrt_full_array(geom, path), 64, Scheme.FULL_ARRAY_MRT)
+    pre = static_precoder_set(narrowband_mrt(geom, [path]), 64, Scheme.NARROWBAND_BASELINE)
     got = spectral_efficiency(ch, pre, power, 1.0)
     assert got == pytest.approx(math.log2(1.0 + 10.0 * 1024.0), rel=1e-12)
-    assert got == pytest.approx(se_single_path_bound(power, 1.0, path.gain, 1024), rel=1e-12)
+    # single-path fully digital bound log2(1 + P N |g|^2 / sigma^2)
+    assert got == pytest.approx(math.log2(1.0 + power * 1024 * abs(path.gain) ** 2), rel=1e-12)
 
 
 def test_mrt_collapses_below_the_boundary_and_degrades_above():
@@ -550,7 +478,7 @@ def test_mrt_collapses_below_the_boundary_and_degrades_above():
     for mult in (0.5, 4.0):
         grid = CarrierGrid.from_bandwidth(mult * b_bar, 64)
         ch = synth_channel(geom, grid, [path])
-        pre = static_precoder_set(mrt_full_array(geom, path), 64, Scheme.FULL_ARRAY_MRT)
+        pre = static_precoder_set(narrowband_mrt(geom, [path]), 64, Scheme.NARROWBAND_BASELINE)
         ratios[mult] = spectral_efficiency(ch, pre, 10.0, 1.0) / se_optimal(ch, 10.0, 1.0)
     assert ratios[0.5] >= 0.99
     assert ratios[4.0] < 0.99
@@ -560,22 +488,13 @@ def test_per_subcarrier_rates_shape_and_mismatch():
     geom = ArrayGeometry(16, 7e9)
     grid = CarrierGrid.from_bandwidth(300e6, 8)
     ch = synth_channel(geom, grid, [make_path()])
-    pre = static_precoder_set(mrt_full_array(geom, make_path()), 8, Scheme.FULL_ARRAY_MRT)
+    pre = static_precoder_set(narrowband_mrt(geom, [make_path()]), 8, Scheme.NARROWBAND_BASELINE)
     rates = per_subcarrier_rates(ch, pre, 10.0, 1.0)
     assert rates.shape == (8,)
     assert np.all(rates >= 0.0)
-    short = static_precoder_set(mrt_full_array(geom, make_path()), 7, Scheme.FULL_ARRAY_MRT)
+    short = static_precoder_set(narrowband_mrt(geom, [make_path()]), 7, Scheme.NARROWBAND_BASELINE)
     with pytest.raises(ValueError):
         per_subcarrier_rates(ch, short, 10.0, 1.0)
-
-
-def test_optimal_set_keeps_zero_columns_zero():
-    cols = np.zeros((4, 3), dtype=np.complex128)
-    cols[:, 0] = [1.0, 1j, -1.0, -1j]
-    pre = optimal_precoder_set(cols)
-    assert np.linalg.norm(pre.digital[:, 0]) == pytest.approx(1.0, abs=1e-12)
-    assert np.all(pre.digital[:, 1] == 0.0)
-    assert pre.scheme is Scheme.OPTIMAL
 
 
 def test_precoder_set_validates_chaining():
@@ -613,7 +532,7 @@ def test_se_strictly_increases_with_power():
     geom = ArrayGeometry(64, 7e9)
     grid = CarrierGrid.from_bandwidth(300e6, 16)
     ch = synth_channel(geom, grid, [make_path()])
-    pre = static_precoder_set(mrt_full_array(geom, make_path()), 16, Scheme.FULL_ARRAY_MRT)
+    pre = static_precoder_set(narrowband_mrt(geom, [make_path()]), 16, Scheme.NARROWBAND_BASELINE)
     values = [spectral_efficiency(ch, pre, p, 1.0) for p in (0.1, 1.0, 10.0, 100.0)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -625,19 +544,17 @@ def test_se_strictly_increases_with_power():
 
 def test_closed_form_collapses_to_the_single_path_bound():
     got = se_slicing_closed_form(10.0, 1.0, [0.8 + 0.6j], [256])
-    assert got == pytest.approx(se_single_path_bound(10.0, 1.0, 0.8 + 0.6j, 256), rel=1e-12)
+    single_path = math.log2(1.0 + 10.0 * 256 * abs(0.8 + 0.6j) ** 2 / 1.0)
+    assert got == pytest.approx(single_path, rel=1e-12)
     assert got == pytest.approx(math.log2(1.0 + 10.0 * 256.0), rel=1e-12)
 
 
 def test_equal_size_closed_form_is_the_literal_formula():
+    # equal sizes N / T reduce the general form to log2(1 + P N sum_t |g_t|^2 / (T sigma^2))
     gains = [1.0, 0.5 + 0.5j, 0.3j]
-    got = se_equal_slicing_closed_form(10.0, 2.0, gains, 512)
     g2 = sum(abs(g) ** 2 for g in gains)
-    assert got == pytest.approx(math.log2(1.0 + 10.0 * 512.0 * g2 / (3 * 2.0)), rel=1e-12)
-    # equal sizes make the general form agree with the special case
     general = se_slicing_closed_form(10.0, 2.0, gains, [170, 170, 170])
-    special = se_equal_slicing_closed_form(10.0, 2.0, gains, 510)
-    assert general == pytest.approx(special, rel=1e-12)
+    assert general == pytest.approx(math.log2(1.0 + 10.0 * 510.0 * g2 / (3 * 2.0)), rel=1e-12)
 
 
 def test_subband_closed_form_special_case_is_the_optimum():
@@ -648,22 +565,17 @@ def test_subband_closed_form_special_case_is_the_optimum():
     assert got == pytest.approx(math.log2(1.0 + 10.0 * n * g * g), rel=1e-12)
 
 
-def test_closed_form_bundle_keys():
-    out = se_closed_forms(10.0, 1.0, [1.0, 0.5], [16, 16], [8.0, 8.0], 16)
-    assert set(out) == {"antenna_slicing", "antenna_slicing_equal", "subband_slicing"}
-    partial = se_closed_forms(10.0, 1.0, [1.0], [32])
-    assert set(partial) == {"antenna_slicing", "antenna_slicing_equal"}
-
-
 def test_snr_helpers_round_trip():
-    assert snr_db(1.0, 1.0 + 0j, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert snr_db(10.0, 1.0 + 0j, 1.0) == pytest.approx(10.0, abs=1e-12)
+    def snr_db(power, gain, noise_power):
+        return 10.0 * math.log10(power * abs(gain) ** 2 / noise_power)
+
+    assert power_for_snr_db(0.0, 1.0 + 0j, 1.0) == pytest.approx(1.0, rel=1e-12)
     assert power_for_snr_db(10.0, 1.0 + 0j, 1.0) == pytest.approx(10.0, rel=1e-12)
     for snr in (-7.0, 0.0, 23.5):
         p = power_for_snr_db(snr, 0.3 - 0.4j, 2.7)
         assert snr_db(p, 0.3 - 0.4j, 2.7) == pytest.approx(snr, abs=1e-12)
     with pytest.raises(ValueError):
-        snr_db(1.0, 0.0, 1.0)
+        power_for_snr_db(10.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         power_for_snr_db(10.0, 1.0, 0.0)
 
@@ -704,7 +616,7 @@ def test_single_subcarrier_subband_matches_its_closed_form_exactly():
     ]
     ch = synth_channel(geom, grid, user)
     m = 5
-    f_sub = float(subcarrier_frequencies(grid, 7e9)[m])
+    f_sub = 7e9 + float(grid.subcarrier_offsets()[m]) * grid.subcarrier_spacing_hz
     sb = UserSubband(0, 1, m, grid.subcarrier_spacing_hz, f_sub)
     block = ch.entries[:, [m]]
     pre = subband_precoder_set(geom, user, sb, 4, block)
@@ -724,7 +636,7 @@ def test_small_subband_stays_within_two_percent_of_closed_form():
     ]
     ch = synth_channel(geom, grid, user)
     start, count = 5, 5
-    freqs = subcarrier_frequencies(grid, 7e9)
+    freqs = 7e9 + grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
     center = float(freqs[start : start + count].mean())
     sb = UserSubband(0, count, start, grid.subcarrier_spacing_hz, center)
     block = ch.entries[:, start : start + count]

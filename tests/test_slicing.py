@@ -57,7 +57,6 @@ def test_small_array_single_path_is_one_block():
     assert plan.path_assignment == (0,)
     assert plan.path_order == (0,)
     assert plan.offsets == (0.0,)
-    assert plan.num_subarrays == 1
 
 
 def test_single_path_block_count_is_ceil_of_capped_split():
@@ -69,7 +68,7 @@ def test_single_path_block_count_is_ceil_of_capped_split():
     lo, hi = size_window(path, geom, grid)
     assert hi == 76
     plan = plan_antenna_slices(geom, grid, [path], THR)
-    assert plan.num_subarrays == 14
+    assert len(plan.subarray_sizes) == 14
     assert plan.subarray_sizes == (76,) * 13 + (36,)
     assert sum(plan.subarray_sizes) == 1024
 
@@ -109,8 +108,7 @@ def test_plan_partition_offsets_and_cycle(seed):
     n = geom.num_antennas
     assert sum(plan.subarray_sizes) == n
     assert plan.num_antennas == n
-    starts = plan.starts()
-    assert starts[0] == 0
+    starts = np.cumsum((0,) + plan.subarray_sizes[:-1])
     for t, size in enumerate(plan.subarray_sizes):
         assert plan.offsets[t] == -n / 2.0 + starts[t] + size / 2.0
     # every near path is served once, weaker ones at their smallest compliant
@@ -251,8 +249,8 @@ def test_single_user_takes_the_whole_band():
     grid = CarrierGrid.from_bandwidth(1e6, 32)
     plan = allocate_subbands([[make_path()]], geom, grid, THR, 2)
     assert plan.user_subcarriers == (32,)
-    assert plan.user_bandwidths == (1e6,)
-    assert plan.user_centers == (7e9,)
+    assert plan.subbands[0].bandwidth_hz == 1e6
+    assert plan.subbands[0].center_hz == 7e9
     assert plan.subarray_size == 8
 
 
@@ -261,7 +259,7 @@ def test_two_users_split_symmetrically():
     grid = CarrierGrid.from_bandwidth(1e6, 32)
     plan = allocate_subbands([[make_path()], [make_path(theta=-0.3)]], geom, grid, THR, 2)
     assert plan.user_subcarriers == (16, 16)
-    assert plan.user_centers == (7e9 - 0.25e6, 7e9 + 0.25e6)
+    assert tuple(sb.center_hz for sb in plan.subbands) == (7e9 - 0.25e6, 7e9 + 0.25e6)
 
 
 def test_equal_share_remainder_prefers_leading_users():
@@ -312,7 +310,7 @@ def test_single_path_users_at_default_scale_get_a_compliant_plan():
     users = sample_user_paths(cfg, 0)
     plan = allocate_subbands(users, geom, grid, thr, cfg.num_subarrays)
     assert sum(plan.user_subcarriers) == grid.num_subcarriers
-    assert sum(plan.user_bandwidths) == pytest.approx(grid.bandwidth_hz, rel=1e-12)
+    assert sum(sb.bandwidth_hz for sb in plan.subbands) == pytest.approx(grid.bandwidth_hz, rel=1e-12)
     caps = [user_subcarrier_cap(u, geom, grid, thr, plan.subarray_size) for u in users]
     running = 0
     for k, sb in enumerate(plan.subbands):

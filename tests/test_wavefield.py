@@ -1,5 +1,6 @@
 """Steering vectors and channel synthesis against 2-D coordinate oracles."""
 
+import ast
 import io
 import math
 import re
@@ -23,16 +24,10 @@ from squintlab import (
     SlicingPlan,
     beam_squint_matrix,
     channel_columns,
-    delay_steering,
-    far_field_steering,
-    max_squint_phase,
-    near_field_steering,
+    max_distance_variation,
     path_phases,
     read_channel_dump,
-    scatterer_antenna_distance,
     subarray_center_distance,
-    subarray_channel,
-    subcarrier_frequencies,
     synth_channel,
     write_channel_dump,
 )
@@ -61,6 +56,32 @@ def make_plan(num_antennas, sizes, num_paths=1):
                        tuple(offsets), num_antennas)
 
 
+def steering(geom, path, model=FieldModel.NARROWBAND_NEAR):
+    """Carrier steering vector: the phase kernel's column at zero frequency offset."""
+    return phasor(path_phases(geom, path, [0.0], model=model)[:, 0])
+
+
+def delay_ramp(grid, total_range_m):
+    """Frequency ramp exp(j k df_m (r + d)): a far path's term at the array center."""
+    path = make_path(theta=0.0, d=total_range_m, model=FieldModel.FAR)
+    freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
+    return phasor(path_phases(make_geom(1), path, freq_dev)[0])
+
+
+def block_channel(geom, grid, path, plan, t):
+    """Path term of subarray t, its near phases referenced to the block center's range."""
+    size = plan.subarray_sizes[t]
+    offsets = plan.offsets[t] + np.arange(size) - (size - 1) / 2.0
+    ref = subarray_center_distance(geom, path, [plan.offsets[t]])
+    freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
+    return path.gain * phasor(path_phases(geom, path, freq_dev, offsets=offsets, reference_m=ref))
+
+
+def squint_extreme(geom, grid, path):
+    """Continuous-band squint-phase extreme (pi B / c) max |d_n - d|."""
+    return math.pi * grid.bandwidth_hz / SPEED_OF_LIGHT * max_distance_variation(geom, path)
+
+
 # ---------------------------------------------------------------------------
 # grid and geometry plumbing
 # ---------------------------------------------------------------------------
@@ -69,7 +90,6 @@ def make_plan(num_antennas, sizes, num_paths=1):
 def test_default_spacing_is_half_wavelength():
     geom = make_geom(4, 7e9)
     assert geom.spacing_m == pytest.approx(SPEED_OF_LIGHT / 7e9 / 2.0, rel=1e-15)
-    assert geom.aperture_m == pytest.approx(3 * geom.spacing_m, rel=1e-15)
 
 
 def test_element_offsets_are_centered():
@@ -88,7 +108,7 @@ def test_grid_from_bandwidth_keeps_product_exact():
 
 def test_subcarrier_frequencies_bracket_the_carrier():
     grid = CarrierGrid.from_bandwidth(300e6, 1024)
-    freqs = subcarrier_frequencies(grid, 7e9)
+    freqs = 7e9 + grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
     assert freqs[0] == pytest.approx(7e9 - 300e6 / 2 + grid.subcarrier_spacing_hz / 2)
     assert freqs[-1] == pytest.approx(7e9 + 300e6 / 2 - grid.subcarrier_spacing_hz / 2)
     assert np.all(np.diff(freqs) > 0)
@@ -115,22 +135,23 @@ def test_invalid_inputs_are_rejected():
 def test_center_antenna_distance_equals_d():
     geom = make_geom(3)
     path = make_path(theta=0.7, d=10.0)
-    assert scatterer_antenna_distance(geom, path, 1) == pytest.approx(10.0, abs=1e-12)
+    got = subarray_center_distance(geom, path, geom.element_offsets())
+    assert got[1] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_broadside_distance_is_pythagorean():
     geom = make_geom(3, spacing=1.0)  # offsets -1, 0, +1 meters
     path = make_path(theta=0.0, d=10.0)
-    assert scatterer_antenna_distance(geom, path, 2) == pytest.approx(
-        math.sqrt(101.0), rel=1e-15
-    )
+    got = subarray_center_distance(geom, path, geom.element_offsets())
+    assert got[2] == pytest.approx(math.sqrt(101.0), rel=1e-15)
 
 
 def test_distance_matches_coordinate_oracle_at_paper_scale():
     geom = make_geom(1024, 7e9)
     path = make_path(theta=0.1, d=10.0)
     expected = oracles.element_distance(1024, 0, 0.1, 10.0, geom.spacing_m)
-    assert scatterer_antenna_distance(geom, path, 0) == pytest.approx(expected, rel=1e-14)
+    got = subarray_center_distance(geom, path, geom.element_offsets())
+    assert got[0] == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -140,15 +161,9 @@ def test_distances_match_coordinate_oracle(seed):
     theta = float(rng.uniform(-0.99, 0.99))
     d = float(rng.uniform(1.0, 200.0))
     geom = make_geom(n)
-    got = scatterer_antenna_distance(geom, make_path(theta=theta, d=d))
+    got = subarray_center_distance(geom, make_path(theta=theta, d=d), geom.element_offsets())
     want = oracles.element_distances(n, theta, d, geom.spacing_m)
     assert np.allclose(got, want, rtol=1e-13)
-
-
-def test_distance_index_out_of_range():
-    geom = make_geom(4)
-    with pytest.raises(ValueError):
-        scatterer_antenna_distance(geom, make_path(), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +173,13 @@ def test_distance_index_out_of_range():
 
 def test_near_steering_single_antenna_is_one():
     geom = make_geom(1)
-    vec = near_field_steering(geom, make_path())
+    vec = steering(geom, make_path())
     assert np.allclose(vec, [1.0 + 0j], atol=1e-15)
 
 
 def test_near_steering_broadside_symmetry():
     geom = make_geom(3, 7e9)
-    vec = near_field_steering(geom, make_path(theta=0.0, d=10.0))
+    vec = steering(geom, make_path(theta=0.0, d=10.0))
     s = geom.spacing_m
     phase = 2 * math.pi / geom.wavelength_m * (math.sqrt(100.0 + s * s) - 10.0)
     assert vec[1] == pytest.approx(1.0 + 0j, abs=1e-12)
@@ -181,33 +196,29 @@ def test_far_limit_matches_mirrored_planar_steering(seed):
         n = int(rng.integers(2, 257))
         theta = float(rng.uniform(-0.99, 0.99))
         geom = make_geom(n)
-        near = near_field_steering(geom, make_path(theta=theta, d=1e9))
-        far = far_field_steering(geom, -theta)
+        near = steering(geom, make_path(theta=theta, d=1e9))
+        far = steering(geom, make_path(theta=-theta), FieldModel.FAR)
         err = np.angle(near * np.conj(far))
         assert np.max(np.abs(err)) < 1e-4
 
 
 def test_planar_steering_at_zero_angle_is_ones():
-    assert np.allclose(far_field_steering(make_geom(16), 0.0), 1.0, atol=1e-15)
+    vec = steering(make_geom(16), make_path(theta=0.0), FieldModel.FAR)
+    assert np.allclose(vec, 1.0, atol=1e-15)
 
 
 def test_planar_steering_two_element_phases():
     geom = make_geom(2, 7e9)
-    vec = far_field_steering(geom, 0.5)
+    vec = steering(geom, make_path(theta=0.5), FieldModel.FAR)
     # delta = -/+ 1/2, phase = (2pi/lambda)(lambda/2) * delta * theta = -/+ pi/4
     assert np.allclose(np.angle(vec), [-math.pi / 4, math.pi / 4], atol=1e-12)
 
 
 def test_planar_steering_conjugates_under_angle_flip():
     geom = make_geom(8)
-    assert np.allclose(
-        far_field_steering(geom, 0.5), np.conj(far_field_steering(geom, -0.5)), atol=1e-14
-    )
-
-
-def test_planar_steering_rejects_boundary_angle():
-    with pytest.raises(ValueError):
-        far_field_steering(make_geom(4), 1.0)
+    plus = steering(geom, make_path(theta=0.5), FieldModel.FAR)
+    minus = steering(geom, make_path(theta=-0.5), FieldModel.FAR)
+    assert np.allclose(plus, np.conj(minus), atol=1e-14)
 
 
 @pytest.mark.parametrize("model, field", [
@@ -239,10 +250,10 @@ def test_path_phases_take_one_reference_per_offset():
         one = path_phases(geom, path, [0.0, 2e6], offsets=offsets[half], reference_m=ref)
         np.testing.assert_array_equal(rows[half], one)
     # the carrier column is the steering phase; far paths ignore the reference
-    np.testing.assert_array_equal(
-        np.exp(1j * path_phases(geom, path, [0.0], model=FieldModel.NARROWBAND_NEAR)[:, 0]),
-        near_field_steering(geom, path),
-    )
+    carrier = path_phases(geom, path, [0.0], model=FieldModel.NARROWBAND_NEAR)[:, 0]
+    ranges = oracles.element_distances(16, 0.4, 12.0, geom.spacing_m)
+    np.testing.assert_allclose(carrier, 2 * math.pi / geom.wavelength_m * (ranges - 12.0),
+                               rtol=1e-12, atol=1e-12)
     far = path_phases(geom, path, [0.0], reference_m=99.0, model=FieldModel.FAR)
     np.testing.assert_array_equal(far, path_phases(geom, path, [0.0], model=FieldModel.FAR))
 
@@ -307,6 +318,68 @@ def test_source_builds_every_phase_factor_with_phasor():
              for number, line in enumerate(path.read_text().splitlines(), 1)
              if exp_of_j.search(line)]
     assert not found, f"use wavefield.phasor instead of np.exp(1j ...): {found}"
+
+
+_PACKAGE = Path(squintlab.__file__).resolve().parent
+_PERFBENCH = _PACKAGE.parents[1] / "perfbench"
+
+#: public definitions kept although no code in the package or the benchmark calls them
+_UNCALLED_API = {
+    "se_slicing_closed_form": "the paper's antenna-slicing closed form, which the "
+                              "acceptance gate checks the emitted SE against",
+    "se_subband_closed_form": "the paper's sub-band closed form, which the "
+                              "acceptance gate checks the emitted SE against",
+    "read_channel_dump": "the reader of the file format `squintlab channel` writes",
+}
+
+
+def _benchmark_imports():
+    """Names the benchmark imports from the package, module by module."""
+    names = set()
+    for path in sorted(_PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("squintlab"):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_benchmark_names_exist_in_the_package():
+    # the tests do not collect perfbench/, so a name it needs could go silently
+    checks = ast.parse((_PERFBENCH / "checks.py").read_text())
+    imported = [alias.name for node in ast.walk(checks)
+                if isinstance(node, ast.ImportFrom) and node.module == "squintlab"
+                for alias in node.names]
+    tracing = ast.parse((_PERFBENCH / "tracing.py").read_text())
+    meters = next(node.value for node in ast.walk(tracing) if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["METERS"])
+    metered = [key.value for key in meters.keys]
+    assert len(imported) > 10 and len(metered) == 5
+    assert [name for name in imported + metered if not hasattr(squintlab, name)] == []
+    from squintlab import cli, experiments
+
+    for module, name in ((experiments, "resolve_threads"), (experiments, "_map_trials"),
+                         (cli, "cli_main")):
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+
+
+def test_every_public_definition_has_a_caller():
+    # a reference is a name read in code (not in a docstring) by any top-level
+    # statement of the package other than the definition itself, or a name the
+    # benchmark imports; the package's __init__ re-exports do not count
+    statements = [(path.name, stmt)
+                  for path in sorted(_PACKAGE.glob("*.py")) if path.name != "__init__.py"
+                  for stmt in ast.parse(path.read_text()).body]
+    reads = [({node.id for node in ast.walk(stmt)
+               if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}, stmt)
+             for _, stmt in statements]
+    called = _benchmark_imports()
+    uncalled = [f"{module}:{stmt.name}" for module, stmt in statements
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_")
+                and stmt.name not in called and stmt.name not in _UNCALLED_API
+                and not any(stmt.name in names for names, other in reads if other is not stmt)]
+    assert uncalled == [], f"no caller in src/ or perfbench/: {uncalled}"
+    assert all(hasattr(squintlab, name) for name in _UNCALLED_API)
 
 
 # the batch axis: wide geometry, every field model, bit-equal to one path at a time
@@ -408,19 +481,19 @@ def test_batched_channel_columns_need_one_path_per_column(columns):
 
 def test_delay_steering_center_subcarrier_is_one():
     grid = CarrierGrid(5, 1e6)
-    vec = delay_steering(grid, 123.0)
+    vec = delay_ramp(grid, 123.0)
     assert vec[2] == pytest.approx(1.0 + 0j, abs=1e-15)
 
 
 def test_delay_steering_full_turn_collapses_to_ones():
     grid = CarrierGrid(5, 1e6)
-    vec = delay_steering(grid, SPEED_OF_LIGHT / 1e6)
+    vec = delay_ramp(grid, SPEED_OF_LIGHT / 1e6)
     assert np.allclose(vec, 1.0, atol=1e-9)
 
 
 def test_delay_steering_matches_direct_phases():
     grid = CarrierGrid.from_bandwidth(600e6, 256)
-    vec = delay_steering(grid, 50.0)
+    vec = delay_ramp(grid, 50.0)
     for m in (0, 1, 100, 255):
         delta = m - 127.5
         want = np.exp(1j * 2 * math.pi / SPEED_OF_LIGHT * delta * grid.subcarrier_spacing_hz * 50.0)
@@ -438,9 +511,9 @@ def test_steering_entries_are_unit_modulus(seed):
     grid = CarrierGrid.from_bandwidth(float(rng.uniform(1e6, 1e9)), m)
     path = make_path(theta=theta, d=d, r=float(rng.uniform(0, 100)))
     for vec in (
-        near_field_steering(geom, path),
-        far_field_steering(geom, theta),
-        delay_steering(grid, path),
+        steering(geom, path),
+        steering(geom, path, FieldModel.FAR),
+        delay_ramp(grid, path.total_range_m),
     ):
         assert np.max(np.abs(np.abs(vec) - 1.0)) < 1e-12
     q = beam_squint_matrix(geom, grid, path)
@@ -473,7 +546,7 @@ def test_squint_grid_max_matches_closed_form_after_rescale():
     grid = CarrierGrid.from_bandwidth(300e6, 64)
     path = make_path(theta=0.3, d=40.0)
     grid_max = oracles.squint_phase_grid_max(512, 64, 0.3, 40.0, 300e6, 7e9)
-    closed = max_squint_phase(geom, grid, path)
+    closed = squint_extreme(geom, grid, path)
     assert grid_max == pytest.approx(closed * 63 / 64, rel=1e-9)
 
 
@@ -487,7 +560,7 @@ def test_squint_wrap_free_grid_max_matches_entry_angles():
     angle_max = float(np.max(np.abs(np.angle(q))))
     want = oracles.squint_phase_grid_max(76, 64, 0.3, 40.0, 300e6, 7e9)
     assert angle_max == pytest.approx(want, rel=1e-12)
-    closed = max_squint_phase(geom, grid, path)
+    closed = squint_extreme(geom, grid, path)
     assert angle_max == pytest.approx(closed * 63 / 64, rel=1e-9)
 
 
@@ -500,20 +573,6 @@ def test_squint_entries_match_oracle_phases_beyond_wrapping():
     offs = np.array(oracles.subcarrier_offsets(64))
     phases = 2 * math.pi / SPEED_OF_LIGHT * grid.subcarrier_spacing_hz * np.outer(spread, offs)
     assert np.allclose(q, np.exp(1j * phases), atol=1e-12)
-
-
-def test_far_mode_squint_uses_planar_offsets():
-    geom = make_geom(8, 7e9)
-    grid = CarrierGrid.from_bandwidth(100e6, 4)
-    path = make_path(theta=0.4, d=30.0)
-    q = beam_squint_matrix(geom, grid, path, "far")
-    n, m = 7, 0
-    dev = (7 - 3.5) * geom.spacing_m * 0.4
-    delta = (0 - 1.5) * grid.subcarrier_spacing_hz
-    want = np.exp(1j * 2 * math.pi / SPEED_OF_LIGHT * delta * dev)
-    assert q[n, m] == pytest.approx(want, abs=1e-12)
-    with pytest.raises(ValueError):
-        beam_squint_matrix(geom, grid, path, "sideways")
 
 
 # ---------------------------------------------------------------------------
@@ -650,21 +709,21 @@ def test_channel_columns_subset_matches_full_matrix():
 def test_single_block_plan_reproduces_full_channel():
     geom = make_geom(24)
     grid = CarrierGrid.from_bandwidth(150e6, 8)
-    paths = [make_path(theta=0.3, d=25.0, r=8.0)]
+    path = make_path(theta=0.3, d=25.0, r=8.0)
     plan = make_plan(24, [24])
-    block = subarray_channel(geom, grid, paths, plan, 0)
-    full = synth_channel(geom, grid, paths)
-    assert np.allclose(block.entries, full.entries, rtol=1e-12)
+    block = block_channel(geom, grid, path, plan, 0)
+    full = synth_channel(geom, grid, [path])
+    assert np.allclose(block, full.entries, rtol=1e-12)
 
 
 def test_broadside_halves_mirror_each_other():
     geom = make_geom(16)
     grid = CarrierGrid.from_bandwidth(150e6, 4)
-    paths = [make_path(theta=0.0, d=30.0)]
+    path = make_path(theta=0.0, d=30.0)
     plan = make_plan(16, [8, 8])
-    top = subarray_channel(geom, grid, paths, plan, 0)
-    bottom = subarray_channel(geom, grid, paths, plan, 1)
-    assert np.allclose(top.entries, np.flipud(bottom.entries), rtol=1e-12)
+    top = block_channel(geom, grid, path, plan, 0)
+    bottom = block_channel(geom, grid, path, plan, 1)
+    assert np.allclose(top, np.flipud(bottom), rtol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -692,24 +751,12 @@ def test_blocks_reassemble_with_relocation_phase(seed):
         k = 2 * math.pi / SPEED_OF_LIGHT * geom.center_freq_hz
         rebuilt = []
         for t, size in enumerate(plan.subarray_sizes):
-            block = subarray_channel(geom, grid, [path], plan, t).entries
+            block = block_channel(geom, grid, path, plan, t)
             if path.field_model is not FieldModel.FAR:
-                d_sub = subarray_center_distance(geom, path, plan.offsets[t])
+                d_sub = subarray_center_distance(geom, path, [plan.offsets[t]])[0]
                 block = block * np.exp(1j * k * (d_sub - path.scatterer_distance_m))
             rebuilt.append(block)
         assert np.allclose(np.vstack(rebuilt), full, rtol=1e-12, atol=1e-12)
-
-
-def test_subarray_index_and_plan_are_validated():
-    geom = make_geom(16)
-    grid = CarrierGrid(4, 1e6)
-    paths = [make_path()]
-    plan = make_plan(16, [8, 8])
-    with pytest.raises(ValueError):
-        subarray_channel(geom, grid, paths, plan, 2)
-    short = make_plan(8, [8])
-    with pytest.raises(ValueError):
-        subarray_channel(geom, grid, paths, short, 0)
 
 
 # ---------------------------------------------------------------------------
