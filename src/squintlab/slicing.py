@@ -85,7 +85,6 @@ class SubbandPlan:
     """Full-band partition into per-user sub-bands (plus the subarray size used)."""
 
     subbands: tuple[UserSubband, ...]
-    num_subarrays: int
     subarray_size: int
 
     @property
@@ -300,4 +299,4 @@ def allocate_subbands(
         center = f_c - band / 2.0 + start * spacing + width / 2.0
         subbands.append(UserSubband(k, count, start, spacing, center))
         start += count
-    return SubbandPlan(tuple(subbands), num_subarrays, size)
+    return SubbandPlan(tuple(subbands), size)

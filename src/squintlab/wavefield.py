@@ -13,6 +13,7 @@ meters, frequencies in Hz.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -266,8 +267,24 @@ def path_phases(
     """
     if offsets is None:
         offsets = geom.element_offsets()
-    if model is None:
-        model = path.field_model
+    carrier, ramp = _carrier_and_ramp(geom, path, offsets, reference_m,
+                                      path.field_model if model is None else model)
+    k = 2.0 * np.pi / geom.wave_speed
+    return carrier[..., None] + k * (ramp * np.asarray(freq_dev))
+
+
+def _carrier_and_ramp(
+    geom: ArrayGeometry,
+    path: PathParams | PathBatch,
+    offsets: NDArray[np.float64],
+    reference_m: float | NDArray[np.float64] | None,
+    model: FieldModel,
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The two factors of :func:`path_phases`: phase = carrier + k (ramp df), k = 2 pi/c.
+
+    The carrier phases have the element shape; the delay ramp has it too, plus
+    a trailing axis of length 1, or shape (1,) when it is one scalar.
+    """
     k = 2.0 * np.pi / geom.wave_speed
     ramp = path.total_range_m  # one per path, broadcast over the elements
     if model is FieldModel.FAR:
@@ -280,7 +297,7 @@ def path_phases(
         if model is FieldModel.WIDEBAND_NEAR:
             # squint folds in: the delay ramp sees each element's true range
             ramp = path.ue_range_m + ranges
-    return carrier[..., None] + k * (np.expand_dims(ramp, -1) * np.asarray(freq_dev))
+    return carrier, np.expand_dims(ramp, -1)
 
 
 def phasor(phases: NDArray[np.float64]) -> ComplexMatrix:
@@ -340,10 +357,17 @@ def channel_columns(
 
     ``model_tag`` forces one regime for every path; ``hybrid`` dispatches on each
     path's own ``field_model``. Entries are the sum of per-path terms, linear in
-    the gains, one batched phase call per path. A :class:`PathParams` holds for
-    every column; a :class:`PathBatch` holds one path per selected subcarrier,
-    so one call builds several users' columns, each on its own subcarriers
-    (index the users' :func:`path_slots` by each column's user).
+    the gains. A :class:`PathParams` holds for every column; a :class:`PathBatch`
+    holds one path per selected subcarrier, so one call builds several users'
+    columns, each on its own subcarriers (index the users' :func:`path_slots` by
+    each column's user), from one phase table per path.
+
+    A :class:`PathParams` term is built in blocks of B = isqrt(C) of its C
+    columns. On evenly spaced columns, step s apart, the phase of column
+    c0 + i is that of column c0 plus k ramp_n i s df, so the term is an exact
+    phasor at every B-th column (gain folded in) times a step phasor
+    exp(j k ramp_n i s df), i < B: one multiply per entry, plus a shorter
+    tail block. Unevenly spaced columns take B = 1: the direct gain * exp(j phase).
     """
     if model_tag not in _MODEL_TAGS:
         raise ValueError(f"unknown model_tag {model_tag!r}")
@@ -351,20 +375,34 @@ def channel_columns(
     if not paths:
         raise ValueError("at least one path is required")
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
+    step = 1  # index step between the requested columns; 0 when uneven
     if subcarrier_indices is not None:
         idx = np.asarray(list(subcarrier_indices), dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= grid.num_subcarriers):
             raise ValueError("subcarrier index out of range")
         freq_dev = freq_dev[idx]
-    out = np.zeros((geom.num_antennas, freq_dev.size), dtype=np.complex128)
+        gaps = np.unique(np.diff(idx))
+        step = int(gaps[0]) if gaps.size == 1 else 0
+    num_cols = freq_dev.size
+    block = math.isqrt(num_cols) if step else 1
+    body = num_cols // block * block  # columns in whole blocks; the rest is the tail
+    k = 2.0 * np.pi / geom.wave_speed
+    out = np.zeros((geom.num_antennas, num_cols), dtype=np.complex128)
     for path in paths:
         model = path.field_model if model_tag == HYBRID else FieldModel(model_tag)
-        # one expression per path, so each N x C temporary is freed as soon as
-        # it is used. A scalar gain lets numpy multiply a temporary of 256 KiB
-        # or more in place, as temporary * gain, which rounds unlike
-        # gain * temporary; a single-path channel keeps that form.
+        # gain * phasor(...) keeps the direct form's operand order: numpy
+        # multiplies a temporary of 256 KiB or more in place, as
+        # temporary * gain, which rounds unlike gain * temporary
         if isinstance(path, PathParams):
-            out += path.gain * phasor(path_phases(geom, path, freq_dev, model=model))
+            carrier, ramp = _carrier_and_ramp(geom, path, geom.element_offsets(), None, model)
+            # N x ceil(C/B) anchors and an N x B (or 1 x B) step table; at
+            # B = 1 the step is exactly 1 and the anchors are the direct term
+            anchors = path.gain * phasor(carrier[:, None] + k * (ramp * freq_dev[::block]))
+            steps = phasor(k * (ramp * (np.arange(block) * step * grid.subcarrier_spacing_hz)))
+            blocks = out[:, :body].reshape(geom.num_antennas, -1, block)
+            blocks += anchors[:, :body // block, None] * steps[..., None, :]
+            if body < num_cols:
+                out[:, body:] += anchors[:, -1:] * steps[..., :num_cols - body]
         elif path.gain.shape == freq_dev.shape:
             out += path.gain * phasor(path_phases(
                 geom, path, freq_dev[:, None], offsets=geom.element_offsets()[:, None],

@@ -356,3 +356,86 @@ def exp_slice_rows(
         acc += gain * np.exp(1j * phases)
     acc += np.multiply(near_gain, np.exp(1j * near_phases))
     return np.exp(1j * np.angle(acc))
+
+
+def path_term_longdouble(
+    gain: complex,
+    sine_angle: float,
+    distance_m: float,
+    range_m: float,
+    field: str,
+    num_antennas: int,
+    num_subcarriers: int,
+    subcarrier_spacing_hz: float,
+    indices,
+    center_freq_hz: float,
+    spacing_m: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One path's channel term on the requested subcarriers, in long double.
+
+    The same phase as :func:`channel_entry`, for every element and requested
+    subcarrier at once, from the same float64 inputs: each step, pi and the
+    scatterer's 2-D placement included, runs in ``np.longdouble`` (64-bit
+    mantissa on x86-64). Returns the real and imaginary parts.
+    """
+    if spacing_m is None:
+        spacing_m = default_spacing(center_freq_hz)
+    ld = np.longdouble
+    k = 8 * np.arctan(ld(1)) / ld(WAVE_SPEED)
+    d, theta = ld(distance_m), ld(sine_angle)
+    # scatterer at (d cos, d sin); 1 - sin^2 factored to keep it exact near |sin| = 1
+    sx, sy = d * np.sqrt((1 - theta) * (1 + theta)), d * theta
+    ey = (np.arange(num_antennas, dtype=ld) - ld(num_antennas - 1) / 2) * ld(spacing_m)
+    d_n = np.hypot(sx, sy - ey)
+    freq_dev = ((np.asarray(indices, dtype=ld) - ld(num_subcarriers - 1) / 2)
+                * ld(subcarrier_spacing_hz))
+    if field == "far":
+        carrier, ramp = k * ld(center_freq_hz) * ey * theta, ld(range_m) + d
+    elif field in ("wn", "nn"):
+        carrier = k * ld(center_freq_hz) * (d_n - d)
+        ramp = ld(range_m) + (d_n if field == "wn" else d)
+    else:
+        raise ValueError(f"unknown field {field!r}")
+    phase = carrier[:, None] + k * np.multiply.outer(np.broadcast_to(ramp, d_n.shape), freq_dev)
+    cos, sin = np.cos(phase), np.sin(phase)
+    return ld(gain.real) * cos - ld(gain.imag) * sin, ld(gain.real) * sin + ld(gain.imag) * cos
+
+
+def phase_rounding_scale(
+    sine_angle: float,
+    distance_m: float,
+    range_m: float,
+    field: str,
+    num_antennas: int,
+    num_subcarriers: int,
+    subcarrier_spacing_hz: float,
+    indices,
+    center_freq_hz: float,
+    spacing_m: float | None = None,
+) -> float:
+    """Size, in radians, of what a float64 evaluation of a path's phases rounds.
+
+    The largest |carrier| + |k ramp df| + 1 over the table, plus, for near
+    paths, k f_c (and k |df| for wideband-near ones) times the conditioning
+    (d^2 + 2 d |x theta| + x^2) / d_n of each element range d_n. A rounding
+    error of the phase is at most a few machine epsilons times this; the last
+    term is what a scatterer next to an element adds.
+    """
+    if spacing_m is None:
+        spacing_m = default_spacing(center_freq_hz)
+    k = 2.0 * math.pi / WAVE_SPEED
+    x = np.array(element_offsets(num_antennas)) * spacing_m
+    d_n = element_distances(num_antennas, sine_angle, distance_m, spacing_m)
+    freq_dev = np.abs(np.array(subcarrier_offsets(num_subcarriers))[list(indices)]
+                      * subcarrier_spacing_hz)
+    if field == "far":
+        carrier, ramp, cond = k * center_freq_hz * x * sine_angle, range_m + distance_m, 0.0 * x
+    else:
+        carrier = k * center_freq_hz * (d_n - distance_m)
+        ramp = range_m + (d_n if field == "wn" else distance_m)
+        cond = (distance_m ** 2 + 2.0 * distance_m * np.abs(x * sine_angle) + x * x) / d_n
+    scale = (np.abs(carrier) + k * center_freq_hz * cond)[:, None] + 1.0
+    scale = scale + k * np.multiply.outer(np.broadcast_to(ramp, x.shape), freq_dev)
+    if field == "wn":
+        scale = scale + k * np.multiply.outer(cond, freq_dev)
+    return float(np.max(scale))

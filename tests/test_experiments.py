@@ -536,7 +536,7 @@ def test_batched_mean_se_equals_the_per_user_loop(seed):
     widths = rng.integers(1, 41, size=rng.integers(1, 30))
     starts = np.concatenate([[0], np.cumsum(widths)[:-1]])
     plan = SubbandPlan(tuple(UserSubband(k, int(w), int(s), 1e6, 7e9)
-                             for k, (w, s) in enumerate(zip(widths, starts))), 4, 8)
+                             for k, (w, s) in enumerate(zip(widths, starts))), 8)
     amps = {scheme.value: rng.uniform(0.0, 30.0, widths.sum()) * (rng.random() < 0.9)
             for scheme in _FS_SCHEMES}
     schemes = [scheme.value for scheme in _FS_SCHEMES]
