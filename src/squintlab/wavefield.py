@@ -381,8 +381,8 @@ def channel_columns(
         if idx.size and (idx.min() < 0 or idx.max() >= grid.num_subcarriers):
             raise ValueError("subcarrier index out of range")
         freq_dev = freq_dev[idx]
-        gaps = np.unique(np.diff(idx))
-        step = int(gaps[0]) if gaps.size == 1 else 0
+        gaps = np.diff(idx)  # not np.unique, whose first call imports numpy.ma (1 MiB)
+        step = int(gaps[0]) if gaps.size and np.all(gaps == gaps[0]) else 0
     num_cols = freq_dev.size
     block = math.isqrt(num_cols) if step else 1
     body = num_cols // block * block  # columns in whole blocks; the rest is the tail
