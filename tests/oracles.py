@@ -332,8 +332,10 @@ def digital_mrt(channel_column: np.ndarray, analog: np.ndarray) -> np.ndarray:
 # The complex-exponential forms the package used before ``wavefield.phasor``.
 # They keep each product's operand order: numpy multiplies a temporary of
 # 256 KiB or more in place (temporary * gain), which rounds unlike
-# gain * temporary, so a builder must match them in every bit, not just to
-# the 12 digits of a CSV.
+# gain * temporary. The analog rows, the batch columns of ``channel_columns``
+# and its single-path terms in blocks of one column must match them in every
+# bit, not just to the 12 digits of a CSV; blocked single-path terms are held
+# to the accuracy of ``exp_path_term`` against ``path_term_longdouble``.
 
 
 def exp_path_term(gain, phases: np.ndarray) -> np.ndarray:

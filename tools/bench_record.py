@@ -2,9 +2,9 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/bench_record.py --label 11 [--runs 5] [--seconds 20]
+    python3 tools/bench_record.py --label 11
 
-Each of ``--runs`` rounds runs ``perfbench/run.py --trace 0`` once per
+Each of RUNS rounds runs ``perfbench/run.py --trace 0`` for SECONDS once per
 workload, in turn, as a subprocess with BLAS threads pinned to 1; round i uses
 workload seed i. Interleaving the workloads spreads slow stretches of the
 machine over all of them. The per-run reports under ``.perfbench_out/`` give
@@ -26,12 +26,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+RUNS = 5  # per workload: the fewest a BENCH median may rest on
+SECONDS = 20.0  # timed loop of one run
 
 
 def summarise(values: list[float]) -> dict:
     """Median and interquartile range of one metric's run values."""
-    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
@@ -59,7 +60,7 @@ def record(workloads: list[str], metrics: list[str], runs: int, seconds: float) 
         for name in workloads:
             report = run_once(name, seed, seconds)
             reports[name].append(report)
-            trials = report["metrics"].get("trials_per_s", {}).get("value", float("nan"))
+            trials = report["metrics"]["trials_per_s"]["value"]
             print(f"{name} seed {seed}: {trials:.2f} trials/s, "
                   f"correct={report['correct']}", file=sys.stderr)
     environment = reports[workloads[0]][0]["environment"]
@@ -87,19 +88,15 @@ def main(argv=None) -> None:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
-    if args.runs < 5:
-        parser.error("a BENCH file needs at least 5 runs per workload")
     bench = record([w["name"] for w in spec["workloads"]],
-                   [m["name"] for m in spec["end_to_end"]], args.runs, args.seconds)
+                   [m["name"] for m in spec["end_to_end"]], RUNS, SECONDS)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     for name, summary in bench["workloads"].items():
         tps = summary["metrics"]["trials_per_s"]
         print(f"{name:<10} trials/s median {tps['median']:.2f} IQR {tps['iqr']:.2f} "
-              f"({summary['correct_runs']}/{args.runs} correct)")
+              f"({summary['correct_runs']}/{RUNS} correct)")
     print(f"wrote {out.relative_to(ROOT)}")
 
 
