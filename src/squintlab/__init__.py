@@ -8,21 +8,19 @@ Carlo sweeps), ``cli`` (command-line entry point).
 """
 
 from .boundaries import (
-    UNBOUNDED,
     BoundaryBound,
     BoundaryReport,
+    BoundaryTable,
     SquintThresholds,
-    Unbounded,
     antenna_boundary,
     boundary_bounds,
     boundary_coefficients,
     boundary_report,
+    boundary_table,
     classify_path,
     freq_boundary,
-    is_unbounded,
     max_distance_variation,
     near_field_threshold,
-    subband_phase_limit,
 )
 from .experiments import CSV_HEADER, EXPERIMENTS, SweepResult, SweepRow, run_experiment
 from .precoding import (
@@ -32,6 +30,7 @@ from .precoding import (
     narrowband_beams,
     narrowband_mrt,
     normalized_array_gain,
+    owner_gain_amplitudes,
     per_subcarrier_rates,
     power_for_snr_db,
     se_optimal,
@@ -60,7 +59,7 @@ from .slicing import (
     UserSubband,
     allocate_subbands,
     plan_antenna_slices,
-    user_subcarrier_cap,
+    subcarrier_caps,
 )
 from .wavefield import (
     SPEED_OF_LIGHT,

@@ -8,15 +8,21 @@ spherical-wavefront carrier phase yields the near-field threshold N_tilde below
 which the planar model is adequate.
 
 All boundaries are real-valued; consumers that need integers floor them. Where a
-boundary genuinely does not exist (e.g. the far-mode frequency boundary at
-broadside) the :data:`UNBOUNDED` sentinel object is returned, never a float.
+boundary does not exist (a single antenna, the far-mode boundaries at broadside,
+a user whose paths share one total range) it is ``math.inf``, which orders above
+every finite boundary. :func:`boundary_table` evaluates the near-mode
+boundaries of every path of a draw as arrays. It shares each formula, and so
+its operation order and its bits, with the one-path functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+import numpy as np
+from numpy.typing import NDArray
 
 from .wavefield import (
     SPEED_OF_LIGHT,
@@ -25,63 +31,6 @@ from .wavefield import (
     FieldModel,
     PathParams,
 )
-
-
-class Unbounded:
-    """Order-aware stand-in for a boundary that does not bind.
-
-    Compares greater than every real number (so ``min(x, UNBOUNDED)`` keeps x)
-    and serializes as the string ``"unbounded"``.
-    """
-
-    _instance: "Unbounded | None" = None
-
-    def __new__(cls) -> "Unbounded":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "unbounded"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Unbounded)
-
-    def __hash__(self) -> int:
-        return hash("squintlab-unbounded")
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, Unbounded):
-            return False
-        if isinstance(other, (int, float)):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (Unbounded, int, float)):
-            return True
-        return NotImplemented
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (Unbounded, int, float)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, Unbounded):
-            return True
-        if isinstance(other, (int, float)):
-            return False
-        return NotImplemented
-
-
-UNBOUNDED = Unbounded()
-
-Boundary = Union[float, Unbounded]
-
-
-def is_unbounded(value: object) -> bool:
-    return isinstance(value, Unbounded)
 
 
 @dataclass(frozen=True)
@@ -104,12 +53,11 @@ class SquintThresholds:
 
 @dataclass(frozen=True)
 class QuadraticCoefficients:
-    """A1..A5 of the boundary quadratics in (N - 1); a2 = a4 * |theta|."""
+    """A1, A2, A3 and A5 of the boundary quadratics in (N - 1)."""
 
     a1: float
     a2: float
     a3: float
-    a4: float
     a5: float
 
 
@@ -117,25 +65,78 @@ class QuadraticCoefficients:
 class BoundaryBound:
     """Angle-extremal lower/upper envelope of one boundary."""
 
-    lower: Boundary
-    upper: Boundary
+    lower: float
+    upper: float
 
 
 @dataclass(frozen=True)
 class BoundaryReport:
-    """All boundaries, their Table-style bounds, and the quadratic coefficients."""
+    """All boundaries of one path and their Table-style bounds."""
 
-    freq_boundary_near_hz: Boundary
+    freq_boundary_near_hz: float
     antenna_boundary_near: float
-    freq_boundary_far_hz: Boundary
-    antenna_boundary_far: Boundary
+    freq_boundary_far_hz: float
+    antenna_boundary_far: float
     near_field_threshold: float
     bounds: dict[str, BoundaryBound]
-    coeffs: QuadraticCoefficients
+
+
+@dataclass(frozen=True, eq=False)
+class BoundaryTable:
+    """Near-mode boundaries of every path of a draw, users by paths.
+
+    Entry (k, l) belongs to path l of user k, and ``near`` marks the entries
+    that hold a near-field path (shorter users are padded). ``near_threshold``
+    (N_tilde), ``antenna`` (N_bar at the grid's bandwidth) and ``freq`` (B_bar)
+    are at full-array scale. The sub-band caps' inputs are set for a table
+    built with a subarray size: ``freq_subarray``, B_bar of one subarray, and
+    ``delay_spread``, each user's delay-spread limit over its near paths (inf
+    for a user without two distinct total ranges).
+    """
+
+    near: NDArray[np.bool_]
+    near_threshold: NDArray[np.float64]
+    antenna: NDArray[np.float64]
+    freq: NDArray[np.float64]
+    freq_subarray: NDArray[np.float64] | None = None
+    delay_spread: NDArray[np.float64] | None = None
+
+
+def _near_variation(n: int, s: float, theta, d):
+    """sqrt(d^2 + (N-1) d s theta + ((N-1) s / 2)^2) - d without cancellation."""
+    t2 = (n - 1) * d * s * theta
+    t3 = ((n - 1) * s / 2.0) ** 2
+    return (t2 + t3) / (np.sqrt(d * d + t2 + t3) + d)
+
+
+def _near_freq_boundaries(n: int, geom: ArrayGeometry, thr: SquintThresholds, theta, d):
+    """Near-mode B_bar of an n-element array for arrays of |theta| and d."""
+    if n == 1:
+        return np.full(np.shape(d), math.inf)
+    return thr.total * geom.wave_speed / _near_variation(n, geom.spacing_m, theta, d)
+
+
+def _quadratic_root_plus_one(a1, a2, rhs):
+    """Positive root of a1 x^2 + a2 x = rhs, returned as x + 1."""
+    return (-a2 + np.sqrt(a2 * a2 + 4.0 * a1 * rhs)) / (2.0 * a1) + 1.0
+
+
+def _carrier_coefficients(theta, d, center_freq_hz: float, kappa_a: float, s: float,
+                          c: float):
+    """A1, A2 and A5 of the carrier-phase quadratic A1 (N-1)^2 + A2 (N-1) = A5."""
+    a5 = (kappa_a * kappa_a * c * c + 4.0 * kappa_a * c * d * center_freq_hz) / (
+        4.0 * center_freq_hz * center_freq_hz
+    )
+    return s * s / 4.0, d * s * theta, a5
+
+
+def _bandwidth_coefficient(d, b: float, kappa: float, c: float):
+    """A3, the squint budget of the antenna-count quadratic A1 (N-1)^2 + A2 (N-1) = A3."""
+    return (kappa * kappa * c * c + 2.0 * kappa * c * d * b) / (b * b)
 
 
 # ---------------------------------------------------------------------------
-# distance variation
+# distance variation and one-path boundaries
 # ---------------------------------------------------------------------------
 
 
@@ -154,41 +155,17 @@ def max_distance_variation(geom: ArrayGeometry, path: PathParams, field_mode: st
         return (n - 1) * s * theta / 2.0
     if field_mode != "near":
         raise ValueError("field_mode must be 'near' or 'far'")
-    d = path.scatterer_distance_m
-    t2 = (n - 1) * d * s * theta
-    t3 = ((n - 1) * s / 2.0) ** 2
-    return (t2 + t3) / (math.sqrt(d * d + t2 + t3) + d)
-
-
-# ---------------------------------------------------------------------------
-# boundaries
-# ---------------------------------------------------------------------------
+    return float(_near_variation(n, s, theta, path.scatterer_distance_m))
 
 
 def freq_boundary(
     geom: ArrayGeometry, path: PathParams, thr: SquintThresholds, field_mode: str = "near"
-) -> Boundary:
+) -> float:
     """Bandwidth B_bar beyond which the squint phase exceeds (kappa_a+kappa_f) pi."""
     variation = max_distance_variation(geom, path, field_mode)
     if variation == 0.0:
-        return UNBOUNDED
+        return math.inf
     return thr.total * geom.wave_speed / variation
-
-
-def _quadratic_root_plus_one(a1: float, a2: float, rhs: float) -> float:
-    """Positive root of a1 x^2 + a2 x = rhs, returned as x + 1."""
-    return (-a2 + math.sqrt(a2 * a2 + 4.0 * a1 * rhs)) / (2.0 * a1) + 1.0
-
-
-def _carrier_coefficients(
-    path: PathParams, center_freq_hz: float, kappa_a: float, s: float, c: float
-) -> tuple[float, float, float]:
-    """A1, A2 and A5 of the carrier-phase quadratic A1 (N-1)^2 + A2 (N-1) = A5."""
-    d = path.scatterer_distance_m
-    a5 = (kappa_a * kappa_a * c * c + 4.0 * kappa_a * c * d * center_freq_hz) / (
-        4.0 * center_freq_hz * center_freq_hz
-    )
-    return s * s / 4.0, d * s * abs(path.sine_angle), a5
 
 
 def boundary_coefficients(
@@ -200,14 +177,14 @@ def boundary_coefficients(
     spacing_m: float | None = None,
     wave_speed: float = SPEED_OF_LIGHT,
 ) -> QuadraticCoefficients:
-    """A1..A5 for the antenna-count quadratics (A4 is the far-mode linear slope)."""
+    """A1, A2, A3 and A5 of the antenna-count and carrier-phase quadratics."""
     c = wave_speed
     s = c / (2.0 * center_freq_hz) if spacing_m is None else spacing_m
-    kappa = thr.total
     d = path.scatterer_distance_m
-    a1, a2, a5 = _carrier_coefficients(path, center_freq_hz, thr.kappa_a, s, c)
-    a3 = (kappa * kappa * c * c + 2.0 * kappa * c * d * bandwidth_hz) / (bandwidth_hz * bandwidth_hz)
-    return QuadraticCoefficients(a1, a2, a3, d * s, a5)
+    a1, a2, a5 = _carrier_coefficients(abs(path.sine_angle), d, center_freq_hz,
+                                       thr.kappa_a, s, c)
+    return QuadraticCoefficients(a1, a2, _bandwidth_coefficient(d, bandwidth_hz, thr.total, c),
+                                 a5)
 
 
 def antenna_boundary(
@@ -219,7 +196,7 @@ def antenna_boundary(
     *,
     spacing_m: float | None = None,
     wave_speed: float = SPEED_OF_LIGHT,
-) -> Boundary:
+) -> float:
     """Antenna count N_bar beyond which the squint phase exceeds the threshold.
 
     Near mode solves the quadratic A1 (N-1)^2 + A2 (N-1) = A3; far mode inverts
@@ -230,18 +207,17 @@ def antenna_boundary(
         raise ValueError("bandwidth_hz must be positive")
     c = wave_speed
     s = c / (2.0 * center_freq_hz) if spacing_m is None else spacing_m
-    kappa = thr.total
     if field_mode == "far":
         theta = abs(path.sine_angle)
         if theta == 0.0:
-            return UNBOUNDED
-        return 2.0 * kappa * c / (bandwidth_hz * s * theta) + 1.0
+            return math.inf
+        return 2.0 * thr.total * c / (bandwidth_hz * s * theta) + 1.0
     if field_mode != "near":
         raise ValueError("field_mode must be 'near' or 'far'")
     co = boundary_coefficients(
         bandwidth_hz, path, center_freq_hz, thr, spacing_m=s, wave_speed=c
     )
-    return _quadratic_root_plus_one(co.a1, co.a2, co.a3)
+    return float(_quadratic_root_plus_one(co.a1, co.a2, co.a3))
 
 
 def near_field_threshold(
@@ -259,7 +235,72 @@ def near_field_threshold(
     """
     c = wave_speed
     s = c / (2.0 * center_freq_hz) if spacing_m is None else spacing_m
-    return _quadratic_root_plus_one(*_carrier_coefficients(path, center_freq_hz, kappa_a, s, c))
+    return float(_quadratic_root_plus_one(*_carrier_coefficients(
+        abs(path.sine_angle), path.scatterer_distance_m, center_freq_hz, kappa_a, s, c)))
+
+
+def _delay_spread_limits(total, near, kappa_f: float, wave_speed: float):
+    """Per-user bandwidth cap from multipath delay spread about the mean range.
+
+    Row k gives kappa_f c / max_l |t_l - mean(t)| over user k's near total
+    ranges t = r + d (at least one column); a single path, or identical
+    total ranges, is unconstrained (inf). The running sum adds left to right,
+    as ``sum`` does, and the far entries add an exact zero.
+    """
+    center = np.cumsum(total * near, axis=1)[:, -1] / np.maximum(near.sum(axis=1), 1)
+    deviation = np.max(np.abs(total - center[:, None]) * near, axis=1)
+    out = np.full(deviation.shape, math.inf)
+    np.divide(kappa_f * wave_speed, deviation, out=out, where=deviation > 0.0)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the boundary table of a draw
+# ---------------------------------------------------------------------------
+
+
+def boundary_table(
+    geom: ArrayGeometry,
+    grid: CarrierGrid,
+    thr: SquintThresholds,
+    users: Sequence[Sequence[PathParams]],
+    subarray_size: int | None = None,
+) -> BoundaryTable:
+    """Near-mode boundaries of every path of every user, in one pass of arrays.
+
+    ``subarray_size`` asks for the sub-band caps' inputs at that subarray
+    scale as well. Each entry equals, bit for bit, what the one-path function
+    gives for the same path.
+    """
+    if not users:
+        raise ValueError("at least one user is required")
+    counts = [len(paths) for paths in users]
+    width = max(max(counts), 1)
+    fields = np.array([(abs(p.sine_angle), p.scatterer_distance_m, p.total_range_m,
+                        p.field_model is not FieldModel.FAR)
+                       for paths in users for p in paths], dtype=np.float64).reshape(-1, 4).T
+    if min(counts) < width:  # pad shorter users with entries that are not near
+        padded = np.zeros((4, len(users), width))
+        padded[:, np.arange(width) < np.array(counts)[:, None]] = fields
+        fields = padded
+    theta, d, total, near = np.ascontiguousarray(fields).reshape(4, len(users), width)
+    near = near > 0.0
+
+    c, s = geom.wave_speed, geom.spacing_m
+    a1, a2, a5 = _carrier_coefficients(theta, d, geom.center_freq_hz, thr.kappa_a, s, c)
+    a3 = _bandwidth_coefficient(d, grid.bandwidth_hz, thr.total, c)
+    n_tilde, n_bar = _quadratic_root_plus_one(a1, a2, np.stack((a5, a3)))
+    table = BoundaryTable(
+        near=near,
+        near_threshold=n_tilde,
+        antenna=n_bar,
+        freq=_near_freq_boundaries(geom.num_antennas, geom, thr, theta, d),
+    )
+    if subarray_size is None:
+        return table
+    return replace(table,
+                   freq_subarray=_near_freq_boundaries(subarray_size, geom, thr, theta, d),
+                   delay_spread=_delay_spread_limits(total, near, thr.kappa_f, c))
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +325,9 @@ def boundary_bounds(
         edge_freq = 2.0 * kappa * c / ((n - 1) * s)
         t3 = ((n - 1) * s / 2.0) ** 2
         broadside_variation = t3 / (math.sqrt(d * d + t3) + d)
-        freq_near_upper: Boundary = kappa * c / broadside_variation
+        freq_near_upper = kappa * c / broadside_variation
     else:
-        edge_freq = UNBOUNDED
-        freq_near_upper = UNBOUNDED
+        edge_freq = freq_near_upper = math.inf
 
     co = boundary_coefficients(b, path, fc, thr, spacing_m=s, wave_speed=c)
     antenna_lower = 2.0 * kappa * c / (b * s) + 1.0
@@ -298,8 +338,8 @@ def boundary_bounds(
     return {
         "freq_near": BoundaryBound(edge_freq, freq_near_upper),
         "antenna_near": BoundaryBound(antenna_lower, antenna_near_upper),
-        "freq_far": BoundaryBound(edge_freq, UNBOUNDED),
-        "antenna_far": BoundaryBound(antenna_lower, UNBOUNDED),
+        "freq_far": BoundaryBound(edge_freq, math.inf),
+        "antenna_far": BoundaryBound(antenna_lower, math.inf),
         "near_threshold": BoundaryBound(nf_lower, nf_upper),
     }
 
@@ -310,30 +350,18 @@ def boundary_report(
     path: PathParams,
     thr: SquintThresholds,
 ) -> BoundaryReport:
-    """Assemble every boundary, its bounds, and the quadratic coefficients."""
-    co = boundary_coefficients(
-        grid.bandwidth_hz, path, geom.center_freq_hz, thr,
-        spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
-    )
+    """Assemble every boundary of one path and its bounds."""
+    near = boundary_table(geom, grid, thr, [[path]])
     return BoundaryReport(
-        freq_boundary_near_hz=freq_boundary(geom, path, thr, "near"),
-        antenna_boundary_near=float(
-            antenna_boundary(
-                grid.bandwidth_hz, path, geom.center_freq_hz, thr, "near",
-                spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
-            )
-        ),
+        freq_boundary_near_hz=float(near.freq[0, 0]),
+        antenna_boundary_near=float(near.antenna[0, 0]),
         freq_boundary_far_hz=freq_boundary(geom, path, thr, "far"),
         antenna_boundary_far=antenna_boundary(
             grid.bandwidth_hz, path, geom.center_freq_hz, thr, "far",
             spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
         ),
-        near_field_threshold=near_field_threshold(
-            path, geom.center_freq_hz, thr.kappa_a,
-            spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
-        ),
+        near_field_threshold=float(near.near_threshold[0, 0]),
         bounds=boundary_bounds(geom, grid, path, thr),
-        coeffs=co,
     )
 
 
@@ -363,23 +391,3 @@ def classify_path(
     if geom.num_antennas < n_tilde:
         return FieldModel.FAR
     return FieldModel.NARROWBAND_NEAR
-
-
-def subband_phase_limit(
-    paths_of_user: Sequence[PathParams],
-    kappa_f: float = 0.125,
-    wave_speed: float = SPEED_OF_LIGHT,
-) -> Boundary:
-    """Per-user bandwidth cap from multipath delay spread about the mean range.
-
-    Returns kappa_f * c / max_l |r_l + d_l - mean(r + d)|; a single path (or any
-    set with identical total ranges) is unconstrained.
-    """
-    if not paths_of_user:
-        raise ValueError("at least one path is required")
-    totals = [p.total_range_m for p in paths_of_user]
-    center = sum(totals) / len(totals)
-    deviation = max(abs(t - center) for t in totals)
-    if deviation == 0.0:
-        return UNBOUNDED
-    return kappa_f * wave_speed / deviation

@@ -8,10 +8,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Sequence
 
-from .boundaries import BoundaryReport, boundary_report, classify_path, is_unbounded
+from .boundaries import BoundaryReport, boundary_report, classify_path
 from .experiments import EXPERIMENTS, _allocate_adaptive, run_experiment
 from .scenario import ScenarioConfig, sample_scenario
 from .slicing import InfeasiblePlanError, plan_antenna_slices
@@ -100,10 +101,8 @@ def _require_path(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return path
 
 
-def _jsonable(value):
-    if is_unbounded(value):
-        return "unbounded"
-    return value
+def _jsonable(value: float) -> float | str:
+    return "unbounded" if value == math.inf else value
 
 
 def _report_json(report: BoundaryReport) -> dict:

@@ -18,14 +18,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boundaries import antenna_boundary, freq_boundary, is_unbounded
+from .boundaries import BoundaryTable, antenna_boundary, boundary_table, freq_boundary
 from .precoding import (
     Scheme,
-    block_diagonal,
     hybrid_gain_amplitudes,
     narrowband_beams,
     narrowband_mrt,
     normalized_array_gain,
+    owner_gain_amplitudes,
     power_for_snr_db,
     slice_analog_matrix,
     slice_analog_rows,
@@ -36,7 +36,6 @@ from .slicing import InfeasiblePlanError, SubbandPlan, allocate_subbands, plan_a
 from .wavefield import (
     ArrayGeometry,
     CarrierGrid,
-    FieldModel,
     PathParams,
     channel_columns,
     path_slots,
@@ -165,28 +164,14 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _finite_min(values) -> float | None:
-    finite = [float(v) for v in values if not is_unbounded(v)]
-    return min(finite) if finite else None
+def _finite_min(values: np.ndarray) -> float | None:
+    finite = values[np.isfinite(values)]
+    return float(finite.min()) if finite.size else None
 
 
-def _binding_boundaries(
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    paths: Sequence[PathParams],
-    thr,
-) -> tuple[float | None, float | None]:
+def _binding_boundaries(table: BoundaryTable) -> tuple[float | None, float | None]:
     """Most restrictive near-mode boundaries over a draw's near-field paths."""
-    near = [p for p in paths if p.field_model is not FieldModel.FAR]
-    b = _finite_min(freq_boundary(geom, p, thr) for p in near)
-    n = _finite_min(
-        antenna_boundary(
-            grid.bandwidth_hz, p, geom.center_freq_hz, thr, "near",
-            spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
-        )
-        for p in near
-    )
-    return b, n
+    return _finite_min(table.freq[table.near]), _finite_min(table.antenna[table.near])
 
 
 def _mean_or_none(values: Sequence[float | None]) -> float | None:
@@ -202,12 +187,13 @@ def _single_link_amps(
     paths: Sequence[PathParams],
     thr,
     entries: np.ndarray,
+    table: BoundaryTable | None = None,
 ) -> dict[str, np.ndarray]:
     """Per-subcarrier beamforming amplitudes |f^H h| for the three schemes.
 
     Raises InfeasiblePlanError when no slicing plan exists for the draw.
     """
-    plan = plan_antenna_slices(geom, grid, paths, thr)
+    plan = plan_antenna_slices(geom, grid, paths, thr, table=table)
     analog = slice_analog_matrix(geom, paths, plan)
     beam = narrowband_mrt(geom, paths)
     return {
@@ -306,10 +292,7 @@ def _experiment_gain_map(config: ScenarioConfig) -> SweepResult:
             grid.bandwidth_hz, path, geom.center_freq_hz, thr, "near",
             spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
         )
-        curves.append(
-            (label, eta, None if is_unbounded(b) else float(b),
-             None if is_unbounded(n) else float(n))
-        )
+        curves.append((label, eta, float(b) if np.isfinite(b) else None, float(n)))
     rows = [
         SweepRow(float(m), label, float(eta[m]), b, n)
         for m in range(grid.num_subcarriers)
@@ -401,9 +384,10 @@ def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
 def _link_draw(config: ScenarioConfig, geom, grid, thr, trial: int):
     """Amplitudes and binding boundary columns of one sampled single-link draw."""
     paths = sample_scenario(config, trial)
+    table = boundary_table(geom, grid, thr, [paths])
     entries = channel_columns(geom, grid, paths)
-    amps = _single_link_amps(geom, grid, paths, thr, entries)
-    return amps, _binding_boundaries(geom, grid, paths, thr)
+    amps = _single_link_amps(geom, grid, paths, thr, entries, table)
+    return amps, _binding_boundaries(table)
 
 
 def _experiment_se_snr_as(config: ScenarioConfig) -> SweepResult:
@@ -478,39 +462,35 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
 
     Returns ({scheme: M amplitudes}, sub-band plan, binding boundary columns);
     subcarrier m is evaluated for the user whose sub-band holds it. Users go
-    through the batched channel and analog builders ``_USER_CHUNK`` at a time;
-    the products with each user's own analog matrix and beam stay per user.
+    through the batched channel and analog builders ``_USER_CHUNK`` at a time,
+    and each scheme's amplitudes of a chunk's columns take one batched
+    product; the antenna planner reads the plan's boundary table per user.
     """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     users, plan = _allocate_adaptive(config, trial, num_subarrays)
     fs_sizes = (plan.subarray_size,) * num_subarrays
     amps = {s.value: np.empty(config.num_subcarriers) for s in _FS_SCHEMES}
-    served = [users[sb.user] for sb in plan.subbands]
-    for lo in range(0, len(served), _USER_CHUNK):
+    for lo in range(0, len(plan.subbands), _USER_CHUNK):
         subbands = plan.subbands[lo:lo + _USER_CHUNK]
-        paths = served[lo:lo + _USER_CHUNK]
-        as_plans = [plan_antenna_slices(geom, grid, p, thr) for p in paths]
-        widths = [sb.num_subcarriers for sb in subbands]
-        owners = np.repeat(np.arange(len(subbands)), widths)
+        paths = [users[sb.user] for sb in subbands]
+        as_plans = [plan_antenna_slices(geom, grid, users[sb.user], thr,
+                                        table=plan.boundaries, user=sb.user)
+                    for sb in subbands]
+        owners = np.repeat(np.arange(len(subbands)), [sb.num_subcarriers for sb in subbands])
+        at = [m for sb in subbands for m in sb.global_indices()]
         cols = channel_columns(geom, grid, [slot[owners] for slot in path_slots(paths)],
-                               subcarrier_indices=[m for sb in subbands
-                                                   for m in sb.global_indices()])
+                               subcarrier_indices=at)
         fs_rows = subband_analog_rows(geom, paths, [sb.center_hz for sb in subbands])
         as_rows = slice_analog_rows(geom, paths, as_plans)
         beams = narrowband_beams(geom, paths)
-        first = np.cumsum([0] + widths)
-        for u, sb in enumerate(subbands):
-            block = np.ascontiguousarray(cols[:, first[u]:first[u + 1]])
-            at = slice(sb.start, sb.start + sb.num_subcarriers)
-            as_sizes = as_plans[u].subarray_sizes
-            amps[Scheme.SUBBAND_SLICING.value][at] = hybrid_gain_amplitudes(
-                block_diagonal(fs_rows[u], fs_sizes), fs_sizes, block)
-            amps[Scheme.ANTENNA_SLICING.value][at] = hybrid_gain_amplitudes(
-                block_diagonal(as_rows[u], as_sizes), as_sizes, block)
-            amps[Scheme.NARROWBAND_BASELINE.value][at] = np.abs(beams[u].conj() @ block)
-            amps[Scheme.OPTIMAL.value][at] = np.linalg.norm(block, axis=0)
-    bounds = _binding_boundaries(geom, grid, [p for paths in served for p in paths], thr)
-    return amps, plan, bounds
+        amps[Scheme.SUBBAND_SLICING.value][at] = owner_gain_amplitudes(
+            fs_rows, [fs_sizes] * len(subbands), owners, cols)
+        amps[Scheme.ANTENNA_SLICING.value][at] = owner_gain_amplitudes(
+            as_rows, [p.subarray_sizes for p in as_plans], owners, cols)
+        amps[Scheme.NARROWBAND_BASELINE.value][at] = np.abs(
+            np.sum(beams.conj()[owners] * cols.T, axis=1))
+        amps[Scheme.OPTIMAL.value][at] = np.linalg.norm(cols, axis=0)
+    return amps, plan, _binding_boundaries(plan.boundaries)
 
 
 def _fs_mean_se(

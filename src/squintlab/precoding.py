@@ -140,11 +140,43 @@ def hybrid_gain_amplitudes(
     columns yield amplitude 0.
     """
     projected, den = _mrt_projection(analog, block_sizes, columns)
-    num = np.sum(np.abs(projected) ** 2, axis=0)
+    return _mrt_amplitudes(np.sum(np.abs(projected) ** 2, axis=0), den)
+
+
+def _mrt_amplitudes(num: NDArray[np.float64], den: NDArray[np.float64]) -> NDArray[np.float64]:
+    """num / den per column, 0 where the denominator vanishes."""
     out = np.zeros_like(num)
     good = den > 0.0
     out[good] = num[good] / den[good]
     return out
+
+
+def owner_gain_amplitudes(
+    rows: ComplexMatrix,
+    block_sizes: Sequence[Sequence[int]],
+    owners: NDArray[np.intp],
+    columns: ComplexMatrix,
+) -> NDArray[np.float64]:
+    """:func:`hybrid_gain_amplitudes` of each column under its owner's analog matrix.
+
+    Column c of ``columns`` (N x C) belongs to user ``owners[c]``, whose analog
+    matrix holds row ``owners[c]`` of ``rows`` (K x N) in contiguous blocks of
+    ``block_sizes[owners[c]]``, which partition the row. Then (F^H h)_t is the
+    sum of conj(row) * h over block t, so all columns take one elementwise
+    product and one segmented sum, and the per-column sums over blocks are
+    bincounts.
+    """
+    sizes = np.array([size for user in block_sizes for size in user])
+    size_at = np.zeros(rows.shape)  # each block's size at its first element
+    size_at.flat[np.cumsum(sizes) - sizes] = sizes
+    size_at = size_at[owners].ravel()
+    first = np.flatnonzero(size_at)  # block starts in the flat C x N product
+    projected = np.add.reduceat((rows.conj()[owners] * columns.T).ravel(), first)
+    power = np.abs(projected) ** 2
+    column = first // rows.shape[1]
+    num = np.bincount(column, power, minlength=len(owners))
+    den = np.sqrt(np.bincount(column, size_at[first] * power, minlength=len(owners)))
+    return _mrt_amplitudes(num, den)
 
 
 def _hybrid_set(

@@ -17,6 +17,7 @@ from .boundaries import SquintThresholds
 from .wavefield import ArrayGeometry, CarrierGrid, FieldModel, PathParams
 
 _MASK64 = (1 << 64) - 1
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -121,15 +122,20 @@ def _draw_path(
     field_model: FieldModel,
     gain_scale: float,
 ) -> PathParams:
-    """One path: gain re/im, sine angle, scatterer distance, UE range, in order."""
+    """One path: gain re/im, sine angle, scatterer distance, UE range, in order.
+
+    Uniform draws are low + (high - low) rng.random(), the bits of ``rng.uniform``.
+    """
     re = rng.standard_normal()
     im = rng.standard_normal()
-    gain = gain_scale * (re + 1j * im) / np.sqrt(2.0)
-    theta = rng.uniform(-1.0, 1.0)
+    gain = gain_scale * (re + 1j * im) / _SQRT2
+    theta = -1.0 + 2.0 * rng.random()
     while not -1.0 < theta < 1.0:
-        theta = rng.uniform(-1.0, 1.0)
-    d = rng.uniform(config.distance_min_m, config.distance_max_m)
-    r = rng.uniform(config.distance_min_m, config.distance_max_m)
+        theta = -1.0 + 2.0 * rng.random()
+    low = config.distance_min_m
+    span = config.distance_max_m - low
+    d = low + span * rng.random()
+    r = low + span * rng.random()
     return PathParams(gain, theta, d, r, field_model)
 
 

@@ -11,17 +11,13 @@ instead of clamping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .boundaries import (
-    SquintThresholds,
-    antenna_boundary,
-    freq_boundary,
-    is_unbounded,
-    near_field_threshold,
-    subband_phase_limit,
-)
+import numpy as np
+from numpy.typing import NDArray
+
+from .boundaries import BoundaryTable, SquintThresholds, boundary_table
 from .wavefield import ArrayGeometry, CarrierGrid, FieldModel, PathParams
 
 #: guard applied before floor/ceil so boundary-exact sizes stay strictly inside
@@ -82,10 +78,14 @@ class UserSubband:
 
 @dataclass(frozen=True)
 class SubbandPlan:
-    """Full-band partition into per-user sub-bands (plus the subarray size used)."""
+    """Full-band partition into per-user sub-bands (plus the subarray size used).
+
+    ``boundaries`` is the users' :func:`boundary_table` that set the caps.
+    """
 
     subbands: tuple[UserSubband, ...]
     subarray_size: int
+    boundaries: BoundaryTable | None = field(default=None, compare=False, repr=False)
 
     @property
     def user_subcarriers(self) -> tuple[int, ...]:
@@ -104,10 +104,6 @@ class SubbandPlan:
         }
 
 
-def _near_paths(paths: Sequence[PathParams]) -> list[int]:
-    return [i for i, p in enumerate(paths) if p.field_model is not FieldModel.FAR]
-
-
 # ---------------------------------------------------------------------------
 # antenna-domain planner
 # ---------------------------------------------------------------------------
@@ -118,6 +114,9 @@ def plan_antenna_slices(
     grid: CarrierGrid,
     paths: Sequence[PathParams],
     thr: SquintThresholds,
+    *,
+    table: BoundaryTable | None = None,
+    user: int = 0,
 ) -> SlicingPlan:
     """Partition the array into contiguous subarrays over the near-field paths.
 
@@ -131,27 +130,21 @@ def plan_antenna_slices(
     P sum_t |g_t|^2 N_t / sigma^2 (Cauchy-Schwarz): antennas earn the most on
     the strongest path. A subarray shrinks (never below its own near-field
     threshold) when the remainder would be too small to host the next
-    subarray's path; an irreducible runt folds into the last subarray.
+    subarray's path; an irreducible runt folds into the last subarray. Each
+    path's window [ceil(N_tilde), floor(N_bar)] comes from row ``user`` of
+    ``table``, the draw's :func:`boundary_table`, built here when not given.
     """
-    near = _near_paths(paths)
+    near = [i for i, p in enumerate(paths) if p.field_model is not FieldModel.FAR]
     if not near:
         raise InfeasiblePlanError("no near-field paths to serve")
     order = sorted(near, key=lambda i: -abs(paths[i].gain) ** 2)
     num_near = len(order)
 
-    lows, highs = [], []
-    for idx in order:
-        path = paths[idx]
-        n_tilde = near_field_threshold(
-            path, geom.center_freq_hz, thr.kappa_a,
-            spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
-        )
-        n_bar = antenna_boundary(
-            grid.bandwidth_hz, path, geom.center_freq_hz, thr, "near",
-            spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
-        )
-        lows.append(max(1, math.ceil(n_tilde - _EDGE_EPS)))
-        highs.append(math.floor(n_bar - _EDGE_EPS))
+    if table is None:
+        table = boundary_table(geom, grid, thr, [paths])
+    n_tilde, n_bar = table.near_threshold[user].tolist(), table.antenna[user].tolist()
+    lows = [max(1, math.ceil(n_tilde[i] - _EDGE_EPS)) for i in order]
+    highs = [math.floor(n_bar[i] - _EDGE_EPS) for i in order]
 
     n = geom.num_antennas
     if n < lows[0]:
@@ -202,44 +195,19 @@ def plan_antenna_slices(
 # ---------------------------------------------------------------------------
 
 
-def _subcarrier_cap(limit_hz: object, spacing_hz: float, total: int) -> int:
-    """Largest sub-band size whose occupied span (M_s - 1) * df stays below limit."""
-    if is_unbounded(limit_hz):
-        return total
-    cap = math.floor(float(limit_hz) / spacing_hz - _EDGE_EPS) + 1
-    return max(1, min(total, cap))
+def subcarrier_caps(table: BoundaryTable, grid: CarrierGrid) -> NDArray[np.int64]:
+    """Per-user sub-band size caps: squint at the table's subarray scale, delay spread.
 
+    A limit allows the largest size whose occupied span (M_s - 1) * df stays
+    below it, clipped to [1, M]; an infinite limit allows all M subcarriers.
+    """
+    m = grid.num_subcarriers
 
-def user_subcarrier_cap(
-    user_paths: Sequence[PathParams],
-    geom: ArrayGeometry,
-    grid: CarrierGrid,
-    thr: SquintThresholds,
-    subarray_size: int,
-) -> int:
-    """Per-user sub-band size cap from squint (at the subarray scale) and delay spread."""
-    sub_geom = geom.with_antennas(subarray_size)
-    near = [user_paths[i] for i in _near_paths(user_paths)]
-    cap = grid.num_subcarriers
-    for path in near:
-        cap = min(
-            cap,
-            _subcarrier_cap(
-                freq_boundary(sub_geom, path, thr, "near"),
-                grid.subcarrier_spacing_hz,
-                grid.num_subcarriers,
-            ),
-        )
-    if near:
-        cap = min(
-            cap,
-            _subcarrier_cap(
-                subband_phase_limit(near, thr.kappa_f, geom.wave_speed),
-                grid.subcarrier_spacing_hz,
-                grid.num_subcarriers,
-            ),
-        )
-    return cap
+    def cap(limit_hz: NDArray[np.float64]) -> NDArray[np.float64]:
+        return np.clip(np.floor(limit_hz / grid.subcarrier_spacing_hz - _EDGE_EPS) + 1, 1, m)
+
+    squint = np.min(cap(table.freq_subarray), axis=1, where=table.near, initial=m)
+    return np.minimum(squint, cap(table.delay_spread)).astype(np.int64)
 
 
 def allocate_subbands(
@@ -253,7 +221,8 @@ def allocate_subbands(
 
     Caps combine the squint frequency boundary evaluated for one subarray of
     N / num_subarrays antennas with the user's multipath delay-spread limit,
-    both discretized to the occupied subcarrier span. Shares start equal, are
+    both discretized to the occupied subcarrier span (:func:`subcarrier_caps`
+    of one :func:`boundary_table` of the users). Shares start equal, are
     clipped to the caps, and the leftover subcarriers are handed out
     round-robin to users with slack.
     """
@@ -269,7 +238,8 @@ def allocate_subbands(
         )
     size = geom.num_antennas // num_subarrays
 
-    caps = [user_subcarrier_cap(up, geom, grid, thr, size) for up in users]
+    table = boundary_table(geom, grid, thr, users, size)
+    caps = subcarrier_caps(table, grid).tolist()
     if sum(caps) < m_total:
         raise InfeasiblePlanError(
             "per-user caps cannot cover the band",
@@ -299,4 +269,4 @@ def allocate_subbands(
         center = f_c - band / 2.0 + start * spacing + width / 2.0
         subbands.append(UserSubband(k, count, start, spacing, center))
         start += count
-    return SubbandPlan(tuple(subbands), size)
+    return SubbandPlan(tuple(subbands), size, table)

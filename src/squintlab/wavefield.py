@@ -13,10 +13,11 @@ meters, frequencies in Hz.
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Iterable, Sequence
 
@@ -89,10 +90,6 @@ class ArrayGeometry:
         n = self.num_antennas
         return np.arange(n, dtype=np.float64) - (n - 1) / 2.0
 
-    def with_antennas(self, num_antennas: int) -> "ArrayGeometry":
-        """Same carrier/spacing with a different element count."""
-        return replace(self, num_antennas=num_antennas)
-
 
 @dataclass(frozen=True)
 class CarrierGrid:
@@ -146,7 +143,7 @@ class PathParams:
             raise ValueError("scatterer_distance_m must be positive")
         if self.ue_range_m < 0.0:
             raise ValueError("ue_range_m must be nonnegative")
-        if not np.isfinite(self.gain):
+        if not cmath.isfinite(self.gain):
             raise ValueError("gain must be finite")
 
     @property

@@ -441,3 +441,101 @@ def phase_rounding_scale(
     if field == "wn":
         scale = scale + k * np.multiply.outer(cond, freq_dev)
     return float(np.max(scale))
+
+
+# ---------------------------------------------------------------------------
+# one-path boundary formulas, in the scalar operation order of the package
+# ---------------------------------------------------------------------------
+
+
+def near_distance_variation(num_antennas: int, spacing_m: float, sine_angle: float,
+                            distance_m: float) -> float:
+    """max_n |d_n - d| in the cancellation-free closed form, with math floats."""
+    if num_antennas == 1:
+        return 0.0
+    theta = abs(sine_angle)
+    t2 = (num_antennas - 1) * distance_m * spacing_m * theta
+    t3 = ((num_antennas - 1) * spacing_m / 2.0) ** 2
+    return (t2 + t3) / (math.sqrt(distance_m * distance_m + t2 + t3) + distance_m)
+
+
+def far_distance_variation(num_antennas: int, spacing_m: float, sine_angle: float) -> float:
+    """(N - 1) s |theta| / 2, the planar limit of the range spread."""
+    if num_antennas == 1:
+        return 0.0
+    return (num_antennas - 1) * spacing_m * abs(sine_angle) / 2.0
+
+
+def freq_boundary_from_variation(kappa: float, wave_speed: float, variation: float) -> float:
+    """kappa c / variation, inf when the range spread vanishes."""
+    if variation == 0.0:
+        return math.inf
+    return kappa * wave_speed / variation
+
+
+def _root_plus_one(a1: float, a2: float, rhs: float) -> float:
+    return (-a2 + math.sqrt(a2 * a2 + 4.0 * a1 * rhs)) / (2.0 * a1) + 1.0
+
+
+def near_antenna_boundary(bandwidth_hz: float, sine_angle: float, distance_m: float,
+                          kappa: float, spacing_m: float, wave_speed: float) -> float:
+    """N_bar: root of (s^2/4) x^2 + d s |theta| x = A3, plus one."""
+    c, s, d, b = wave_speed, spacing_m, distance_m, bandwidth_hz
+    a3 = (kappa * kappa * c * c + 2.0 * kappa * c * d * b) / (b * b)
+    return _root_plus_one(s * s / 4.0, d * s * abs(sine_angle), a3)
+
+
+def far_antenna_boundary(bandwidth_hz: float, sine_angle: float, kappa: float,
+                         spacing_m: float, wave_speed: float) -> float:
+    """2 kappa c / (B s |theta|) + 1, inf at broadside."""
+    theta = abs(sine_angle)
+    if theta == 0.0:
+        return math.inf
+    return 2.0 * kappa * wave_speed / (bandwidth_hz * spacing_m * theta) + 1.0
+
+
+def near_field_threshold(sine_angle: float, distance_m: float, center_freq_hz: float,
+                         kappa_a: float, spacing_m: float, wave_speed: float) -> float:
+    """N_tilde: root of (s^2/4) x^2 + d s |theta| x = A5, plus one."""
+    c, s, d, fc = wave_speed, spacing_m, distance_m, center_freq_hz
+    a5 = (kappa_a * kappa_a * c * c + 4.0 * kappa_a * c * d * fc) / (4.0 * fc * fc)
+    return _root_plus_one(s * s / 4.0, d * s * abs(sine_angle), a5)
+
+
+def delay_spread_limit(total_ranges: list[float], kappa_f: float, wave_speed: float) -> float:
+    """kappa_f c / max |t - mean t| over a user's near total ranges; inf at 0 or none."""
+    if not total_ranges:
+        return math.inf
+    center = sum(total_ranges) / len(total_ranges)
+    deviation = max(abs(t - center) for t in total_ranges)
+    if deviation == 0.0:
+        return math.inf
+    return kappa_f * wave_speed / deviation
+
+
+def subcarrier_cap(limits_hz: list[float], spacing_hz: float, total: int) -> int:
+    """Largest sub-band size whose span (M_s - 1) df stays below every limit."""
+    cap = total
+    for limit in limits_hz:
+        if limit != math.inf:
+            cap = min(cap, max(1, min(total, math.floor(limit / spacing_hz - 1e-9) + 1)))
+    return cap
+
+
+# ---------------------------------------------------------------------------
+# path draws with rng.uniform
+# ---------------------------------------------------------------------------
+
+
+def uniform_path_draws(rng: np.random.Generator, distance_min_m: float,
+                       distance_max_m: float, gain_scale: float) -> tuple:
+    """(gain, sine angle, d, r) of one path, every uniform drawn by rng.uniform."""
+    re = rng.standard_normal()
+    im = rng.standard_normal()
+    gain = gain_scale * (re + 1j * im) / np.sqrt(2.0)
+    theta = rng.uniform(-1.0, 1.0)
+    while not -1.0 < theta < 1.0:
+        theta = rng.uniform(-1.0, 1.0)
+    d = rng.uniform(distance_min_m, distance_max_m)
+    r = rng.uniform(distance_min_m, distance_max_m)
+    return gain, theta, d, r

@@ -4,27 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from squintlab import (
     SPEED_OF_LIGHT,
-    UNBOUNDED,
     ArrayGeometry,
     CarrierGrid,
     FieldModel,
     PathParams,
     SquintThresholds,
     antenna_boundary,
+    subcarrier_caps,
     boundary_bounds,
     boundary_coefficients,
     boundary_report,
+    boundary_table,
     classify_path,
     freq_boundary,
-    is_unbounded,
     beam_squint_matrix,
     max_distance_variation,
     near_field_threshold,
-    subband_phase_limit,
 )
 
 THR = SquintThresholds()
@@ -137,8 +138,8 @@ def test_freq_boundary_definition_ties_to_distance_variation():
 
 def test_far_freq_boundary_is_unbounded_at_broadside():
     geom = make_geom(512)
-    assert is_unbounded(freq_boundary(geom, make_path(theta=0.0), THR, "far"))
-    assert not is_unbounded(freq_boundary(geom, make_path(theta=0.0), THR, "near"))
+    assert freq_boundary(geom, make_path(theta=0.0), THR, "far") == math.inf
+    assert math.isfinite(freq_boundary(geom, make_path(theta=0.0), THR, "near"))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,7 @@ def test_far_antenna_boundary_closed_form():
 
 
 def test_far_antenna_boundary_unbounded_at_broadside():
-    assert is_unbounded(antenna_boundary(300e6, make_path(theta=0.0), 7e9, THR, "far"))
+    assert antenna_boundary(300e6, make_path(theta=0.0), 7e9, THR, "far") == math.inf
 
 
 def test_antenna_boundary_rejects_nonpositive_bandwidth():
@@ -191,8 +192,11 @@ def test_coefficients_follow_their_definitions():
     s = lam / 2
     kc = THR.total * SPEED_OF_LIGHT
     assert co.a1 == pytest.approx(s * s / 4, rel=1e-15)
-    assert co.a4 == pytest.approx(40.0 * s, rel=1e-15)
-    assert co.a2 == pytest.approx(co.a4 * 0.3, rel=1e-15)
+    # A2 = d s |theta|: linear in |theta| with the far-mode slope d s
+    for theta in (0.3, -0.3, 0.9):
+        slope = boundary_coefficients(300e6, make_path(theta=theta, d=40.0), 7e9, THR).a2
+        assert slope == pytest.approx(40.0 * s * abs(theta), rel=1e-15)
+    assert co.a2 == pytest.approx(40.0 * s * 0.3, rel=1e-15)
     assert co.a3 == pytest.approx((kc * kc + 2 * kc * 40.0 * 300e6) / 300e6**2, rel=1e-15)
     ka_c = THR.kappa_a * SPEED_OF_LIGHT
     assert co.a5 == pytest.approx((ka_c * ka_c + 4 * ka_c * 40.0 * 7e9) / (4 * 7e9 * 7e9), rel=1e-15)
@@ -221,7 +225,7 @@ def test_threshold_at_broadside_equals_its_upper_bound():
     grid = CarrierGrid.from_bandwidth(300e6, 64)
     path = make_path(theta=1e-300, d=40.0)
     report = boundary_report(geom, grid, path, THR)
-    co = report.coeffs
+    co = boundary_coefficients(grid.bandwidth_hz, path, 7e9, THR, spacing_m=geom.spacing_m)
     assert report.near_field_threshold == pytest.approx(
         math.sqrt(co.a5 / co.a1) + 1, rel=1e-9
     )
@@ -271,25 +275,30 @@ def test_wideband_test_precedes_the_near_far_split():
 # ---------------------------------------------------------------------------
 
 
+def delay_spread(paths):
+    """The user's delay-spread limit, from its row of the boundary table."""
+    return boundary_table(make_geom(16), CarrierGrid(16, 1e6), THR, [paths], 16).delay_spread[0]
+
+
 def test_subband_limit_single_path_is_unbounded():
-    assert is_unbounded(subband_phase_limit([make_path()], THR.kappa_f))
+    assert delay_spread([make_path()]) == math.inf
 
 
 def test_subband_limit_two_paths():
     paths = [make_path(d=30.0, r=10.0), make_path(d=50.0, r=10.0)]
-    got = subband_phase_limit(paths, THR.kappa_f)
+    got = delay_spread(paths)
     assert got == pytest.approx(0.125 * SPEED_OF_LIGHT / 10.0, rel=1e-12)
     assert got == pytest.approx(3.75e6, rel=1e-2)
 
 
 def test_subband_limit_identical_ranges_is_unbounded():
     paths = [make_path(d=30.0, r=20.0), make_path(d=40.0, r=10.0)]
-    assert is_unbounded(subband_phase_limit(paths, THR.kappa_f))
+    assert delay_spread(paths) == math.inf
 
 
-def test_subband_limit_rejects_empty_list():
+def test_boundary_table_rejects_an_empty_user_list():
     with pytest.raises(ValueError):
-        subband_phase_limit([], THR.kappa_f)
+        boundary_table(make_geom(16), CarrierGrid(16, 1e6), THR, [])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +369,7 @@ def test_bound_sandwich_holds_for_all_rows(seed):
         for name, value in values.items():
             bound = report.bounds[name]
             assert bound.lower <= value
-            assert value <= bound.upper or is_unbounded(bound.upper)
+            assert value <= bound.upper
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -412,8 +421,86 @@ def test_bounds_helper_matches_report_field():
 
 
 def test_unbounded_value_orders_above_floats():
-    assert UNBOUNDED > 1e300
-    assert not UNBOUNDED < 1e300
-    assert min(5.0, UNBOUNDED) == 5.0
-    assert UNBOUNDED == UNBOUNDED
-    assert is_unbounded(UNBOUNDED)
+    # a boundary that does not exist is inf: above every float, kept out by min()
+    unbounded = freq_boundary(make_geom(1), make_path(), THR)
+    assert unbounded > 1e300
+    assert not unbounded < 1e300
+    assert min(5.0, unbounded) == 5.0
+    assert unbounded == unbounded == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the boundary table against the one-path formulas, bit for bit
+# ---------------------------------------------------------------------------
+
+_ANGLES = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+_PATH = st.tuples(_ANGLES, st.floats(0.5, 200.0), st.floats(0.0, 200.0), st.booleans())
+# a user whose paths share one total range r + d = 200.5 exactly (d in halves)
+_TIED_PATH = st.tuples(_ANGLES, st.integers(1, 400).map(lambda k: k / 2.0), st.booleans())
+_USER = st.one_of(
+    st.lists(_PATH, min_size=1, max_size=10),
+    st.lists(_TIED_PATH, min_size=1, max_size=10).map(
+        lambda paths: [(theta, d, 200.5 - d, far) for theta, d, far in paths]),
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 2048), size=st.integers(1, 2048), bandwidth=st.floats(1e6, 1e9),
+       subcarriers=st.integers(1, 64), center=st.floats(1e9, 30e9),
+       kappa_a=st.sampled_from([0.125, 0.3, 1.0]), kappa_f=st.sampled_from([0.125, 0.05]),
+       drawn=st.lists(_USER, min_size=1, max_size=6))
+# every inf: one antenna (and subarray), broadside in far mode, tied total ranges
+@example(n=1, size=1, bandwidth=1e6, subcarriers=1, center=7e9, kappa_a=0.125, kappa_f=0.125,
+         drawn=[[(0.0, 0.5, 0.0, False), (0.0, 200.0, 200.0, True)],
+                [(0.3, 10.0, 190.5, False), (-0.3, 100.0, 100.5, False)]])
+@example(n=2048, size=64, bandwidth=1e9, subcarriers=64, center=7e9, kappa_a=0.125,
+         kappa_f=0.125, drawn=[[(0.0, 0.5, 200.0, True)], [(0.99, 200.0, 0.0, False)] * 5])
+def test_boundary_table_equals_the_scalar_formulas_bit_for_bit(
+        n, size, bandwidth, subcarriers, center, kappa_a, kappa_f, drawn):
+    geom, thr = ArrayGeometry(n, center), SquintThresholds(kappa_a, kappa_f)
+    grid = CarrierGrid.from_bandwidth(bandwidth, subcarriers)
+    sub = min(size, n)
+    users = [[PathParams(1.0, theta, d, r, FieldModel.FAR if far else FieldModel.WIDEBAND_NEAR)
+              for theta, d, r, far in user] for user in drawn]
+    table = boundary_table(geom, grid, thr, users, sub)
+    s, c, b = geom.spacing_m, geom.wave_speed, grid.bandwidth_hz
+    kappa = thr.total
+    for k, user in enumerate(users):
+        assert list(table.near[k]) == ([p.field_model is not FieldModel.FAR for p in user]
+                                       + [False] * (table.near.shape[1] - len(user)))
+        want = {"near_threshold": [], "antenna": [], "freq": [], "freq_subarray": []}
+        for p in user:
+            theta, d = p.sine_angle, p.scatterer_distance_m
+            want["near_threshold"].append(
+                oracles.near_field_threshold(theta, d, center, kappa_a, s, c))
+            want["antenna"].append(oracles.near_antenna_boundary(b, theta, d, kappa, s, c))
+            want["freq"].append(oracles.freq_boundary_from_variation(
+                kappa, c, oracles.near_distance_variation(n, s, theta, d)))
+            want["freq_subarray"].append(oracles.freq_boundary_from_variation(
+                kappa, c, oracles.near_distance_variation(sub, s, theta, d)))
+            # the one-path functions, far mode and broadside included
+            far_variation = oracles.far_distance_variation(n, s, theta)
+            got = [near_field_threshold(p, center, kappa_a, spacing_m=s),
+                   antenna_boundary(b, p, center, thr, spacing_m=s),
+                   antenna_boundary(b, p, center, thr, "far", spacing_m=s),
+                   freq_boundary(geom, p, thr), freq_boundary(geom, p, thr, "far"),
+                   max_distance_variation(geom, p), max_distance_variation(geom, p, "far")]
+            np.testing.assert_array_equal(_bits(got), _bits([
+                want["near_threshold"][-1], want["antenna"][-1],
+                oracles.far_antenna_boundary(b, theta, kappa, s, c),
+                want["freq"][-1], oracles.freq_boundary_from_variation(kappa, c, far_variation),
+                oracles.near_distance_variation(n, s, theta, d), far_variation]))
+        for name, values in want.items():
+            np.testing.assert_array_equal(_bits(getattr(table, name)[k, :len(user)]),
+                                          _bits(values), err_msg=name)
+        near = [p for p in user if p.field_model is not FieldModel.FAR]
+        spread = oracles.delay_spread_limit([p.total_range_m for p in near], kappa_f, c)
+        assert _bits(table.delay_spread[k]) == _bits(spread)
+        limits = [f for f, p in zip(want["freq_subarray"], user)
+                  if p.field_model is not FieldModel.FAR] + [spread]
+        cap = oracles.subcarrier_cap(limits, grid.subcarrier_spacing_hz, subcarriers)
+        assert subcarrier_caps(table, grid)[k] == cap

@@ -1,6 +1,7 @@
 """Command-line interface: JSON reports, plans, dumps, runs, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -12,7 +13,6 @@ from squintlab import (
     ScenarioConfig,
     allocate_subbands,
     boundary_report,
-    is_unbounded,
     plan_antenna_slices,
     read_channel_dump,
     run_experiment,
@@ -38,7 +38,7 @@ def invoke(capsys, argv):
 
 
 def jsonable(value):
-    return "unbounded" if is_unbounded(value) else value
+    return "unbounded" if value == math.inf else value
 
 
 def expected_report_json(config, path):

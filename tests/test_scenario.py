@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from squintlab import (
     FieldModel,
     RngStream,
@@ -155,3 +158,42 @@ def test_far_paths_sit_at_the_configured_power_offset():
     flat = mean_power(sample_paths(rng, louder, 0, 20_000))
     assert 0.99 <= flat <= 1.01
 
+
+
+def _bits(gain, theta, d, r, model):
+    """A path's floats as integers, plus its field model."""
+    values = [gain.real, gain.imag, theta, d, r]
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist(), model
+
+
+def _path_bits(path):
+    return _bits(path.gain, path.sine_angle, path.scatterer_distance_m, path.ue_range_m,
+                 path.field_model)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 2**32), users=st.integers(1, 12),
+       near=st.integers(0, 5), far=st.integers(0, 2), distance_min=st.floats(1e-3, 500.0),
+       distance_span=st.one_of(st.just(0.0), st.floats(0.0, 1000.0)),
+       far_offset_db=st.floats(-40.0, 0.0))
+def test_sampled_paths_equal_uniform_draws_bit_for_bit(seed, trial, users, near, far,
+                                                       distance_min, distance_span,
+                                                       far_offset_db):
+    cfg = ScenarioConfig(seed=seed, num_near_paths=near, num_far_paths=far,
+                         distance_min_m=distance_min,
+                         distance_max_m=distance_min + distance_span,
+                         far_gain_offset_db=far_offset_db)
+    far_scale = 10.0 ** (far_offset_db / 20.0)
+
+    def oracle(rng, num_far):
+        kinds = [(FieldModel.WIDEBAND_NEAR, 1.0)] * near + [(FieldModel.FAR, far_scale)] * num_far
+        return [_bits(*oracles.uniform_path_draws(rng, cfg.distance_min_m, cfg.distance_max_m,
+                                                  scale), model)
+                for model, scale in kinds]
+
+    rng = RngStream(seed, trial).generator()
+    want = [oracle(rng, 1) for _ in range(users)]
+    got = [[_path_bits(p) for p in user] for user in sample_user_paths(cfg, trial, users, 1)]
+    assert got == want
+    rng = RngStream(seed, trial).generator()
+    assert [_path_bits(p) for p in sample_scenario(cfg, trial)] == oracle(rng, far)

@@ -20,12 +20,12 @@ from squintlab import (
     UserSubband,
     allocate_subbands,
     antenna_boundary,
+    boundary_table,
     near_field_threshold,
     plan_antenna_slices,
     sample_scenario,
     sample_user_paths,
-    subband_phase_limit,
-    user_subcarrier_cap,
+    subcarrier_caps,
 )
 
 THR = SquintThresholds()
@@ -201,6 +201,12 @@ def test_plan_serializes_subarray_records():
 # ---------------------------------------------------------------------------
 
 
+def user_subcarrier_cap(user, geom, grid, thr, subarray_size):
+    """One user's sub-band size cap, from its row of the boundary table."""
+    table = boundary_table(geom, grid, thr, [user], subarray_size)
+    return int(subcarrier_caps(table, grid)[0])
+
+
 def test_far_only_user_is_uncapped():
     geom = ArrayGeometry(1024, 7e9)
     grid = CarrierGrid.from_bandwidth(600e6, 256)
@@ -213,7 +219,7 @@ def test_delay_spread_cap_counts_occupied_span():
     geom = ArrayGeometry(16, 7e9)
     grid = CarrierGrid(16, 1e6)
     user = [make_path(d=30.0, r=10.0), make_path(d=50.0, r=10.0)]
-    limit = subband_phase_limit(user, THR.kappa_f)
+    limit = boundary_table(geom, grid, THR, [user], 1).delay_spread[0]
     assert limit == pytest.approx(3.748e6, rel=1e-3)
     # span (M_s - 1) * df must stay below the limit: 4 subcarriers span 3 MHz
     assert user_subcarrier_cap(user, geom, grid, THR, 1) == 4
@@ -226,7 +232,8 @@ def test_exact_multiple_limit_keeps_span_strictly_inside():
     dev = THR.kappa_f * 299792458.0 / (3 * df)
     user = [make_path(d=30.0, r=0.0), make_path(d=30.0 + 2 * dev, r=0.0)]
     grid = CarrierGrid(16, df)
-    assert subband_phase_limit(user, THR.kappa_f) == pytest.approx(3 * df, rel=1e-12)
+    limit = boundary_table(geom, grid, THR, [user], 1).delay_spread[0]
+    assert limit == pytest.approx(3 * df, rel=1e-12)
     assert user_subcarrier_cap(user, geom, grid, THR, 1) == 3
 
 

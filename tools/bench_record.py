@@ -11,7 +11,9 @@ machine over all of them. The per-run reports under ``.perfbench_out/`` give
 the metrics, the environment and the fingerprints. ``BENCH_<label>.json`` at
 the root of the checkout gets, per workload, the median and interquartile range
 of every end-to-end metric that ``BENCHMARK.json`` names, the run values, the
-hypervisor steal share of each run and the cross-check CSV digest.
+hypervisor steal share of each run and the cross-check CSV digest. If any run's
+outputs were incorrect, or the runs of a workload disagree on the cross-check
+digest, the script writes no file and exits non-zero.
 """
 
 from __future__ import annotations
@@ -84,6 +86,19 @@ def record(workloads: list[str], metrics: list[str], runs: int, seconds: float) 
     }
 
 
+def problems(bench: dict) -> list[str]:
+    """Why a recorded set of runs must not become a BENCH file."""
+    found = []
+    for name, summary in bench["workloads"].items():
+        if summary["correct_runs"] < bench["runs_per_workload"]:
+            found.append(f"{name}: {summary['correct_runs']}/{bench['runs_per_workload']} "
+                         "runs correct")
+        if len(summary["cross_check_csv_sha256"]) != 1:
+            found.append(f"{name}: cross-check digests differ across runs: "
+                         f"{summary['cross_check_csv_sha256']}")
+    return found
+
+
 def main(argv=None) -> None:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -92,6 +107,9 @@ def main(argv=None) -> None:
     bench = record([w["name"] for w in spec["workloads"]],
                    [m["name"] for m in spec["end_to_end"]], RUNS, SECONDS)
     out = ROOT / f"BENCH_{args.label}.json"
+    found = problems(bench)
+    if found:
+        sys.exit(f"bench_record: not writing {out.name}:\n" + "\n".join(found))
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     for name, summary in bench["workloads"].items():
         tps = summary["metrics"]["trials_per_s"]
