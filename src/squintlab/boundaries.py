@@ -110,7 +110,7 @@ def _near_variation(n: int, s: float, theta, d):
 
 
 def _near_freq_boundaries(n: int, geom: ArrayGeometry, thr: SquintThresholds, theta, d):
-    """Near-mode B_bar of an n-element array for arrays of |theta| and d."""
+    """Near-mode B_bar of an n-element array for |theta| and d (floats or arrays)."""
     if n == 1:
         return np.full(np.shape(d), math.inf)
     return thr.total * geom.wave_speed / _near_variation(n, geom.spacing_m, theta, d)
@@ -240,12 +240,11 @@ def near_field_threshold(
 
 
 def _delay_spread_limits(total, near, kappa_f: float, wave_speed: float):
-    """Per-user bandwidth cap from multipath delay spread about the mean range.
+    """Per-user bandwidth cap kappa_f c / max_l |t_l - mean(t)| from delay spread.
 
-    Row k gives kappa_f c / max_l |t_l - mean(t)| over user k's near total
-    ranges t = r + d (at least one column); a single path, or identical
-    total ranges, is unconstrained (inf). The running sum adds left to right,
-    as ``sum`` does, and the far entries add an exact zero.
+    t = r + d runs over a row's near entries (at least one column), summed left
+    to right as ``sum`` does; far entries add an exact zero. A single path, or
+    identical total ranges, is unconstrained (inf).
     """
     center = np.cumsum(total * near, axis=1)[:, -1] / np.maximum(near.sum(axis=1), 1)
     deviation = np.max(np.abs(total - center[:, None]) * near, axis=1)
@@ -258,6 +257,20 @@ def _delay_spread_limits(total, near, kappa_f: float, wave_speed: float):
 # the boundary table of a draw
 # ---------------------------------------------------------------------------
 
+#: below this many table entries the formulas run entry by entry on Python
+#: floats, where numpy's cost per call would exceed the arithmetic; the
+#: operations, and so the bits, are the same either way
+_ARRAY_MIN_ENTRIES = 16
+
+
+def _near_boundaries(geom: ArrayGeometry, grid: CarrierGrid, thr: SquintThresholds, theta, d):
+    """N_tilde, N_bar and B_bar at full-array scale of paths with |sine| theta, distance d."""
+    c, s = geom.wave_speed, geom.spacing_m
+    a1, a2, a5 = _carrier_coefficients(theta, d, geom.center_freq_hz, thr.kappa_a, s, c)
+    a3 = _bandwidth_coefficient(d, grid.bandwidth_hz, thr.total, c)
+    return (_quadratic_root_plus_one(a1, a2, a5), _quadratic_root_plus_one(a1, a2, a3),
+            _near_freq_boundaries(geom.num_antennas, geom, thr, theta, d))
+
 
 def boundary_table(
     geom: ArrayGeometry,
@@ -266,7 +279,7 @@ def boundary_table(
     users: Sequence[Sequence[PathParams]],
     subarray_size: int | None = None,
 ) -> BoundaryTable:
-    """Near-mode boundaries of every path of every user, in one pass of arrays.
+    """Near-mode boundaries of every path of every user, as users-by-paths arrays.
 
     ``subarray_size`` asks for the sub-band caps' inputs at that subarray
     scale as well. Each entry equals, bit for bit, what the one-path function
@@ -286,21 +299,17 @@ def boundary_table(
     theta, d, total, near = np.ascontiguousarray(fields).reshape(4, len(users), width)
     near = near > 0.0
 
-    c, s = geom.wave_speed, geom.spacing_m
-    a1, a2, a5 = _carrier_coefficients(theta, d, geom.center_freq_hz, thr.kappa_a, s, c)
-    a3 = _bandwidth_coefficient(d, grid.bandwidth_hz, thr.total, c)
-    n_tilde, n_bar = _quadratic_root_plus_one(a1, a2, np.stack((a5, a3)))
-    table = BoundaryTable(
-        near=near,
-        near_threshold=n_tilde,
-        antenna=n_bar,
-        freq=_near_freq_boundaries(geom.num_antennas, geom, thr, theta, d),
-    )
+    if near.size < _ARRAY_MIN_ENTRIES:
+        entries = [_near_boundaries(geom, grid, thr, t, x)
+                   for t, x in zip(theta.ravel().tolist(), d.ravel().tolist())]
+        table = BoundaryTable(near, *np.array(entries).T.reshape((3,) + near.shape))
+    else:
+        table = BoundaryTable(near, *_near_boundaries(geom, grid, thr, theta, d))
     if subarray_size is None:
         return table
     return replace(table,
                    freq_subarray=_near_freq_boundaries(subarray_size, geom, thr, theta, d),
-                   delay_spread=_delay_spread_limits(total, near, thr.kappa_f, c))
+                   delay_spread=_delay_spread_limits(total, near, thr.kappa_f, geom.wave_speed))
 
 
 # ---------------------------------------------------------------------------

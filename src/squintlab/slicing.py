@@ -198,16 +198,13 @@ def plan_antenna_slices(
 def subcarrier_caps(table: BoundaryTable, grid: CarrierGrid) -> NDArray[np.int64]:
     """Per-user sub-band size caps: squint at the table's subarray scale, delay spread.
 
-    A limit allows the largest size whose occupied span (M_s - 1) * df stays
-    below it, clipped to [1, M]; an infinite limit allows all M subcarriers.
+    A user's tightest limit allows the largest size whose occupied span
+    (M_s - 1) * df stays below it, clipped to [1, M]; inf allows all M.
     """
-    m = grid.num_subcarriers
-
-    def cap(limit_hz: NDArray[np.float64]) -> NDArray[np.float64]:
-        return np.clip(np.floor(limit_hz / grid.subcarrier_spacing_hz - _EDGE_EPS) + 1, 1, m)
-
-    squint = np.min(cap(table.freq_subarray), axis=1, where=table.near, initial=m)
-    return np.minimum(squint, cap(table.delay_spread)).astype(np.int64)
+    squint = np.min(table.freq_subarray, axis=1, where=table.near, initial=math.inf)
+    limit = np.minimum(squint, table.delay_spread)
+    cap = np.floor(limit / grid.subcarrier_spacing_hz - _EDGE_EPS) + 1
+    return np.clip(cap, 1, grid.num_subcarriers).astype(np.int64)
 
 
 def allocate_subbands(
