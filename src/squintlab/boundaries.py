@@ -102,11 +102,16 @@ class BoundaryTable:
     delay_spread: NDArray[np.float64] | None = None
 
 
+def _sqrt(x):
+    """Correctly rounded square root of a float (kept a Python float) or an array."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
 def _near_variation(n: int, s: float, theta, d):
     """sqrt(d^2 + (N-1) d s theta + ((N-1) s / 2)^2) - d without cancellation."""
     t2 = (n - 1) * d * s * theta
     t3 = ((n - 1) * s / 2.0) ** 2
-    return (t2 + t3) / (np.sqrt(d * d + t2 + t3) + d)
+    return (t2 + t3) / (_sqrt(d * d + t2 + t3) + d)
 
 
 def _near_freq_boundaries(n: int, geom: ArrayGeometry, thr: SquintThresholds, theta, d):
@@ -118,7 +123,7 @@ def _near_freq_boundaries(n: int, geom: ArrayGeometry, thr: SquintThresholds, th
 
 def _quadratic_root_plus_one(a1, a2, rhs):
     """Positive root of a1 x^2 + a2 x = rhs, returned as x + 1."""
-    return (-a2 + np.sqrt(a2 * a2 + 4.0 * a1 * rhs)) / (2.0 * a1) + 1.0
+    return (-a2 + _sqrt(a2 * a2 + 4.0 * a1 * rhs)) / (2.0 * a1) + 1.0
 
 
 def _carrier_coefficients(theta, d, center_freq_hz: float, kappa_a: float, s: float,

@@ -11,6 +11,7 @@ because every scheme sees the same draws.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -165,8 +166,7 @@ class SweepResult:
 
 
 def _finite_min(values: np.ndarray) -> float | None:
-    finite = values[np.isfinite(values)]
-    return float(finite.min()) if finite.size else None
+    return min((v for v in values.tolist() if v < math.inf), default=None)
 
 
 def _binding_boundaries(table: BoundaryTable) -> tuple[float | None, float | None]:
@@ -292,7 +292,7 @@ def _experiment_gain_map(config: ScenarioConfig) -> SweepResult:
             grid.bandwidth_hz, path, geom.center_freq_hz, thr, "near",
             spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
         )
-        curves.append((label, eta, float(b) if np.isfinite(b) else None, float(n)))
+        curves.append((label, eta, b if b < math.inf else None, float(n)))
     rows = [
         SweepRow(float(m), label, float(eta[m]), b, n)
         for m in range(grid.num_subcarriers)
