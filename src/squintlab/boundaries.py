@@ -160,7 +160,7 @@ def max_distance_variation(geom: ArrayGeometry, path: PathParams, field_mode: st
         return (n - 1) * s * theta / 2.0
     if field_mode != "near":
         raise ValueError("field_mode must be 'near' or 'far'")
-    return float(_near_variation(n, s, theta, path.scatterer_distance_m))
+    return _near_variation(n, s, theta, path.scatterer_distance_m)
 
 
 def freq_boundary(
@@ -222,7 +222,7 @@ def antenna_boundary(
     co = boundary_coefficients(
         bandwidth_hz, path, center_freq_hz, thr, spacing_m=s, wave_speed=c
     )
-    return float(_quadratic_root_plus_one(co.a1, co.a2, co.a3))
+    return _quadratic_root_plus_one(co.a1, co.a2, co.a3)
 
 
 def near_field_threshold(
@@ -240,8 +240,8 @@ def near_field_threshold(
     """
     c = wave_speed
     s = c / (2.0 * center_freq_hz) if spacing_m is None else spacing_m
-    return float(_quadratic_root_plus_one(*_carrier_coefficients(
-        abs(path.sine_angle), path.scatterer_distance_m, center_freq_hz, kappa_a, s, c)))
+    return _quadratic_root_plus_one(*_carrier_coefficients(
+        abs(path.sine_angle), path.scatterer_distance_m, center_freq_hz, kappa_a, s, c))
 
 
 def _delay_spread_limits(total, near, kappa_f: float, wave_speed: float):
