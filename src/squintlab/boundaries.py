@@ -83,15 +83,13 @@ class BoundaryReport:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryTable:
-    """Near-mode boundaries of every path of a draw, users by paths.
+    """Near-mode boundaries of every path of a draw: entry (k, l) is path l of user k.
 
-    Entry (k, l) belongs to path l of user k, and ``near`` marks the entries
-    that hold a near-field path (shorter users are padded). ``near_threshold``
-    (N_tilde), ``antenna`` (N_bar at the grid's bandwidth) and ``freq`` (B_bar)
-    are at full-array scale. The sub-band caps' inputs are set for a table
-    built with a subarray size: ``freq_subarray``, B_bar of one subarray, and
-    ``delay_spread``, each user's delay-spread limit over its near paths (inf
-    for a user without two distinct total ranges).
+    ``near`` marks the entries that hold a near-field path (shorter users are
+    padded). ``near_threshold`` (N_tilde), ``antenna`` (N_bar) and ``freq``
+    (B_bar) are at full-array scale. A table built with a subarray size also
+    holds the sub-band caps' inputs: ``freq_subarray`` (B_bar of one subarray)
+    and ``delay_spread`` (per user; inf without two distinct total ranges).
     """
 
     near: NDArray[np.bool_]

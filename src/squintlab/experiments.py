@@ -11,7 +11,6 @@ because every scheme sees the same draws.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -166,7 +165,7 @@ class SweepResult:
 
 
 def _finite_min(values: np.ndarray) -> float | None:
-    return min((v for v in values.tolist() if v < math.inf), default=None)
+    return min((v for v in values.tolist() if v < np.inf), default=None)
 
 
 def _binding_boundaries(table: BoundaryTable) -> tuple[float | None, float | None]:
@@ -292,7 +291,7 @@ def _experiment_gain_map(config: ScenarioConfig) -> SweepResult:
             grid.bandwidth_hz, path, geom.center_freq_hz, thr, "near",
             spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
         )
-        curves.append((label, eta, b if b < math.inf else None, float(n)))
+        curves.append((label, eta, b if np.isfinite(b) else None, float(n)))
     rows = [
         SweepRow(float(m), label, float(eta[m]), b, n)
         for m in range(grid.num_subcarriers)
@@ -473,9 +472,8 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
     for lo in range(0, len(plan.subbands), _USER_CHUNK):
         subbands = plan.subbands[lo:lo + _USER_CHUNK]
         paths = [users[sb.user] for sb in subbands]
-        as_plans = [plan_antenna_slices(geom, grid, users[sb.user], thr,
-                                        table=plan.boundaries, user=sb.user)
-                    for sb in subbands]
+        as_plans = [plan_antenna_slices(geom, grid, p, thr, table=plan.boundaries, user=sb.user)
+                    for p, sb in zip(paths, subbands)]
         owners = np.repeat(np.arange(len(subbands)), [sb.num_subcarriers for sb in subbands])
         at = [m for sb in subbands for m in sb.global_indices()]
         cols = channel_columns(geom, grid, [slot[owners] for slot in path_slots(paths)],
@@ -486,7 +484,7 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
         amps[Scheme.SUBBAND_SLICING.value][at] = owner_gain_amplitudes(
             fs_rows, [fs_sizes] * len(subbands), owners, cols)
         amps[Scheme.ANTENNA_SLICING.value][at] = owner_gain_amplitudes(
-            as_rows, [p.subarray_sizes for p in as_plans], owners, cols)
+            as_rows, [plan_.subarray_sizes for plan_ in as_plans], owners, cols)
         amps[Scheme.NARROWBAND_BASELINE.value][at] = np.abs(
             np.sum(beams.conj()[owners] * cols.T, axis=1))
         amps[Scheme.OPTIMAL.value][at] = np.linalg.norm(cols, axis=0)

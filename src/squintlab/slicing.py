@@ -78,10 +78,7 @@ class UserSubband:
 
 @dataclass(frozen=True)
 class SubbandPlan:
-    """Full-band partition into per-user sub-bands (plus the subarray size used).
-
-    ``boundaries`` is the users' :func:`boundary_table` that set the caps.
-    """
+    """Per-user sub-bands of the full band, the subarray size and the caps' boundary table."""
 
     subbands: tuple[UserSubband, ...]
     subarray_size: int
