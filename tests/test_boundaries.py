@@ -16,7 +16,6 @@ from squintlab import (
     PathParams,
     SquintThresholds,
     antenna_boundary,
-    subcarrier_caps,
     boundary_bounds,
     boundary_coefficients,
     boundary_report,
@@ -26,6 +25,7 @@ from squintlab import (
     beam_squint_matrix,
     max_distance_variation,
     near_field_threshold,
+    subcarrier_caps,
 )
 
 THR = SquintThresholds()
