@@ -39,6 +39,8 @@ class SlicingPlan:
     ``path_assignment[t]`` indexes into ``path_order`` (0-based), which lists the
     near-field paths sorted by descending gain power; ``offsets[t]`` is the
     subarray center's element offset from the array center (units of spacing).
+    Every near path has a subarray inside its window [ceil(N_tilde), floor(N_bar)],
+    and the assignment reads (0, 1, ..., L - 1, 0, ..., 0) for L near paths.
     """
 
     subarray_sizes: tuple[int, ...]
@@ -117,19 +119,20 @@ def plan_antenna_slices(
 ) -> SlicingPlan:
     """Partition the array into contiguous subarrays over the near-field paths.
 
-    Paths are ranked by descending gain power. The first subarrays serve every
-    near path once, in rank order: the strongest path's takes
-    min(floor(N_bar), remaining) antennas and each weaker path's the smallest
-    compliant size ceil(N_tilde). The strongest path then takes the rest of the
-    array in subarrays of min(floor(N_bar), remaining). This follows the
+    Paths are ranked by descending gain power, and each path's window
+    [ceil(N_tilde), floor(N_bar)] comes from row ``user`` of ``table``, the
+    draw's :func:`boundary_table`, built here when not given. Every weaker path
+    gets one subarray of its smallest compliant size ceil(N_tilde). The
+    strongest path takes the remaining R antennas in the fewest subarrays its
+    window allows, q = ceil(R / floor(N_bar)), whose sizes differ by at most
+    one. The layout is the strongest path's first subarray, the weaker paths'
+    in rank order, then the strongest path's other q - 1. This follows the
     antenna-slicing SINR P (sum_t |g_t|^2 N_t^2)^2 / (sigma^2 sum_t |g_t|^2 N_t^3)
     of :func:`se_slicing_closed_form`, which is at most
-    P sum_t |g_t|^2 N_t / sigma^2 (Cauchy-Schwarz): antennas earn the most on
-    the strongest path. A subarray shrinks (never below its own near-field
-    threshold) when the remainder would be too small to host the next
-    subarray's path; an irreducible runt folds into the last subarray. Each
-    path's window [ceil(N_tilde), floor(N_bar)] comes from row ``user`` of
-    ``table``, the draw's :func:`boundary_table`, built here when not given.
+    P sum_t |g_t|^2 N_t / sigma^2 (Cauchy-Schwarz, tight for equal N_t):
+    antennas earn the most on the strongest path. The plan is infeasible when
+    a window is empty or R < q ceil(N_tilde) of the strongest path; then no
+    block count fits R into that path's window.
     """
     near = [i for i, p in enumerate(paths) if p.field_model is not FieldModel.FAR]
     if not near:
@@ -144,40 +147,24 @@ def plan_antenna_slices(
     highs = [math.floor(n_bar[i] - _EDGE_EPS) for i in order]
 
     n = geom.num_antennas
-    if n < lows[0]:
-        raise InfeasiblePlanError(
-            "array smaller than the strongest path's near-field threshold",
-            {"num_antennas": n, "min_size": lows[0]},
-        )
     for j in range(num_near):
         if highs[j] < lows[j]:
             raise InfeasiblePlanError(
                 "a path admits no compliant subarray size",
                 {"path": order[j], "window": (lows[j], highs[j])},
             )
-
-    sizes: list[int] = []
-    assign: list[int] = []
-    remaining = n
-    t = 0
-    while remaining > 0:
-        j = t if t < num_near else 0
-        if remaining < lows[j]:
-            # runt leftover: cannot host a compliant subarray for path j
-            sizes[-1] += remaining
-            remaining = 0
-            break
-        size = min(highs[j] if j == 0 else lows[j], remaining)
-        leftover = remaining - size
-        nxt = t + 1 if t + 1 < num_near else 0
-        if 0 < leftover < lows[nxt]:
-            give = min(lows[nxt] - leftover, size - lows[j])
-            size -= give
-            leftover += give
-        sizes.append(size)
-        assign.append(j)
-        remaining = leftover
-        t += 1
+    remainder = n - sum(lows[1:])
+    q = max(1, math.ceil(remainder / highs[0]))
+    if remainder < q * lows[0]:
+        raise InfeasiblePlanError(
+            "the array cannot host a compliant subarray for every near path",
+            {"num_antennas": n, "min_size": lows[0], "remainder": remainder, "blocks": q,
+             "window": (lows[0], highs[0])},
+        )
+    base, extra = divmod(remainder, q)
+    strongest = [base + 1] * extra + [base] * (q - extra)
+    sizes = strongest[:1] + lows[1:] + strongest[1:]
+    assign = [0, *range(1, num_near)] + [0] * (q - 1)
 
     offsets = []
     acc = 0

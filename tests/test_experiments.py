@@ -437,7 +437,7 @@ def test_subband_path_axis_matches_link_experiment():
 def test_subband_path_sweep_counts_infeasibility_per_axis_point():
     # a trial infeasible at one path count still counts at the others, and
     # mean_users is the exact mean over the feasible (trial, point) draws
-    cfg = ScenarioConfig(num_antennas=6, num_subcarriers=8, num_near_paths=1,
+    cfg = ScenarioConfig(num_antennas=16, num_subcarriers=8, num_near_paths=1,
                          num_far_paths=0, num_users=2, num_subarrays=2,
                          trials=40, seed=3)
     geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
@@ -461,6 +461,9 @@ def test_subband_path_sweep_counts_infeasibility_per_axis_point():
         axis: cfg.trials - count for axis, count in feasible.items()
     }
     assert result.meta["mean_users"] == np.mean(users_served)
+    # 6 antennas cannot host a block for each of three near paths
+    with pytest.raises(InfeasiblePlanError, match="num_near_paths=3 "):
+        run_experiment("se-paths-fs", cfg.replace(num_antennas=6))
 
 
 def test_subarray_axis_keeps_divisors_only():

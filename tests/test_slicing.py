@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from squintlab import (
@@ -61,7 +63,7 @@ def test_small_array_single_path_is_one_block():
 
 def test_single_path_block_count_is_ceil_of_capped_split():
     # floor(upper size limit) is 76 for this draw, so 1024 antennas need
-    # ceil(1024/76) = 14 blocks: thirteen full ones plus a 36-antenna tail
+    # ceil(1024/76) = 14 blocks, split as evenly as 1024 = 14 * 73 + 2 allows
     geom = ArrayGeometry(1024, 7e9)
     grid = CarrierGrid.from_bandwidth(600e6, 16)
     path = make_path(theta=0.1345, d=20.0)
@@ -69,7 +71,7 @@ def test_single_path_block_count_is_ceil_of_capped_split():
     assert hi == 76
     plan = plan_antenna_slices(geom, grid, [path], THR)
     assert len(plan.subarray_sizes) == 14
-    assert plan.subarray_sizes == (76,) * 13 + (36,)
+    assert plan.subarray_sizes == (74, 74) + (73,) * 12
     assert sum(plan.subarray_sizes) == 1024
 
 
@@ -121,18 +123,20 @@ def test_plan_partition_offsets_and_cycle(seed):
         assert plan.subarray_sizes[t] == lo
 
 
-def test_irreducible_runt_folds_into_last_block():
+def test_irreducible_runt_is_infeasible():
     # window is exactly [35, 35] for both paths, so 71 = 2*35 + 1 cannot be
-    # partitioned; the single leftover antenna merges into the final block
+    # partitioned: the strongest path's remainder of 36 needs q = 2 blocks of
+    # at least 35 antennas each
     theta = 0.25 / 89.0
     geom71 = ArrayGeometry(71, 7e9)
     grid = CarrierGrid.from_bandwidth(2.7e10, 4)
     paths = [make_path(theta=theta, gain=2.0 + 0j), make_path(theta=theta, gain=1.0 + 0j)]
     lo, hi = size_window(paths[0], geom71, grid)
     assert (lo, hi) == (35, 35)
-    plan = plan_antenna_slices(geom71, grid, paths, THR)
-    assert plan.subarray_sizes == (35, 36)
-    assert sum(plan.subarray_sizes) == 71
+    with pytest.raises(InfeasiblePlanError) as err:
+        plan_antenna_slices(geom71, grid, paths, THR)
+    assert err.value.details == {"num_antennas": 71, "min_size": 35, "remainder": 36,
+                                 "blocks": 2, "window": (35, 35)}
     # the same draw with a partitionable count stays fully compliant
     plan70 = plan_antenna_slices(ArrayGeometry(70, 7e9), grid, paths, THR)
     assert plan70.subarray_sizes == (35, 35)
@@ -140,8 +144,8 @@ def test_irreducible_runt_folds_into_last_block():
 
 
 def test_planner_shrinks_a_block_to_leave_room_for_the_next_path():
-    # a lone path with window [35, 35] and N = 105 forces 3 exact blocks; the
-    # greedy first block would otherwise strand a 35-antenna remainder twice
+    # both paths have window [35, 35], so N = 105 leaves the strongest path
+    # R = 70 antennas in two exact blocks around the weaker path's one
     theta = 0.25 / 89.0
     geom = ArrayGeometry(105, 7e9)
     grid = CarrierGrid.from_bandwidth(2.7e10, 4)
@@ -178,6 +182,63 @@ def test_planner_requires_a_near_path():
     far_only = [make_path(model=FieldModel.FAR)]
     with pytest.raises(InfeasiblePlanError):
         plan_antenna_slices(geom, grid, far_only, THR)
+
+
+def test_every_near_path_is_served_when_the_strongest_window_spans_the_array():
+    # trial 75 of the desk-scale gate config: the strongest path's window
+    # admits all 256 antennas, and the three weaker near paths still get a
+    # block each at their smallest compliant size
+    cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64, num_near_paths=4,
+                         num_far_paths=1, far_gain_offset_db=0.0, seed=42)
+    geom, grid = cfg.geometry(), cfg.grid()
+    paths = sample_scenario(cfg, 75)
+    plan = plan_antenna_slices(geom, grid, paths, cfg.thresholds())
+    assert plan.path_assignment == (0, 1, 2, 3)
+    lows = [size_window(paths[i], geom, grid)[0] for i in plan.path_order]
+    assert plan.subarray_sizes == (256 - sum(lows[1:]),) + tuple(lows[1:])
+
+
+def feasible_remainder(remainder, lo, hi):
+    """Whether some block count q >= 1 has q * lo <= remainder <= q * hi."""
+    return any(q * lo <= remainder <= q * hi for q in range(1, max(remainder, 0) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(num_antennas=st.integers(2, 2048), bandwidth=st.floats(1e6, 1e9),
+       draws=st.lists(st.tuples(st.floats(0.01, 4.0), st.floats(-0.99, 0.99),
+                                st.floats(0.5, 200.0), st.floats(0.0, 100.0),
+                                st.sampled_from(FieldModel)),
+                      min_size=1, max_size=5),
+       first_model=st.sampled_from([FieldModel.WIDEBAND_NEAR, FieldModel.NARROWBAND_NEAR]))
+def test_plan_serves_every_near_path_within_its_window(num_antennas, bandwidth, draws,
+                                                       first_model):
+    geom = ArrayGeometry(num_antennas, 7e9)
+    grid = CarrierGrid.from_bandwidth(bandwidth, 16)
+    paths = [make_path(theta, d, r, complex(amp), model)
+             for amp, theta, d, r, model in draws]
+    paths[0] = dataclasses.replace(paths[0], field_model=first_model)
+    near = [i for i, p in enumerate(paths) if p.field_model is not FieldModel.FAR]
+    order = sorted(near, key=lambda i: -abs(paths[i].gain) ** 2)
+    windows = [size_window(paths[i], geom, grid) for i in order]
+    remainder = num_antennas - sum(lo for lo, _ in windows[1:])
+    feasible = (all(lo <= hi for lo, hi in windows)
+                and feasible_remainder(remainder, *windows[0]))
+    if not feasible:
+        with pytest.raises(InfeasiblePlanError):
+            plan_antenna_slices(geom, grid, paths, THR)
+        return
+    plan = plan_antenna_slices(geom, grid, paths, THR)
+    assert plan.path_order == tuple(order)
+    assert sum(plan.subarray_sizes) == num_antennas == plan.num_antennas
+    starts = np.cumsum((0,) + plan.subarray_sizes[:-1])
+    for t, size in enumerate(plan.subarray_sizes):
+        assert plan.offsets[t] == -num_antennas / 2.0 + starts[t] + size / 2.0
+        lo, hi = windows[plan.path_assignment[t]]
+        assert lo <= size <= hi
+    assert set(plan.path_assignment) == set(range(len(order)))
+    for j in range(1, len(order)):
+        assert plan.path_assignment.count(j) == 1
+        assert plan.subarray_sizes[plan.path_assignment.index(j)] == windows[j][0]
 
 
 def test_planner_is_deterministic():
