@@ -389,17 +389,9 @@ def classify_path(
     near-mode boundary; otherwise the path is planar (far) below the near-field
     threshold and narrowband-near in between.
     """
-    n_bar = antenna_boundary(
-        grid.bandwidth_hz, path, geom.center_freq_hz, thr, "near",
-        spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
-    )
-    b_bar = freq_boundary(geom, path, thr, "near")
-    if geom.num_antennas >= n_bar or grid.bandwidth_hz >= b_bar:
+    near = boundary_table(geom, grid, thr, [[path]])
+    if geom.num_antennas >= near.antenna[0, 0] or grid.bandwidth_hz >= near.freq[0, 0]:
         return FieldModel.WIDEBAND_NEAR
-    n_tilde = near_field_threshold(
-        path, geom.center_freq_hz, thr.kappa_a,
-        spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
-    )
-    if geom.num_antennas < n_tilde:
+    if geom.num_antennas < near.near_threshold[0, 0]:
         return FieldModel.FAR
     return FieldModel.NARROWBAND_NEAR

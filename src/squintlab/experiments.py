@@ -286,12 +286,9 @@ def _experiment_gain_map(config: ScenarioConfig) -> SweepResult:
         path = PathParams(1.0, theta, d, 0.0)
         label = f"eta_theta{theta:g}_d{d:g}"
         eta = np.asarray(normalized_array_gain(geom, grid, path))
-        b = freq_boundary(geom, path, thr)
-        n = antenna_boundary(
-            grid.bandwidth_hz, path, geom.center_freq_hz, thr, "near",
-            spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
-        )
-        curves.append((label, eta, b if np.isfinite(b) else None, float(n)))
+        near = boundary_table(geom, grid, thr, [[path]])
+        b, n = float(near.freq[0, 0]), float(near.antenna[0, 0])
+        curves.append((label, eta, b if np.isfinite(b) else None, n))
     rows = [
         SweepRow(float(m), label, float(eta[m]), b, n)
         for m in range(grid.num_subcarriers)

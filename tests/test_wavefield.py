@@ -330,6 +330,8 @@ _UNCALLED_API = {
     "se_subband_closed_form": "the paper's sub-band closed form, which the "
                               "acceptance gate checks the emitted SE against",
     "read_channel_dump": "the reader of the file format `squintlab channel` writes",
+    "near_field_threshold": "the one-path N_tilde, which the near-threshold ordering "
+                            "gate and the boundary table's bit-for-bit test check",
 }
 
 
