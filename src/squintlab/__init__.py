@@ -54,10 +54,12 @@ from .scenario import (
 )
 from .slicing import (
     InfeasiblePlanError,
+    SliceBlocks,
     SlicingPlan,
     SubbandPlan,
     UserSubband,
     allocate_subbands,
+    plan_antenna_rows,
     plan_antenna_slices,
     subcarrier_caps,
 )

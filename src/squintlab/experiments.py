@@ -32,7 +32,13 @@ from .precoding import (
     subband_analog_rows,
 )
 from .scenario import RngStream, ScenarioConfig, sample_scenario, sample_user_paths
-from .slicing import InfeasiblePlanError, SubbandPlan, allocate_subbands, plan_antenna_slices
+from .slicing import (
+    InfeasiblePlanError,
+    SubbandPlan,
+    allocate_subbands,
+    plan_antenna_rows,
+    plan_antenna_slices,
+)
 from .wavefield import (
     ArrayGeometry,
     CarrierGrid,
@@ -65,9 +71,6 @@ _GAIN_MAP_CURVES = (
     (0.1, 20.0), (0.3, 20.0), (0.5, 20.0), (0.8, 20.0),
     (0.1, 10.0), (0.1, 50.0), (0.1, 100.0),
 )
-#: users whose channel columns and analog beams are built in one batch, which
-#: bounds the batch arrays at this many users' N x (sub-band width) entries
-_USER_CHUNK = 16
 
 
 def resolve_threads(env: dict | None = None) -> int:
@@ -209,11 +212,12 @@ def _rates(amps: np.ndarray, power: float, noise_power: float) -> np.ndarray:
 
 
 def _scheme_se(
-    amps: dict[str, np.ndarray], schemes, power: float, noise_power: float
+    amps: dict[str, np.ndarray], schemes, powers: Sequence[float], noise_power: float
 ) -> np.ndarray:
-    """Subcarrier-averaged rate of each scheme."""
-    return np.array([np.mean(_rates(amps[s.value], power, noise_power))
-                     for s in schemes])
+    """Subcarrier-averaged rate of each scheme: row i holds every scheme's at ``powers[i]``."""
+    power = np.asarray(powers, dtype=np.float64)[:, None]
+    return np.stack([np.mean(_rates(amps[s.value], power, noise_power), axis=1)
+                     for s in schemes], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +327,7 @@ def _fixed_geometry_trial(
     def point(path, power, geom, grid, cols):
         entries = channel_columns(geom, grid, [path])
         amps = _single_link_amps(geom, grid, [path], thr, entries)
-        return _scheme_se(amps, _AS_SCHEMES, power, config.noise_power), cols, 1
+        return _scheme_se(amps, _AS_SCHEMES, [power], config.noise_power)[0], cols, 1
 
     def trial_fn(trial: int) -> list:
         gain = _sweep_trial_gain(config, trial)
@@ -392,8 +396,8 @@ def _experiment_se_snr_as(config: ScenarioConfig) -> SweepResult:
     def trial_fn(trial: int) -> list:
         amps, bounds = _link_draw(config, geom, grid, thr, trial)
         power = [10.0 ** (snr / 10.0) * config.noise_power for snr in _SNR_AXIS_DB]
-        return [(_scheme_se(amps, _AS_SCHEMES, p, config.noise_power), bounds, 1)
-                for p in power]
+        se = _scheme_se(amps, _AS_SCHEMES, power, config.noise_power)
+        return [(row, bounds, 1) for row in se]
 
     return _sweep(config, "se-snr-as", "snr_db", _SNR_AXIS_DB, _AS_SCHEMES, trial_fn)
 
@@ -418,7 +422,8 @@ def _experiment_se_paths_as(config: ScenarioConfig) -> SweepResult:
     def point(trial: int, l_n: int):
         cfg_l = config.replace(num_near_paths=l_n)
         amps, bounds = _link_draw(cfg_l, geom, grid, thr, trial)
-        return _scheme_se(amps, _AS_SCHEMES, config.power, config.noise_power), bounds, 1
+        se = _scheme_se(amps, _AS_SCHEMES, [config.power], config.noise_power)[0]
+        return se, bounds, 1
 
     def trial_fn(trial: int) -> list:
         return [_feasible(point, trial, l_n) for l_n in _PATH_AXIS]
@@ -457,34 +462,27 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
     """Every scheme's amplitude per subcarrier of one multiuser draw.
 
     Returns ({scheme: M amplitudes}, sub-band plan, binding boundary columns);
-    subcarrier m is evaluated for the user whose sub-band holds it. Users go
-    through the batched channel and analog builders ``_USER_CHUNK`` at a time,
-    and each scheme's amplitudes of a chunk's columns take one batched
-    product; the antenna planner reads the plan's boundary table per user.
+    subcarrier m is evaluated for the user whose sub-band holds it. The
+    served users' sub-bands partition the M subcarriers in user order, so
+    the whole draw is one batch: one N x M ``channel_columns`` call, one
+    :func:`plan_antenna_rows` pass over the plan's boundary table, one call
+    per scheme for the K x N analog rows, and one batched product per scheme.
     """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     users, plan = _allocate_adaptive(config, trial, num_subarrays)
-    fs_sizes = (plan.subarray_size,) * num_subarrays
-    amps = {s.value: np.empty(config.num_subcarriers) for s in _FS_SCHEMES}
-    for lo in range(0, len(plan.subbands), _USER_CHUNK):
-        subbands = plan.subbands[lo:lo + _USER_CHUNK]
-        paths = [users[sb.user] for sb in subbands]
-        as_plans = [plan_antenna_slices(geom, grid, p, thr, table=plan.boundaries, user=sb.user)
-                    for p, sb in zip(paths, subbands)]
-        owners = np.repeat(np.arange(len(subbands)), [sb.num_subcarriers for sb in subbands])
-        at = [m for sb in subbands for m in sb.global_indices()]
-        cols = channel_columns(geom, grid, [slot[owners] for slot in path_slots(paths)],
-                               subcarrier_indices=at)
-        fs_rows = subband_analog_rows(geom, paths, [sb.center_hz for sb in subbands])
-        as_rows = slice_analog_rows(geom, paths, as_plans)
-        beams = narrowband_beams(geom, paths)
-        amps[Scheme.SUBBAND_SLICING.value][at] = owner_gain_amplitudes(
-            fs_rows, [fs_sizes] * len(subbands), owners, cols)
-        amps[Scheme.ANTENNA_SLICING.value][at] = owner_gain_amplitudes(
-            as_rows, [plan_.subarray_sizes for plan_ in as_plans], owners, cols)
-        amps[Scheme.NARROWBAND_BASELINE.value][at] = np.abs(
-            np.sum(beams.conj()[owners] * cols.T, axis=1))
-        amps[Scheme.OPTIMAL.value][at] = np.linalg.norm(cols, axis=0)
+    blocks = plan_antenna_rows(geom, users, plan.boundaries)
+    owners = np.repeat(np.arange(len(users)), plan.user_subcarriers)
+    cols = channel_columns(geom, grid, [slot[owners] for slot in path_slots(users)])
+    fs_rows = subband_analog_rows(geom, users, [sb.center_hz for sb in plan.subbands])
+    fs_sizes = np.full(len(users) * num_subarrays, plan.subarray_size)
+    beams = narrowband_beams(geom, users)
+    amps = {
+        Scheme.SUBBAND_SLICING.value: owner_gain_amplitudes(fs_rows, fs_sizes, owners, cols),
+        Scheme.ANTENNA_SLICING.value: owner_gain_amplitudes(
+            slice_analog_rows(geom, users, blocks), blocks.sizes, owners, cols),
+        Scheme.NARROWBAND_BASELINE.value: np.abs(np.sum(beams.conj()[owners] * cols.T, axis=1)),
+        Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=0),
+    }
     return amps, plan, _binding_boundaries(plan.boundaries)
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .slicing import SlicingPlan, UserSubband
+from .slicing import SliceBlocks, SlicingPlan, UserSubband
 from .wavefield import (
     ArrayGeometry,
     CarrierGrid,
@@ -153,20 +153,20 @@ def _mrt_amplitudes(num: NDArray[np.float64], den: NDArray[np.float64]) -> NDArr
 
 def owner_gain_amplitudes(
     rows: ComplexMatrix,
-    block_sizes: Sequence[Sequence[int]],
+    block_sizes: Sequence[int] | NDArray[np.int64],
     owners: NDArray[np.intp],
     columns: ComplexMatrix,
 ) -> NDArray[np.float64]:
     """:func:`hybrid_gain_amplitudes` of each column under its owner's analog matrix.
 
     Column c of ``columns`` (N x C) belongs to user ``owners[c]``, whose analog
-    matrix holds row ``owners[c]`` of ``rows`` (K x N) in contiguous blocks of
-    ``block_sizes[owners[c]]``, which partition the row. Then (F^H h)_t is the
-    sum of conj(row) * h over block t, so all columns take one elementwise
-    product and one segmented sum, and the per-column sums over blocks are
-    bincounts.
+    matrix holds row ``owners[c]`` of ``rows`` (K x N) in contiguous blocks.
+    ``block_sizes`` lists every row's blocks, flat in row order; each row's
+    sizes partition it. Then (F^H h)_t is the sum of conj(row) * h over block
+    t, so all columns take one elementwise product and one segmented sum, and
+    the per-column sums over blocks are bincounts.
     """
-    sizes = np.array([size for user in block_sizes for size in user])
+    sizes = np.asarray(block_sizes)
     size_at = np.zeros(rows.shape)  # each block's size at its first element
     size_at.flat[np.cumsum(sizes) - sizes] = sizes
     size_at = size_at[owners].ravel()
@@ -196,31 +196,28 @@ def _hybrid_set(
 def slice_analog_rows(
     geom: ArrayGeometry,
     users: Sequence[Sequence[PathParams]],
-    plans: Sequence[SlicingPlan],
+    blocks: SliceBlocks,
 ) -> ComplexMatrix:
     """K x N phase-shifter entries of each user's antenna-slicing plan.
 
-    Row n of subarray t carries exp(j angle(B_t)), with B_t the gain-weighted
-    sum of the far-path planar steerings and the assigned near path's
-    spherical steering referenced to the subarray center's range;
+    ``blocks`` holds the users' plans, as :func:`plan_antenna_rows` returns
+    them. Row n of subarray t carries exp(j angle(B_t)), with B_t the
+    gain-weighted sum of the far-path planar steerings and the assigned near
+    path's spherical steering referenced to the subarray center's range;
     :func:`block_diagonal` scatters row k into user k's N x T analog matrix.
     The far paths take one :func:`path_phases` call per position in the
     users' path lists (every user must have as many), and the near paths one
-    call with one path per element: the path its subarray serves.
+    call with one path per element: the path its subarray serves. Each
+    element's path and subarray center are one ``np.repeat`` of the blocks.
     """
     n = geom.num_antennas
     acc = np.zeros((len(users), n), dtype=np.complex128)
     far = [[p for p in paths if p.field_model is FieldModel.FAR] for paths in users]
     for batch in path_slots(far):
         acc += batch.gain[:, None] * phasor(path_phases(geom, batch[:, None], [0.0])[..., 0])
-    first = np.cumsum([0] + [len(paths) for paths in users])
-    owner = np.concatenate([
-        first[u] + np.repeat(np.asarray(plan.path_order)[list(plan.path_assignment)],
-                             plan.subarray_sizes)
-        for u, plan in enumerate(plans)
-    ]).reshape(len(users), n)
-    centers = np.concatenate([np.repeat(plan.offsets, plan.subarray_sizes)
-                              for plan in plans]).reshape(len(users), n)
+    first = np.cumsum([0] + [len(paths) for paths in users[:-1]])
+    owner = first[:, None] + np.repeat(blocks.paths, blocks.sizes).reshape(len(users), n)
+    centers = np.repeat(blocks.offsets, blocks.sizes).reshape(len(users), n)
     near = PathBatch.stack([p for paths in users for p in paths],
                            FieldModel.NARROWBAND_NEAR)[owner]
     phases = path_phases(geom, near, [0.0],
@@ -238,7 +235,7 @@ def slice_analog_matrix(
 
     The one-user case of :func:`slice_analog_rows`.
     """
-    return block_diagonal(slice_analog_rows(geom, [paths], [plan])[0], plan.subarray_sizes)
+    return block_diagonal(slice_analog_rows(geom, [paths], plan.blocks)[0], plan.subarray_sizes)
 
 
 def slice_precoder_set(

@@ -59,6 +59,28 @@ class SlicingPlan:
             ]
         }
 
+    @property
+    def blocks(self) -> SliceBlocks:
+        """This plan as the one-user :class:`SliceBlocks`."""
+        return SliceBlocks(np.array(self.subarray_sizes),
+                           np.take(self.path_order, self.path_assignment),
+                           np.array(self.offsets))
+
+
+@dataclass(frozen=True, eq=False)
+class SliceBlocks:
+    """The antenna-slicing plans of several users as flat per-block arrays.
+
+    Blocks run in user order, and each user's ``sizes`` partition the array
+    in element order. ``paths[b]`` indexes block b's near path in its user's
+    path list, and ``offsets[b]`` is the block center's element offset from
+    the array center, as in :class:`SlicingPlan`.
+    """
+
+    sizes: NDArray[np.int64]
+    paths: NDArray[np.int64]
+    offsets: NDArray[np.float64]
+
 
 @dataclass(frozen=True)
 class UserSubband:
@@ -119,59 +141,89 @@ def plan_antenna_slices(
 ) -> SlicingPlan:
     """Partition the array into contiguous subarrays over the near-field paths.
 
-    Paths are ranked by descending gain power, and each path's window
-    [ceil(N_tilde), floor(N_bar)] comes from row ``user`` of ``table``, the
-    draw's :func:`boundary_table`, built here when not given. Every weaker path
-    gets one subarray of its smallest compliant size ceil(N_tilde). The
-    strongest path takes the remaining R antennas in the fewest subarrays its
-    window allows, q = ceil(R / floor(N_bar)), whose sizes differ by at most
-    one. The layout is the strongest path's first subarray, the weaker paths'
-    in rank order, then the strongest path's other q - 1. This follows the
-    antenna-slicing SINR P (sum_t |g_t|^2 N_t^2)^2 / (sigma^2 sum_t |g_t|^2 N_t^3)
-    of :func:`se_slicing_closed_form`, which is at most
-    P sum_t |g_t|^2 N_t / sigma^2 (Cauchy-Schwarz, tight for equal N_t):
-    antennas earn the most on the strongest path. The plan is infeasible when
-    a window is empty or R < q ceil(N_tilde) of the strongest path; then no
-    block count fits R into that path's window.
+    The one-user case of :func:`plan_antenna_rows`, on row ``user`` of
+    ``table``, the draw's :func:`boundary_table`, built here when not given.
     """
-    near = [i for i, p in enumerate(paths) if p.field_model is not FieldModel.FAR]
-    if not near:
-        raise InfeasiblePlanError("no near-field paths to serve")
-    order = sorted(near, key=lambda i: -abs(paths[i].gain) ** 2)
-    num_near = len(order)
-
     if table is None:
         table = boundary_table(geom, grid, thr, [paths])
-    n_tilde, n_bar = table.near_threshold[user].tolist(), table.antenna[user].tolist()
-    lows = [max(1, math.ceil(n_tilde[i] - _EDGE_EPS)) for i in order]
-    highs = [math.floor(n_bar[i] - _EDGE_EPS) for i in order]
+    else:
+        row = slice(user, user + 1)
+        table = BoundaryTable(table.near[row], table.near_threshold[row], table.antenna[row],
+                              table.freq[row])
+    blocks = plan_antenna_rows(geom, [paths], table)
+    num_near = int(np.count_nonzero(table.near))
+    sizes = tuple(blocks.sizes.tolist())
+    return SlicingPlan(sizes, tuple(range(num_near)) + (0,) * (len(sizes) - num_near),
+                       tuple(blocks.paths[:num_near].tolist()),
+                       tuple(blocks.offsets.tolist()), geom.num_antennas)
 
+
+def plan_antenna_rows(
+    geom: ArrayGeometry,
+    users: Sequence[Sequence[PathParams]],
+    table: BoundaryTable,
+) -> SliceBlocks:
+    """Every user's antenna-slicing plan in one pass over the rows of ``table``.
+
+    Row k of ``table`` holds user k's boundaries. In each row the near paths
+    are ranked by descending gain power (ties keep path order), and each
+    path's window [ceil(N_tilde), floor(N_bar)] comes from the row. Every
+    weaker path gets one subarray of its smallest compliant size
+    ceil(N_tilde). The strongest path takes the remaining R antennas in the
+    fewest subarrays its window allows, q = ceil(R / floor(N_bar)), whose
+    sizes differ by at most one. The layout is the strongest path's first
+    subarray, the weaker paths' in rank order, then the strongest path's
+    other q - 1. This follows the antenna-slicing SINR
+    P (sum_t |g_t|^2 N_t^2)^2 / (sigma^2 sum_t |g_t|^2 N_t^3) of
+    :func:`se_slicing_closed_form`, which is at most
+    P sum_t |g_t|^2 N_t / sigma^2 (Cauchy-Schwarz, tight for equal N_t):
+    antennas earn the most on the strongest path. A plan is infeasible when
+    its user has no near path, a window is empty, or R < q ceil(N_tilde) of
+    the strongest path; then no block count fits R into that path's window.
+    The first infeasible user's :class:`InfeasiblePlanError` is raised.
+    """
     n = geom.num_antennas
-    for j in range(num_near):
-        if highs[j] < lows[j]:
+    near = table.near
+    num_users, width = near.shape
+    gain_power = np.zeros(near.shape)
+    gain_power[np.arange(width) < np.array([len(paths) for paths in users])[:, None]] = [
+        abs(p.gain) ** 2 for paths in users for p in paths]
+    order = np.argsort(np.where(near, -gain_power, math.inf), axis=1, kind="stable")
+    num_near = np.count_nonzero(near, axis=1)
+    ranked = np.arange(width) < num_near[:, None]  # rank slots that hold a near path
+    lows = np.maximum(1, np.ceil(np.take_along_axis(table.near_threshold, order, 1)
+                                 - _EDGE_EPS)).astype(np.int64)
+    highs = np.floor(np.take_along_axis(table.antenna, order, 1) - _EDGE_EPS).astype(np.int64)
+    empty = ranked & (highs < lows)
+    remainder = n - np.sum(lows[:, 1:], axis=1, where=ranked[:, 1:])
+    q = np.maximum(1, np.ceil(remainder / np.maximum(highs[:, 0], 1))).astype(np.int64)
+    infeasible = (num_near == 0) | empty.any(axis=1) | (remainder < q * lows[:, 0])
+    if infeasible.any():
+        k = int(np.argmax(infeasible))
+        if num_near[k] == 0:
+            raise InfeasiblePlanError("no near-field paths to serve")
+        if empty[k].any():
+            j = int(np.argmax(empty[k]))
             raise InfeasiblePlanError(
                 "a path admits no compliant subarray size",
-                {"path": order[j], "window": (lows[j], highs[j])},
+                {"path": int(order[k, j]), "window": (int(lows[k, j]), int(highs[k, j]))},
             )
-    remainder = n - sum(lows[1:])
-    q = max(1, math.ceil(remainder / highs[0]))
-    if remainder < q * lows[0]:
         raise InfeasiblePlanError(
             "the array cannot host a compliant subarray for every near path",
-            {"num_antennas": n, "min_size": lows[0], "remainder": remainder, "blocks": q,
-             "window": (lows[0], highs[0])},
+            {"num_antennas": n, "min_size": int(lows[k, 0]), "remainder": int(remainder[k]),
+             "blocks": int(q[k]), "window": (int(lows[k, 0]), int(highs[k, 0]))},
         )
-    base, extra = divmod(remainder, q)
-    strongest = [base + 1] * extra + [base] * (q - extra)
-    sizes = strongest[:1] + lows[1:] + strongest[1:]
-    assign = [0, *range(1, num_near)] + [0] * (q - 1)
 
-    offsets = []
-    acc = 0
-    for size in sizes:
-        offsets.append(-n / 2.0 + acc + size / 2.0)
-        acc += size
-    return SlicingPlan(tuple(sizes), tuple(assign), tuple(order), tuple(offsets), n)
+    base, extra = np.divmod(remainder, q)
+    counts = num_near + q - 1  # blocks per user
+    user = np.repeat(np.arange(num_users), counts)
+    t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    weak = (t >= 1) & (t < num_near[user])
+    rank = np.where(weak, t, 0)
+    strong = np.where(t == 0, 0, t - num_near[user] + 1)  # index among the strongest's blocks
+    sizes = np.where(weak, lows[user, rank], base[user] + (strong < extra[user]))
+    acc = np.cumsum(sizes) - sizes - user * n  # antennas before the block in its row
+    return SliceBlocks(sizes, order[user, rank], -n / 2.0 + acc + sizes / 2.0)
 
 
 # ---------------------------------------------------------------------------

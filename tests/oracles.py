@@ -315,6 +315,47 @@ def per_user_mean_se(amps, subbands, schemes, power, noise_power):
     return np.mean(per_user, axis=0)
 
 
+def chunked_fs_amps(config, trial: int, num_subarrays: int, chunk: int = 16) -> dict:
+    """Every scheme's amplitudes of one multiuser draw, ``chunk`` users at a time.
+
+    Each user is planned alone (``plan_antenna_slices`` on its row of the
+    allocation's boundary table), and each chunk of users takes its own
+    channel, analog-row and product calls on its own subcarriers: the loop
+    the one-batch trial replaced, kept as its reference.
+    """
+    from squintlab import (Scheme, SliceBlocks, channel_columns, narrowband_beams,
+                           owner_gain_amplitudes, plan_antenna_slices, slice_analog_rows,
+                           subband_analog_rows)
+    from squintlab.experiments import _allocate_adaptive
+    from squintlab.wavefield import path_slots
+
+    geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
+    users, plan = _allocate_adaptive(config, trial, num_subarrays)
+    amps = {s.value: np.empty(config.num_subcarriers) for s in Scheme}
+    for lo in range(0, len(plan.subbands), chunk):
+        subbands = plan.subbands[lo:lo + chunk]
+        paths = [users[sb.user] for sb in subbands]
+        plans = [plan_antenna_slices(geom, grid, p, thr, table=plan.boundaries, user=sb.user)
+                 for p, sb in zip(paths, subbands)]
+        blocks = SliceBlocks(*(np.concatenate([getattr(p.blocks, name) for p in plans])
+                               for name in ("sizes", "paths", "offsets")))
+        owners = np.repeat(np.arange(len(subbands)), [sb.num_subcarriers for sb in subbands])
+        at = [m for sb in subbands for m in sb.global_indices()]
+        cols = channel_columns(geom, grid, [slot[owners] for slot in path_slots(paths)],
+                               subcarrier_indices=at)
+        fs_rows = subband_analog_rows(geom, paths, [sb.center_hz for sb in subbands])
+        fs_sizes = [plan.subarray_size] * (len(subbands) * num_subarrays)
+        beams = narrowband_beams(geom, paths)
+        amps[Scheme.SUBBAND_SLICING.value][at] = owner_gain_amplitudes(
+            fs_rows, fs_sizes, owners, cols)
+        amps[Scheme.ANTENNA_SLICING.value][at] = owner_gain_amplitudes(
+            slice_analog_rows(geom, paths, blocks), blocks.sizes, owners, cols)
+        amps[Scheme.NARROWBAND_BASELINE.value][at] = np.abs(
+            np.sum(beams.conj()[owners] * cols.T, axis=1))
+        amps[Scheme.OPTIMAL.value][at] = np.linalg.norm(cols, axis=0)
+    return amps
+
+
 def digital_mrt(channel_column: np.ndarray, analog: np.ndarray) -> np.ndarray:
     """Per-subcarrier digital MRT f_D = F^H h / ||F F^H h||, one column at a time.
 

@@ -298,8 +298,8 @@ def test_run_thread_env_does_not_change_output(capsys, tmp_path, monkeypatch):
 
 
 def test_run_thread_env_does_not_change_multiuser_output(capsys, tmp_path, monkeypatch):
-    # 8 to 32 users per trial on sub-bands of 1 to 39 subcarriers, so the
-    # batched trials span several user chunks and sub-band widths
+    # 8 to 32 users per trial on sub-bands of 1 to 39 subcarriers, so each
+    # one-batch trial spans many users and several sub-band widths
     emitted = emitted_per_worker_count(
         capsys, tmp_path, monkeypatch,
         ["run", "se-snr-fs", "--n", "128", "--m", "64", "--bandwidth-hz", "100e6",

@@ -18,12 +18,14 @@ from squintlab import (
     SlicingPlan,
     SquintThresholds,
     UserSubband,
+    boundary_table,
     freq_boundary,
     hybrid_gain_amplitudes,
     narrowband_beams,
     narrowband_mrt,
     normalized_array_gain,
     per_subcarrier_rates,
+    plan_antenna_rows,
     plan_antenna_slices,
     power_for_snr_db,
     sample_scenario,
@@ -298,6 +300,28 @@ def test_precoder_sets_match_the_experiment_amplitudes(cfg, trial):
         assert max(plan.user_subcarriers) > 1
 
 
+@pytest.mark.parametrize("cfg", [DESK_USERS, MIXED_WIDTHS], ids=["desk", "mixed"])
+def test_one_batch_trial_equals_the_chunked_loop_bit_for_bit(cfg):
+    # the served users' sub-bands partition the band, so the whole trial is
+    # one batch; it must give the chunk-of-16 loop's amplitudes in every bit
+    for trial in range(10):
+        amps, _, _ = _fs_trial_amps(cfg, trial, cfg.num_subarrays)
+        want = oracles.chunked_fs_amps(cfg, trial, cfg.num_subarrays)
+        assert amps.keys() == want.keys()
+        for scheme, values in want.items():
+            assert np.array_equal(amps[scheme].view(np.uint64), values.view(np.uint64)), \
+                f"{scheme}, trial {trial}"
+
+
+def test_one_batch_full_scale_trial_equals_the_chunked_loop_bit_for_bit():
+    cfg = ScenarioConfig(num_antennas=1024, num_subcarriers=256, seed=3)
+    amps, plan, _ = _fs_trial_amps(cfg, 0, cfg.num_subarrays)
+    want = oracles.chunked_fs_amps(cfg, 0, cfg.num_subarrays)
+    assert len(plan.subbands) > 16
+    for scheme, values in want.items():
+        assert np.array_equal(amps[scheme].view(np.uint64), values.view(np.uint64)), scheme
+
+
 # ---------------------------------------------------------------------------
 # sub-band beams
 # ---------------------------------------------------------------------------
@@ -373,7 +397,8 @@ def test_batched_analog_builders_equal_one_user_at_a_time(num_antennas, num_user
     for beam, user in zip(beams, users + [far_only]):
         assert np.array_equal(beam, narrowband_mrt(geom, user))
     plans = [plan_antenna_slices(geom, grid, user, thr) for user in users]
-    for row, user, plan in zip(slice_analog_rows(geom, users, plans), users, plans):
+    blocks = plan_antenna_rows(geom, users, boundary_table(geom, grid, thr, users))
+    for row, user, plan in zip(slice_analog_rows(geom, users, blocks), users, plans):
         assert np.array_equal(block_diagonal(row, plan.subarray_sizes),
                               slice_analog_matrix(geom, user, plan))
     centers = 7e9 + np.linspace(-250e6, 250e6, len(users))
@@ -407,7 +432,8 @@ def test_slice_analog_rows_equal_complex_exponential_form_bit_for_bit():
     reference = subarray_center_distance(geom, near, np.asarray(centers)[rows])
     near_phases = path_phases(geom, near, [0.0], reference_m=reference)[..., 0]
     want = oracles.exp_slice_rows(far_terms, near.gain, near_phases)
-    got = slice_analog_rows(geom, users, plans)
+    got = slice_analog_rows(geom, users,
+                            plan_antenna_rows(geom, users, boundary_table(geom, grid, thr, users)))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

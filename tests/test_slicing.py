@@ -24,6 +24,7 @@ from squintlab import (
     antenna_boundary,
     boundary_table,
     near_field_threshold,
+    plan_antenna_rows,
     plan_antenna_slices,
     sample_scenario,
     sample_user_paths,
@@ -239,6 +240,50 @@ def test_plan_serves_every_near_path_within_its_window(num_antennas, bandwidth, 
     for j in range(1, len(order)):
         assert plan.path_assignment.count(j) == 1
         assert plan.subarray_sizes[plan.path_assignment.index(j)] == windows[j][0]
+
+
+_NEAR_COUNT = st.lists(st.sampled_from(FieldModel), min_size=1, max_size=7).filter(
+    lambda models: 1 <= sum(m is not FieldModel.FAR for m in models) <= 5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(num_antennas=st.integers(2, 2048), bandwidth=st.floats(1e6, 1e9), models=_NEAR_COUNT,
+       num_users=st.integers(1, 64), data=st.data())
+def test_row_planner_equals_the_one_user_planner_row_by_row(num_antennas, bandwidth, models,
+                                                            num_users, data):
+    # K users sharing one model sequence: row k of the batch is user k's plan
+    # field for field, and the batch raises the first infeasible user's error
+    geom = ArrayGeometry(num_antennas, 7e9)
+    grid = CarrierGrid.from_bandwidth(bandwidth, 16)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    users = [[make_path(rng.uniform(-0.99, 0.99), rng.uniform(0.5, 200.0),
+                        rng.uniform(0.0, 100.0), complex(rng.uniform(0.01, 4.0)), model)
+              for model in models] for _ in range(num_users)]
+    users[0] = [make_path(theta, d, r, complex(amp), model) for (amp, theta, d, r), model in zip(
+        data.draw(st.lists(st.tuples(st.floats(0.01, 4.0), st.floats(-0.99, 0.99),
+                                     st.floats(0.5, 200.0), st.floats(0.0, 100.0)),
+                           min_size=len(models), max_size=len(models))), models)]
+    plans, errors = [], []
+    for user in users:
+        try:
+            plans.append(plan_antenna_slices(geom, grid, user, THR))
+        except InfeasiblePlanError as err:
+            errors.append(err)
+    table = boundary_table(geom, grid, THR, users)
+    if errors:
+        with pytest.raises(InfeasiblePlanError) as err:
+            plan_antenna_rows(geom, users, table)
+        assert err.value.args == errors[0].args
+        assert err.value.details == errors[0].details
+        return
+    blocks = plan_antenna_rows(geom, users, table)
+    split = np.cumsum([len(plan.subarray_sizes) for plan in plans])[:-1]
+    rows = zip(plans, *(np.split(a, split) for a in (blocks.sizes, blocks.paths, blocks.offsets)))
+    for plan, sizes, paths, offsets in rows:
+        assert tuple(sizes.tolist()) == plan.subarray_sizes
+        assert tuple(paths.tolist()) == tuple(plan.path_order[a] for a in plan.path_assignment)
+        assert np.array_equal(offsets.view(np.uint64), np.array(plan.offsets).view(np.uint64))
 
 
 def test_planner_is_deterministic():
