@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .boundaries import BoundaryTable, SquintThresholds, boundary_table
-from .wavefield import ArrayGeometry, CarrierGrid, FieldModel, PathParams
+from .wavefield import ArrayGeometry, CarrierGrid, PathParams
 
 #: guard applied before floor/ceil so boundary-exact sizes stay strictly inside
 _EDGE_EPS = 1e-9
@@ -196,6 +196,7 @@ def plan_antenna_rows(
     highs = np.floor(np.take_along_axis(table.antenna, order, 1) - _EDGE_EPS).astype(np.int64)
     empty = ranked & (highs < lows)
     remainder = n - np.sum(lows[:, 1:], axis=1, where=ranked[:, 1:])
+    # a row whose strongest window is empty raises below; the guard keeps q finite
     q = np.maximum(1, np.ceil(remainder / np.maximum(highs[:, 0], 1))).astype(np.int64)
     infeasible = (num_near == 0) | empty.any(axis=1) | (remainder < q * lows[:, 0])
     if infeasible.any():

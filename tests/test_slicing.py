@@ -242,12 +242,12 @@ def test_plan_serves_every_near_path_within_its_window(num_antennas, bandwidth, 
         assert plan.subarray_sizes[plan.path_assignment.index(j)] == windows[j][0]
 
 
-_NEAR_COUNT = st.lists(st.sampled_from(FieldModel), min_size=1, max_size=7).filter(
+_SHARED_MODELS = st.lists(st.sampled_from(FieldModel), min_size=1, max_size=7).filter(
     lambda models: 1 <= sum(m is not FieldModel.FAR for m in models) <= 5)
 
 
 @settings(max_examples=150, deadline=None)
-@given(num_antennas=st.integers(2, 2048), bandwidth=st.floats(1e6, 1e9), models=_NEAR_COUNT,
+@given(num_antennas=st.integers(2, 2048), bandwidth=st.floats(1e6, 1e9), models=_SHARED_MODELS,
        num_users=st.integers(1, 64), data=st.data())
 def test_row_planner_equals_the_one_user_planner_row_by_row(num_antennas, bandwidth, models,
                                                             num_users, data):
