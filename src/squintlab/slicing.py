@@ -191,9 +191,9 @@ def plan_antenna_rows(
     order = np.argsort(np.where(near, -gain_power, math.inf), axis=1, kind="stable")
     num_near = np.count_nonzero(near, axis=1)
     ranked = np.arange(width) < num_near[:, None]  # rank slots that hold a near path
-    lows = np.maximum(1, np.ceil(np.take_along_axis(table.near_threshold, order, 1)
-                                 - _EDGE_EPS)).astype(np.int64)
-    highs = np.floor(np.take_along_axis(table.antenna, order, 1) - _EDGE_EPS).astype(np.int64)
+    rows = np.arange(num_users)[:, None]
+    lows = np.maximum(1, np.ceil(table.near_threshold[rows, order] - _EDGE_EPS)).astype(np.int64)
+    highs = np.floor(table.antenna[rows, order] - _EDGE_EPS).astype(np.int64)
     empty = ranked & (highs < lows)
     remainder = n - np.sum(lows[:, 1:], axis=1, where=ranked[:, 1:])
     # a row whose strongest window is empty raises below; the guard keeps q finite
@@ -221,7 +221,7 @@ def plan_antenna_rows(
     t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     weak = (t >= 1) & (t < num_near[user])
     rank = np.where(weak, t, 0)
-    strong = np.where(t == 0, 0, t - num_near[user] + 1)  # index among the strongest's blocks
+    strong = np.maximum(t - num_near[user] + 1, 0)  # index among the strongest's blocks
     sizes = np.where(weak, lows[user, rank], base[user] + (strong < extra[user]))
     acc = np.cumsum(sizes) - sizes - user * n  # antennas before the block in its row
     return SliceBlocks(sizes, order[user, rank], -n / 2.0 + acc + sizes / 2.0)
