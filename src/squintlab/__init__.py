@@ -26,7 +26,6 @@ from .experiments import CSV_HEADER, EXPERIMENTS, SweepResult, SweepRow, run_exp
 from .precoding import (
     PrecoderSet,
     Scheme,
-    hybrid_gain_amplitudes,
     narrowband_beams,
     narrowband_mrt,
     normalized_array_gain,

@@ -21,13 +21,11 @@ import numpy as np
 from .boundaries import BoundaryTable, antenna_boundary, boundary_table, freq_boundary
 from .precoding import (
     Scheme,
-    hybrid_gain_amplitudes,
     narrowband_beams,
     narrowband_mrt,
     normalized_array_gain,
     owner_gain_amplitudes,
     power_for_snr_db,
-    slice_analog_matrix,
     slice_analog_rows,
     subband_analog_rows,
 )
@@ -37,7 +35,6 @@ from .slicing import (
     SubbandPlan,
     allocate_subbands,
     plan_antenna_rows,
-    plan_antenna_slices,
 )
 from .wavefield import (
     ArrayGeometry,
@@ -183,6 +180,24 @@ def _mean_or_none(values: Sequence[float | None]) -> float | None:
     return float(np.mean(kept)) if kept else None
 
 
+def _antenna_slicing_amps(
+    geom: ArrayGeometry,
+    users: Sequence[Sequence[PathParams]],
+    table: BoundaryTable,
+    owners: np.ndarray,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Antenna-slicing amplitude of each column under its owner's plan.
+
+    Plans every user from its row of ``table``, builds the K x N analog rows
+    and takes one :func:`owner_gain_amplitudes` product; raises the first
+    infeasible user's InfeasiblePlanError.
+    """
+    blocks = plan_antenna_rows(geom, users, table)
+    return owner_gain_amplitudes(slice_analog_rows(geom, users, blocks), blocks.sizes,
+                                 owners, cols)
+
+
 def _single_link_amps(
     geom: ArrayGeometry,
     grid: CarrierGrid,
@@ -193,15 +208,18 @@ def _single_link_amps(
 ) -> dict[str, np.ndarray]:
     """Per-subcarrier beamforming amplitudes |f^H h| for the three schemes.
 
-    Raises InfeasiblePlanError when no slicing plan exists for the draw.
+    ``table`` is the draw's :func:`boundary_table`, built here when not given.
+    Antenna slicing is the one-user case of the multiuser batch: every column
+    belongs to user 0. Raises InfeasiblePlanError when no slicing plan exists
+    for the draw.
     """
-    plan = plan_antenna_slices(geom, grid, paths, thr, table=table)
-    analog = slice_analog_matrix(geom, paths, plan)
+    if table is None:
+        table = boundary_table(geom, grid, thr, [paths])
+    owners = np.zeros(entries.shape[1], dtype=np.intp)
     beam = narrowband_mrt(geom, paths)
     return {
-        Scheme.ANTENNA_SLICING.value: hybrid_gain_amplitudes(
-            analog, plan.subarray_sizes, entries
-        ),
+        Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, [paths], table, owners,
+                                                            entries),
         Scheme.NARROWBAND_BASELINE.value: np.abs(beam.conj() @ entries),
         Scheme.OPTIMAL.value: np.linalg.norm(entries, axis=0),
     }
@@ -345,12 +363,8 @@ def _experiment_sweep_bandwidth(config: ScenarioConfig) -> SweepResult:
     b_ref = float(freq_boundary(geom, ref_path, thr))
     axis = [b_ref * mult for mult in _BOUNDARY_MULTS]
     grids = [CarrierGrid.from_bandwidth(b, config.num_subcarriers) for b in axis]
-    cols = [
-        (b_ref, float(antenna_boundary(b, ref_path, geom.center_freq_hz, thr, "near",
-                                       spacing_m=geom.spacing_m,
-                                       wave_speed=geom.wave_speed)))
-        for b in axis
-    ]
+    cols = [(b_ref, float(boundary_table(geom, grid, thr, [[ref_path]]).antenna[0, 0]))
+            for grid in grids]
     trial_fn = _fixed_geometry_trial(config, [geom] * len(axis), grids, cols)
     return _sweep(config, "sweep-bandwidth", "bandwidth_hz", axis, _AS_SCHEMES, trial_fn)
 
@@ -470,7 +484,6 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
     """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     users, plan = _allocate_adaptive(config, trial, num_subarrays)
-    blocks = plan_antenna_rows(geom, users, plan.boundaries)
     owners = np.repeat(np.arange(len(users)), plan.user_subcarriers)
     cols = channel_columns(geom, grid, [slot[owners] for slot in path_slots(users)])
     fs_rows = subband_analog_rows(geom, users, [sb.center_hz for sb in plan.subbands])
@@ -478,8 +491,8 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
     beams = narrowband_beams(geom, users)
     amps = {
         Scheme.SUBBAND_SLICING.value: owner_gain_amplitudes(fs_rows, fs_sizes, owners, cols),
-        Scheme.ANTENNA_SLICING.value: owner_gain_amplitudes(
-            slice_analog_rows(geom, users, blocks), blocks.sizes, owners, cols),
+        Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, users, plan.boundaries,
+                                                            owners, cols),
         Scheme.NARROWBAND_BASELINE.value: np.abs(np.sum(beams.conj()[owners] * cols.T, axis=1)),
         Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=0),
     }

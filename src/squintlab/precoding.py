@@ -112,71 +112,39 @@ def block_diagonal(entries: ComplexVector, sizes: Sequence[int]) -> ComplexMatri
     return analog
 
 
-def _mrt_projection(
-    analog: ComplexMatrix,
-    block_sizes: Sequence[int],
-    columns: ComplexMatrix,
-) -> tuple[ComplexMatrix, NDArray[np.float64]]:
-    """F^H h per column and the digital MRT denominator ||F F^H h||.
-
-    For a block-diagonal F with unit-modulus entries,
-    ||F F^H h||^2 = sum_t N_t |(F^H h)_t|^2 (the two denominator forms of the
-    digital MRT), so the denominator needs no N-row product.
-    """
-    projected = analog.conj().T @ np.asarray(columns)
-    weights = np.asarray(block_sizes, dtype=np.float64)[:, None]
-    den = np.sqrt(np.sum(weights * np.abs(projected) ** 2, axis=0))
-    return projected, den
-
-
-def hybrid_gain_amplitudes(
-    analog: ComplexMatrix,
-    block_sizes: Sequence[int],
-    columns: ComplexMatrix,
-) -> NDArray[np.float64]:
-    """|f_D^H F^H h| per column under per-column digital MRT, vectorized.
-
-    Uses the identity |f_D^H F^H h| = ||F^H h||^2 / ||F F^H h||. Degenerate
-    columns yield amplitude 0.
-    """
-    projected, den = _mrt_projection(analog, block_sizes, columns)
-    return _mrt_amplitudes(np.sum(np.abs(projected) ** 2, axis=0), den)
-
-
-def _mrt_amplitudes(num: NDArray[np.float64], den: NDArray[np.float64]) -> NDArray[np.float64]:
-    """num / den per column, 0 where the denominator vanishes."""
-    out = np.zeros_like(num)
-    good = den > 0.0
-    out[good] = num[good] / den[good]
-    return out
-
-
 def owner_gain_amplitudes(
     rows: ComplexMatrix,
     block_sizes: Sequence[int] | NDArray[np.int64],
     owners: NDArray[np.intp],
     columns: ComplexMatrix,
 ) -> NDArray[np.float64]:
-    """:func:`hybrid_gain_amplitudes` of each column under its owner's analog matrix.
+    """|f_D^H F^H h| of each column under its owner's analog matrix and digital MRT.
 
     Column c of ``columns`` (N x C) belongs to user ``owners[c]``, whose analog
-    matrix holds row ``owners[c]`` of ``rows`` (K x N) in contiguous blocks.
+    matrix F holds row ``owners[c]`` of ``rows`` (K x N) in contiguous blocks.
     ``block_sizes`` lists every row's blocks, flat in row order; each row's
-    sizes partition it. Then (F^H h)_t is the sum of conj(row) * h over block
-    t, so all columns take one elementwise product and one segmented sum, and
-    the per-column sums over blocks are bincounts.
+    sizes partition it. A single link is the case K = 1 with every owner 0.
+    Uses |f_D^H F^H h| = ||F^H h||^2 / ||F F^H h|| and, for unit-modulus
+    blocks, ||F F^H h||^2 = sum_t N_t |(F^H h)_t|^2. Then (F^H h)_t is the sum
+    of conj(row) * h over block t, so all columns take one elementwise
+    product and one segmented sum, and the per-column sums over blocks are
+    bincounts. Degenerate columns yield amplitude 0.
     """
+    n = rows.shape[1]
     sizes = np.asarray(block_sizes)
-    size_at = np.zeros(rows.shape)  # each block's size at its first element
-    size_at.flat[np.cumsum(sizes) - sizes] = sizes
-    size_at = size_at[owners].ravel()
-    first = np.flatnonzero(size_at)  # block starts in the flat C x N product
+    starts = np.cumsum(sizes) - sizes  # flat in the K x N rows
+    counts = np.bincount(starts // n)  # blocks per row
+    per_column = counts[owners]
+    column = np.repeat(np.arange(len(owners)), per_column)
+    # each column's blocks are its owner's, in row order
+    shift = (np.cumsum(counts) - counts)[owners] - (np.cumsum(per_column) - per_column)
+    block = np.arange(len(column)) + shift[column]
+    first = column * n + starts[block] % n  # block starts in the flat C x N product
     projected = np.add.reduceat((rows.conj()[owners] * columns.T).ravel(), first)
     power = np.abs(projected) ** 2
-    column = first // rows.shape[1]
     num = np.bincount(column, power, minlength=len(owners))
-    den = np.sqrt(np.bincount(column, size_at[first] * power, minlength=len(owners)))
-    return _mrt_amplitudes(num, den)
+    den = np.sqrt(np.bincount(column, sizes[block] * power, minlength=len(owners)))
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 
 def _hybrid_set(
@@ -185,8 +153,15 @@ def _hybrid_set(
     block_sizes: Sequence[int],
     entries: ComplexMatrix,
 ) -> PrecoderSet:
-    """Hybrid set with every column's digital MRT at once (degenerate ones stay zero)."""
-    projected, den = _mrt_projection(analog, block_sizes, entries)
+    """Hybrid set with every column's digital MRT at once (degenerate ones stay zero).
+
+    For a block-diagonal F with unit-modulus entries,
+    ||F F^H h||^2 = sum_t N_t |(F^H h)_t|^2, so the denominator needs no
+    N-row product.
+    """
+    projected = analog.conj().T @ np.asarray(entries)
+    weights = np.asarray(block_sizes, dtype=np.float64)[:, None]
+    den = np.sqrt(np.sum(weights * np.abs(projected) ** 2, axis=0))
     digital = np.zeros_like(projected)
     good = den > 0.0
     digital[:, good] = projected[:, good] / den[good]

@@ -287,10 +287,15 @@ def _carrier_and_ramp(
     if model is FieldModel.FAR:
         carrier = k * geom.center_freq_hz * offsets * geom.spacing_m * path.sine_angle
     else:
+        d = path.scatterer_distance_m
         if reference_m is None:
-            reference_m = path.scatterer_distance_m
-        ranges = _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, offsets)
-        carrier = k * geom.center_freq_hz * (ranges - reference_m)
+            reference_m = d
+        x = offsets * geom.spacing_m
+        ranges = _element_ranges(geom, path.sine_angle, d, offsets)
+        # d_n - ref as (d_n^2 - d^2) / (d_n + d) - (ref - d): subtracting two
+        # ranges of up to hundreds of meters would cost eps d, not eps |d_n - d|
+        carrier = k * geom.center_freq_hz * (
+            (x * x - 2.0 * d * x * path.sine_angle) / (ranges + d) - (reference_m - d))
         if model is FieldModel.WIDEBAND_NEAR:
             # squint folds in: the delay ramp sees each element's true range
             ramp = path.ue_range_m + ranges

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from squintlab import (
@@ -20,10 +22,10 @@ from squintlab import (
     UserSubband,
     boundary_table,
     freq_boundary,
-    hybrid_gain_amplitudes,
     narrowband_beams,
     narrowband_mrt,
     normalized_array_gain,
+    owner_gain_amplitudes,
     per_subcarrier_rates,
     plan_antenna_rows,
     plan_antenna_slices,
@@ -212,21 +214,18 @@ def test_digital_mrt_zero_channel_is_degenerate():
     analog = np.ones((4, 1), dtype=np.complex128)
     h = np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=np.complex128)
     assert not np.any(_hybrid_set(Scheme.ANTENNA_SLICING, analog, (4,), h).digital)
-    assert hybrid_gain_amplitudes(analog, (4,), h)[0] == 0.0
+    assert owner_gain_amplitudes(analog.T, [4], np.zeros(1, dtype=np.intp), h)[0] == 0.0
 
 
 def test_vectorized_amplitudes_match_the_scalar_route():
     rng = np.random.default_rng(11)
     sizes = (8, 8, 16)
     n = sum(sizes)
-    analog = np.zeros((n, 3), dtype=np.complex128)
-    start = 0
-    for t, size in enumerate(sizes):
-        analog[start : start + size, t] = np.exp(1j * rng.uniform(-np.pi, np.pi, size))
-        start += size
+    row = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    analog = block_diagonal(row, sizes)
     cols = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
     cols[:, 2] = 0.0  # degenerate column reports amplitude 0
-    amps = hybrid_gain_amplitudes(analog, sizes, cols)
+    amps = owner_gain_amplitudes(row[None, :], sizes, np.zeros(6, dtype=np.intp), cols)
     for m in range(6):
         if m == 2:
             assert amps[m] == 0.0
@@ -234,6 +233,46 @@ def test_vectorized_amplitudes_match_the_scalar_route():
         f_d = oracles.digital_mrt(cols[:, m], analog)
         want = abs(np.vdot(analog @ f_d, cols[:, m]))
         assert amps[m] == pytest.approx(want, rel=1e-12)
+
+
+
+@st.composite
+def _owned_columns(draw):
+    """(rows, each row's block sizes, ascending owners, columns) with some zero columns."""
+    n = draw(st.integers(1, 512))
+    k = draw(st.integers(1, 6))
+    sizes = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["one block", "single elements", "random"]))
+        if kind == "one block":
+            sizes.append([n])
+        elif kind == "single elements":
+            sizes.append([1] * n)
+        else:
+            cuts = draw(st.sets(st.integers(1, n - 1), max_size=min(n - 1, 40))) if n > 1 else ()
+            sizes.append(np.diff([0, *sorted(cuts), n]).tolist())
+    owners = np.repeat(np.arange(k), draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.exp(1j * rng.uniform(-np.pi, np.pi, (k, n)))
+    cols = rng.standard_normal((n, len(owners))) + 1j * rng.standard_normal((n, len(owners)))
+    cols[:, draw(st.lists(st.booleans(), min_size=len(owners), max_size=len(owners)))] = 0.0
+    return rows, sizes, owners, cols
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_owned_columns())
+def test_owner_amplitudes_equal_each_owners_digital_mrt(case):
+    # every column's amplitude is that of the digital MRT on its owner's N x T
+    # block-diagonal analog matrix, and a zero column reads exactly 0
+    rows, sizes, owners, cols = case
+    amps = owner_gain_amplitudes(rows, np.concatenate(sizes), owners, cols)
+    for c, owner in enumerate(owners):
+        if not np.any(cols[:, c]):
+            assert amps[c] == 0.0
+            continue
+        analog = block_diagonal(rows[owner], sizes[owner])
+        want = abs(np.vdot(analog @ oracles.digital_mrt(cols[:, c], analog), cols[:, c]))
+        assert amps[c] == pytest.approx(want, rel=1e-12)
 
 
 DESK_USERS = ScenarioConfig(num_antennas=256, num_subcarriers=64, num_users=8,

@@ -739,6 +739,29 @@ def test_blocked_path_terms_are_as_accurate_as_direct_phasors(
         assert np.array_equal(got.view(np.uint64), direct.view(np.uint64))
 
 
+@pytest.mark.parametrize("model", [FieldModel.WIDEBAND_NEAR, FieldModel.NARROWBAND_NEAR],
+                         ids=["wn", "nn"])
+def test_near_carrier_error_does_not_grow_with_the_scatterer_distance(model):
+    # the carrier k f_c (d_n - d) is formed without subtracting two ranges, so
+    # a scatterer at 200 m costs eps |d_n - d|, not eps d: unit-gain terms stay
+    # within 3e-12 of the long-double reference (a difference of the two
+    # float64 ranges reads about 6e-12 over these draws)
+    rng = np.random.default_rng(2027)
+    worst = 0.0
+    for _ in range(400):
+        n, m = int(rng.integers(1, 1025)), int(rng.integers(1, 9))
+        d, theta, r = rng.uniform(0.5, 200.0), rng.uniform(-0.999, 0.999), rng.uniform(0.0, 200.0)
+        geom = ArrayGeometry(n, 7e9)
+        grid = CarrierGrid.from_bandwidth(10.0 ** rng.uniform(6.0, 9.0), m)
+        got = channel_columns(geom, grid, [PathParams(1.0, theta, d, r, model)])
+        re, im = oracles.path_term_longdouble(1.0 + 0j, theta, d, r, _FIELDS[model], n, m,
+                                              grid.subcarrier_spacing_hz, np.arange(m), 7e9,
+                                              geom.spacing_m)
+        worst = max(worst, float(np.max(np.hypot(got.real.astype(np.longdouble) - re,
+                                                  got.imag.astype(np.longdouble) - im))))
+    assert worst <= 3e-12
+
+
 def test_channel_columns_subset_matches_full_matrix():
     geom = make_geom(16)
     grid = CarrierGrid.from_bandwidth(400e6, 32)

@@ -1,35 +1,45 @@
-"""Record a BENCH file: repeated perfbench runs, summarised per workload.
+"""Record a BENCH file: interleaved perfbench runs of a parent commit and this checkout.
 
 Usage (from the root of a checkout):
 
-    python3 tools/bench_record.py --label 11
+    python3 tools/bench_record.py --label 17 --parent HEAD~1
 
-Each of RUNS rounds runs ``perfbench/run.py --trace 0`` for SECONDS once per
-workload, in turn, as a subprocess with BLAS threads pinned to 1; round i uses
-workload seed i. Interleaving the workloads spreads slow stretches of the
-machine over all of them. The per-run reports under ``.perfbench_out/`` give
-the metrics, the environment and the fingerprints. ``BENCH_<label>.json`` at
-the root of the checkout gets, per workload, the median and interquartile range
-of every end-to-end metric that ``BENCHMARK.json`` names, the run values, the
-hypervisor steal share of each run and the cross-check CSV digest. If any run's
-outputs were incorrect, or the runs of a workload disagree on the cross-check
-digest, the script writes no file and exits non-zero.
+The parent's committed files are extracted with ``git archive`` into a
+temporary directory (no worktree, nothing under ``.git`` changes); the change
+side is this checkout as it stands. Each of PAIRS rounds runs
+``perfbench/run.py --trace 0`` for SECONDS once per workload on each side, as
+subprocesses with BLAS threads pinned to 1. Round i uses workload seed i on
+both sides and alternates which side runs first, so a slow stretch of the
+machine falls on both. The per-run reports under each side's
+``.perfbench_out/`` give the metrics, the environment and the fingerprints.
+
+``BENCH_<label>.json`` at the root of this checkout gets, per workload and
+for every end-to-end metric that ``BENCHMARK.json`` names, both sides' run
+values with their median and interquartile range, the change/parent ratio of
+each pair, the median ratio and the number of pairs the change won (in the
+metric's better direction), plus the hypervisor steal share of each run. If
+any run's outputs were incorrect, or the cross-check CSV digests of a workload
+differ between runs or sides, the script writes no file and exits non-zero.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-RUNS = 5  # per workload: the fewest a BENCH median may rest on
+PAIRS = 10  # per workload: the fewest pairs a comparison may rest on
 SECONDS = 20.0  # timed loop of one run
+SIDES = ("parent", "change")
 
 
 def summarise(values: list[float]) -> dict:
@@ -38,63 +48,87 @@ def summarise(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
 
 
-def run_once(workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run; its report, with the result line's verdict."""
-    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+def extract(rev: str, dest: Path) -> str:
+    """Unpack the committed files of ``rev`` into ``dest``; its full commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return commit
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in ``checkout``; its report, with the result line's verdict."""
+    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = {**os.environ, **PINNED}
-    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        sys.exit(f"bench_record: {workload} seed {seed} exited {done.returncode}:\n"
-                 f"{done.stderr[-2000:]}")
+        sys.exit(f"bench_record: {checkout} {workload} seed {seed} exited "
+                 f"{done.returncode}:\n{done.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    report_path = ROOT / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
+    report_path = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
     report = json.loads(report_path.read_text(encoding="utf-8"))
     report["correct"] = result["correct"]
     return report
 
 
-def record(workloads: list[str], metrics: list[str], runs: int, seconds: float) -> dict:
-    """Run every workload ``runs`` times, interleaved, and summarise the reports."""
-    reports: dict[str, list[dict]] = {name: [] for name in workloads}
-    for seed in range(1, runs + 1):
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """Per-pair change/parent ratios, their median and the pairs the change won."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    wins = sum(c > p if better == "higher" else c < p for p, c in zip(parent, change))
+    return {"ratios": ratios, "median_ratio": statistics.median(ratios), "change_wins": wins}
+
+
+def record(checkouts: dict[str, Path], workloads: list[str], metrics: list[dict],
+           pairs: int, seconds: float) -> dict:
+    """Run every workload ``pairs`` times on each side, interleaved, and summarise."""
+    reports = {name: {side: [] for side in SIDES} for name in workloads}
+    orders = []
+    for seed in range(1, pairs + 1):
+        order = SIDES if seed % 2 else SIDES[::-1]
+        orders.append(order[0] + " first")
         for name in workloads:
-            report = run_once(name, seed, seconds)
-            reports[name].append(report)
-            trials = report["metrics"]["trials_per_s"]["value"]
-            print(f"{name} seed {seed}: {trials:.2f} trials/s, "
-                  f"correct={report['correct']}", file=sys.stderr)
-    environment = reports[workloads[0]][0]["environment"]
-    return {
-        "runs_per_workload": runs,
-        "seconds_per_run": seconds,
-        "environment": environment,
-        "workloads": {
-            name: {
-                "correct_runs": sum(r["correct"] for r in done),
-                "steal_share": [r.get("steal_share") for r in done],
-                "cross_check_csv_sha256": sorted({r["fingerprint"]["cross_check_csv_sha256"]
-                                                  for r in done}),
-                "metrics": {metric: {"unit": done[0]["metrics"][metric]["unit"],
-                                     **summarise([r["metrics"][metric]["value"]
-                                                  for r in done])}
-                            for metric in metrics},
-            }
-            for name, done in reports.items()
-        },
-    }
+            for side in order:
+                report = run_once(checkouts[side], name, seed, seconds)
+                reports[name][side].append(report)
+                print(f"{name} seed {seed} {side}: "
+                      f"{report['metrics']['trials_per_s']['value']:.2f} trials/s, "
+                      f"correct={report['correct']}", file=sys.stderr)
+    out = {}
+    for name, runs in reports.items():
+        values = {m["name"]: {side: [r["metrics"][m["name"]]["value"] for r in runs[side]]
+                              for side in SIDES} for m in metrics}
+        out[name] = {
+            "correct_runs": {side: sum(r["correct"] for r in runs[side]) for side in SIDES},
+            "steal_share": {side: [r.get("steal_share") for r in runs[side]] for side in SIDES},
+            "cross_check_csv_sha256": sorted({r["fingerprint"]["cross_check_csv_sha256"]
+                                              for side in SIDES for r in runs[side]}),
+            "metrics": {
+                m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                            **{side: summarise(values[m["name"]][side]) for side in SIDES},
+                            **compare(*(values[m["name"]][side] for side in SIDES), m["better"])}
+                for m in metrics
+            },
+        }
+    return {"pairs_per_workload": pairs, "seconds_per_run": seconds, "order": orders,
+            "environment": reports[workloads[0]]["change"][0]["environment"],
+            "workloads": out}
 
 
 def problems(bench: dict) -> list[str]:
     """Why a recorded set of runs must not become a BENCH file."""
     found = []
     for name, summary in bench["workloads"].items():
-        if summary["correct_runs"] < bench["runs_per_workload"]:
-            found.append(f"{name}: {summary['correct_runs']}/{bench['runs_per_workload']} "
-                         "runs correct")
+        for side, correct in summary["correct_runs"].items():
+            if correct < bench["pairs_per_workload"]:
+                found.append(f"{name}: {correct}/{bench['pairs_per_workload']} {side} runs correct")
         if len(summary["cross_check_csv_sha256"]) != 1:
-            found.append(f"{name}: cross-check digests differ across runs: "
+            found.append(f"{name}: cross-check digests differ: "
                          f"{summary['cross_check_csv_sha256']}")
     return found
 
@@ -103,18 +137,27 @@ def main(argv=None) -> None:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
     args = parser.parse_args(argv)
-    bench = record([w["name"] for w in spec["workloads"]],
-                   [m["name"] for m in spec["end_to_end"]], RUNS, SECONDS)
     out = ROOT / f"BENCH_{args.label}.json"
+    with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
+        parent_commit = extract(args.parent, Path(tmp))
+        bench = record({"parent": Path(tmp), "change": ROOT},
+                       [w["name"] for w in spec["workloads"]], spec["end_to_end"],
+                       PAIRS, SECONDS)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                          text=True, check=False).stdout.strip()
+    bench = {"parent": parent_commit, "change_head": head, **bench}
     found = problems(bench)
     if found:
         sys.exit(f"bench_record: not writing {out.name}:\n" + "\n".join(found))
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     for name, summary in bench["workloads"].items():
         tps = summary["metrics"]["trials_per_s"]
-        print(f"{name:<10} trials/s median {tps['median']:.2f} IQR {tps['iqr']:.2f} "
-              f"({summary['correct_runs']}/{RUNS} correct)")
+        print(f"{name:<10} trials/s parent {tps['parent']['median']:.2f} "
+              f"[IQR {tps['parent']['iqr']:.2f}] change {tps['change']['median']:.2f} "
+              f"[IQR {tps['change']['iqr']:.2f}]  median ratio {tps['median_ratio']:.3f}, "
+              f"change won {tps['change_wins']}/{bench['pairs_per_workload']}")
     print(f"wrote {out.relative_to(ROOT)}")
 
 
