@@ -185,10 +185,10 @@ def _element_ranges(
     geom: ArrayGeometry, sine_angle: float, distance_m: float,
     offsets: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """Exact scatterer-to-element distances for the given index offsets."""
-    s = geom.spacing_m
-    x = offsets * s
-    return np.sqrt(distance_m * distance_m - 2.0 * distance_m * x * sine_angle + x * x)
+    """Exact scatterer-to-element distances d_n for the given index offsets, and d_n^2 - d^2."""
+    x = offsets * geom.spacing_m
+    cross, square = 2.0 * distance_m * x * sine_angle, x * x
+    return np.sqrt(distance_m * distance_m - cross + square), square - cross
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,12 +290,10 @@ def _carrier_and_ramp(
         d = path.scatterer_distance_m
         if reference_m is None:
             reference_m = d
-        x = offsets * geom.spacing_m
-        ranges = _element_ranges(geom, path.sine_angle, d, offsets)
+        ranges, excess = _element_ranges(geom, path.sine_angle, d, offsets)
         # d_n - ref as (d_n^2 - d^2) / (d_n + d) - (ref - d): subtracting two
         # ranges of up to hundreds of meters would cost eps d, not eps |d_n - d|
-        carrier = k * geom.center_freq_hz * (
-            (x * x - 2.0 * d * x * path.sine_angle) / (ranges + d) - (reference_m - d))
+        carrier = k * geom.center_freq_hz * (excess / (ranges + d) - (reference_m - d))
         if model is FieldModel.WIDEBAND_NEAR:
             # squint folds in: the delay ramp sees each element's true range
             ramp = path.ue_range_m + ranges
@@ -328,7 +326,8 @@ def beam_squint_matrix(geom: ArrayGeometry, grid: CarrierGrid, path: PathParams)
     range of element n. The center subcarrier column (delta_m = 0) is all ones.
     """
     dev = (
-        _element_ranges(geom, path.sine_angle, path.scatterer_distance_m, geom.element_offsets())
+        _element_ranges(geom, path.sine_angle, path.scatterer_distance_m,
+                        geom.element_offsets())[0]
         - path.scatterer_distance_m
     )
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
@@ -436,7 +435,7 @@ def subarray_center_distance(
 ) -> NDArray[np.float64]:
     """Scatterer distance to each subarray center sitting ``offsets`` elements off-center."""
     return _element_ranges(geom, path.sine_angle, path.scatterer_distance_m,
-                           np.asarray(offsets, dtype=np.float64))
+                           np.asarray(offsets, dtype=np.float64))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,8 @@ def problems(bench: dict) -> list[str]:
     for name, summary in bench["workloads"].items():
         for side, correct in summary["correct_runs"].items():
             if correct < bench["pairs_per_workload"]:
-                found.append(f"{name}: {correct}/{bench['pairs_per_workload']} {side} runs correct")
+                found.append(f"{name}: {correct}/{bench['pairs_per_workload']} {side} runs "
+                             "correct")
         if len(summary["cross_check_csv_sha256"]) != 1:
             found.append(f"{name}: cross-check digests differ: "
                          f"{summary['cross_check_csv_sha256']}")
