@@ -260,11 +260,6 @@ def _delay_spread_limits(total, near, kappa_f: float, wave_speed: float):
 # the boundary table of a draw
 # ---------------------------------------------------------------------------
 
-#: below this many table entries the formulas run entry by entry on Python
-#: floats, where numpy's cost per call would exceed the arithmetic; the
-#: operations, and so the bits, are the same either way
-_ARRAY_MIN_ENTRIES = 16
-
 
 def _near_boundaries(geom: ArrayGeometry, grid: CarrierGrid, thr: SquintThresholds, theta, d):
     """N_tilde, N_bar and B_bar at full-array scale of paths with |sine| theta, distance d."""
@@ -302,12 +297,7 @@ def boundary_table(
     theta, d, total, near = np.ascontiguousarray(fields).reshape(4, len(users), width)
     near = near > 0.0
 
-    if near.size < _ARRAY_MIN_ENTRIES:
-        entries = [_near_boundaries(geom, grid, thr, t, x)
-                   for t, x in zip(theta.ravel().tolist(), d.ravel().tolist())]
-        table = BoundaryTable(near, *np.array(entries).T.reshape((3,) + near.shape))
-    else:
-        table = BoundaryTable(near, *_near_boundaries(geom, grid, thr, theta, d))
+    table = BoundaryTable(near, *_near_boundaries(geom, grid, thr, theta, d))
     if subarray_size is None:
         return table
     return replace(table,

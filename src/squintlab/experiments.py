@@ -32,7 +32,6 @@ from .precoding import (
 from .scenario import RngStream, ScenarioConfig, sample_scenario, sample_user_paths
 from .slicing import (
     InfeasiblePlanError,
-    SubbandPlan,
     allocate_subbands,
     plan_antenna_rows,
 )
@@ -200,21 +199,16 @@ def _antenna_slicing_amps(
 
 def _single_link_amps(
     geom: ArrayGeometry,
-    grid: CarrierGrid,
     paths: Sequence[PathParams],
-    thr,
     entries: np.ndarray,
-    table: BoundaryTable | None = None,
+    table: BoundaryTable,
 ) -> dict[str, np.ndarray]:
     """Per-subcarrier beamforming amplitudes |f^H h| for the three schemes.
 
-    ``table`` is the draw's :func:`boundary_table`, built here when not given.
-    Antenna slicing is the one-user case of the multiuser batch: every column
-    belongs to user 0. Raises InfeasiblePlanError when no slicing plan exists
-    for the draw.
+    ``table`` is the draw's one-row :func:`boundary_table`. Antenna slicing is
+    the one-user case of the multiuser batch: every column belongs to user 0.
+    Raises InfeasiblePlanError when no slicing plan exists for the draw.
     """
-    if table is None:
-        table = boundary_table(geom, grid, thr, [paths])
     owners = np.zeros(entries.shape[1], dtype=np.intp)
     beam = narrowband_mrt(geom, paths)
     return {
@@ -229,13 +223,29 @@ def _rates(amps: np.ndarray, power: float, noise_power: float) -> np.ndarray:
     return np.log2(1.0 + power * amps**2 / noise_power)
 
 
-def _scheme_se(
-    amps: dict[str, np.ndarray], schemes, powers: Sequence[float], noise_power: float
+def _mean_se(
+    amps: dict[str, np.ndarray], schemes: Sequence[Scheme], widths: Sequence[int],
+    powers: Sequence[float], noise_power: float,
 ) -> np.ndarray:
-    """Subcarrier-averaged rate of each scheme: row i holds every scheme's at ``powers[i]``."""
-    power = np.asarray(powers, dtype=np.float64)[:, None]
-    return np.stack([np.mean(_rates(amps[s.value], power, noise_power), axis=1)
-                     for s in schemes], axis=1)
+    """(1/K) sum over users of their sub-band-average rate, per power and scheme.
+
+    ``widths`` are the users' sub-band widths in user order; they partition
+    the M subcarriers, and a single link is ``widths=(M,)``. Row i of the
+    result holds every scheme's SE at ``powers[i]``. Each width group is
+    gathered contiguous, so every user's subcarriers are summed pairwise as
+    ``np.mean`` sums one user's slice, and the user mean runs over a
+    users-first array, so it adds the users in order.
+    """
+    power = np.asarray(powers, dtype=np.float64)[:, None, None]
+    tables = _rates(np.stack([amps[s.value] for s in schemes]), power, noise_power)
+    sizes = np.asarray(widths)
+    starts = np.cumsum(sizes) - sizes
+    per_user = np.empty((len(sizes),) + tables.shape[:2])
+    for w in sorted(set(widths)):
+        members = np.flatnonzero(sizes == w)
+        cols = np.ascontiguousarray(tables[..., starts[members][:, None] + np.arange(w)])
+        per_user[members] = np.mean(cols, axis=-1).transpose(2, 0, 1)
+    return np.mean(per_user, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +354,10 @@ def _fixed_geometry_trial(
 
     def point(path, power, geom, grid, cols):
         entries = channel_columns(geom, grid, [path])
-        amps = _single_link_amps(geom, grid, [path], thr, entries)
-        return _scheme_se(amps, _AS_SCHEMES, [power], config.noise_power)[0], cols, 1
+        amps = _single_link_amps(geom, [path], entries,
+                                 boundary_table(geom, grid, thr, [[path]]))
+        return _mean_se(amps, _AS_SCHEMES, (grid.num_subcarriers,), [power],
+                        config.noise_power)[0], cols, 1
 
     def trial_fn(trial: int) -> list:
         gain = _sweep_trial_gain(config, trial)
@@ -391,64 +403,17 @@ def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# multipath single-user experiments (antenna-domain slicing)
+# Monte Carlo draws: a single link is the one-user, one-sub-band draw
 # ---------------------------------------------------------------------------
 
 
-def _link_draw(config: ScenarioConfig, geom, grid, thr, trial: int):
-    """Amplitudes and binding boundary columns of one sampled single-link draw."""
+def _link_draw(config: ScenarioConfig, trial: int):
+    """Amplitudes, sub-band widths (M,) and binding boundary columns of one link draw."""
+    geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     paths = sample_scenario(config, trial)
     table = boundary_table(geom, grid, thr, [paths])
-    entries = channel_columns(geom, grid, paths)
-    amps = _single_link_amps(geom, grid, paths, thr, entries, table)
-    return amps, _binding_boundaries(table)
-
-
-def _experiment_se_snr_as(config: ScenarioConfig) -> SweepResult:
-    geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
-
-    def trial_fn(trial: int) -> list:
-        amps, bounds = _link_draw(config, geom, grid, thr, trial)
-        power = [10.0 ** (snr / 10.0) * config.noise_power for snr in _SNR_AXIS_DB]
-        se = _scheme_se(amps, _AS_SCHEMES, power, config.noise_power)
-        return [(row, bounds, 1) for row in se]
-
-    return _sweep(config, "se-snr-as", "snr_db", _SNR_AXIS_DB, _AS_SCHEMES, trial_fn)
-
-
-def _experiment_se_subcarrier_as(config: ScenarioConfig) -> SweepResult:
-    geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
-    axis = [float(m) for m in range(config.num_subcarriers)]
-
-    def trial_fn(trial: int) -> list:
-        amps, bounds = _link_draw(config, geom, grid, thr, trial)
-        table = np.stack([_rates(amps[s.value], config.power, config.noise_power)
-                          for s in _AS_SCHEMES], axis=1)
-        return [(row, bounds, 1) for row in table]
-
-    return _sweep(config, "se-subcarrier-as", "subcarrier_index", axis, _AS_SCHEMES,
-                  trial_fn)
-
-
-def _experiment_se_paths_as(config: ScenarioConfig) -> SweepResult:
-    geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
-
-    def point(trial: int, l_n: int):
-        cfg_l = config.replace(num_near_paths=l_n)
-        amps, bounds = _link_draw(cfg_l, geom, grid, thr, trial)
-        se = _scheme_se(amps, _AS_SCHEMES, [config.power], config.noise_power)[0]
-        return se, bounds, 1
-
-    def trial_fn(trial: int) -> list:
-        return [_feasible(point, trial, l_n) for l_n in _PATH_AXIS]
-
-    return _sweep(config, "se-paths-as", "num_near_paths", _PATH_AXIS, _AS_SCHEMES,
-                  trial_fn)
-
-
-# ---------------------------------------------------------------------------
-# multiuser sub-band experiments (frequency-domain slicing)
-# ---------------------------------------------------------------------------
+    amps = _single_link_amps(geom, paths, channel_columns(geom, grid, paths), table)
+    return amps, (grid.num_subcarriers,), _binding_boundaries(table)
 
 
 def _allocate_adaptive(config: ScenarioConfig, trial: int, num_subarrays: int):
@@ -499,71 +464,66 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
     return amps, plan, _binding_boundaries(plan.boundaries)
 
 
-def _fs_mean_se(
-    amps: dict[str, np.ndarray], plan: SubbandPlan, powers: Sequence[float],
-    noise_power: float,
-) -> np.ndarray:
-    """(1/K) sum over users of their sub-band-average rate, per power and scheme.
-
-    One (powers x M) rate table per scheme; per power, the users of one
-    sub-band width average their subcarriers in one call. Row i of the result
-    holds every scheme's SE at ``powers[i]``.
-    """
-    widths = np.array(plan.user_subcarriers)
-    starts = np.array([sb.start for sb in plan.subbands])
-    groups = []
-    for w in sorted(set(plan.user_subcarriers)):
-        members = np.flatnonzero(widths == w)
-        groups.append((members, starts[members][:, None] + np.arange(w)))
-    power = np.asarray(powers, dtype=np.float64)[:, None]
-    tables = [_rates(amps[s.value], power, noise_power) for s in _FS_SCHEMES]
-    per_user = np.empty((len(widths), len(tables)))
-    out = np.empty((len(power), len(tables)))
-    for i in range(len(power)):
-        for j, table in enumerate(tables):
-            for members, cols in groups:
-                per_user[members, j] = np.mean(table[i][cols], axis=1)
-        out[i] = np.mean(per_user, axis=0)
-    return out
+def _fs_draw(config: ScenarioConfig, trial: int, num_subarrays: int | None = None):
+    """Amplitudes, users' sub-band widths and binding boundary columns of one multiuser draw."""
+    amps, plan, bounds = _fs_trial_amps(config, trial, num_subarrays or config.num_subarrays)
+    return amps, plan.user_subcarriers, bounds
 
 
-def _fs_point(config: ScenarioConfig, trial: int, num_subarrays: int):
-    """Reducer entry of one multiuser draw at the configured power."""
-    amps, plan, bounds = _fs_trial_amps(config, trial, num_subarrays)
-    se = _fs_mean_se(amps, plan, [config.power], config.noise_power)[0]
-    return se, bounds, len(plan.subbands)
+# ---------------------------------------------------------------------------
+# Monte Carlo experiments: one builder per axis, each over a draw
+# ---------------------------------------------------------------------------
 
 
-def _experiment_se_snr_fs(config: ScenarioConfig) -> SweepResult:
-    def trial_fn(trial: int) -> list:
-        amps, plan, bounds = _fs_trial_amps(config, trial, config.num_subarrays)
+def _se_point(config: ScenarioConfig, draw: Callable, schemes: Sequence[Scheme], trial: int,
+              *args):
+    """Reducer entry of one draw at the configured power."""
+    amps, widths, bounds = draw(config, trial, *args)
+    se = _mean_se(amps, schemes, widths, [config.power], config.noise_power)[0]
+    return se, bounds, len(widths)
+
+
+def _snr_experiment(name: str, schemes: Sequence[Scheme], draw: Callable):
+    """SE against SNR: every power of the axis reduces one draw per trial."""
+    def experiment(config: ScenarioConfig) -> SweepResult:
         power = [10.0 ** (snr / 10.0) * config.noise_power for snr in _SNR_AXIS_DB]
-        se = _fs_mean_se(amps, plan, power, config.noise_power)
-        return [(row, bounds, len(plan.subbands)) for row in se]
 
-    return _sweep(config, "se-snr-fs", "snr_db", _SNR_AXIS_DB, _FS_SCHEMES, trial_fn)
+        def trial_fn(trial: int) -> list:
+            amps, widths, bounds = draw(config, trial)
+            se = _mean_se(amps, schemes, widths, power, config.noise_power)
+            return [(row, bounds, len(widths)) for row in se]
 
+        return _sweep(config, name, "snr_db", _SNR_AXIS_DB, schemes, trial_fn)
 
-def _experiment_se_subcarrier_fs(config: ScenarioConfig) -> SweepResult:
-    axis = [float(m) for m in range(config.num_subcarriers)]
-
-    def trial_fn(trial: int) -> list:
-        amps, plan, bounds = _fs_trial_amps(config, trial, config.num_subarrays)
-        table = np.stack([_rates(amps[s.value], config.power, config.noise_power)
-                          for s in _FS_SCHEMES], axis=1)
-        return [(row, bounds, len(plan.subbands)) for row in table]
-
-    return _sweep(config, "se-subcarrier-fs", "subcarrier_index", axis, _FS_SCHEMES,
-                  trial_fn)
+    return experiment
 
 
-def _experiment_se_paths_fs(config: ScenarioConfig) -> SweepResult:
-    def trial_fn(trial: int) -> list:
-        return [_feasible(_fs_point, config.replace(num_near_paths=l_n), trial,
-                          config.num_subarrays) for l_n in _PATH_AXIS]
+def _subcarrier_experiment(name: str, schemes: Sequence[Scheme], draw: Callable):
+    """Rate per subcarrier at the configured power, one draw per trial."""
+    def experiment(config: ScenarioConfig) -> SweepResult:
+        axis = [float(m) for m in range(config.num_subcarriers)]
 
-    return _sweep(config, "se-paths-fs", "num_near_paths", _PATH_AXIS, _FS_SCHEMES,
-                  trial_fn)
+        def trial_fn(trial: int) -> list:
+            amps, widths, bounds = draw(config, trial)
+            table = np.stack([_rates(amps[s.value], config.power, config.noise_power)
+                              for s in schemes], axis=1)
+            return [(row, bounds, len(widths)) for row in table]
+
+        return _sweep(config, name, "subcarrier_index", axis, schemes, trial_fn)
+
+    return experiment
+
+
+def _paths_experiment(name: str, schemes: Sequence[Scheme], draw: Callable):
+    """SE against the near-path count: one draw per trial and axis point."""
+    def experiment(config: ScenarioConfig) -> SweepResult:
+        def trial_fn(trial: int) -> list:
+            return [_feasible(_se_point, config.replace(num_near_paths=l_n), draw, schemes,
+                              trial) for l_n in _PATH_AXIS]
+
+        return _sweep(config, name, "num_near_paths", _PATH_AXIS, schemes, trial_fn)
+
+    return experiment
 
 
 def _experiment_se_subarrays_fs(config: ScenarioConfig) -> SweepResult:
@@ -572,7 +532,8 @@ def _experiment_se_subarrays_fs(config: ScenarioConfig) -> SweepResult:
         raise ValueError("no subarray count in the axis divides num_antennas")
 
     def trial_fn(trial: int) -> list:
-        return [_feasible(_fs_point, config, trial, t_count) for t_count in axis_t]
+        return [_feasible(_se_point, config, _fs_draw, _FS_SCHEMES, trial, t_count)
+                for t_count in axis_t]
 
     return _sweep(config, "se-subarrays-fs", "num_subarrays", axis_t, _FS_SCHEMES,
                   trial_fn)
@@ -586,12 +547,12 @@ EXPERIMENTS: dict[str, Callable[[ScenarioConfig], SweepResult]] = {
     "gain-map": _experiment_gain_map,
     "sweep-bandwidth": _experiment_sweep_bandwidth,
     "sweep-antennas": _experiment_sweep_antennas,
-    "se-snr-as": _experiment_se_snr_as,
-    "se-subcarrier-as": _experiment_se_subcarrier_as,
-    "se-paths-as": _experiment_se_paths_as,
-    "se-snr-fs": _experiment_se_snr_fs,
-    "se-subcarrier-fs": _experiment_se_subcarrier_fs,
-    "se-paths-fs": _experiment_se_paths_fs,
+    "se-snr-as": _snr_experiment("se-snr-as", _AS_SCHEMES, _link_draw),
+    "se-subcarrier-as": _subcarrier_experiment("se-subcarrier-as", _AS_SCHEMES, _link_draw),
+    "se-paths-as": _paths_experiment("se-paths-as", _AS_SCHEMES, _link_draw),
+    "se-snr-fs": _snr_experiment("se-snr-fs", _FS_SCHEMES, _fs_draw),
+    "se-subcarrier-fs": _subcarrier_experiment("se-subcarrier-fs", _FS_SCHEMES, _fs_draw),
+    "se-paths-fs": _paths_experiment("se-paths-fs", _FS_SCHEMES, _fs_draw),
     "se-subarrays-fs": _experiment_se_subarrays_fs,
 }
 

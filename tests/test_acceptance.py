@@ -28,6 +28,7 @@ from squintlab import (
     antenna_boundary,
     boundary_bounds,
     boundary_report,
+    boundary_table,
     channel_columns,
     freq_boundary,
     narrowband_mrt,
@@ -211,7 +212,8 @@ def test_single_path_slicing_stays_near_optimal():
         paths = sample_scenario(config, trial)
         entries = channel_columns(geom, grid, paths)
         try:
-            amps = _single_link_amps(geom, grid, paths, thr, entries)
+            amps = _single_link_amps(geom, paths, entries,
+                                     boundary_table(geom, grid, thr, [paths]))
         except InfeasiblePlanError:
             continue
         slicing_se.append(mean_rate(amps["antenna-slicing"], config.power))

@@ -21,7 +21,7 @@ from squintlab import (
     plan_antenna_slices,
     run_experiment,
 )
-from squintlab.experiments import _FS_SCHEMES, _allocate_adaptive, _fs_mean_se, resolve_threads
+from squintlab.experiments import _FS_SCHEMES, _allocate_adaptive, _mean_se, resolve_threads
 
 # single deterministic near path at the sweep reference geometry
 _SWEEP_PATH = PathParams(1.0, 0.1, 10.0, 10.0)
@@ -531,12 +531,19 @@ def test_mixed_width_config_realizes_several_sub_band_widths():
     assert len(widths) > 1
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_batched_mean_se_equals_the_per_user_loop(seed):
+@pytest.mark.parametrize("seed, one_user_width",
+                         [(seed, None) for seed in range(6)] + [(6, 64), (7, 256), (8, 1000)],
+                         ids=[str(seed) for seed in range(6)]
+                         + ["one-user-64", "one-user-256", "one-user-1000"])
+def test_batched_mean_se_equals_the_per_user_loop(seed, one_user_width):
     # bit-equal to averaging each user's rates on its own, over ragged
-    # sub-band widths in random order and several powers
+    # sub-band widths in random order and several powers; one user of width
+    # 256 or more (a single link) is past numpy's 128-element pairwise block
     rng = np.random.default_rng(seed)
-    widths = rng.integers(1, 41, size=rng.integers(1, 30))
+    if one_user_width is None:
+        widths = rng.integers(1, 41, size=rng.integers(1, 30))
+    else:
+        widths = np.array([one_user_width])
     starts = np.concatenate([[0], np.cumsum(widths)[:-1]])
     plan = SubbandPlan(tuple(UserSubband(k, int(w), int(s), 1e6, 7e9)
                              for k, (w, s) in enumerate(zip(widths, starts))), 8)
@@ -544,7 +551,7 @@ def test_batched_mean_se_equals_the_per_user_loop(seed):
             for scheme in _FS_SCHEMES}
     schemes = [scheme.value for scheme in _FS_SCHEMES]
     powers = [0.1, 1.0, 3.1622776601683795, 10.0, 100.0]
-    got = _fs_mean_se(amps, plan, powers, 1.0)
+    got = _mean_se(amps, _FS_SCHEMES, plan.user_subcarriers, powers, 1.0)
     assert got.shape == (len(powers), len(schemes))
     for row, power in zip(got, powers):
         assert np.array_equal(row, oracles.per_user_mean_se(amps, plan.subbands, schemes,

@@ -294,7 +294,8 @@ def test_precoder_sets_match_the_single_link_amplitudes(trial):
     hybrid = slice_precoder_set(dataclasses.replace(ch, entries=entries),
                                 plan_antenna_slices(geom, grid, paths, thr))
     amps = np.abs(np.einsum("nm,nm->m", hybrid.combined().conj(), entries))
-    want = _single_link_amps(geom, grid, paths, thr, entries)["antenna-slicing"]
+    table = boundary_table(geom, grid, thr, [paths])
+    want = _single_link_amps(geom, paths, entries, table)["antenna-slicing"]
     np.testing.assert_allclose(amps, want, rtol=1e-12, atol=0.0)
     assert not np.any(hybrid.digital[:, 5]) and amps[5] == 0.0 and want[5] == 0.0
     for m in (0, 31, 63):

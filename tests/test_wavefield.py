@@ -4,6 +4,7 @@ import ast
 import io
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,17 @@ _UNCALLED_API = {
                             "gate and the boundary table's bit-for-bit test check",
 }
 
+#: public methods and properties kept although no code in the package or the
+#: benchmark reads them
+_UNCALLED_MEMBERS = {
+    "SweepResult.axis_values": "a result's axis points, which the tests and the acceptance "
+                               "gate read results through; moving it into tests/ would "
+                               "not remove it",
+    "SweepResult.se_per_scheme": "a result's SE curve per scheme, which the tests and the "
+                                 "acceptance gate read results through; moving it into "
+                                 "tests/ would not remove it",
+}
+
 
 def _benchmark_imports():
     """Names the benchmark imports from the package, module by module."""
@@ -364,10 +376,17 @@ def test_benchmark_names_exist_in_the_package():
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
 
+def _attribute_reads(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
 def test_every_public_definition_has_a_caller():
     # a reference is a name read in code (not in a docstring) by any top-level
     # statement of the package other than the definition itself, or a name the
-    # benchmark imports; the package's __init__ re-exports do not count
+    # benchmark imports; the package's __init__ re-exports do not count. A
+    # method or property of a public class is called when its name is read as
+    # an attribute in the package or the benchmark outside its own definition
     statements = [(path.name, stmt)
                   for path in sorted(_PACKAGE.glob("*.py")) if path.name != "__init__.py"
                   for stmt in ast.parse(path.read_text()).body]
@@ -382,6 +401,19 @@ def test_every_public_definition_has_a_caller():
                 and not any(stmt.name in names for names, other in reads if other is not stmt)]
     assert uncalled == [], f"no caller in src/ or perfbench/: {uncalled}"
     assert all(hasattr(squintlab, name) for name in _UNCALLED_API)
+
+    attributes = sum((_attribute_reads(stmt) for _, stmt in statements), Counter())
+    for path in sorted(_PERFBENCH.glob("*.py")):
+        attributes += _attribute_reads(ast.parse(path.read_text()))
+    uncalled = [f"{module}:{stmt.name}.{member.name}" for module, stmt in statements
+                if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_")
+                for member in stmt.body
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                and f"{stmt.name}.{member.name}" not in _UNCALLED_MEMBERS
+                and attributes[member.name] == _attribute_reads(member)[member.name]]
+    assert uncalled == [], f"no caller in src/ or perfbench/: {uncalled}"
+    assert all(hasattr(getattr(squintlab, cls), member)
+               for cls, member in (key.split(".") for key in _UNCALLED_MEMBERS))
 
 
 # the batch axis: wide geometry, every field model, bit-equal to one path at a time

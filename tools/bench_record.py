@@ -13,7 +13,10 @@ both sides and alternates which side runs first, so a slow stretch of the
 machine falls on both. The per-run reports under each side's
 ``.perfbench_out/`` give the metrics, the environment and the fingerprints.
 
-``BENCH_<label>.json`` at the root of this checkout gets, per workload and
+``BENCH_<label>.json`` at the root of this checkout records the parent's
+commit id, this checkout's HEAD as ``change_head`` and, as ``change_dirty``,
+whether ``git status --porcelain`` listed anything when the runs began (then
+the change side is not HEAD's committed files). It gets, per workload and
 for every end-to-end metric that ``BENCHMARK.json`` names, both sides' run
 values with their median and interquartile range, the change/parent ratio of
 each pair, the median ratio and the number of pairs the change won (in the
@@ -141,14 +144,16 @@ def main(argv=None) -> None:
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     args = parser.parse_args(argv)
     out = ROOT / f"BENCH_{args.label}.json"
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                          text=True, check=False).stdout.strip()
+    dirty = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT, capture_output=True,
+                           text=True, check=False).stdout.strip() != ""
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         parent_commit = extract(args.parent, Path(tmp))
         bench = record({"parent": Path(tmp), "change": ROOT},
                        [w["name"] for w in spec["workloads"]], spec["end_to_end"],
                        PAIRS, SECONDS)
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                          text=True, check=False).stdout.strip()
-    bench = {"parent": parent_commit, "change_head": head, **bench}
+    bench = {"parent": parent_commit, "change_head": head, "change_dirty": dirty, **bench}
     found = problems(bench)
     if found:
         sys.exit(f"bench_record: not writing {out.name}:\n" + "\n".join(found))
