@@ -12,15 +12,10 @@ from .boundaries import (
     BoundaryReport,
     BoundaryTable,
     SquintThresholds,
-    antenna_boundary,
     boundary_bounds,
-    boundary_coefficients,
     boundary_report,
     boundary_table,
     classify_path,
-    freq_boundary,
-    max_distance_variation,
-    near_field_threshold,
 )
 from .experiments import CSV_HEADER, EXPERIMENTS, SweepResult, SweepRow, run_experiment
 from .precoding import (

@@ -10,9 +10,9 @@ which the planar model is adequate.
 All boundaries are real-valued; consumers that need integers floor them. Where a
 boundary does not exist (a single antenna, the far-mode boundaries at broadside,
 a user whose paths share one total range) it is ``math.inf``, which orders above
-every finite boundary. :func:`boundary_table` evaluates the near-mode
-boundaries of every path of a draw as arrays. It shares each formula, and so
-its operation order and its bits, with the one-path functions.
+every finite boundary. A draw's near-mode boundaries come from
+:func:`boundary_table`, as arrays; every boundary of one path, far mode and
+bounds included, comes from :func:`boundary_report`.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .wavefield import (
-    SPEED_OF_LIGHT,
-    ArrayGeometry,
-    CarrierGrid,
-    FieldModel,
-    PathParams,
-)
+from .wavefield import ArrayGeometry, CarrierGrid, FieldModel, PathParams
 
 
 @dataclass(frozen=True)
@@ -49,16 +43,6 @@ class SquintThresholds:
     @property
     def total(self) -> float:
         return self.kappa_a + self.kappa_f
-
-
-@dataclass(frozen=True)
-class QuadraticCoefficients:
-    """A1, A2, A3 and A5 of the boundary quadratics in (N - 1)."""
-
-    a1: float
-    a2: float
-    a3: float
-    a5: float
 
 
 @dataclass(frozen=True)
@@ -100,28 +84,23 @@ class BoundaryTable:
     delay_spread: NDArray[np.float64] | None = None
 
 
-def _sqrt(x):
-    """Correctly rounded square root of a float (kept a Python float) or an array."""
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
-
-
 def _near_variation(n: int, s: float, theta, d):
     """sqrt(d^2 + (N-1) d s theta + ((N-1) s / 2)^2) - d without cancellation."""
     t2 = (n - 1) * d * s * theta
     t3 = ((n - 1) * s / 2.0) ** 2
-    return (t2 + t3) / (_sqrt(d * d + t2 + t3) + d)
+    return (t2 + t3) / (np.sqrt(d * d + t2 + t3) + d)
 
 
 def _near_freq_boundaries(n: int, geom: ArrayGeometry, thr: SquintThresholds, theta, d):
-    """Near-mode B_bar of an n-element array for |theta| and d (floats or arrays)."""
+    """Near-mode B_bar of an n-element array for arrays of |theta| and d."""
     if n == 1:
-        return np.full(np.shape(d), math.inf)
+        return np.full(d.shape, math.inf)
     return thr.total * geom.wave_speed / _near_variation(n, geom.spacing_m, theta, d)
 
 
 def _quadratic_root_plus_one(a1, a2, rhs):
     """Positive root of a1 x^2 + a2 x = rhs, returned as x + 1."""
-    return (-a2 + _sqrt(a2 * a2 + 4.0 * a1 * rhs)) / (2.0 * a1) + 1.0
+    return (-a2 + np.sqrt(a2 * a2 + 4.0 * a1 * rhs)) / (2.0 * a1) + 1.0
 
 
 def _carrier_coefficients(theta, d, center_freq_hz: float, kappa_a: float, s: float,
@@ -136,110 +115,6 @@ def _carrier_coefficients(theta, d, center_freq_hz: float, kappa_a: float, s: fl
 def _bandwidth_coefficient(d, b: float, kappa: float, c: float):
     """A3, the squint budget of the antenna-count quadratic A1 (N-1)^2 + A2 (N-1) = A3."""
     return (kappa * kappa * c * c + 2.0 * kappa * c * d * b) / (b * b)
-
-
-# ---------------------------------------------------------------------------
-# distance variation and one-path boundaries
-# ---------------------------------------------------------------------------
-
-
-def max_distance_variation(geom: ArrayGeometry, path: PathParams, field_mode: str = "near") -> float:
-    """Worst-case |d_n - d| over the array (near) or its planar limit (far).
-
-    Near mode evaluates sqrt(d^2 + (N-1) d s |theta| + ((N-1) s / 2)^2) - d in a
-    cancellation-free form; far mode returns (N-1) s |theta| / 2. Both are even
-    in theta and vanish at N=1.
-    """
-    n, s = geom.num_antennas, geom.spacing_m
-    if n == 1:
-        return 0.0
-    theta = abs(path.sine_angle)
-    if field_mode == "far":
-        return (n - 1) * s * theta / 2.0
-    if field_mode != "near":
-        raise ValueError("field_mode must be 'near' or 'far'")
-    return _near_variation(n, s, theta, path.scatterer_distance_m)
-
-
-def freq_boundary(
-    geom: ArrayGeometry, path: PathParams, thr: SquintThresholds, field_mode: str = "near"
-) -> float:
-    """Bandwidth B_bar beyond which the squint phase exceeds (kappa_a+kappa_f) pi."""
-    variation = max_distance_variation(geom, path, field_mode)
-    if variation == 0.0:
-        return math.inf
-    return thr.total * geom.wave_speed / variation
-
-
-def boundary_coefficients(
-    bandwidth_hz: float,
-    path: PathParams,
-    center_freq_hz: float,
-    thr: SquintThresholds,
-    *,
-    spacing_m: float | None = None,
-    wave_speed: float = SPEED_OF_LIGHT,
-) -> QuadraticCoefficients:
-    """A1, A2, A3 and A5 of the antenna-count and carrier-phase quadratics."""
-    c = wave_speed
-    s = c / (2.0 * center_freq_hz) if spacing_m is None else spacing_m
-    d = path.scatterer_distance_m
-    a1, a2, a5 = _carrier_coefficients(abs(path.sine_angle), d, center_freq_hz,
-                                       thr.kappa_a, s, c)
-    return QuadraticCoefficients(a1, a2, _bandwidth_coefficient(d, bandwidth_hz, thr.total, c),
-                                 a5)
-
-
-def antenna_boundary(
-    bandwidth_hz: float,
-    path: PathParams,
-    center_freq_hz: float,
-    thr: SquintThresholds,
-    field_mode: str = "near",
-    *,
-    spacing_m: float | None = None,
-    wave_speed: float = SPEED_OF_LIGHT,
-) -> float:
-    """Antenna count N_bar beyond which the squint phase exceeds the threshold.
-
-    Near mode solves the quadratic A1 (N-1)^2 + A2 (N-1) = A3; far mode inverts
-    the linear planar variation and is unbounded at broadside. Real-valued;
-    always >= 1.
-    """
-    if bandwidth_hz <= 0.0:
-        raise ValueError("bandwidth_hz must be positive")
-    c = wave_speed
-    s = c / (2.0 * center_freq_hz) if spacing_m is None else spacing_m
-    if field_mode == "far":
-        theta = abs(path.sine_angle)
-        if theta == 0.0:
-            return math.inf
-        return 2.0 * thr.total * c / (bandwidth_hz * s * theta) + 1.0
-    if field_mode != "near":
-        raise ValueError("field_mode must be 'near' or 'far'")
-    co = boundary_coefficients(
-        bandwidth_hz, path, center_freq_hz, thr, spacing_m=s, wave_speed=c
-    )
-    return _quadratic_root_plus_one(co.a1, co.a2, co.a3)
-
-
-def near_field_threshold(
-    path: PathParams,
-    center_freq_hz: float,
-    kappa_a: float = 0.125,
-    *,
-    spacing_m: float | None = None,
-    wave_speed: float = SPEED_OF_LIGHT,
-) -> float:
-    """Antenna count N_tilde above which spherical curvature matters at carrier.
-
-    Solves A1 (N-1)^2 + A2 (N-1) = A5 where A5 collects the kappa_a * pi carrier
-    phase budget. Below this count a planar (far-field) model is adequate.
-    """
-    c = wave_speed
-    s = c / (2.0 * center_freq_hz) if spacing_m is None else spacing_m
-    return _quadratic_root_plus_one(*_carrier_coefficients(
-        abs(path.sine_angle), path.scatterer_distance_m, center_freq_hz, kappa_a, s, c))
 
 
 def _delay_spread_limits(total, near, kappa_f: float, wave_speed: float):
@@ -280,8 +155,7 @@ def boundary_table(
     """Near-mode boundaries of every path of every user, as users-by-paths arrays.
 
     ``subarray_size`` asks for the sub-band caps' inputs at that subarray
-    scale as well. Each entry equals, bit for bit, what the one-path function
-    gives for the same path.
+    scale as well.
     """
     if not users:
         raise ValueError("at least one user is required")
@@ -331,11 +205,11 @@ def boundary_bounds(
     else:
         edge_freq = freq_near_upper = math.inf
 
-    co = boundary_coefficients(b, path, fc, thr, spacing_m=s, wave_speed=c)
+    a1, _, a5 = _carrier_coefficients(abs(path.sine_angle), d, fc, thr.kappa_a, s, c)
     antenna_lower = 2.0 * kappa * c / (b * s) + 1.0
-    antenna_near_upper = math.sqrt(co.a3 / co.a1) + 1.0
+    antenna_near_upper = math.sqrt(_bandwidth_coefficient(d, b, kappa, c) / a1) + 1.0
     nf_lower = thr.kappa_a * c / (s * fc) + 1.0
-    nf_upper = math.sqrt(co.a5 / co.a1) + 1.0
+    nf_upper = math.sqrt(a5 / a1) + 1.0
 
     return {
         "freq_near": BoundaryBound(edge_freq, freq_near_upper),
@@ -352,16 +226,22 @@ def boundary_report(
     path: PathParams,
     thr: SquintThresholds,
 ) -> BoundaryReport:
-    """Assemble every boundary of one path and its bounds."""
+    """Every boundary of one path and its bounds.
+
+    The near-mode values are the path's :func:`boundary_table` entries. Far
+    mode inverts the planar variation (N-1) s |theta| / 2, so both far
+    boundaries are inf at broadside and B_bar is inf at N=1 too.
+    """
     near = boundary_table(geom, grid, thr, [[path]])
+    s, c, kappa = geom.spacing_m, geom.wave_speed, thr.total
+    theta = abs(path.sine_angle)
+    planar = (geom.num_antennas - 1) * s * theta / 2.0
     return BoundaryReport(
         freq_boundary_near_hz=float(near.freq[0, 0]),
         antenna_boundary_near=float(near.antenna[0, 0]),
-        freq_boundary_far_hz=freq_boundary(geom, path, thr, "far"),
-        antenna_boundary_far=antenna_boundary(
-            grid.bandwidth_hz, path, geom.center_freq_hz, thr, "far",
-            spacing_m=geom.spacing_m, wave_speed=geom.wave_speed,
-        ),
+        freq_boundary_far_hz=kappa * c / planar if planar else math.inf,
+        antenna_boundary_far=(2.0 * kappa * c / (grid.bandwidth_hz * s * theta) + 1.0
+                              if theta else math.inf),
         near_field_threshold=float(near.near_threshold[0, 0]),
         bounds=boundary_bounds(geom, grid, path, thr),
     )

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boundaries import BoundaryTable, antenna_boundary, boundary_table, freq_boundary
+from .boundaries import BoundaryTable, boundary_table
 from .precoding import (
     Scheme,
     narrowband_beams,
@@ -372,7 +372,7 @@ def _fixed_geometry_trial(
 def _experiment_sweep_bandwidth(config: ScenarioConfig) -> SweepResult:
     geom, thr = config.geometry(), config.thresholds()
     ref_path = PathParams(1.0, _SWEEP_THETA, _SWEEP_DISTANCE_M, _SWEEP_RANGE_M)
-    b_ref = float(freq_boundary(geom, ref_path, thr))
+    b_ref = float(boundary_table(geom, config.grid(), thr, [[ref_path]]).freq[0, 0])
     axis = [b_ref * mult for mult in _BOUNDARY_MULTS]
     grids = [CarrierGrid.from_bandwidth(b, config.num_subcarriers) for b in axis]
     cols = [(b_ref, float(boundary_table(geom, grid, thr, [[ref_path]]).antenna[0, 0]))
@@ -384,20 +384,16 @@ def _experiment_sweep_bandwidth(config: ScenarioConfig) -> SweepResult:
 def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
     thr = config.thresholds()
     ref_path = PathParams(1.0, _SWEEP_THETA, _SWEEP_DISTANCE_M, _SWEEP_RANGE_M)
-    n_ref = float(
-        antenna_boundary(config.bandwidth_hz, ref_path, config.center_freq_hz, thr,
-                         "near")
-    )
+    ref_grid = CarrierGrid.from_bandwidth(config.bandwidth_hz, 1)  # B exactly, not M (B / M)
+    n_ref = float(boundary_table(config.geometry(), ref_grid, thr, [[ref_path]]).antenna[0, 0])
     axis_n: list[int] = []
     for mult in _BOUNDARY_MULTS:
         n = max(4, int(round(n_ref * mult)))
         if n not in axis_n:
             axis_n.append(n)
     geoms = [ArrayGeometry(n, config.center_freq_hz) for n in axis_n]
-    cols = [
-        (float(freq_boundary(g, ref_path, thr)), n_ref)
-        for g in geoms
-    ]
+    cols = [(float(boundary_table(g, ref_grid, thr, [[ref_path]]).freq[0, 0]), n_ref)
+            for g in geoms]
     trial_fn = _fixed_geometry_trial(config, geoms, [config.grid()] * len(axis_n), cols)
     return _sweep(config, "sweep-antennas", "num_antennas", axis_n, _AS_SCHEMES, trial_fn)
 

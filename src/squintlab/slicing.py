@@ -135,21 +135,13 @@ def plan_antenna_slices(
     grid: CarrierGrid,
     paths: Sequence[PathParams],
     thr: SquintThresholds,
-    *,
-    table: BoundaryTable | None = None,
-    user: int = 0,
 ) -> SlicingPlan:
     """Partition the array into contiguous subarrays over the near-field paths.
 
-    The one-user case of :func:`plan_antenna_rows`, on row ``user`` of
-    ``table``, the draw's :func:`boundary_table`, built here when not given.
+    The one-user case of :func:`plan_antenna_rows`, on the paths' one-row
+    :func:`boundary_table`.
     """
-    if table is None:
-        table = boundary_table(geom, grid, thr, [paths])
-    else:
-        row = slice(user, user + 1)
-        table = BoundaryTable(table.near[row], table.near_threshold[row], table.antenna[row],
-                              table.freq[row])
+    table = boundary_table(geom, grid, thr, [paths])
     blocks = plan_antenna_rows(geom, [paths], table)
     num_near = int(np.count_nonzero(table.near))
     sizes = tuple(blocks.sizes.tolist())

@@ -318,10 +318,10 @@ def per_user_mean_se(amps, subbands, schemes, power, noise_power):
 def chunked_fs_amps(config, trial: int, num_subarrays: int, chunk: int = 16) -> dict:
     """Every scheme's amplitudes of one multiuser draw, ``chunk`` users at a time.
 
-    Each user is planned alone (``plan_antenna_slices`` on its row of the
-    allocation's boundary table), and each chunk of users takes its own
-    channel, analog-row and product calls on its own subcarriers: the loop
-    the one-batch trial replaced, kept as its reference.
+    Each user is planned alone (``plan_antenna_slices`` on its own one-row
+    boundary table), and each chunk of users takes its own channel,
+    analog-row and product calls on its own subcarriers: the loop the
+    one-batch trial replaced, kept as its reference.
     """
     from squintlab import (Scheme, SliceBlocks, channel_columns, narrowband_beams,
                            owner_gain_amplitudes, plan_antenna_slices, slice_analog_rows,
@@ -335,8 +335,7 @@ def chunked_fs_amps(config, trial: int, num_subarrays: int, chunk: int = 16) -> 
     for lo in range(0, len(plan.subbands), chunk):
         subbands = plan.subbands[lo:lo + chunk]
         paths = [users[sb.user] for sb in subbands]
-        plans = [plan_antenna_slices(geom, grid, p, thr, table=plan.boundaries, user=sb.user)
-                 for p, sb in zip(paths, subbands)]
+        plans = [plan_antenna_slices(geom, grid, p, thr) for p in paths]
         blocks = SliceBlocks(*(np.concatenate([getattr(p.blocks, name) for p in plans])
                                for name in ("sizes", "paths", "offsets")))
         owners = np.repeat(np.arange(len(subbands)), [sb.num_subcarriers for sb in subbands])

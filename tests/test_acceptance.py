@@ -25,14 +25,11 @@ from squintlab import (
     SquintThresholds,
     UserSubband,
     allocate_subbands,
-    antenna_boundary,
     boundary_bounds,
     boundary_report,
     boundary_table,
     channel_columns,
-    freq_boundary,
     narrowband_mrt,
-    near_field_threshold,
     power_for_snr_db,
     run_experiment,
     sample_scenario,
@@ -96,9 +93,8 @@ def test_antenna_boundary_matches_brute_force():
         d = rng.uniform(10.0, 100.0)
         fc = rng.uniform(6.425e9, 7.125e9)
         b = rng.uniform(2e8, 6e8)
-        spacing = ArrayGeometry(2, fc).spacing_m
-        closed = antenna_boundary(b, PathParams(1.0, theta, d, 0.0), fc, THR,
-                                  "near", spacing_m=spacing)
+        closed = boundary_table(ArrayGeometry(2, fc), CarrierGrid.from_bandwidth(b, 1), THR,
+                                [[PathParams(1.0, theta, d, 0.0)]]).antenna[0, 0]
         brute = oracles.largest_admissible_antennas(theta, d, b, fc, 1024,
                                                     PHASE_CAP)
         worst = max(worst, abs(int(np.floor(closed)) - brute))
@@ -120,12 +116,10 @@ def test_near_threshold_below_wideband_boundaries():
         d = rng.uniform(10.0, 100.0)
         fc = rng.uniform(6.425e9, 7.125e9)
         b = rng.uniform(2e8, 6e8)
-        spacing = ArrayGeometry(2, fc).spacing_m
-        path = PathParams(1.0, theta, d, 0.0)
-        n_tilde = near_field_threshold(path, fc, spacing_m=spacing)
-        n_wn = antenna_boundary(b, path, fc, THR, "near", spacing_m=spacing)
-        n_wf = antenna_boundary(b, path, fc, THR, "far", spacing_m=spacing)
-        if not n_tilde < min(n_wn, n_wf):
+        report = boundary_report(ArrayGeometry(2, fc), CarrierGrid.from_bandwidth(b, 1),
+                                 PathParams(1.0, theta, d, 0.0), THR)
+        n_tilde = report.near_field_threshold
+        if not n_tilde < min(report.antenna_boundary_near, report.antenna_boundary_far):
             violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 10.0
@@ -171,7 +165,8 @@ def test_se_crosses_99_percent_at_the_boundaries():
     for _ in range(100):
         path = draw_path(rng)
         power = power_for_snr_db(10.0, path.gain, 1.0)
-        b_bar = freq_boundary(geom, path, THR)
+        # B_bar does not depend on the grid; N_bar is read at B = B_bar
+        b_bar = float(boundary_table(geom, CarrierGrid(1, 1.0), THR, [[path]]).freq[0, 0])
 
         def mrt_over_opt(geometry, bandwidth):
             grid = CarrierGrid.from_bandwidth(bandwidth, 64)
@@ -182,8 +177,8 @@ def test_se_crosses_99_percent_at_the_boundaries():
 
         ratios["b_low"].append(mrt_over_opt(geom, 0.9 * b_bar))
         ratios["b_high"].append(mrt_over_opt(geom, 3.0 * b_bar))
-        n_bar = antenna_boundary(b_bar, path, 7e9, THR, "near",
-                                 spacing_m=geom.spacing_m)
+        n_bar = boundary_table(geom, CarrierGrid.from_bandwidth(b_bar, 1), THR,
+                               [[path]]).antenna[0, 0]
         low = ArrayGeometry(int(np.floor(0.9 * n_bar)), 7e9)
         high = ArrayGeometry(int(np.ceil(3.0 * n_bar)), 7e9)
         ratios["n_low"].append(mrt_over_opt(low, b_bar))

@@ -1,4 +1,5 @@
-"""The paired benchmark recorder's pure functions: summary, pair comparison, refusal."""
+"""The paired benchmark recorder's pure functions: summary, pair comparison, refusal,
+line count."""
 
 import importlib.util
 from pathlib import Path
@@ -64,3 +65,13 @@ def test_problems_flags_an_incorrect_run():
 def test_problems_flags_cross_check_digests_that_differ():
     found = bench_record.problems(_bench(digests=("aa", "bb")))
     assert len(found) == 1 and found[0].startswith("desk-fs: cross-check digests differ")
+
+
+def test_src_lines_sums_the_python_files_under_src(tmp_path):
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("import math\n\nX = 1\n")
+    (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text("Y = 2\nZ = 3")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("not = 'counted'\n")
+    assert bench_record.src_lines(tmp_path) == 5

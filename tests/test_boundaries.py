@@ -15,16 +15,11 @@ from squintlab import (
     FieldModel,
     PathParams,
     SquintThresholds,
-    antenna_boundary,
     boundary_bounds,
-    boundary_coefficients,
     boundary_report,
     boundary_table,
     classify_path,
-    freq_boundary,
     beam_squint_matrix,
-    max_distance_variation,
-    near_field_threshold,
     subcarrier_caps,
 )
 
@@ -39,31 +34,48 @@ def make_path(theta=0.3, d=40.0, r=0.0):
     return PathParams(1.0 + 0j, theta, d, r)
 
 
+def one_grid(bandwidth_hz=300e6):
+    """A one-subcarrier grid, whose bandwidth is bandwidth_hz exactly."""
+    return CarrierGrid.from_bandwidth(bandwidth_hz, 1)
+
+
+def report_of(geom, path, bandwidth_hz=300e6):
+    """Every boundary of one path."""
+    return boundary_report(geom, one_grid(bandwidth_hz), path, THR)
+
+
+def near_table(geom, paths, bandwidth_hz=300e6):
+    """The near-mode boundaries of paths, one user's row of a boundary table."""
+    table = boundary_table(geom, one_grid(bandwidth_hz), THR, [paths])
+    return table.near_threshold[0], table.antenna[0], table.freq[0]
+
+
 # ---------------------------------------------------------------------------
 # distance variation and phase extremes
 # ---------------------------------------------------------------------------
 
 
 def test_single_antenna_has_zero_variation():
-    geom = make_geom(1)
-    assert max_distance_variation(geom, make_path()) == 0.0
-    assert max_distance_variation(geom, make_path(), "far") == 0.0
+    # no range spread, so neither bandwidth boundary exists
+    rep = report_of(make_geom(1), make_path())
+    assert rep.freq_boundary_near_hz == rep.freq_boundary_far_hz == math.inf
 
 
 @pytest.mark.parametrize("theta", [0.25, 0.5, 0.9])
 def test_far_variation_is_linear_in_aperture(theta):
     geom = make_geom(513, 7e9)
-    got = max_distance_variation(geom, make_path(theta=theta), "far")
-    assert got == pytest.approx(512 * geom.spacing_m * theta / 2.0, rel=1e-15)
+    kc = THR.total * SPEED_OF_LIGHT
+    got = report_of(geom, make_path(theta=theta)).freq_boundary_far_hz
+    assert got == pytest.approx(kc / (512 * geom.spacing_m * theta / 2.0), rel=1e-15)
     # theta -> 1 limit is 128 wavelengths (~5.48 m at 7 GHz)
-    limit = max_distance_variation(geom, make_path(theta=1 - 1e-12), "far")
-    assert limit == pytest.approx(128 * geom.wavelength_m, rel=1e-9)
+    limit = report_of(geom, make_path(theta=1 - 1e-12)).freq_boundary_far_hz
+    assert limit == pytest.approx(kc / (128 * geom.wavelength_m), rel=1e-9)
 
 
 def test_near_variation_matches_elementwise_scan():
     geom = make_geom(1024, 7e9)
     path = make_path(theta=0.1, d=10.0)
-    got = max_distance_variation(geom, path)
+    got = THR.total * SPEED_OF_LIGHT / report_of(geom, path).freq_boundary_near_hz
     want = oracles.max_range_spread(1024, 0.1, 10.0, geom.spacing_m)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(5.55, rel=2e-2)
@@ -76,10 +88,9 @@ def test_variation_is_even_in_angle(seed):
     theta = float(rng.uniform(0.01, 0.99))
     d = float(rng.uniform(1.0, 300.0))
     geom = make_geom(n)
-    for mode in ("near", "far"):
-        assert max_distance_variation(geom, make_path(theta=theta, d=d), mode) == pytest.approx(
-            max_distance_variation(geom, make_path(theta=-theta, d=d), mode), rel=1e-14
-        )
+    plus, minus = (report_of(geom, make_path(theta=t, d=d)) for t in (theta, -theta))
+    for name in ("freq_boundary_near_hz", "freq_boundary_far_hz"):
+        assert getattr(plus, name) == pytest.approx(getattr(minus, name), rel=1e-14)
 
 
 def test_zero_bandwidth_limit_has_no_squint():
@@ -89,16 +100,17 @@ def test_zero_bandwidth_limit_has_no_squint():
 
 
 def test_broadside_far_mode_has_no_squint():
-    geom = make_geom(256)
-    assert max_distance_variation(geom, make_path(theta=0.0), "far") == 0.0
+    rep = report_of(make_geom(256), make_path(theta=0.0))
+    assert rep.freq_boundary_far_hz == rep.antenna_boundary_far == math.inf
 
 
 def test_phase_extreme_matches_grid_oracle_after_rescale():
     geom = make_geom(512, 7e9)
     grid = CarrierGrid.from_bandwidth(300e6, 4096)
     path = make_path(theta=0.3, d=40.0)
-    # continuous-band extreme (pi B / c) max |d_n - d|; the grid reaches (M-1)/M of it
-    closed = math.pi * grid.bandwidth_hz / SPEED_OF_LIGHT * max_distance_variation(geom, path)
+    # continuous-band extreme (pi B / c) max |d_n - d| = kappa pi B / B_bar; the grid
+    # reaches (M-1)/M of it
+    closed = THR.total * math.pi * grid.bandwidth_hz / report_of(geom, path).freq_boundary_near_hz
     grid_max = oracles.squint_phase_grid_max(512, 4096, 0.3, 40.0, 300e6, 7e9)
     assert grid_max == pytest.approx(closed * 4095 / 4096, rel=1e-9)
 
@@ -123,7 +135,7 @@ def test_freq_boundary_bounds_match_published_numbers():
 def test_freq_boundary_interpolates_between_its_bounds():
     geom = make_geom(512, 7e9)
     path = make_path(theta=0.999, d=40.0)
-    value = freq_boundary(geom, path, THR)
+    value = report_of(geom, path).freq_boundary_near_hz
     want = THR.total * SPEED_OF_LIGHT / oracles.max_range_spread(512, 0.999, 40.0, geom.spacing_m)
     assert value == pytest.approx(want, rel=1e-12)
     assert 7e9 / 511 < value < 200e6
@@ -132,14 +144,15 @@ def test_freq_boundary_interpolates_between_its_bounds():
 def test_freq_boundary_definition_ties_to_distance_variation():
     geom = make_geom(512, 7e9)
     path = make_path(theta=0.42, d=33.0)
-    want = THR.total * SPEED_OF_LIGHT / max_distance_variation(geom, path)
-    assert freq_boundary(geom, path, THR) == pytest.approx(want, rel=1e-14)
+    variation = oracles.near_distance_variation(512, geom.spacing_m, 0.42, 33.0)
+    want = THR.total * SPEED_OF_LIGHT / variation
+    assert report_of(geom, path).freq_boundary_near_hz == pytest.approx(want, rel=1e-14)
 
 
 def test_far_freq_boundary_is_unbounded_at_broadside():
-    geom = make_geom(512)
-    assert freq_boundary(geom, make_path(theta=0.0), THR, "far") == math.inf
-    assert math.isfinite(freq_boundary(geom, make_path(theta=0.0), THR, "near"))
+    rep = report_of(make_geom(512), make_path(theta=0.0))
+    assert rep.freq_boundary_far_hz == math.inf
+    assert math.isfinite(rep.freq_boundary_near_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +169,7 @@ def test_antenna_boundary_lower_bound_is_angle_one_limit():
 
 
 def test_antenna_boundary_matches_brute_force_largest_n():
-    value = antenna_boundary(300e6, make_path(theta=0.3, d=40.0), 7e9, THR)
+    value = report_of(make_geom(64), make_path(theta=0.3, d=40.0)).antenna_boundary_near
     assert value == pytest.approx(76.7, rel=5e-3)
     # largest integer below the closed form admits the phase budget; the next
     # integer violates it (continuous-band phase extreme, element-by-element scan)
@@ -171,35 +184,35 @@ def test_antenna_boundary_matches_brute_force_largest_n():
 
 
 def test_far_antenna_boundary_closed_form():
-    got = antenna_boundary(300e6, make_path(theta=0.3), 7e9, THR, "far")
+    got = report_of(make_geom(64), make_path(theta=0.3)).antenna_boundary_far
     assert got == pytest.approx(7e9 / (3e8 * 0.3) + 1, rel=1e-12)
     assert got == pytest.approx(78.8, rel=1e-3)
 
 
 def test_far_antenna_boundary_unbounded_at_broadside():
-    assert antenna_boundary(300e6, make_path(theta=0.0), 7e9, THR, "far") == math.inf
+    assert report_of(make_geom(64), make_path(theta=0.0)).antenna_boundary_far == math.inf
 
 
 def test_antenna_boundary_rejects_nonpositive_bandwidth():
+    # the bandwidth reaches the boundaries only through a grid, which rejects it
     with pytest.raises(ValueError):
-        antenna_boundary(0.0, make_path(), 7e9, THR)
+        report_of(make_geom(64), make_path(), 0.0)
 
 
 def test_coefficients_follow_their_definitions():
-    path = make_path(theta=0.3, d=40.0)
-    co = boundary_coefficients(300e6, path, 7e9, THR)
+    # N_bar - 1 and N_tilde - 1 solve A1 x^2 + A2 x = A3 and = A5, with A1 = s^2 / 4,
+    # A2 = d s |theta| (linear in |theta| with the far-mode slope d s) and the budgets
     lam = SPEED_OF_LIGHT / 7e9
     s = lam / 2
     kc = THR.total * SPEED_OF_LIGHT
-    assert co.a1 == pytest.approx(s * s / 4, rel=1e-15)
-    # A2 = d s |theta|: linear in |theta| with the far-mode slope d s
-    for theta in (0.3, -0.3, 0.9):
-        slope = boundary_coefficients(300e6, make_path(theta=theta, d=40.0), 7e9, THR).a2
-        assert slope == pytest.approx(40.0 * s * abs(theta), rel=1e-15)
-    assert co.a2 == pytest.approx(40.0 * s * 0.3, rel=1e-15)
-    assert co.a3 == pytest.approx((kc * kc + 2 * kc * 40.0 * 300e6) / 300e6**2, rel=1e-15)
     ka_c = THR.kappa_a * SPEED_OF_LIGHT
-    assert co.a5 == pytest.approx((ka_c * ka_c + 4 * ka_c * 40.0 * 7e9) / (4 * 7e9 * 7e9), rel=1e-15)
+    a3 = (kc * kc + 2 * kc * 40.0 * 300e6) / 300e6**2
+    a5 = (ka_c * ka_c + 4 * ka_c * 40.0 * 7e9) / (4 * 7e9 * 7e9)
+    for theta in (0.3, -0.3, 0.9):
+        rep = report_of(make_geom(64), make_path(theta=theta, d=40.0))
+        for value, rhs in ((rep.antenna_boundary_near, a3), (rep.near_field_threshold, a5)):
+            x = value - 1.0
+            assert s * s / 4 * x * x + 40.0 * s * abs(theta) * x == pytest.approx(rhs, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +228,7 @@ def test_threshold_lower_bound_is_angle_one_limit():
 
 
 def test_threshold_matches_smallest_n_scan():
-    value = near_field_threshold(make_path(theta=0.3, d=40.0), 7e9, THR.kappa_a)
+    value = report_of(make_geom(64), make_path(theta=0.3, d=40.0)).near_field_threshold
     assert value == pytest.approx(1.83, rel=5e-3)
     assert oracles.smallest_near_antennas(0.3, 40.0, 7e9, THR.kappa_a) == math.ceil(value)
 
@@ -225,25 +238,25 @@ def test_threshold_at_broadside_equals_its_upper_bound():
     grid = CarrierGrid.from_bandwidth(300e6, 64)
     path = make_path(theta=1e-300, d=40.0)
     report = boundary_report(geom, grid, path, THR)
-    co = boundary_coefficients(grid.bandwidth_hz, path, 7e9, THR, spacing_m=geom.spacing_m)
-    assert report.near_field_threshold == pytest.approx(
-        math.sqrt(co.a5 / co.a1) + 1, rel=1e-9
-    )
+    ka_c = THR.kappa_a * SPEED_OF_LIGHT
+    a1 = geom.spacing_m * geom.spacing_m / 4
+    a5 = (ka_c * ka_c + 4 * ka_c * 40.0 * 7e9) / (4 * 7e9 * 7e9)
+    assert report.near_field_threshold == pytest.approx(math.sqrt(a5 / a1) + 1, rel=1e-9)
     assert report.bounds["near_threshold"].upper == pytest.approx(
-        math.sqrt(co.a5 / co.a1) + 1, rel=1e-12
+        math.sqrt(a5 / a1) + 1, rel=1e-12
     )
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_threshold_approximation_tracks_closed_form(seed):
     rng = np.random.default_rng(40 + seed)
-    for _ in range(50):
-        theta = float(rng.uniform(0.1, 0.999))
-        d = float(rng.uniform(10.0, 500.0))
-        exact = near_field_threshold(make_path(theta=theta, d=d), 7e9, THR.kappa_a)
+    draws = [(float(rng.uniform(0.1, 0.999)), float(rng.uniform(10.0, 500.0)))
+             for _ in range(50)]
+    exact, _, _ = near_table(make_geom(64), [make_path(theta=t, d=d) for t, d in draws])
+    for (theta, _), value in zip(draws, exact):
         # large-|theta| approximation 2 kappa_a / |theta| + 1
         approx = 2 * THR.kappa_a / theta + 1
-        assert abs(approx - exact) / exact < 0.10
+        assert abs(approx - value) / value < 0.10
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +279,7 @@ def test_wideband_test_precedes_the_near_far_split():
     wide = CarrierGrid.from_bandwidth(8e10, 16)
     path = make_path(theta=0.1, d=10.0)
     geom = make_geom(2)
-    assert near_field_threshold(path, 7e9, THR.kappa_a) > 2
+    assert boundary_report(geom, wide, path, THR).near_field_threshold > 2
     assert classify_path(geom, wide, path, THR) is FieldModel.WIDEBAND_NEAR
 
 
@@ -311,26 +324,23 @@ def _theta_grid():
 
 
 def test_near_boundaries_strictly_decrease_in_angle():
-    geom = make_geom(512, 7e9)
-    freqs = [freq_boundary(geom, make_path(theta=t, d=40.0), THR) for t in _theta_grid()]
-    ants = [antenna_boundary(300e6, make_path(theta=t, d=40.0), 7e9, THR) for t in _theta_grid()]
+    _, ants, freqs = near_table(make_geom(512, 7e9),
+                                [make_path(theta=t, d=40.0) for t in _theta_grid()])
     assert all(b < a for a, b in zip(freqs, freqs[1:]))
     assert all(b < a for a, b in zip(ants, ants[1:]))
 
 
 def test_far_boundaries_strictly_decrease_in_angle():
-    geom = make_geom(512, 7e9)
-    freqs = [freq_boundary(geom, make_path(theta=t, d=40.0), THR, "far") for t in _theta_grid()]
-    ants = [antenna_boundary(300e6, make_path(theta=t), 7e9, THR, "far") for t in _theta_grid()]
+    reports = [report_of(make_geom(512, 7e9), make_path(theta=t, d=40.0)) for t in _theta_grid()]
+    freqs = [rep.freq_boundary_far_hz for rep in reports]
+    ants = [rep.antenna_boundary_far for rep in reports]
     assert all(b < a for a, b in zip(freqs, freqs[1:]))
     assert all(b < a for a, b in zip(ants, ants[1:]))
 
 
 def test_near_boundary_grows_with_distance():
-    vals = [
-        freq_boundary(make_geom(512), make_path(theta=0.3, d=d), THR)
-        for d in np.linspace(1.0, 500.0, 200)
-    ]
+    _, _, vals = near_table(make_geom(512),
+                            [make_path(theta=0.3, d=d) for d in np.linspace(1.0, 500.0, 200)])
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -341,11 +351,9 @@ def test_near_boundaries_are_tighter_than_far(seed):
     for _ in range(100):
         theta = float(rng.uniform(1e-3, 0.999)) * (1 if rng.random() < 0.5 else -1)
         d = float(rng.uniform(1.0, 500.0))
-        path = make_path(theta=theta, d=d)
-        assert freq_boundary(geom, path, THR) < freq_boundary(geom, path, THR, "far")
-        near_n = antenna_boundary(300e6, path, 7e9, THR)
-        far_n = antenna_boundary(300e6, path, 7e9, THR, "far")
-        assert near_n < far_n
+        rep = report_of(geom, make_path(theta=theta, d=d))
+        assert rep.freq_boundary_near_hz < rep.freq_boundary_far_hz
+        assert rep.antenna_boundary_near < rep.antenna_boundary_far
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -379,16 +387,10 @@ def test_boundaries_are_even_in_angle(seed):
     for _ in range(25):
         theta = float(rng.uniform(1e-3, 0.999))
         d = float(rng.uniform(1.0, 500.0))
-        plus, minus = make_path(theta=theta, d=d), make_path(theta=-theta, d=d)
-        assert freq_boundary(geom, plus, THR) == pytest.approx(
-            freq_boundary(geom, minus, THR), rel=1e-14
-        )
-        assert antenna_boundary(3e8, plus, 7e9, THR) == pytest.approx(
-            antenna_boundary(3e8, minus, 7e9, THR), rel=1e-14
-        )
-        assert near_field_threshold(plus, 7e9, THR.kappa_a) == pytest.approx(
-            near_field_threshold(minus, 7e9, THR.kappa_a), rel=1e-14
-        )
+        # N_tilde, N_bar and B_bar of the path at +theta and at -theta
+        for plus, minus in near_table(geom, [make_path(theta=t, d=d) for t in (theta, -theta)],
+                                      3e8):
+            assert plus == pytest.approx(minus, rel=1e-14)
 
 
 def test_threshold_precedes_both_wideband_boundaries():
@@ -399,14 +401,15 @@ def test_threshold_precedes_both_wideband_boundaries():
         fc = float(rng.uniform(6.4e9, 7.2e9))
         b = float(rng.uniform(1e5, fc * 0.99))
         path = make_path(theta=theta, d=d)
-        tilde = near_field_threshold(path, fc, THR.kappa_a)
-        assert tilde < antenna_boundary(b, path, fc, THR)
-        assert tilde < antenna_boundary(b, path, fc, THR, "far")
+        rep = boundary_report(ArrayGeometry(1, fc), one_grid(b), path, THR)
+        tilde = rep.near_field_threshold
+        assert tilde < rep.antenna_boundary_near
+        assert tilde < rep.antenna_boundary_far
         # consequence: an array strictly below the threshold can only be
         # squint-limited through the bandwidth clause, never the antenna one
         n_small = max(math.floor(tilde) - 1, 1)
         geom = ArrayGeometry(n_small, fc)
-        if b < freq_boundary(geom, path, THR):
+        if b < boundary_report(geom, one_grid(b), path, THR).freq_boundary_near_hz:
             grid = CarrierGrid.from_bandwidth(b, 4)
             assert classify_path(geom, grid, path, THR) is FieldModel.FAR
 
@@ -422,7 +425,7 @@ def test_bounds_helper_matches_report_field():
 
 def test_unbounded_value_orders_above_floats():
     # a boundary that does not exist is inf: above every float, kept out by min()
-    unbounded = freq_boundary(make_geom(1), make_path(), THR)
+    unbounded = report_of(make_geom(1), make_path()).freq_boundary_near_hz
     assert unbounded > 1e300
     assert not unbounded < 1e300
     assert min(5.0, unbounded) == 5.0
@@ -430,7 +433,7 @@ def test_unbounded_value_orders_above_floats():
 
 
 # ---------------------------------------------------------------------------
-# the boundary table against the one-path formulas, bit for bit
+# the boundary table and report against the scalar formulas, bit for bit
 # ---------------------------------------------------------------------------
 
 _ANGLES = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
@@ -482,18 +485,15 @@ def test_boundary_table_equals_the_scalar_formulas_bit_for_bit(
                 kappa, c, oracles.near_distance_variation(n, s, theta, d)))
             want["freq_subarray"].append(oracles.freq_boundary_from_variation(
                 kappa, c, oracles.near_distance_variation(sub, s, theta, d)))
-            # the one-path functions, far mode and broadside included
-            far_variation = oracles.far_distance_variation(n, s, theta)
-            got = [near_field_threshold(p, center, kappa_a, spacing_m=s),
-                   antenna_boundary(b, p, center, thr, spacing_m=s),
-                   antenna_boundary(b, p, center, thr, "far", spacing_m=s),
-                   freq_boundary(geom, p, thr), freq_boundary(geom, p, thr, "far"),
-                   max_distance_variation(geom, p), max_distance_variation(geom, p, "far")]
+            # the path's report, far mode and broadside included
+            rep = boundary_report(geom, grid, p, thr)
+            got = [rep.near_field_threshold, rep.antenna_boundary_near, rep.antenna_boundary_far,
+                   rep.freq_boundary_near_hz, rep.freq_boundary_far_hz]
             np.testing.assert_array_equal(_bits(got), _bits([
                 want["near_threshold"][-1], want["antenna"][-1],
-                oracles.far_antenna_boundary(b, theta, kappa, s, c),
-                want["freq"][-1], oracles.freq_boundary_from_variation(kappa, c, far_variation),
-                oracles.near_distance_variation(n, s, theta, d), far_variation]))
+                oracles.far_antenna_boundary(b, theta, kappa, s, c), want["freq"][-1],
+                oracles.freq_boundary_from_variation(
+                    kappa, c, oracles.far_distance_variation(n, s, theta))]))
         for name, values in want.items():
             np.testing.assert_array_equal(_bits(getattr(table, name)[k, :len(user)]),
                                           _bits(values), err_msg=name)

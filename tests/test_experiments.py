@@ -8,6 +8,7 @@ from squintlab import (
     CSV_HEADER,
     EXPERIMENTS,
     ArrayGeometry,
+    CarrierGrid,
     InfeasiblePlanError,
     PathParams,
     ScenarioConfig,
@@ -16,8 +17,7 @@ from squintlab import (
     SweepResult,
     SweepRow,
     UserSubband,
-    antenna_boundary,
-    freq_boundary,
+    boundary_report,
     plan_antenna_slices,
     run_experiment,
 )
@@ -201,12 +201,10 @@ def test_gain_map_boundary_columns_match_library(gain_map):
     for row in result.rows:
         per[row.scheme].append((row.boundary_b_wn_hz, row.boundary_n_wn))
     for (theta, d), scheme in zip(curves, result.schemes):
-        path = PathParams(1.0, theta, d, 0.0)
-        expected_b = freq_boundary(geom, path, thr)
-        expected_n = antenna_boundary(grid.bandwidth_hz, path,
-                                      geom.center_freq_hz, thr, "near",
-                                      spacing_m=geom.spacing_m,
-                                      wave_speed=geom.wave_speed)
+        s, c = geom.spacing_m, geom.wave_speed
+        expected_b = oracles.freq_boundary_from_variation(
+            thr.total, c, oracles.near_distance_variation(geom.num_antennas, s, theta, d))
+        expected_n = oracles.near_antenna_boundary(grid.bandwidth_hz, theta, d, thr.total, s, c)
         assert set(per[scheme]) == {(expected_b, expected_n)}
 
 
@@ -227,9 +225,17 @@ def antenna_sweep():
     return cfg, run_experiment("sweep-antennas", cfg)
 
 
+def sweep_report(cfg, num_antennas=None):
+    """Every boundary of the sweep path, at the configured bandwidth held exactly."""
+    geom = cfg.geometry() if num_antennas is None else ArrayGeometry(num_antennas,
+                                                                     cfg.center_freq_hz)
+    return boundary_report(geom, CarrierGrid.from_bandwidth(cfg.bandwidth_hz, 1), _SWEEP_PATH,
+                           cfg.thresholds())
+
+
 def test_bandwidth_sweep_axis_spans_boundary_multiples(bandwidth_sweep):
     cfg, result = bandwidth_sweep
-    b_ref = freq_boundary(cfg.geometry(), _SWEEP_PATH, cfg.thresholds())
+    b_ref = sweep_report(cfg).freq_boundary_near_hz
     assert result.axis_values == pytest.approx([b_ref * m for m in _MULTS])
     assert result.meta["infeasible_trials"] == dict.fromkeys(result.axis_values, 0)
     assert result.meta["config"] == cfg.to_dict()
@@ -257,7 +263,7 @@ def test_bandwidth_sweep_scheme_ordering(bandwidth_sweep):
 
 def test_bandwidth_sweep_boundary_columns(bandwidth_sweep):
     cfg, result = bandwidth_sweep
-    b_ref = freq_boundary(cfg.geometry(), _SWEEP_PATH, cfg.thresholds())
+    b_ref = sweep_report(cfg).freq_boundary_near_hz
     cols = boundary_columns(result)
     b_col = [cols[a][0] for a in result.axis_values]
     n_col = [cols[a][1] for a in result.axis_values]
@@ -268,10 +274,7 @@ def test_bandwidth_sweep_boundary_columns(bandwidth_sweep):
 
 def test_antenna_sweep_axis_rounds_and_dedups(antenna_sweep):
     cfg, result = antenna_sweep
-    geom = cfg.geometry()
-    n_ref = antenna_boundary(cfg.bandwidth_hz, _SWEEP_PATH, cfg.center_freq_hz,
-                             cfg.thresholds(), "near", spacing_m=geom.spacing_m,
-                             wave_speed=geom.wave_speed)
+    n_ref = sweep_report(cfg).antenna_boundary_near
     counts = [max(4, round(n_ref * m)) for m in _MULTS]
     expected = tuple(float(n) for n in dict.fromkeys(counts))
     assert result.axis_values == expected
@@ -298,16 +301,11 @@ def test_antenna_sweep_narrowband_decays(antenna_sweep):
 
 def test_antenna_sweep_boundary_columns(antenna_sweep):
     cfg, result = antenna_sweep
-    geom = cfg.geometry()
-    thr = cfg.thresholds()
-    n_ref = antenna_boundary(cfg.bandwidth_hz, _SWEEP_PATH, cfg.center_freq_hz,
-                             thr, "near", spacing_m=geom.spacing_m,
-                             wave_speed=geom.wave_speed)
+    n_ref = sweep_report(cfg).antenna_boundary_near
     cols = boundary_columns(result)
     for axis_value in result.axis_values:
         b_col, n_col = cols[axis_value]
-        geom_n = ArrayGeometry(int(axis_value), cfg.center_freq_hz)
-        assert b_col == pytest.approx(freq_boundary(geom_n, _SWEEP_PATH, thr))
+        assert b_col == pytest.approx(sweep_report(cfg, int(axis_value)).freq_boundary_near_hz)
         assert n_col == pytest.approx(n_ref)
 
 

@@ -21,7 +21,6 @@ from squintlab import (
     SquintThresholds,
     UserSubband,
     boundary_table,
-    freq_boundary,
     narrowband_beams,
     narrowband_mrt,
     normalized_array_gain,
@@ -538,7 +537,8 @@ def test_flat_channel_mrt_hits_the_closed_form():
 def test_mrt_collapses_below_the_boundary_and_degrades_above():
     geom = ArrayGeometry(512, 7e9)
     path = make_path()
-    b_bar = freq_boundary(geom, path, THR)
+    b_bar = float(boundary_table(geom, CarrierGrid.from_bandwidth(300e6, 64), THR,
+                                 [[path]]).freq[0, 0])
     pre = None
     ratios = {}
     for mult in (0.5, 4.0):

@@ -21,9 +21,7 @@ from squintlab import (
     SubbandPlan,
     UserSubband,
     allocate_subbands,
-    antenna_boundary,
     boundary_table,
-    near_field_threshold,
     plan_antenna_rows,
     plan_antenna_slices,
     sample_scenario,
@@ -40,10 +38,8 @@ def make_path(theta=0.3, d=40.0, r=0.0, gain=1.0 + 0j, model=FieldModel.WIDEBAND
 
 def size_window(path, geom, grid):
     """(min, max) compliant subarray sizes for one path."""
-    lo = near_field_threshold(path, geom.center_freq_hz, THR.kappa_a,
-                              spacing_m=geom.spacing_m, wave_speed=geom.wave_speed)
-    hi = antenna_boundary(grid.bandwidth_hz, path, geom.center_freq_hz, THR,
-                          spacing_m=geom.spacing_m, wave_speed=geom.wave_speed)
+    table = boundary_table(geom, grid, THR, [[path]])
+    lo, hi = table.near_threshold[0, 0], table.antenna[0, 0]
     return max(1, math.ceil(lo - 1e-9)), math.floor(hi - 1e-9)
 
 

@@ -25,7 +25,6 @@ from squintlab import (
     SlicingPlan,
     beam_squint_matrix,
     channel_columns,
-    max_distance_variation,
     path_phases,
     read_channel_dump,
     subarray_center_distance,
@@ -80,7 +79,9 @@ def block_channel(geom, grid, path, plan, t):
 
 def squint_extreme(geom, grid, path):
     """Continuous-band squint-phase extreme (pi B / c) max |d_n - d|."""
-    return math.pi * grid.bandwidth_hz / SPEED_OF_LIGHT * max_distance_variation(geom, path)
+    variation = oracles.near_distance_variation(geom.num_antennas, geom.spacing_m,
+                                                path.sine_angle, path.scatterer_distance_m)
+    return math.pi * grid.bandwidth_hz / SPEED_OF_LIGHT * variation
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +332,10 @@ _UNCALLED_API = {
     "se_subband_closed_form": "the paper's sub-band closed form, which the "
                               "acceptance gate checks the emitted SE against",
     "read_channel_dump": "the reader of the file format `squintlab channel` writes",
-    "near_field_threshold": "the one-path N_tilde, which the near-threshold ordering "
-                            "gate and the boundary table's bit-for-bit test check",
 }
 
-#: public methods and properties kept although no code in the package or the
-#: benchmark reads them
+#: public methods, properties and dataclass fields kept although no code in the
+#: package or the benchmark reads them
 _UNCALLED_MEMBERS = {
     "SweepResult.axis_values": "a result's axis points, which the tests and the acceptance "
                                "gate read results through; moving it into tests/ would "
@@ -344,6 +343,8 @@ _UNCALLED_MEMBERS = {
     "SweepResult.se_per_scheme": "a result's SE curve per scheme, which the tests and the "
                                  "acceptance gate read results through; moving it into "
                                  "tests/ would not remove it",
+    "SweepResult.meta": "a run's config and infeasible counts, which the tests read today "
+                        "and the run manifest written beside the CSV will read",
 }
 
 
@@ -381,12 +382,28 @@ def _attribute_reads(node) -> Counter:
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
 
 
+def _public_members(cls: ast.ClassDef):
+    """(name, node) of a class's public methods and properties and, for a
+    dataclass, its annotated fields."""
+    dataclass = any(ast.unparse(dec).startswith("dataclass") for dec in cls.decorator_list)
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif dataclass and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, node
+
+
 def test_every_public_definition_has_a_caller():
     # a reference is a name read in code (not in a docstring) by any top-level
     # statement of the package other than the definition itself, or a name the
     # benchmark imports; the package's __init__ re-exports do not count. A
-    # method or property of a public class is called when its name is read as
-    # an attribute in the package or the benchmark outside its own definition
+    # method or property of a public class, or a field of a public dataclass,
+    # is called when its name is read as an attribute in the package or the
+    # benchmark outside its own definition
     statements = [(path.name, stmt)
                   for path in sorted(_PACKAGE.glob("*.py")) if path.name != "__init__.py"
                   for stmt in ast.parse(path.read_text()).body]
@@ -405,15 +422,16 @@ def test_every_public_definition_has_a_caller():
     attributes = sum((_attribute_reads(stmt) for _, stmt in statements), Counter())
     for path in sorted(_PERFBENCH.glob("*.py")):
         attributes += _attribute_reads(ast.parse(path.read_text()))
-    uncalled = [f"{module}:{stmt.name}.{member.name}" for module, stmt in statements
+    uncalled = [f"{module}:{stmt.name}.{name}" for module, stmt in statements
                 if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_")
-                for member in stmt.body
-                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
-                and f"{stmt.name}.{member.name}" not in _UNCALLED_MEMBERS
-                and attributes[member.name] == _attribute_reads(member)[member.name]]
+                for name, member in _public_members(stmt)
+                if f"{stmt.name}.{name}" not in _UNCALLED_MEMBERS
+                and attributes[name] == _attribute_reads(member)[name]]
     assert uncalled == [], f"no caller in src/ or perfbench/: {uncalled}"
-    assert all(hasattr(getattr(squintlab, cls), member)
-               for cls, member in (key.split(".") for key in _UNCALLED_MEMBERS))
+    for key in _UNCALLED_MEMBERS:
+        cls, member = key.split(".")
+        owner = getattr(squintlab, cls)
+        assert hasattr(owner, member) or member in owner.__dataclass_fields__, key
 
 
 # the batch axis: wide geometry, every field model, bit-equal to one path at a time

@@ -20,7 +20,8 @@ the change side is not HEAD's committed files). It gets, per workload and
 for every end-to-end metric that ``BENCHMARK.json`` names, both sides' run
 values with their median and interquartile range, the change/parent ratio of
 each pair, the median ratio and the number of pairs the change won (in the
-metric's better direction), plus the hypervisor steal share of each run. If
+metric's better direction), plus the hypervisor steal share of each run. It
+also records ``src_lines``, both sides' line count over ``src/**/*.py``. If
 any run's outputs were incorrect, or the cross-check CSV digests of a workload
 differ between runs or sides, the script writes no file and exits non-zero.
 """
@@ -49,6 +50,12 @@ def summarise(values: list[float]) -> dict:
     """Median and interquartile range of one metric's run values."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the package source: the sum over ``src/**/*.py`` in ``checkout``."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (checkout / "src").rglob("*.py"))
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -150,10 +157,12 @@ def main(argv=None) -> None:
                            text=True, check=False).stdout.strip() != ""
     with tempfile.TemporaryDirectory(prefix="bench_record_") as tmp:
         parent_commit = extract(args.parent, Path(tmp))
+        lines = {"parent": src_lines(Path(tmp)), "change": src_lines(ROOT)}
         bench = record({"parent": Path(tmp), "change": ROOT},
                        [w["name"] for w in spec["workloads"]], spec["end_to_end"],
                        PAIRS, SECONDS)
-    bench = {"parent": parent_commit, "change_head": head, "change_dirty": dirty, **bench}
+    bench = {"parent": parent_commit, "change_head": head, "change_dirty": dirty,
+             "src_lines": lines, **bench}
     found = problems(bench)
     if found:
         sys.exit(f"bench_record: not writing {out.name}:\n" + "\n".join(found))
@@ -164,6 +173,7 @@ def main(argv=None) -> None:
               f"[IQR {tps['parent']['iqr']:.2f}] change {tps['change']['median']:.2f} "
               f"[IQR {tps['change']['iqr']:.2f}]  median ratio {tps['median_ratio']:.3f}, "
               f"change won {tps['change_wins']}/{bench['pairs_per_workload']}")
+    print(f"src/ lines parent {lines['parent']} change {lines['change']}")
     print(f"wrote {out.relative_to(ROOT)}")
 
 
