@@ -190,7 +190,7 @@ def boundary_bounds(
     path: PathParams,
     thr: SquintThresholds,
 ) -> dict[str, BoundaryBound]:
-    """Angle-extremal envelopes of each boundary (|theta| -> 1 vs theta = 0)."""
+    """Angle-extremal envelopes (|theta| -> 1 vs theta = 0), keyed by BoundaryReport field."""
     n, s, c = geom.num_antennas, geom.spacing_m, geom.wave_speed
     d = path.scatterer_distance_m
     b = grid.bandwidth_hz
@@ -212,11 +212,11 @@ def boundary_bounds(
     nf_upper = math.sqrt(a5 / a1) + 1.0
 
     return {
-        "freq_near": BoundaryBound(edge_freq, freq_near_upper),
-        "antenna_near": BoundaryBound(antenna_lower, antenna_near_upper),
-        "freq_far": BoundaryBound(edge_freq, math.inf),
-        "antenna_far": BoundaryBound(antenna_lower, math.inf),
-        "near_threshold": BoundaryBound(nf_lower, nf_upper),
+        "freq_boundary_near_hz": BoundaryBound(edge_freq, freq_near_upper),
+        "antenna_boundary_near": BoundaryBound(antenna_lower, antenna_near_upper),
+        "freq_boundary_far_hz": BoundaryBound(edge_freq, math.inf),
+        "antenna_boundary_far": BoundaryBound(antenna_lower, math.inf),
+        "near_field_threshold": BoundaryBound(nf_lower, nf_upper),
     }
 
 

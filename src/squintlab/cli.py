@@ -106,13 +106,6 @@ def _jsonable(value: float) -> float | str:
 
 
 def _report_json(report: BoundaryReport) -> dict:
-    bound_names = {
-        "freq_near": "freq_boundary_near_hz",
-        "antenna_near": "antenna_boundary_near",
-        "freq_far": "freq_boundary_far_hz",
-        "antenna_far": "antenna_boundary_far",
-        "near_threshold": "near_field_threshold",
-    }
     return {
         "freq_boundary_near_hz": _jsonable(report.freq_boundary_near_hz),
         "antenna_boundary_near": _jsonable(report.antenna_boundary_near),
@@ -120,7 +113,7 @@ def _report_json(report: BoundaryReport) -> dict:
         "antenna_boundary_far": _jsonable(report.antenna_boundary_far),
         "near_field_threshold": _jsonable(report.near_field_threshold),
         "bounds": {
-            bound_names[key]: {
+            key: {
                 "lower": _jsonable(bound.lower),
                 "upper": _jsonable(bound.upper),
             }
@@ -215,7 +208,7 @@ def _cmd_plan(args, parser) -> int:
         return 0
     if _path_flags(args):
         parser.error(f"plan subband samples its users and takes no {_path_flags(args)}")
-    _, plan = _allocate_adaptive(config, args.trial, config.num_subarrays)
+    _, plan = _allocate_adaptive(config, args.trial)
     print(json.dumps(plan.to_json_dict(), indent=2))
     return 0
 

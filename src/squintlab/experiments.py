@@ -69,10 +69,9 @@ _GAIN_MAP_CURVES = (
 )
 
 
-def resolve_threads(env: dict | None = None) -> int:
+def resolve_threads() -> int:
     """Worker count from SQUINTLAB_THREADS (0 or unset means auto)."""
-    source = os.environ if env is None else env
-    raw = source.get("SQUINTLAB_THREADS", "0")
+    raw = os.environ.get("SQUINTLAB_THREADS", "0")
     try:
         count = int(raw)
     except ValueError as exc:
@@ -412,7 +411,7 @@ def _link_draw(config: ScenarioConfig, trial: int):
     return amps, (grid.num_subcarriers,), _binding_boundaries(table)
 
 
-def _allocate_adaptive(config: ScenarioConfig, trial: int, num_subarrays: int):
+def _allocate_adaptive(config: ScenarioConfig, trial: int):
     """Draw users and allocate sub-bands, doubling the user count on infeasibility.
 
     Growing the user pool re-uses the trial substream, so existing users'
@@ -424,7 +423,7 @@ def _allocate_adaptive(config: ScenarioConfig, trial: int, num_subarrays: int):
     while True:
         users = sample_user_paths(config, trial, k)
         try:
-            plan = allocate_subbands(users, geom, grid, thr, num_subarrays)
+            plan = allocate_subbands(users, geom, grid, thr, config.num_subarrays)
         except InfeasiblePlanError:
             if k >= config.num_subcarriers:
                 raise
@@ -433,7 +432,7 @@ def _allocate_adaptive(config: ScenarioConfig, trial: int, num_subarrays: int):
         return users, plan
 
 
-def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
+def _fs_trial_amps(config: ScenarioConfig, trial: int):
     """Every scheme's amplitude per subcarrier of one multiuser draw.
 
     Returns ({scheme: M amplitudes}, sub-band plan, binding boundary columns);
@@ -444,11 +443,11 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
     per scheme for the K x N analog rows, and one batched product per scheme.
     """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
-    users, plan = _allocate_adaptive(config, trial, num_subarrays)
+    users, plan = _allocate_adaptive(config, trial)
     owners = np.repeat(np.arange(len(users)), plan.user_subcarriers)
     cols = channel_columns(geom, grid, [slot[owners] for slot in path_slots(users)])
     fs_rows = subband_analog_rows(geom, users, [sb.center_hz for sb in plan.subbands])
-    fs_sizes = np.full(len(users) * num_subarrays, plan.subarray_size)
+    fs_sizes = np.full(len(users) * config.num_subarrays, plan.subarray_size)
     beams = narrowband_beams(geom, users)
     amps = {
         Scheme.SUBBAND_SLICING.value: owner_gain_amplitudes(fs_rows, fs_sizes, owners, cols),
@@ -460,9 +459,9 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int, num_subarrays: int):
     return amps, plan, _binding_boundaries(plan.boundaries)
 
 
-def _fs_draw(config: ScenarioConfig, trial: int, num_subarrays: int | None = None):
+def _fs_draw(config: ScenarioConfig, trial: int):
     """Amplitudes, users' sub-band widths and binding boundary columns of one multiuser draw."""
-    amps, plan, bounds = _fs_trial_amps(config, trial, num_subarrays or config.num_subarrays)
+    amps, plan, bounds = _fs_trial_amps(config, trial)
     return amps, plan.user_subcarriers, bounds
 
 
@@ -471,10 +470,9 @@ def _fs_draw(config: ScenarioConfig, trial: int, num_subarrays: int | None = Non
 # ---------------------------------------------------------------------------
 
 
-def _se_point(config: ScenarioConfig, draw: Callable, schemes: Sequence[Scheme], trial: int,
-              *args):
+def _se_point(config: ScenarioConfig, draw: Callable, schemes: Sequence[Scheme], trial: int):
     """Reducer entry of one draw at the configured power."""
-    amps, widths, bounds = draw(config, trial, *args)
+    amps, widths, bounds = draw(config, trial)
     se = _mean_se(amps, schemes, widths, [config.power], config.noise_power)[0]
     return se, bounds, len(widths)
 
@@ -510,29 +508,27 @@ def _subcarrier_experiment(name: str, schemes: Sequence[Scheme], draw: Callable)
     return experiment
 
 
-def _paths_experiment(name: str, schemes: Sequence[Scheme], draw: Callable):
-    """SE against the near-path count: one draw per trial and axis point."""
+def _field_experiment(name: str, schemes: Sequence[Scheme], draw: Callable, field: str,
+                      axis: Callable[[ScenarioConfig], Sequence[int]]):
+    """SE against one config field: one draw per trial and value of ``axis(config)``."""
     def experiment(config: ScenarioConfig) -> SweepResult:
-        def trial_fn(trial: int) -> list:
-            return [_feasible(_se_point, config.replace(num_near_paths=l_n), draw, schemes,
-                              trial) for l_n in _PATH_AXIS]
+        values = axis(config)
 
-        return _sweep(config, name, "num_near_paths", _PATH_AXIS, schemes, trial_fn)
+        def trial_fn(trial: int) -> list:
+            return [_feasible(_se_point, config.replace(**{field: value}), draw, schemes,
+                              trial) for value in values]
+
+        return _sweep(config, name, field, values, schemes, trial_fn)
 
     return experiment
 
 
-def _experiment_se_subarrays_fs(config: ScenarioConfig) -> SweepResult:
+def _subarray_axis(config: ScenarioConfig) -> list[int]:
+    """The subarray counts of the axis that divide the antenna count."""
     axis_t = [t for t in _SUBARRAY_AXIS if config.num_antennas % t == 0]
     if not axis_t:
         raise ValueError("no subarray count in the axis divides num_antennas")
-
-    def trial_fn(trial: int) -> list:
-        return [_feasible(_se_point, config, _fs_draw, _FS_SCHEMES, trial, t_count)
-                for t_count in axis_t]
-
-    return _sweep(config, "se-subarrays-fs", "num_subarrays", axis_t, _FS_SCHEMES,
-                  trial_fn)
+    return axis_t
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +541,14 @@ EXPERIMENTS: dict[str, Callable[[ScenarioConfig], SweepResult]] = {
     "sweep-antennas": _experiment_sweep_antennas,
     "se-snr-as": _snr_experiment("se-snr-as", _AS_SCHEMES, _link_draw),
     "se-subcarrier-as": _subcarrier_experiment("se-subcarrier-as", _AS_SCHEMES, _link_draw),
-    "se-paths-as": _paths_experiment("se-paths-as", _AS_SCHEMES, _link_draw),
+    "se-paths-as": _field_experiment("se-paths-as", _AS_SCHEMES, _link_draw, "num_near_paths",
+                                     lambda config: _PATH_AXIS),
     "se-snr-fs": _snr_experiment("se-snr-fs", _FS_SCHEMES, _fs_draw),
     "se-subcarrier-fs": _subcarrier_experiment("se-subcarrier-fs", _FS_SCHEMES, _fs_draw),
-    "se-paths-fs": _paths_experiment("se-paths-fs", _FS_SCHEMES, _fs_draw),
-    "se-subarrays-fs": _experiment_se_subarrays_fs,
+    "se-paths-fs": _field_experiment("se-paths-fs", _FS_SCHEMES, _fs_draw, "num_near_paths",
+                                     lambda config: _PATH_AXIS),
+    "se-subarrays-fs": _field_experiment("se-subarrays-fs", _FS_SCHEMES, _fs_draw,
+                                         "num_subarrays", _subarray_axis),
 }
 
 

@@ -163,17 +163,16 @@ def sample_scenario(config: ScenarioConfig, trial: int) -> list[PathParams]:
 def sample_user_paths(
     config: ScenarioConfig,
     trial: int,
-    num_users: int | None = None,
-    num_far: int = 0,
+    num_users: int,
 ) -> list[list[PathParams]]:
     """Per-user path lists drawn sequentially from the trial's substream.
 
+    Each user has ``config.num_near_paths`` near paths and no far paths.
     Growing ``num_users`` extends the same stream, so the first users' draws are
     unchanged — the sub-band allocator can request more users without
     perturbing existing ones.
     """
-    k = config.num_users if num_users is None else num_users
     rng = RngStream(config.seed, trial).generator()
     return [
-        sample_paths(rng, config, config.num_near_paths, num_far) for _ in range(k)
+        sample_paths(rng, config, config.num_near_paths, 0) for _ in range(num_users)
     ]

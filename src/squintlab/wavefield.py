@@ -19,7 +19,7 @@ import os
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -184,11 +184,16 @@ class ChannelTensor:
 def _element_ranges(
     geom: ArrayGeometry, sine_angle: float, distance_m: float,
     offsets: NDArray[np.float64],
-) -> NDArray[np.float64]:
-    """Exact scatterer-to-element distances d_n for the given index offsets, and d_n^2 - d^2."""
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Exact scatterer-to-element distances d_n for the given index offsets, and d_n - d.
+
+    d_n - d is formed as (d_n^2 - d^2) / (d_n + d): subtracting two ranges of
+    up to hundreds of meters would cost eps d, not eps |d_n - d|.
+    """
     x = offsets * geom.spacing_m
     cross, square = 2.0 * distance_m * x * sine_angle, x * x
-    return np.sqrt(distance_m * distance_m - cross + square), square - cross
+    ranges = np.sqrt(distance_m * distance_m - cross + square)
+    return ranges, (square - cross) / (ranges + distance_m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,10 +295,8 @@ def _carrier_and_ramp(
         d = path.scatterer_distance_m
         if reference_m is None:
             reference_m = d
-        ranges, excess = _element_ranges(geom, path.sine_angle, d, offsets)
-        # d_n - ref as (d_n^2 - d^2) / (d_n + d) - (ref - d): subtracting two
-        # ranges of up to hundreds of meters would cost eps d, not eps |d_n - d|
-        carrier = k * geom.center_freq_hz * (excess / (ranges + d) - (reference_m - d))
+        ranges, deviation = _element_ranges(geom, path.sine_angle, d, offsets)
+        carrier = k * geom.center_freq_hz * (deviation - (reference_m - d))
         if model is FieldModel.WIDEBAND_NEAR:
             # squint folds in: the delay ramp sees each element's true range
             ramp = path.ue_range_m + ranges
@@ -325,11 +328,8 @@ def beam_squint_matrix(geom: ArrayGeometry, grid: CarrierGrid, path: PathParams)
     Entry (n, m) = exp(+j (2 pi/c) delta_m df (d_n - d)), with d_n the exact
     range of element n. The center subcarrier column (delta_m = 0) is all ones.
     """
-    dev = (
-        _element_ranges(geom, path.sine_angle, path.scatterer_distance_m,
-                        geom.element_offsets())[0]
-        - path.scatterer_distance_m
-    )
+    dev = _element_ranges(geom, path.sine_angle, path.scatterer_distance_m,
+                          geom.element_offsets())[1]
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
     k = 2.0 * np.pi / geom.wave_speed
     return phasor(k * np.outer(dev, freq_dev))
@@ -352,23 +352,21 @@ def channel_columns(
     grid: CarrierGrid,
     paths: Sequence[PathParams | PathBatch],
     model_tag: str = HYBRID,
-    subcarrier_indices: Iterable[int] | None = None,
 ) -> ComplexMatrix:
-    """Raw N x M' channel entries, optionally restricted to a subcarrier subset.
+    """Raw N x M channel entries, one column per subcarrier of the grid.
 
     ``model_tag`` forces one regime for every path; ``hybrid`` dispatches on each
     path's own ``field_model``. Entries are the sum of per-path terms, linear in
     the gains. A :class:`PathParams` holds for every column; a :class:`PathBatch`
-    holds one path per selected subcarrier, so one call builds several users'
-    columns, each on its own subcarriers (index the users' :func:`path_slots` by
-    each column's user), from one phase table per path.
+    holds one path per subcarrier, so one call builds several users' columns,
+    each on its own subcarriers (index the users' :func:`path_slots` by each
+    column's user), from one phase table per path.
 
-    A :class:`PathParams` term is built in blocks of B = isqrt(C) of its C
-    columns. On evenly spaced columns, step s apart, the phase of column
-    c0 + i is that of column c0 plus k ramp_n i s df, so the term is an exact
-    phasor at every B-th column (gain folded in) times a step phasor
-    exp(j k ramp_n i s df), i < B: one multiply per entry, plus a shorter
-    tail block. Unevenly spaced columns take B = 1: the direct gain * exp(j phase).
+    A :class:`PathParams` term is built in blocks of B = isqrt(M) of its M
+    columns. The phase of column c0 + i is that of column c0 plus
+    k ramp_n i df, so the term is an exact phasor at every B-th column (gain
+    folded in) times a step phasor exp(j k ramp_n i df), i < B: one multiply
+    per entry, plus a shorter tail block.
     """
     if model_tag not in _MODEL_TAGS:
         raise ValueError(f"unknown model_tag {model_tag!r}")
@@ -376,16 +374,8 @@ def channel_columns(
     if not paths:
         raise ValueError("at least one path is required")
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-    step = 1  # index step between the requested columns; 0 when uneven
-    if subcarrier_indices is not None:
-        idx = np.asarray(list(subcarrier_indices), dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= grid.num_subcarriers):
-            raise ValueError("subcarrier index out of range")
-        freq_dev = freq_dev[idx]
-        gaps = np.diff(idx)  # not np.unique, whose first call imports numpy.ma (1 MiB)
-        step = int(gaps[0]) if gaps.size and np.all(gaps == gaps[0]) else 0
     num_cols = freq_dev.size
-    block = math.isqrt(num_cols) if step else 1
+    block = math.isqrt(num_cols)
     body = num_cols // block * block  # columns in whole blocks; the rest is the tail
     k = 2.0 * np.pi / geom.wave_speed
     out = np.zeros((geom.num_antennas, num_cols), dtype=np.complex128)
@@ -396,10 +386,10 @@ def channel_columns(
         # temporary * gain, which rounds unlike gain * temporary
         if isinstance(path, PathParams):
             carrier, ramp = _carrier_and_ramp(geom, path, geom.element_offsets(), None, model)
-            # N x ceil(C/B) anchors and an N x B (or 1 x B) step table; at
+            # N x ceil(M/B) anchors and an N x B (or 1 x B) step table; at
             # B = 1 the step is exactly 1 and the anchors are the direct term
             anchors = path.gain * phasor(carrier[:, None] + k * (ramp * freq_dev[::block]))
-            steps = phasor(k * (ramp * (np.arange(block) * step * grid.subcarrier_spacing_hz)))
+            steps = phasor(k * (ramp * (np.arange(block) * grid.subcarrier_spacing_hz)))
             blocks = out[:, :body].reshape(geom.num_antennas, -1, block)
             blocks += anchors[:, :body // block, None] * steps[..., None, :]
             if body < num_cols:
@@ -443,26 +433,21 @@ def subarray_center_distance(
 # ---------------------------------------------------------------------------
 
 
-def write_channel_dump(tensor: ChannelTensor, dest: str | os.PathLike | BinaryIO) -> None:
+def write_channel_dump(tensor: ChannelTensor, dest: str | os.PathLike) -> None:
     """Write the tensor as SQNT binary: 16-byte header + row-major (re, im) f64 pairs."""
     header = struct.pack(
         "<4sHII2s", DUMP_MAGIC, DUMP_VERSION,
         tensor.num_antennas, tensor.num_subcarriers, b"\x00\x00",
     )
     payload = np.ascontiguousarray(tensor.entries, dtype=np.complex128).astype("<c16").tobytes()
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-    else:
-        dest.write(header)
-        dest.write(payload)
+    with open(dest, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
-def read_channel_dump(src: str | os.PathLike | BinaryIO) -> ComplexMatrix:
+def read_channel_dump(src: str | os.PathLike) -> ComplexMatrix:
     """Read a SQNT dump back into an N x M complex matrix."""
-
-    def _read(fh: BinaryIO) -> ComplexMatrix:
+    with open(src, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16:
             raise ValueError("truncated dump header")
@@ -472,11 +457,6 @@ def read_channel_dump(src: str | os.PathLike | BinaryIO) -> ComplexMatrix:
         if version != DUMP_VERSION:
             raise ValueError(f"unsupported dump version {version}")
         raw = fh.read(16 * n * m)
-        if len(raw) != 16 * n * m:
-            raise ValueError("truncated dump payload")
-        return np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(n, m)
-
-    if isinstance(src, (str, os.PathLike)):
-        with open(src, "rb") as fh:
-            return _read(fh)
-    return _read(src)
+    if len(raw) != 16 * n * m:
+        raise ValueError("truncated dump payload")
+    return np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(n, m)

@@ -315,22 +315,25 @@ def per_user_mean_se(amps, subbands, schemes, power, noise_power):
     return np.mean(per_user, axis=0)
 
 
-def chunked_fs_amps(config, trial: int, num_subarrays: int, chunk: int = 16) -> dict:
+def chunked_fs_amps(config, trial: int, chunk: int = 16) -> dict:
     """Every scheme's amplitudes of one multiuser draw, ``chunk`` users at a time.
 
     Each user is planned alone (``plan_antenna_slices`` on its own one-row
     boundary table), and each chunk of users takes its own channel,
     analog-row and product calls on its own subcarriers: the loop the
-    one-batch trial replaced, kept as its reference.
+    one-batch trial replaced, kept as its reference. A chunk's channel
+    columns are the direct per-column terms gain * exp(j phase), summed in
+    path order.
     """
-    from squintlab import (Scheme, SliceBlocks, channel_columns, narrowband_beams,
-                           owner_gain_amplitudes, plan_antenna_slices, slice_analog_rows,
+    from squintlab import (Scheme, SliceBlocks, narrowband_beams, owner_gain_amplitudes,
+                           path_phases, plan_antenna_slices, slice_analog_rows,
                            subband_analog_rows)
     from squintlab.experiments import _allocate_adaptive
     from squintlab.wavefield import path_slots
 
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
-    users, plan = _allocate_adaptive(config, trial, num_subarrays)
+    freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
+    users, plan = _allocate_adaptive(config, trial)
     amps = {s.value: np.empty(config.num_subcarriers) for s in Scheme}
     for lo in range(0, len(plan.subbands), chunk):
         subbands = plan.subbands[lo:lo + chunk]
@@ -340,10 +343,14 @@ def chunked_fs_amps(config, trial: int, num_subarrays: int, chunk: int = 16) -> 
                                for name in ("sizes", "paths", "offsets")))
         owners = np.repeat(np.arange(len(subbands)), [sb.num_subcarriers for sb in subbands])
         at = [m for sb in subbands for m in sb.global_indices()]
-        cols = channel_columns(geom, grid, [slot[owners] for slot in path_slots(paths)],
-                               subcarrier_indices=at)
+        cols = np.zeros((geom.num_antennas, len(at)), dtype=np.complex128)
+        for slot in path_slots(paths):
+            batch = slot[owners]
+            cols += exp_path_term(batch.gain, path_phases(
+                geom, batch, freq_dev[at][:, None],
+                offsets=geom.element_offsets()[:, None])[..., 0])
         fs_rows = subband_analog_rows(geom, paths, [sb.center_hz for sb in subbands])
-        fs_sizes = [plan.subarray_size] * (len(subbands) * num_subarrays)
+        fs_sizes = [plan.subarray_size] * (len(subbands) * config.num_subarrays)
         beams = narrowband_beams(geom, paths)
         amps[Scheme.SUBBAND_SLICING.value][at] = owner_gain_amplitudes(
             fs_rows, fs_sizes, owners, cols)

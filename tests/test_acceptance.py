@@ -72,7 +72,7 @@ def test_boundary_window_numbers():
     start = time.perf_counter()
     config = ScenarioConfig(num_antennas=512)
     bound = boundary_bounds(config.geometry(), config.grid(),
-                            PathParams(1.0, 0.3, 40.0, 0.0), THR)["freq_near"]
+                            PathParams(1.0, 0.3, 40.0, 0.0), THR)["freq_boundary_near_hz"]
     elapsed = time.perf_counter() - start
     ok = (bound.lower == pytest.approx(13.70e6, rel=0.01)
           and bound.upper == pytest.approx(200e6, rel=0.02)
@@ -229,8 +229,8 @@ def test_single_path_slicing_stays_near_optimal():
             continue
         for subband in plan.subbands:
             paths = users[subband.user]
-            cols = channel_columns(geom, grid, paths,
-                                   subcarrier_indices=subband.global_indices())
+            w = subband.num_subcarriers
+            cols = channel_columns(geom, grid, paths)[:, subband.start:subband.start + w]
             precoder = subband_precoder_set(geom, paths, subband,
                                             fs_config.num_subarrays, cols)
             amps = np.abs(np.einsum("nm,nm->m", precoder.combined().conj(), cols))

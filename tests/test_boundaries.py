@@ -124,8 +124,8 @@ def test_freq_boundary_bounds_match_published_numbers():
     geom = make_geom(512, 7e9)
     grid = CarrierGrid.from_bandwidth(300e6, 64)
     report = boundary_report(geom, grid, make_path(theta=0.3, d=40.0), THR)
-    low = report.bounds["freq_near"].lower
-    high = report.bounds["freq_near"].upper
+    low = report.bounds["freq_boundary_near_hz"].lower
+    high = report.bounds["freq_boundary_near_hz"].upper
     # angle->1 limit collapses to 4 (kappa_a+kappa_f) f_c / (N-1), exactly 7e9/511
     assert low == pytest.approx(7e9 / 511, rel=1e-12)
     assert low == pytest.approx(13.7e6, rel=1e-2)
@@ -165,7 +165,7 @@ def test_antenna_boundary_lower_bound_is_angle_one_limit():
     grid = CarrierGrid.from_bandwidth(300e6, 64)
     report = boundary_report(geom, grid, make_path(theta=0.5, d=40.0), THR)
     # 4 (kappa_a+kappa_f) f_c / B + 1 = 7e9/3e8 + 1, c cancels exactly
-    assert report.bounds["antenna_near"].lower == pytest.approx(7e9 / 3e8 + 1, rel=1e-12)
+    assert report.bounds["antenna_boundary_near"].lower == pytest.approx(7e9 / 3e8 + 1, rel=1e-12)
 
 
 def test_antenna_boundary_matches_brute_force_largest_n():
@@ -224,7 +224,7 @@ def test_threshold_lower_bound_is_angle_one_limit():
     geom = make_geom(64, 7e9)
     grid = CarrierGrid.from_bandwidth(300e6, 64)
     report = boundary_report(geom, grid, make_path(theta=0.9, d=40.0), THR)
-    assert report.bounds["near_threshold"].lower == pytest.approx(1.25, rel=1e-12)
+    assert report.bounds["near_field_threshold"].lower == pytest.approx(1.25, rel=1e-12)
 
 
 def test_threshold_matches_smallest_n_scan():
@@ -242,7 +242,7 @@ def test_threshold_at_broadside_equals_its_upper_bound():
     a1 = geom.spacing_m * geom.spacing_m / 4
     a5 = (ka_c * ka_c + 4 * ka_c * 40.0 * 7e9) / (4 * 7e9 * 7e9)
     assert report.near_field_threshold == pytest.approx(math.sqrt(a5 / a1) + 1, rel=1e-9)
-    assert report.bounds["near_threshold"].upper == pytest.approx(
+    assert report.bounds["near_field_threshold"].upper == pytest.approx(
         math.sqrt(a5 / a1) + 1, rel=1e-12
     )
 
@@ -368,11 +368,11 @@ def test_bound_sandwich_holds_for_all_rows(seed):
         grid = CarrierGrid.from_bandwidth(b, 16)
         report = boundary_report(geom, grid, make_path(theta=theta, d=d), THR)
         values = {
-            "freq_near": report.freq_boundary_near_hz,
-            "antenna_near": report.antenna_boundary_near,
-            "freq_far": report.freq_boundary_far_hz,
-            "antenna_far": report.antenna_boundary_far,
-            "near_threshold": report.near_field_threshold,
+            "freq_boundary_near_hz": report.freq_boundary_near_hz,
+            "antenna_boundary_near": report.antenna_boundary_near,
+            "freq_boundary_far_hz": report.freq_boundary_far_hz,
+            "antenna_boundary_far": report.antenna_boundary_far,
+            "near_field_threshold": report.near_field_threshold,
         }
         for name, value in values.items():
             bound = report.bounds[name]

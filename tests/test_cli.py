@@ -22,14 +22,6 @@ from squintlab import (
 )
 from squintlab.cli import cli_main
 
-_BOUND_NAMES = {
-    "freq_near": "freq_boundary_near_hz",
-    "antenna_near": "antenna_boundary_near",
-    "freq_far": "freq_boundary_far_hz",
-    "antenna_far": "antenna_boundary_far",
-    "near_threshold": "near_field_threshold",
-}
-
 
 def invoke(capsys, argv):
     code = cli_main(argv)
@@ -52,7 +44,7 @@ def expected_report_json(config, path):
         "near_field_threshold": jsonable(report.near_field_threshold),
     }
     out["bounds"] = {
-        _BOUND_NAMES[key]: {"lower": jsonable(b.lower), "upper": jsonable(b.upper)}
+        key: {"lower": jsonable(b.lower), "upper": jsonable(b.upper)}
         for key, b in report.bounds.items()
     }
     return out

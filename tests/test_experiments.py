@@ -101,23 +101,29 @@ def test_unknown_experiment_lists_known_names():
 
 
 @pytest.mark.parametrize("raw, expected", [("1", 1), ("3", 3), ("17", 17)])
-def test_thread_count_from_env(raw, expected):
-    assert resolve_threads({"SQUINTLAB_THREADS": raw}) == expected
+def test_thread_count_from_env(raw, expected, monkeypatch):
+    monkeypatch.setenv("SQUINTLAB_THREADS", raw)
+    assert resolve_threads() == expected
 
 
 @pytest.mark.parametrize("env", [{}, {"SQUINTLAB_THREADS": "0"}])
-def test_thread_count_auto(env):
-    assert resolve_threads(env) >= 1
+def test_thread_count_auto(env, monkeypatch):
+    monkeypatch.delenv("SQUINTLAB_THREADS", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert resolve_threads() >= 1
 
 
-def test_thread_count_rejects_garbage():
+def test_thread_count_rejects_garbage(monkeypatch):
+    monkeypatch.setenv("SQUINTLAB_THREADS", "many")
     with pytest.raises(ValueError, match="integer"):
-        resolve_threads({"SQUINTLAB_THREADS": "many"})
+        resolve_threads()
 
 
-def test_thread_count_rejects_negative():
+def test_thread_count_rejects_negative(monkeypatch):
+    monkeypatch.setenv("SQUINTLAB_THREADS", "-1")
     with pytest.raises(ValueError, match="nonnegative"):
-        resolve_threads({"SQUINTLAB_THREADS": "-1"})
+        resolve_threads()
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +450,7 @@ def test_subband_path_sweep_counts_infeasibility_per_axis_point():
         feasible[float(l_n)] = 0
         for trial in range(cfg.trials):
             try:
-                users, plan = _allocate_adaptive(cfg.replace(num_near_paths=l_n),
-                                                 trial, cfg.num_subarrays)
+                users, plan = _allocate_adaptive(cfg.replace(num_near_paths=l_n), trial)
                 for subband in plan.subbands:
                     plan_antenna_slices(geom, grid, users[subband.user], thr)
             except InfeasiblePlanError:
@@ -513,7 +518,7 @@ def test_desk_scale_multiuser_trials_run_one_tone_sub_bands():
     cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64, seed=42)
     served, widths = [], []
     for trial in range(20):
-        _, plan = _allocate_adaptive(cfg, trial, cfg.num_subarrays)
+        _, plan = _allocate_adaptive(cfg, trial)
         served.append(len(plan.subbands))
         widths += plan.user_subcarriers
     assert served == [64] * 20
@@ -524,7 +529,7 @@ def test_mixed_width_config_realizes_several_sub_band_widths():
     cfg = mixed_width_config()
     widths = set()
     for trial in range(4):
-        _, plan = _allocate_adaptive(cfg, trial, cfg.num_subarrays)
+        _, plan = _allocate_adaptive(cfg, trial)
         widths |= set(plan.user_subcarriers)
     assert len(widths) > 1
 

@@ -310,7 +310,7 @@ def test_precoder_sets_match_the_experiment_amplitudes(cfg, trial):
     # every user's library precoder sets, built one user at a time, give the
     # amplitudes the batched multiuser trial computes for its subcarriers
     geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
-    amps, plan, _ = _fs_trial_amps(cfg, trial, cfg.num_subarrays)
+    amps, plan, _ = _fs_trial_amps(cfg, trial)
     users = sample_user_paths(cfg, trial, len(plan.subbands))
     for subband in plan.subbands:
         user = users[subband.user]
@@ -344,8 +344,8 @@ def test_one_batch_trial_equals_the_chunked_loop_bit_for_bit(cfg):
     # the served users' sub-bands partition the band, so the whole trial is
     # one batch; it must give the chunk-of-16 loop's amplitudes in every bit
     for trial in range(10):
-        amps, _, _ = _fs_trial_amps(cfg, trial, cfg.num_subarrays)
-        want = oracles.chunked_fs_amps(cfg, trial, cfg.num_subarrays)
+        amps, _, _ = _fs_trial_amps(cfg, trial)
+        want = oracles.chunked_fs_amps(cfg, trial)
         assert amps.keys() == want.keys()
         for scheme, values in want.items():
             assert np.array_equal(amps[scheme].view(np.uint64), values.view(np.uint64)), \
@@ -354,8 +354,8 @@ def test_one_batch_trial_equals_the_chunked_loop_bit_for_bit(cfg):
 
 def test_one_batch_full_scale_trial_equals_the_chunked_loop_bit_for_bit():
     cfg = ScenarioConfig(num_antennas=1024, num_subcarriers=256, seed=3)
-    amps, plan, _ = _fs_trial_amps(cfg, 0, cfg.num_subarrays)
-    want = oracles.chunked_fs_amps(cfg, 0, cfg.num_subarrays)
+    amps, plan, _ = _fs_trial_amps(cfg, 0)
+    want = oracles.chunked_fs_amps(cfg, 0)
     assert len(plan.subbands) > 16
     for scheme, values in want.items():
         assert np.array_equal(amps[scheme].view(np.uint64), values.view(np.uint64)), scheme

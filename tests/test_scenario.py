@@ -192,8 +192,8 @@ def test_sampled_paths_equal_uniform_draws_bit_for_bit(seed, trial, users, near,
                 for model, scale in kinds]
 
     rng = RngStream(seed, trial).generator()
-    want = [oracle(rng, 1) for _ in range(users)]
-    got = [[_path_bits(p) for p in user] for user in sample_user_paths(cfg, trial, users, 1)]
+    want = [oracle(rng, 0) for _ in range(users)]
+    got = [[_path_bits(p) for p in user] for user in sample_user_paths(cfg, trial, users)]
     assert got == want
     rng = RngStream(seed, trial).generator()
     assert [_path_bits(p) for p in sample_scenario(cfg, trial)] == oracle(rng, far)

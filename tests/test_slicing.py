@@ -407,7 +407,7 @@ def test_default_scenario_subband_letter_is_infeasible():
     # subcarrier, so eight users cannot cover 256 of them
     cfg = ScenarioConfig()
     geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
-    users = sample_user_paths(cfg, 0)
+    users = sample_user_paths(cfg, 0, cfg.num_users)
     with pytest.raises(InfeasiblePlanError) as err:
         allocate_subbands(users, geom, grid, thr, cfg.num_subarrays)
     assert sum(err.value.details["caps"]) < grid.num_subcarriers
@@ -416,7 +416,7 @@ def test_default_scenario_subband_letter_is_infeasible():
 def test_single_path_users_at_default_scale_get_a_compliant_plan():
     cfg = dataclasses.replace(ScenarioConfig(), num_near_paths=1)
     geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
-    users = sample_user_paths(cfg, 0)
+    users = sample_user_paths(cfg, 0, cfg.num_users)
     plan = allocate_subbands(users, geom, grid, thr, cfg.num_subarrays)
     assert sum(plan.user_subcarriers) == grid.num_subcarriers
     assert sum(sb.bandwidth_hz for sb in plan.subbands) == pytest.approx(grid.bandwidth_hz, rel=1e-12)
@@ -478,7 +478,7 @@ def test_allocator_input_validation():
 
 def test_allocator_is_deterministic():
     cfg = dataclasses.replace(ScenarioConfig(), num_near_paths=1)
-    users = sample_user_paths(cfg, 5)
+    users = sample_user_paths(cfg, 5, cfg.num_users)
     a = allocate_subbands(users, cfg.geometry(), cfg.grid(), cfg.thresholds(), 8)
     b = allocate_subbands(users, cfg.geometry(), cfg.grid(), cfg.thresholds(), 8)
     assert a == b

@@ -1,15 +1,17 @@
 """Steering vectors and channel synthesis against 2-D coordinate oracles."""
 
 import ast
-import io
+import importlib
+import inspect
 import math
 import re
 from collections import Counter
+from dataclasses import MISSING
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -376,16 +378,43 @@ def test_benchmark_names_exist_in_the_package():
                          (cli, "cli_main")):
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
+    # every call to an imported package name binds to its signature
+    unbound, calls = [], 0
+    for path in sorted(_PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name:
+                    getattr(importlib.import_module(node.module), alias.name)
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("squintlab") for alias in node.names}
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and callable(imported.get(call.func.id))):
+                continue
+            signature = inspect.signature(imported[call.func.id])
+            args = [None for arg in call.args if not isinstance(arg, ast.Starred)]
+            kwargs = {k.arg: None for k in call.keywords if k.arg is not None}
+            unpacked = len(args) < len(call.args) or len(kwargs) < len(call.keywords)
+            try:
+                (signature.bind_partial if unpacked else signature.bind)(*args, **kwargs)
+            except TypeError as exc:
+                unbound.append(f"{path.name}:{call.lineno} {ast.unparse(call.func)}: {exc}")
+            calls += 1
+    assert calls > 20 and unbound == []
+
 
 def _attribute_reads(node) -> Counter:
     return Counter(sub.attr for sub in ast.walk(node)
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(ast.unparse(dec).startswith("dataclass") for dec in cls.decorator_list)
+
+
 def _public_members(cls: ast.ClassDef):
     """(name, node) of a class's public methods and properties and, for a
     dataclass, its annotated fields."""
-    dataclass = any(ast.unparse(dec).startswith("dataclass") for dec in cls.decorator_list)
+    dataclass = _is_dataclass(cls)
     for node in cls.body:
         if isinstance(node, ast.FunctionDef):
             name = node.name
@@ -432,6 +461,93 @@ def test_every_public_definition_has_a_caller():
         cls, member = key.split(".")
         owner = getattr(squintlab, cls)
         assert hasattr(owner, member) or member in owner.__dataclass_fields__, key
+
+
+#: defaulted parameters and dataclass fields kept although no call in the
+#: package or the benchmark sets them
+_UNSET_PARAMETERS = {
+    "ArrayGeometry.spacing_m": "a physical parameter, which the geometry property tests "
+                               "push far beyond the half-wavelength default",
+    "ArrayGeometry.wave_speed": "a physical parameter, which the geometry property tests "
+                                "push far beyond the vacuum light speed",
+}
+
+
+def _defaulted_parameters(tree):
+    """(key, callee name, position, name) of every defaulted parameter of a function
+    or method, and of every defaulted dataclass field, in one module.
+
+    A field's callee is its class; so is the callee of an ``__init__``'s
+    parameters. A method's positions do not count self or cls; a
+    keyword-only parameter has position None.
+    """
+    methods = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        fields = [node for node in cls.body if _is_dataclass(cls)
+                  and isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        for i, field in enumerate(fields):
+            if field.value is not None:
+                yield f"{cls.name}.{field.target.id}", cls.name, i, field.target.id
+        methods.update({node: cls.name for node in cls.body if isinstance(node, ast.FunctionDef)
+                        and "staticmethod" not in map(ast.unparse, node.decorator_list)})
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        owner = methods.get(fn)
+        key = fn.name if owner is None else f"{owner}.{fn.name}"
+        callee = owner if fn.name == "__init__" else fn.name
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        skip = owner is not None
+        for i, arg in enumerate(positional[first:], start=first - skip):
+            yield f"{key}.{arg.arg}", callee, i, arg.arg
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield f"{key}.{arg.arg}", callee, None, arg.arg
+
+
+def _calls(tree):
+    """(callee name, call) of every call in one module; ``cls(...)`` in a class names it."""
+    named = {call: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for call in ast.walk(cls) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name) and call.func.id == "cls"}
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            func = call.func
+            name = named.get(call) or getattr(func, "id", None) or getattr(func, "attr", None)
+            if name is not None:
+                yield name, call
+
+
+def _sets(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether a call passes the parameter: by keyword, by position, or by unpacking."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(keyword.arg in (None, name) for keyword in call.keywords)
+            or position is not None and position < len(call.args))
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    # a call in the package or the benchmark, matched by name, sets a
+    # defaulted parameter when it names it as a keyword, covers its position
+    # or unpacks *args or **kwargs; a class call maps to the class's
+    # __init__ or its dataclass fields. A default that only tests change is
+    # a knob with no caller
+    package = [ast.parse(path.read_text()) for path in sorted(_PACKAGE.glob("*.py"))]
+    benchmark = [ast.parse(path.read_text()) for path in sorted(_PERFBENCH.glob("*.py"))]
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in package + benchmark:
+        for name, call in _calls(tree):
+            calls.setdefault(name, []).append(call)
+    unset = [key for tree in package
+             for key, callee, position, name in _defaulted_parameters(tree)
+             if key not in _UNSET_PARAMETERS
+             and not any(_sets(call, position, name) for call in calls.get(callee, []))]
+    assert unset == [], f"no call in src/ or perfbench/ sets: {unset}"
+    for key in _UNSET_PARAMETERS:
+        cls, field = key.split(".")
+        assert getattr(squintlab, cls).__dataclass_fields__[field].default is not MISSING, key
 
 
 # the batch axis: wide geometry, every field model, bit-equal to one path at a time
@@ -489,10 +605,20 @@ def test_per_column_path_phases_equal_single_path_calls(num_antennas, model, dra
                               equal_nan=True)
 
 
+def direct_column(geom, grid, paths, m, model=None):
+    """Channel column m as the direct terms gain * exp(j phase), summed in path order."""
+    freq_dev = (grid.subcarrier_offsets() * grid.subcarrier_spacing_hz)[m:m + 1]
+    out = np.zeros(geom.num_antennas, dtype=np.complex128)
+    for path in paths:
+        out += oracles.exp_path_term(path.gain,
+                                     path_phases(geom, path, freq_dev, model=model)[:, 0])
+    return out
+
+
 @pytest.mark.parametrize("num_antennas,widths", [(48, [1, 4, 2, 3, 2]), (1024, [1] * 16)])
 def test_batched_channel_columns_equal_each_users_channel(num_antennas, widths):
     # several users' columns in one call: each path slot indexed by the
-    # column's user, bit-equal to building each user's channel on its own;
+    # column's user, bit-equal to each user's own direct column terms;
     # 1024 x 16 complex entries fill 256 KiB, where numpy starts to multiply
     # temporaries in place, in the other operand order
     geom = make_geom(num_antennas)
@@ -505,30 +631,26 @@ def test_batched_channel_columns_equal_each_users_channel(num_antennas, widths):
                             FieldModel.NARROWBAND_NEAR)]
              for _ in widths]
     owners = np.repeat(np.arange(len(widths)), widths)
-    idx = np.arange(grid.num_subcarriers)[::-1]
     slots = [slot[owners] for slot in path_slots(users)]
-    cols = channel_columns(geom, grid, slots, subcarrier_indices=idx)
-    for j, (user, m) in enumerate(zip(owners, idx)):
-        one = channel_columns(geom, grid, users[user], subcarrier_indices=[m])
-        assert np.array_equal(cols[:, j], one[:, 0])
-    forced = channel_columns(geom, grid, slots, "far", idx)
-    assert np.array_equal(forced[:, 0],
-                          channel_columns(geom, grid, users[0], "far", idx[:1])[:, 0])
+    cols = channel_columns(geom, grid, slots)
+    for m, user in enumerate(owners):
+        assert np.array_equal(cols[:, m], direct_column(geom, grid, users[user], m))
+    forced = channel_columns(geom, grid, slots, "far")
+    assert np.array_equal(forced[:, 0], direct_column(geom, grid, users[0], 0, FieldModel.FAR))
     with pytest.raises(ValueError, match="field models"):
         path_slots([users[0], users[1][::-1]])
 
 
-@pytest.mark.parametrize("columns", [[0, 1, 2], [0, 1, 2, 3, 4], None])
-def test_batched_channel_columns_need_one_path_per_column(columns):
+@pytest.mark.parametrize("num_subcarriers", [3, 5, 12])
+def test_batched_channel_columns_need_one_path_per_column(num_subcarriers):
     # a batch must not broadcast one user over columns it does not own
-    geom, grid = make_geom(8), CarrierGrid.from_bandwidth(300e6, 12)
+    geom, grid = make_geom(8), CarrierGrid.from_bandwidth(300e6, num_subcarriers)
     users = [[make_path(theta=0.1 * k)] for k in range(4)]
     slots = [slot[[0, 1, 2, 3]] for slot in path_slots(users)]
     with pytest.raises(ValueError, match="one path per column"):
-        channel_columns(geom, grid, slots, subcarrier_indices=columns)
+        channel_columns(geom, grid, slots)
     with pytest.raises(ValueError, match="one path per column"):
-        channel_columns(geom, grid, [path_slots(users)[0][:1]],
-                        subcarrier_indices=[0, 1])
+        channel_columns(geom, grid, [path_slots(users)[0][:1]])
 
 
 def test_delay_steering_center_subcarrier_is_one():
@@ -625,6 +747,27 @@ def test_squint_entries_match_oracle_phases_beyond_wrapping():
     offs = np.array(oracles.subcarrier_offsets(64))
     phases = 2 * math.pi / SPEED_OF_LIGHT * grid.subcarrier_spacing_hz * np.outer(spread, offs)
     assert np.allclose(q, np.exp(1j * phases), atol=1e-12)
+
+
+def test_squint_phases_carry_the_range_deviation_free_of_cancellation():
+    # d_n - d is formed as (d_n^2 - d^2) / (d_n + d), not as a difference of
+    # two ranges of up to 2 km: the squint phase of a 1 Hz offset recovers it
+    # within 1e-14 of max |d_n - d| (about 6e-16 over these draws; the
+    # difference of the two float64 ranges reads about 2.6e-11)
+    rng = np.random.default_rng(2028)
+    worst = 0.0
+    for _ in range(400):
+        n, d = int(rng.integers(2, 2049)), rng.uniform(0.5, 2000.0)
+        theta = rng.uniform(-0.99, 0.99)
+        geom = make_geom(n)
+        q = beam_squint_matrix(geom, CarrierGrid(2, 1.0), make_path(theta=theta, d=d))
+        got = np.angle(q[:, 1]) / (2.0 * math.pi / SPEED_OF_LIGHT * 0.5)
+        ld = np.longdouble
+        x = (np.arange(n, dtype=ld) - ld(n - 1) / 2) * ld(geom.spacing_m)
+        excess = x * x - 2 * ld(d) * x * ld(theta)
+        want = excess / (np.sqrt(ld(d) * ld(d) + excess) + ld(d))
+        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    assert worst <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -741,40 +884,26 @@ _DIRECT_MAX_ERROR = 2.171
 _FIELDS = {FieldModel.WIDEBAND_NEAR: "wn", FieldModel.NARROWBAND_NEAR: "nn", FieldModel.FAR: "far"}
 
 
-@st.composite
-def _requested_columns(draw):
-    """(M, indices): every subcarrier, a contiguous run, a strided run or an uneven subset."""
-    m = draw(st.integers(1, 300))
-    kind = draw(st.sampled_from(["all", "contiguous", "strided", "uneven"]))
-    if kind == "all":
-        return m, None
-    if kind == "contiguous":
-        start = draw(st.integers(0, m - 1))
-        return m, list(range(start, draw(st.integers(start + 1, m))))
-    if kind == "strided":
-        return m, list(range(m))[::draw(st.sampled_from([-3, -2, -1, 2, 3]))]
-    return m, draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
-
-
 @settings(max_examples=100, deadline=None)
-@given(num_antennas=st.integers(1, 2048), columns=_requested_columns(),
+@given(num_antennas=st.integers(1, 2048), num_subcarriers=st.integers(1, 300),
        bandwidth=st.floats(1e6, 1e9), model=st.sampled_from(FieldModel),
        theta=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
        d=st.floats(0.5, 200.0), r=st.floats(0.0, 200.0),
        gain_db=st.floats(-40.0, 40.0), gain_angle=st.floats(-math.pi, math.pi))
+@example(num_antennas=2048, num_subcarriers=3, bandwidth=1e9, model=FieldModel.WIDEBAND_NEAR,
+         theta=0.9, d=0.5, r=200.0, gain_db=40.0, gain_angle=1.0)
 def test_blocked_path_terms_are_as_accurate_as_direct_phasors(
-        num_antennas, columns, bandwidth, model, theta, d, r, gain_db, gain_angle):
+        num_antennas, num_subcarriers, bandwidth, model, theta, d, r, gain_db, gain_angle):
     # against a long-double evaluation of the same phase, a blocked term is off
     # by no more than the largest error measured for the direct form; a term
-    # built in blocks of one (uneven or fewer than 4 columns) is the direct
-    # form in every bit
-    num_subcarriers, idx = columns
+    # built in blocks of one (fewer than 4 columns) is the direct form in
+    # every bit
     geom = ArrayGeometry(num_antennas, 7e9)
     grid = CarrierGrid.from_bandwidth(bandwidth, num_subcarriers)
     gain = 10.0 ** (gain_db / 20.0) * complex(math.cos(gain_angle), math.sin(gain_angle))
     path = PathParams(gain, theta, d, r, model)
-    cols = np.arange(num_subcarriers) if idx is None else np.asarray(idx)
-    got = channel_columns(geom, grid, [path], subcarrier_indices=idx)
+    cols = np.arange(num_subcarriers)
+    got = channel_columns(geom, grid, [path])
     drawn = (theta, d, r, _FIELDS[model], num_antennas, num_subcarriers,
              grid.subcarrier_spacing_hz, cols, 7e9, geom.spacing_m)
     re, im = oracles.path_term_longdouble(gain, *drawn)
@@ -782,8 +911,8 @@ def test_blocked_path_terms_are_as_accurate_as_direct_phasors(
                             got.imag.astype(np.longdouble) - im))
     unit = abs(gain) * np.finfo(np.float64).eps * oracles.phase_rounding_scale(*drawn)
     assert error / unit <= _DIRECT_MAX_ERROR
-    if math.isqrt(cols.size) == 1 or len(set(np.diff(cols))) != 1:
-        freq_dev = (grid.subcarrier_offsets() * grid.subcarrier_spacing_hz)[cols]
+    if math.isqrt(num_subcarriers) == 1:
+        freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
         direct = np.zeros_like(got)
         direct += oracles.exp_path_term(gain, path_phases(geom, path, freq_dev))
         assert np.array_equal(got.view(np.uint64), direct.view(np.uint64))
@@ -810,18 +939,6 @@ def test_near_carrier_error_does_not_grow_with_the_scatterer_distance(model):
         worst = max(worst, float(np.max(np.hypot(got.real.astype(np.longdouble) - re,
                                                   got.imag.astype(np.longdouble) - im))))
     assert worst <= 3e-12
-
-
-def test_channel_columns_subset_matches_full_matrix():
-    geom = make_geom(16)
-    grid = CarrierGrid.from_bandwidth(400e6, 32)
-    paths = [make_path(theta=0.25, d=45.0, r=12.0)]
-    full = channel_columns(geom, grid, paths)
-    idx = [0, 3, 31]
-    sub = channel_columns(geom, grid, paths, subcarrier_indices=idx)
-    assert np.allclose(sub, full[:, idx], atol=1e-15)
-    with pytest.raises(ValueError):
-        channel_columns(geom, grid, paths, subcarrier_indices=[32])
 
 
 # ---------------------------------------------------------------------------
@@ -898,24 +1015,27 @@ def test_dump_round_trip_preserves_entries(tmp_path):
     assert np.array_equal(back, tensor.entries)
 
 
-def test_dump_header_layout():
+def test_dump_header_layout(tmp_path):
     geom = make_geom(3)
     grid = CarrierGrid(2, 1e6)
     tensor = synth_channel(geom, grid, [make_path()])
-    buf = io.BytesIO()
-    write_channel_dump(tensor, buf)
-    raw = buf.getvalue()
+    dest = tmp_path / "channel.bin"
+    write_channel_dump(tensor, dest)
+    raw = dest.read_bytes()
     assert raw[:4] == b"SQNT"
     assert int.from_bytes(raw[6:10], "little") == 3
     assert int.from_bytes(raw[10:14], "little") == 2
     assert len(raw) == 16 + 16 * 3 * 2
 
 
-def test_dump_rejects_corrupt_streams():
+def test_dump_rejects_corrupt_streams(tmp_path):
+    junk, short = tmp_path / "junk.bin", tmp_path / "short.bin"
+    junk.write_bytes(b"JUNK" + b"\x00" * 12)
+    short.write_bytes(b"SQNT")
     with pytest.raises(ValueError):
-        read_channel_dump(io.BytesIO(b"JUNK" + b"\x00" * 12))
+        read_channel_dump(junk)
     with pytest.raises(ValueError):
-        read_channel_dump(io.BytesIO(b"SQNT"))
+        read_channel_dump(short)
 
 
 def test_tensor_shape_is_validated():
