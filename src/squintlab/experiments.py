@@ -3,10 +3,12 @@
 Each experiment draws per-trial channels from counter-based substreams, runs a
 fixed set of precoding schemes, and averages spectral efficiency over trials in
 ascending-trial order, so the emitted CSV is byte-identical for any worker
-count. One reducer serves every Monte Carlo experiment: an axis point whose
-slicing plan is infeasible in a trial is skipped and counted per axis point in
-the result metadata; the trials kept at a point still form a paired comparison
-because every scheme sees the same draws.
+count. The worker pool runs chunks of consecutive trials, and a chunk of
+single links is evaluated as one batch. One reducer serves every Monte Carlo
+experiment: an axis point whose slicing plan is infeasible in a trial is
+skipped and counted per axis point in the result metadata; the trials kept at
+a point still form a paired comparison because every scheme sees the same
+draws.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .boundaries import BoundaryTable, boundary_table
 from .precoding import (
     Scheme,
     narrowband_beams,
-    narrowband_mrt,
     normalized_array_gain,
     owner_gain_amplitudes,
     power_for_snr_db,
@@ -67,6 +68,10 @@ _GAIN_MAP_CURVES = (
     (0.1, 20.0), (0.3, 20.0), (0.5, 20.0), (0.8, 20.0),
     (0.1, 10.0), (0.1, 50.0), (0.1, 100.0),
 )
+#: channel bytes of one pool task's chunk of link draws (see _trials_per_task):
+#: three 256 x 64 trials, one 1024 x 256 trial. A worker holds about twice its
+#: chunk's channel at once, so the budget bounds the memory batching adds
+_CHUNK_BYTES = 768 << 10
 
 
 def resolve_threads() -> int:
@@ -84,7 +89,7 @@ def resolve_threads() -> int:
 
 
 def _map_trials(trials: int, fn: Callable[[int], object]) -> list:
-    """Run fn(0..trials-1), possibly concurrently, collecting in trial order."""
+    """Run fn(0..trials-1), possibly concurrently, collecting in index order."""
     workers = min(resolve_threads(), trials)
     if workers <= 1:
         return [fn(t) for t in range(trials)]
@@ -166,9 +171,12 @@ def _finite_min(values: np.ndarray) -> float | None:
     return min((v for v in values.tolist() if v < np.inf), default=None)
 
 
-def _binding_boundaries(table: BoundaryTable) -> tuple[float | None, float | None]:
-    """Most restrictive near-mode boundaries over a draw's near-field paths."""
-    return _finite_min(table.freq[table.near]), _finite_min(table.antenna[table.near])
+def _binding_boundaries(
+    table: BoundaryTable, rows: int | slice = slice(None),
+) -> tuple[float | None, float | None]:
+    """Most restrictive near-mode boundaries over the near-field paths of ``rows``."""
+    near = table.near[rows]
+    return _finite_min(table.freq[rows][near]), _finite_min(table.antenna[rows][near])
 
 
 def _mean_or_none(values: Sequence[float | None]) -> float | None:
@@ -196,25 +204,31 @@ def _antenna_slicing_amps(
                                  owners, cols)
 
 
-def _single_link_amps(
+def _link_amps(
     geom: ArrayGeometry,
-    paths: Sequence[PathParams],
-    entries: np.ndarray,
+    draws: Sequence[Sequence[PathParams]],
+    cols: np.ndarray,
     table: BoundaryTable,
 ) -> dict[str, np.ndarray]:
-    """Per-subcarrier beamforming amplitudes |f^H h| for the three schemes.
+    """Per-subcarrier beamforming amplitudes |f^H h| of T link draws, per scheme.
 
-    ``table`` is the draw's one-row :func:`boundary_table`. Antenna slicing is
-    the one-user case of the multiuser batch: every column belongs to user 0.
-    Raises InfeasiblePlanError when no slicing plan exists for the draw.
+    The draws are T users of the multiuser batch, each owning its own M
+    columns: ``cols`` is their N x (T M) channel, as :func:`channel_columns`
+    builds it from their path slots, and ``table`` their T-row
+    :func:`boundary_table`. Every scheme's amplitudes run over the T M
+    columns. The baseline takes one BLAS product per draw, which rounds as
+    ``beam.conj() @ entries`` of the draw alone. Raises the first infeasible
+    draw's InfeasiblePlanError.
     """
-    owners = np.zeros(entries.shape[1], dtype=np.intp)
-    beam = narrowband_mrt(geom, paths)
+    count = len(draws)
+    owners = np.repeat(np.arange(count), cols.shape[1] // count)
+    beams = narrowband_beams(geom, draws)
+    per_draw = cols.reshape(cols.shape[0], count, -1).transpose(1, 0, 2)
     return {
-        Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, [paths], table, owners,
-                                                            entries),
-        Scheme.NARROWBAND_BASELINE.value: np.abs(beam.conj() @ entries),
-        Scheme.OPTIMAL.value: np.linalg.norm(entries, axis=0),
+        Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, draws, table, owners, cols),
+        Scheme.NARROWBAND_BASELINE.value:
+            np.abs(np.matmul(beams.conj()[:, None, :], per_draw)).ravel(),
+        Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=0),
     }
 
 
@@ -266,20 +280,24 @@ def _sweep(
     axis_name: str,
     axis_values: Sequence[float],
     schemes: Sequence[Scheme],
-    trial_fn: Callable[[int], list],
+    trial_fn: Callable[[range], list],
+    chunk: int,
 ) -> SweepResult:
     """The one reducer: per axis point, average over the trials feasible there.
 
-    ``trial_fn(trial)`` returns one entry per axis point: None when that
-    point's plan is infeasible, else (SE per scheme, (b, n) boundary columns,
-    users served). A trial_fn raising InfeasiblePlanError voids every point of
-    that trial. Trials reduce in ascending order for any worker count.
+    ``trial_fn(trials)`` evaluates a range of at most ``chunk`` consecutive
+    trials, one range per pool task, and returns one item per trial: None to
+    void every point of the trial, else one entry per axis point. An entry is
+    None when that point's plan is infeasible, else (SE per scheme, (b, n)
+    boundary columns, users served). Trials reduce in ascending order for any
+    worker count.
     """
 
-    def entries(trial: int) -> list:
-        return _feasible(trial_fn, trial) or [None] * len(axis_values)
+    def task(index: int) -> list:
+        return trial_fn(range(index * chunk, min((index + 1) * chunk, config.trials)))
 
-    results = _map_trials(config.trials, entries)
+    results = [entries or [None] * len(axis_values)
+               for part in _map_trials(-(-config.trials // chunk), task) for entries in part]
     rows, completed, users = [], {}, []
     for i, value in enumerate(map(float, axis_values)):
         kept = [r[i] for r in results if r[i] is not None]
@@ -353,17 +371,20 @@ def _fixed_geometry_trial(
 
     def point(path, power, geom, grid, cols):
         entries = channel_columns(geom, grid, [path])
-        amps = _single_link_amps(geom, [path], entries,
-                                 boundary_table(geom, grid, thr, [[path]]))
+        amps = _link_amps(geom, [[path]], entries,
+                          boundary_table(geom, grid, thr, [[path]]))
         return _mean_se(amps, _AS_SCHEMES, (grid.num_subcarriers,), [power],
                         config.noise_power)[0], cols, 1
 
-    def trial_fn(trial: int) -> list:
-        gain = _sweep_trial_gain(config, trial)
-        path = PathParams(gain, _SWEEP_THETA, _SWEEP_DISTANCE_M, _SWEEP_RANGE_M)
-        power = power_for_snr_db(config.snr_db, gain, config.noise_power)
-        return [_feasible(point, path, power, *axis_point)
-                for axis_point in zip(geoms, grids, boundary_cols)]
+    def trial_fn(trials: range) -> list:
+        out = []
+        for trial in trials:
+            gain = _sweep_trial_gain(config, trial)
+            path = PathParams(gain, _SWEEP_THETA, _SWEEP_DISTANCE_M, _SWEEP_RANGE_M)
+            power = power_for_snr_db(config.snr_db, gain, config.noise_power)
+            out.append([_feasible(point, path, power, *axis_point)
+                        for axis_point in zip(geoms, grids, boundary_cols)])
+        return out
 
     return trial_fn
 
@@ -377,7 +398,7 @@ def _experiment_sweep_bandwidth(config: ScenarioConfig) -> SweepResult:
     cols = [(b_ref, float(boundary_table(geom, grid, thr, [[ref_path]]).antenna[0, 0]))
             for grid in grids]
     trial_fn = _fixed_geometry_trial(config, [geom] * len(axis), grids, cols)
-    return _sweep(config, "sweep-bandwidth", "bandwidth_hz", axis, _AS_SCHEMES, trial_fn)
+    return _sweep(config, "sweep-bandwidth", "bandwidth_hz", axis, _AS_SCHEMES, trial_fn, 1)
 
 
 def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
@@ -394,7 +415,7 @@ def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
     cols = [(float(boundary_table(g, ref_grid, thr, [[ref_path]]).freq[0, 0]), n_ref)
             for g in geoms]
     trial_fn = _fixed_geometry_trial(config, geoms, [config.grid()] * len(axis_n), cols)
-    return _sweep(config, "sweep-antennas", "num_antennas", axis_n, _AS_SCHEMES, trial_fn)
+    return _sweep(config, "sweep-antennas", "num_antennas", axis_n, _AS_SCHEMES, trial_fn, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +423,29 @@ def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _link_draw(config: ScenarioConfig, trial: int):
-    """Amplitudes, sub-band widths (M,) and binding boundary columns of one link draw."""
+def _link_draws(config: ScenarioConfig, trials: range) -> list:
+    """Per trial: amplitudes, sub-band widths (M,) and binding boundary columns of
+    its link draw, or None when the draw's slicing plan is infeasible.
+
+    The trials' draws are one batch: one boundary table, one channel and one
+    :func:`_link_amps` call. When the batch holds an infeasible draw, each
+    draw is evaluated again on its own columns of the channel.
+    """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
-    paths = sample_scenario(config, trial)
-    table = boundary_table(geom, grid, thr, [paths])
-    amps = _single_link_amps(geom, paths, channel_columns(geom, grid, paths), table)
-    return amps, (grid.num_subcarriers,), _binding_boundaries(table)
+    m = grid.num_subcarriers
+    draws = [sample_scenario(config, trial) for trial in trials]
+    table = boundary_table(geom, grid, thr, draws)
+    cols = channel_columns(geom, grid, [slot[:, None] for slot in path_slots(draws)])
+    try:
+        batch = _link_amps(geom, draws, cols, table)
+        amps = [{scheme: values[t * m:(t + 1) * m] for scheme, values in batch.items()}
+                for t in range(len(draws))]
+    except InfeasiblePlanError:
+        amps = [_feasible(_link_amps, geom, [paths], cols[:, t * m:(t + 1) * m],
+                          boundary_table(geom, grid, thr, [paths]))
+                for t, paths in enumerate(draws)]
+    return [None if a is None else (a, (m,), _binding_boundaries(table, t))
+            for t, a in enumerate(amps)]
 
 
 def _allocate_adaptive(config: ScenarioConfig, trial: int):
@@ -465,16 +502,31 @@ def _fs_draw(config: ScenarioConfig, trial: int):
     return amps, plan.user_subcarriers, bounds
 
 
+def _fs_draws(config: ScenarioConfig, trials: range) -> list:
+    """Per trial: its multiuser draw, or None when no plan is feasible."""
+    return [_feasible(_fs_draw, config, trial) for trial in trials]
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo experiments: one builder per axis, each over a draw
 # ---------------------------------------------------------------------------
 
 
-def _se_point(config: ScenarioConfig, draw: Callable, schemes: Sequence[Scheme], trial: int):
-    """Reducer entry of one draw at the configured power."""
-    amps, widths, bounds = draw(config, trial)
-    se = _mean_se(amps, schemes, widths, [config.power], config.noise_power)[0]
-    return se, bounds, len(widths)
+def _trials_per_task(config: ScenarioConfig, draw: Callable) -> int:
+    """Trials one pool task evaluates: as many link draws as fit _CHUNK_BYTES of
+    N x (T M) channel, at least one; a multiuser draw already batches its users,
+    so it runs one trial per task."""
+    if draw is _fs_draws:
+        return 1
+    return max(1, _CHUNK_BYTES // (16 * config.num_antennas * config.num_subcarriers))
+
+
+def _each_draw(config: ScenarioConfig, draw: Callable, entries: Callable) -> Callable:
+    """trial_fn of one draw per trial: ``entries(*drawn)`` per feasible draw."""
+    def trial_fn(trials: range) -> list:
+        return [None if drawn is None else entries(*drawn) for drawn in draw(config, trials)]
+
+    return trial_fn
 
 
 def _snr_experiment(name: str, schemes: Sequence[Scheme], draw: Callable):
@@ -482,12 +534,12 @@ def _snr_experiment(name: str, schemes: Sequence[Scheme], draw: Callable):
     def experiment(config: ScenarioConfig) -> SweepResult:
         power = [10.0 ** (snr / 10.0) * config.noise_power for snr in _SNR_AXIS_DB]
 
-        def trial_fn(trial: int) -> list:
-            amps, widths, bounds = draw(config, trial)
+        def entries(amps, widths, bounds):
             se = _mean_se(amps, schemes, widths, power, config.noise_power)
             return [(row, bounds, len(widths)) for row in se]
 
-        return _sweep(config, name, "snr_db", _SNR_AXIS_DB, schemes, trial_fn)
+        return _sweep(config, name, "snr_db", _SNR_AXIS_DB, schemes,
+                      _each_draw(config, draw, entries), _trials_per_task(config, draw))
 
     return experiment
 
@@ -497,13 +549,13 @@ def _subcarrier_experiment(name: str, schemes: Sequence[Scheme], draw: Callable)
     def experiment(config: ScenarioConfig) -> SweepResult:
         axis = [float(m) for m in range(config.num_subcarriers)]
 
-        def trial_fn(trial: int) -> list:
-            amps, widths, bounds = draw(config, trial)
+        def entries(amps, widths, bounds):
             table = np.stack([_rates(amps[s.value], config.power, config.noise_power)
                               for s in schemes], axis=1)
             return [(row, bounds, len(widths)) for row in table]
 
-        return _sweep(config, name, "subcarrier_index", axis, schemes, trial_fn)
+        return _sweep(config, name, "subcarrier_index", axis, schemes,
+                      _each_draw(config, draw, entries), _trials_per_task(config, draw))
 
     return experiment
 
@@ -513,14 +565,23 @@ def _field_experiment(name: str, schemes: Sequence[Scheme], draw: Callable, fiel
     """SE against one config field: one draw per trial and value of ``axis(config)``."""
     def experiment(config: ScenarioConfig) -> SweepResult:
         values = axis(config)
+        configs = [config.replace(**{field: value}) for value in values]
 
-        def trial_fn(trial: int) -> list:
-            return [_feasible(_se_point, config.replace(**{field: value}), draw, schemes,
-                              trial) for value in values]
+        def trial_fn(trials: range) -> list:
+            points = [[None if drawn is None else _se_point(point, schemes, *drawn)
+                       for drawn in draw(point, trials)] for point in configs]
+            return [list(entries) for entries in zip(*points)]
 
-        return _sweep(config, name, field, values, schemes, trial_fn)
+        return _sweep(config, name, field, values, schemes, trial_fn,
+                      _trials_per_task(config, draw))
 
     return experiment
+
+
+def _se_point(config: ScenarioConfig, schemes: Sequence[Scheme], amps, widths, bounds):
+    """Reducer entry of one draw at the configured power."""
+    se = _mean_se(amps, schemes, widths, [config.power], config.noise_power)[0]
+    return se, bounds, len(widths)
 
 
 def _subarray_axis(config: ScenarioConfig) -> list[int]:
@@ -539,15 +600,15 @@ EXPERIMENTS: dict[str, Callable[[ScenarioConfig], SweepResult]] = {
     "gain-map": _experiment_gain_map,
     "sweep-bandwidth": _experiment_sweep_bandwidth,
     "sweep-antennas": _experiment_sweep_antennas,
-    "se-snr-as": _snr_experiment("se-snr-as", _AS_SCHEMES, _link_draw),
-    "se-subcarrier-as": _subcarrier_experiment("se-subcarrier-as", _AS_SCHEMES, _link_draw),
-    "se-paths-as": _field_experiment("se-paths-as", _AS_SCHEMES, _link_draw, "num_near_paths",
+    "se-snr-as": _snr_experiment("se-snr-as", _AS_SCHEMES, _link_draws),
+    "se-subcarrier-as": _subcarrier_experiment("se-subcarrier-as", _AS_SCHEMES, _link_draws),
+    "se-paths-as": _field_experiment("se-paths-as", _AS_SCHEMES, _link_draws, "num_near_paths",
                                      lambda config: _PATH_AXIS),
-    "se-snr-fs": _snr_experiment("se-snr-fs", _FS_SCHEMES, _fs_draw),
-    "se-subcarrier-fs": _subcarrier_experiment("se-subcarrier-fs", _FS_SCHEMES, _fs_draw),
-    "se-paths-fs": _field_experiment("se-paths-fs", _FS_SCHEMES, _fs_draw, "num_near_paths",
+    "se-snr-fs": _snr_experiment("se-snr-fs", _FS_SCHEMES, _fs_draws),
+    "se-subcarrier-fs": _subcarrier_experiment("se-subcarrier-fs", _FS_SCHEMES, _fs_draws),
+    "se-paths-fs": _field_experiment("se-paths-fs", _FS_SCHEMES, _fs_draws, "num_near_paths",
                                      lambda config: _PATH_AXIS),
-    "se-subarrays-fs": _field_experiment("se-subarrays-fs", _FS_SCHEMES, _fs_draw,
+    "se-subarrays-fs": _field_experiment("se-subarrays-fs", _FS_SCHEMES, _fs_draws,
                                          "num_subarrays", _subarray_axis),
 }
 

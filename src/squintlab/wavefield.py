@@ -353,54 +353,65 @@ def channel_columns(
     paths: Sequence[PathParams | PathBatch],
     model_tag: str = HYBRID,
 ) -> ComplexMatrix:
-    """Raw N x M channel entries, one column per subcarrier of the grid.
+    """Raw N x M channel entries, one column per subcarrier of the grid, per draw.
 
     ``model_tag`` forces one regime for every path; ``hybrid`` dispatches on each
     path's own ``field_model``. Entries are the sum of per-path terms, linear in
-    the gains. A :class:`PathParams` holds for every column; a :class:`PathBatch`
-    holds one path per subcarrier, so one call builds several users' columns,
-    each on its own subcarriers (index the users' :func:`path_slots` by each
-    column's user), from one phase table per path.
+    the gains. A :class:`PathParams` holds for every column. A
+    :class:`PathBatch` of shape (T, 1) holds one path of each of T link draws,
+    and the result is their channels side by side, N x (T M), draw t's at
+    columns t M .. (t + 1) M - 1; a :class:`PathParams` is the case T = 1. A
+    :class:`PathBatch` of shape (M,) holds one path per subcarrier, so one call
+    builds several users' columns, each on its own subcarriers (index the
+    users' :func:`path_slots` by each column's user), from one phase table per
+    path.
 
-    A :class:`PathParams` term is built in blocks of B = isqrt(M) of its M
-    columns. The phase of column c0 + i is that of column c0 plus
-    k ramp_n i df, so the term is an exact phasor at every B-th column (gain
-    folded in) times a step phasor exp(j k ramp_n i df), i < B: one multiply
-    per entry, plus a shorter tail block.
+    A draw's term is built in blocks of B = isqrt(M) of its M columns. The
+    phase of column c0 + i is that of column c0 plus k ramp_n i df, so the
+    term is an exact phasor at every B-th column (gain folded in) times a step
+    phasor exp(j k ramp_n i df), i < B: one multiply per entry, plus a shorter
+    tail block.
     """
     if model_tag not in _MODEL_TAGS:
         raise ValueError(f"unknown model_tag {model_tag!r}")
-    paths = list(paths)
+    paths = [PathBatch.stack([p], p.field_model)[:, None] if isinstance(p, PathParams) else p
+             for p in paths]
     if not paths:
         raise ValueError("at least one path is required")
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
     num_cols = freq_dev.size
+    draws = max([p.gain.shape[0] for p in paths if p.gain.ndim == 2], default=1)
     block = math.isqrt(num_cols)
     body = num_cols // block * block  # columns in whole blocks; the rest is the tail
     k = 2.0 * np.pi / geom.wave_speed
-    out = np.zeros((geom.num_antennas, num_cols), dtype=np.complex128)
+    out = np.zeros((geom.num_antennas, draws * num_cols), dtype=np.complex128)
+    # draw t's columns as a T x N x M view, the layout of the per-draw terms
+    terms = out.reshape(geom.num_antennas, draws, num_cols).transpose(1, 0, 2)
     for path in paths:
         model = path.field_model if model_tag == HYBRID else FieldModel(model_tag)
-        # gain * phasor(...) keeps the direct form's operand order: numpy
-        # multiplies a temporary of 256 KiB or more in place, as
-        # temporary * gain, which rounds unlike gain * temporary
-        if isinstance(path, PathParams):
+        # np.multiply(gain, term), not gain * term: numpy multiplies a
+        # temporary of 256 KiB or more in place, as temporary * gain, which
+        # rounds unlike gain * temporary, so the bits would hang on the size
+        if path.gain.shape == (draws, 1):
             carrier, ramp = _carrier_and_ramp(geom, path, geom.element_offsets(), None, model)
-            # N x ceil(M/B) anchors and an N x B (or 1 x B) step table; at
-            # B = 1 the step is exactly 1 and the anchors are the direct term
-            anchors = path.gain * phasor(carrier[:, None] + k * (ramp * freq_dev[::block]))
+            # T x N x ceil(M/B) anchors and a T x N x B (or T x 1 x B) step
+            # table; at B = 1 the step is exactly 1 and the anchors are the
+            # direct term
+            anchors = np.multiply(path.gain[..., None], phasor(
+                carrier[..., None] + k * (ramp * freq_dev[::block])))
             steps = phasor(k * (ramp * (np.arange(block) * grid.subcarrier_spacing_hz)))
-            blocks = out[:, :body].reshape(geom.num_antennas, -1, block)
-            blocks += anchors[:, :body // block, None] * steps[..., None, :]
+            blocks = terms[..., :body].reshape(draws, geom.num_antennas, -1, block)
+            blocks += anchors[..., :body // block, None] * steps[..., None, :]
             if body < num_cols:
-                out[:, body:] += anchors[:, -1:] * steps[..., :num_cols - body]
-        elif path.gain.shape == freq_dev.shape:
-            out += path.gain * phasor(path_phases(
+                terms[..., body:] += anchors[..., -1:] * steps[..., :num_cols - body]
+        elif draws == 1 and path.gain.shape == freq_dev.shape:
+            out += np.multiply(path.gain, phasor(path_phases(
                 geom, path, freq_dev[:, None], offsets=geom.element_offsets()[:, None],
-                model=model)[..., 0])
+                model=model)[..., 0]))
         else:
-            raise ValueError(f"a PathBatch needs one path per column: {path.gain.shape} "
-                             f"paths for {freq_dev.size} columns")
+            raise ValueError(f"a PathBatch needs one path per column or per draw: "
+                             f"{path.gain.shape} paths for {draws} draws of "
+                             f"{freq_dev.size} columns")
     return out
 
 

@@ -41,8 +41,9 @@ from squintlab import (
     subband_precoder_set,
     synth_channel,
 )
+from squintlab import experiments
 from squintlab.cli import cli_main
-from squintlab.experiments import _single_link_amps
+from squintlab.experiments import _link_amps
 
 THR = SquintThresholds()
 PHASE_CAP = (THR.kappa_a + THR.kappa_f) * np.pi
@@ -207,8 +208,8 @@ def test_single_path_slicing_stays_near_optimal():
         paths = sample_scenario(config, trial)
         entries = channel_columns(geom, grid, paths)
         try:
-            amps = _single_link_amps(geom, paths, entries,
-                                     boundary_table(geom, grid, thr, [paths]))
+            amps = _link_amps(geom, [paths], entries,
+                              boundary_table(geom, grid, thr, [paths]))
         except InfeasiblePlanError:
             continue
         slicing_se.append(mean_rate(amps["antenna-slicing"], config.power))
@@ -328,15 +329,20 @@ def emitted_per_worker_count(tmp_path, monkeypatch, argv):
 
 def test_csv_identical_across_worker_counts(tmp_path, monkeypatch):
     # a rerun of the same experiment must emit byte-identical CSV no matter
-    # how many worker threads execute the trials
+    # how many worker threads execute the trials, or how many trials of the
+    # link draw one chunk batches: 1, 3 (a ragged last chunk) or all 8
     start = time.perf_counter()
-    emitted = emitted_per_worker_count(
-        tmp_path, monkeypatch,
-        ["run", "se-snr-as", "--n", "64", "--m", "8", "--trials", "8"])
+    emitted = []
+    for chunk in (1, 3, 8):
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", chunk * 16 * 64 * 8)
+        emitted += emitted_per_worker_count(
+            tmp_path, monkeypatch,
+            ["run", "se-snr-as", "--n", "64", "--m", "8", "--trials", "8"])
     elapsed = time.perf_counter() - start
-    ok = emitted[0] == emitted[1] == emitted[2]
+    ok = len(set(emitted)) == 1
     verdict("thread-determinism", ok,
-            f"CSV bytes identical across 1/4/8 workers: {ok}, {elapsed:.2f}s")
+            f"CSV bytes identical across 1/4/8 workers and chunks of 1/3/8 trials: {ok}, "
+            f"{elapsed:.2f}s")
 
 
 def test_multiuser_csv_identical_across_worker_counts(tmp_path, monkeypatch):

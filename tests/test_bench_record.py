@@ -1,8 +1,9 @@
 """The paired benchmark recorder's pure functions: summary, pair comparison, refusal,
-line count."""
+line count, resource usage."""
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -75,3 +76,10 @@ def test_src_lines_sums_the_python_files_under_src(tmp_path):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_a.py").write_text("not = 'counted'\n")
     assert bench_record.src_lines(tmp_path) == 5
+
+
+def test_usage_delta_takes_each_field_between_the_two_readings():
+    before = SimpleNamespace(ru_minflt=1200, ru_utime=3.25, ru_stime=0.5, ru_majflt=7)
+    after = SimpleNamespace(ru_minflt=15200, ru_utime=24.75, ru_stime=0.625, ru_majflt=9)
+    assert bench_record.usage_delta(before, after) == {
+        "minflt": 14000, "utime_s": 21.5, "stime_s": 0.125}

@@ -18,10 +18,22 @@ from squintlab import (
     SweepRow,
     UserSubband,
     boundary_report,
+    boundary_table,
+    channel_columns,
     plan_antenna_slices,
     run_experiment,
+    sample_scenario,
 )
-from squintlab.experiments import _FS_SCHEMES, _allocate_adaptive, _mean_se, resolve_threads
+from squintlab import experiments
+from squintlab.experiments import (
+    _FS_SCHEMES,
+    _allocate_adaptive,
+    _binding_boundaries,
+    _link_amps,
+    _link_draws,
+    _mean_se,
+    resolve_threads,
+)
 
 # single deterministic near path at the sweep reference geometry
 _SWEEP_PATH = PathParams(1.0, 0.1, 10.0, 10.0)
@@ -492,11 +504,16 @@ def test_subarray_axis_without_divisor_rejected():
     ("se-snr-fs", subband_config(trials=6)),
 ])
 def test_csv_independent_of_thread_count(name, cfg, monkeypatch):
-    emitted = []
-    for workers in ("1", "4", "8"):
-        monkeypatch.setenv("SQUINTLAB_THREADS", workers)
-        emitted.append(run_experiment(name, cfg).to_csv())
-    assert emitted[0] == emitted[1] == emitted[2]
+    # and of the chunk budget: link trials run 1, 4 (a ragged last chunk) or
+    # all 6 to a chunk
+    per_trial = 16 * cfg.num_antennas * cfg.num_subcarriers
+    emitted = set()
+    for budget in (per_trial, 4 * per_trial, experiments._CHUNK_BYTES):
+        monkeypatch.setattr(experiments, "_CHUNK_BYTES", budget)
+        for workers in ("1", "4", "8"):
+            monkeypatch.setenv("SQUINTLAB_THREADS", workers)
+            emitted.add(run_experiment(name, cfg).to_csv())
+    assert len(emitted) == 1
 
 
 def test_repeated_runs_are_identical():
@@ -504,6 +521,79 @@ def test_repeated_runs_are_identical():
     first = run_experiment("se-snr-as", cfg).to_csv()
     second = run_experiment("se-snr-as", cfg).to_csv()
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# chunks of link draws
+# ---------------------------------------------------------------------------
+
+
+def one_trial_link_draw(config, trial):
+    """One link draw evaluated alone, as a chunk of one builds it: (amplitudes, widths,
+    boundary columns), or None when its plan is infeasible."""
+    geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
+    paths = sample_scenario(config, trial)
+    table = boundary_table(geom, grid, thr, [paths])
+    try:
+        amps = _link_amps(geom, [paths], channel_columns(geom, grid, paths), table)
+    except InfeasiblePlanError:
+        return None
+    return amps, (grid.num_subcarriers,), _binding_boundaries(table)
+
+
+def assert_same_draw(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[1:] == want[1:]
+        assert got[0].keys() == want[0].keys()
+        for scheme, values in want[0].items():
+            assert got[0][scheme].shape == values.shape
+            assert np.array_equal(got[0][scheme].view(np.uint64), values.view(np.uint64)), \
+                scheme
+
+
+@pytest.mark.parametrize("num_antennas, num_subcarriers, chunk",
+                         [(n, m, chunk) for n, m in ((128, 16), (256, 64))
+                          for chunk in (1, 2, 3, 7)] + [(1024, 256, 2)])
+def test_chunked_link_draws_equal_one_trial_draws_bit_for_bit(num_antennas, num_subcarriers,
+                                                               chunk):
+    cfg = ScenarioConfig(num_antennas=num_antennas, num_subcarriers=num_subcarriers, seed=11)
+    trials = range(5, 5 + chunk)
+    for trial, drawn in zip(trials, _link_draws(cfg, trials), strict=True):
+        assert_same_draw(drawn, one_trial_link_draw(cfg, trial))
+
+
+def test_a_chunk_holding_an_infeasible_trial_voids_that_trial_alone():
+    # the config of test_infeasible_trials_are_counted_not_fatal
+    cfg = ScenarioConfig(num_antennas=6, num_subcarriers=8, trials=200,
+                         num_near_paths=1, num_far_paths=0)
+    want = [one_trial_link_draw(cfg, trial) for trial in range(cfg.trials)]
+    infeasible = [trial for trial, drawn in enumerate(want) if drawn is None]
+    assert len(infeasible) == 14
+    trials = range(max(0, infeasible[0] - 3), max(0, infeasible[0] - 3) + 7)
+    got = _link_draws(cfg, trials)
+    assert 0 < got.count(None) < len(trials)
+    for trial, drawn in zip(trials, got, strict=True):
+        assert_same_draw(drawn, want[trial])
+
+
+def test_link_draws_build_every_channel_through_the_metered_binding(monkeypatch):
+    # the benchmark meters phase elements by wrapping experiments.channel_columns
+    # and counting N x columns x paths per call; a link channel built any
+    # other way would go uncounted
+    built = []
+
+    def spy(geom, grid, paths, *args):
+        out = channel_columns(geom, grid, paths, *args)
+        built.append(out.shape[0] * out.shape[1] * len(paths))
+        return out
+
+    monkeypatch.setattr(experiments, "channel_columns", spy)
+    cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64, trials=10)
+    result = run_experiment("se-snr-as", cfg)
+    assert set(result.meta["infeasible_trials"].values()) == {0}
+    paths = cfg.num_near_paths + cfg.num_far_paths
+    assert sum(built) == cfg.trials * 256 * 64 * paths
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from squintlab import (
     subband_precoder_set,
     synth_channel,
 )
-from squintlab.experiments import _fs_trial_amps, _single_link_amps
+from squintlab.experiments import _fs_trial_amps, _link_amps
 from squintlab.precoding import _hybrid_set, block_diagonal
 from squintlab.wavefield import PathBatch, path_phases, path_slots
 
@@ -294,7 +294,7 @@ def test_precoder_sets_match_the_single_link_amplitudes(trial):
                                 plan_antenna_slices(geom, grid, paths, thr))
     amps = np.abs(np.einsum("nm,nm->m", hybrid.combined().conj(), entries))
     table = boundary_table(geom, grid, thr, [paths])
-    want = _single_link_amps(geom, paths, entries, table)["antenna-slicing"]
+    want = _link_amps(geom, [paths], entries, table)["antenna-slicing"]
     np.testing.assert_allclose(amps, want, rtol=1e-12, atol=0.0)
     assert not np.any(hybrid.digital[:, 5]) and amps[5] == 0.0 and want[5] == 0.0
     for m in (0, 31, 63):

@@ -20,8 +20,13 @@ the change side is not HEAD's committed files). It gets, per workload and
 for every end-to-end metric that ``BENCHMARK.json`` names, both sides' run
 values with their median and interquartile range, the change/parent ratio of
 each pair, the median ratio and the number of pairs the change won (in the
-metric's better direction), plus the hypervisor steal share of each run. It
-also records ``src_lines``, both sides' line count over ``src/**/*.py``. If
+metric's better direction), plus the hypervisor steal share of each run. Each
+run also records its minor page faults and its user and system CPU seconds,
+read with ``getrusage(RUSAGE_CHILDREN)`` around the subprocess, and the record
+summarises them per side under ``usage``. These figures cover the whole run:
+the warm-up, the 15 set-up probes and the checks as well as the timed loop;
+they inform, and refuse nothing. The record also holds ``src_lines``, both
+sides' line count over ``src/**/*.py``. If
 any run's outputs were incorrect, or the cross-check CSV digests of a workload
 differ between runs or sides, the script writes no file and exits non-zero.
 """
@@ -32,6 +37,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -44,12 +50,20 @@ PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 PAIRS = 10  # per workload: the fewest pairs a comparison may rest on
 SECONDS = 20.0  # timed loop of one run
 SIDES = ("parent", "change")
+USAGE = ("minflt", "utime_s", "stime_s")
 
 
 def summarise(values: list[float]) -> dict:
     """Median and interquartile range of one metric's run values."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def usage_delta(before, after) -> dict:
+    """Minor page faults and user and system CPU seconds between two getrusage readings."""
+    return {"minflt": after.ru_minflt - before.ru_minflt,
+            "utime_s": after.ru_utime - before.ru_utime,
+            "stime_s": after.ru_stime - before.ru_stime}
 
 
 def src_lines(checkout: Path) -> int:
@@ -70,12 +84,15 @@ def extract(rev: str, dest: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in ``checkout``; its report, with the result line's verdict."""
+    """One perfbench run in ``checkout``; its report, with the result line's verdict
+    and the run's resource usage."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = {**os.environ, **PINNED}
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                           check=False)
+    usage = usage_delta(before, resource.getrusage(resource.RUSAGE_CHILDREN))
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
         sys.exit(f"bench_record: {checkout} {workload} seed {seed} exited "
@@ -84,6 +101,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     report_path = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
     report = json.loads(report_path.read_text(encoding="utf-8"))
     report["correct"] = result["correct"]
+    report["usage"] = usage
     return report
 
 
@@ -118,6 +136,8 @@ def record(checkouts: dict[str, Path], workloads: list[str], metrics: list[dict]
             "steal_share": {side: [r.get("steal_share") for r in runs[side]] for side in SIDES},
             "cross_check_csv_sha256": sorted({r["fingerprint"]["cross_check_csv_sha256"]
                                               for side in SIDES for r in runs[side]}),
+            "usage": {key: {side: summarise([r["usage"][key] for r in runs[side]])
+                            for side in SIDES} for key in USAGE},
             "metrics": {
                 m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                             **{side: summarise(values[m["name"]][side]) for side in SIDES},
