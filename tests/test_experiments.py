@@ -20,6 +20,7 @@ from squintlab import (
     boundary_report,
     boundary_table,
     channel_columns,
+    narrowband_mrt,
     plan_antenna_slices,
     run_experiment,
     sample_scenario,
@@ -28,8 +29,8 @@ from squintlab import experiments
 from squintlab.experiments import (
     _FS_SCHEMES,
     _allocate_adaptive,
+    _antenna_slicing_amps,
     _binding_boundaries,
-    _link_amps,
     _link_draws,
     _mean_se,
     resolve_threads,
@@ -529,15 +530,25 @@ def test_repeated_runs_are_identical():
 
 
 def one_trial_link_draw(config, trial):
-    """One link draw evaluated alone, as a chunk of one builds it: (amplitudes, widths,
-    boundary columns), or None when its plan is infeasible."""
+    """One link draw evaluated alone: (amplitudes, widths, boundary columns), or None
+    when its plan is infeasible.
+
+    Its own channel and one-row table; antenna slicing through the one-owner
+    multiuser helper, the baseline as one ``beam.conj() @ entries`` product and
+    the matched filter as the channel's column norms.
+    """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     paths = sample_scenario(config, trial)
     table = boundary_table(geom, grid, thr, [paths])
+    entries = channel_columns(geom, grid, paths)
+    owners = np.zeros(grid.num_subcarriers, dtype=np.intp)
     try:
-        amps = _link_amps(geom, [paths], channel_columns(geom, grid, paths), table)
+        slicing = _antenna_slicing_amps(geom, [paths], table, owners, entries)
     except InfeasiblePlanError:
         return None
+    amps = {"antenna-slicing": slicing,
+            "narrowband-mrt": np.abs(narrowband_mrt(geom, paths).conj() @ entries),
+            "optimal": np.linalg.norm(entries, axis=0)}
     return amps, (grid.num_subcarriers,), _binding_boundaries(table)
 
 
