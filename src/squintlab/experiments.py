@@ -69,8 +69,9 @@ _GAIN_MAP_CURVES = (
     (0.1, 10.0), (0.1, 50.0), (0.1, 100.0),
 )
 #: channel bytes of one pool task's chunk of link draws (see _trials_per_task):
-#: three 256 x 64 trials, one 1024 x 256 trial. A worker holds about twice its
-#: chunk's channel at once, so the budget bounds the memory batching adds
+#: three 256 x 64 trials, one 1024 x 256 trial. A chunk's tracemalloc peak is
+#: 2.6x its channel at 256 x 64 and 2.2x at 1024 x 256, so the budget bounds
+#: the memory batching adds
 _CHUNK_BYTES = 768 << 10
 
 
@@ -213,22 +214,22 @@ def _link_amps(
     """Per-subcarrier beamforming amplitudes |f^H h| of T link draws, per scheme.
 
     The draws are T users of the multiuser batch, each owning its own M
-    columns: ``cols`` is their N x (T M) channel, as :func:`channel_columns`
-    builds it from their path slots, and ``table`` their T-row
-    :func:`boundary_table`. Every scheme's amplitudes run over the T M
-    columns. The baseline takes one BLAS product per draw, which rounds as
-    ``beam.conj() @ entries`` of the draw alone. Raises the first infeasible
-    draw's InfeasiblePlanError.
+    subcarriers: ``cols`` is their (T M) x N channel, as
+    :func:`channel_columns` builds it from their path slots, and ``table``
+    their T-row :func:`boundary_table`. Every scheme's amplitudes run over
+    the T M subcarriers. The baseline takes one BLAS product per draw, which
+    rounds as ``entries @ beam.conj()`` of the draw alone. Raises the first
+    infeasible draw's InfeasiblePlanError.
     """
     count = len(draws)
-    owners = np.repeat(np.arange(count), cols.shape[1] // count)
+    owners = np.repeat(np.arange(count), cols.shape[0] // count)
     beams = narrowband_beams(geom, draws)
-    per_draw = cols.reshape(cols.shape[0], count, -1).transpose(1, 0, 2)
+    per_draw = cols.reshape(count, -1, cols.shape[1])
     return {
         Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, draws, table, owners, cols),
         Scheme.NARROWBAND_BASELINE.value:
-            np.abs(np.matmul(beams.conj()[:, None, :], per_draw)).ravel(),
-        Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=0),
+            np.abs(np.matmul(per_draw, beams.conj()[:, :, None])).ravel(),
+        Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=1),
     }
 
 
@@ -441,7 +442,7 @@ def _link_draws(config: ScenarioConfig, trials: range) -> list:
         amps = [{scheme: values[t * m:(t + 1) * m] for scheme, values in batch.items()}
                 for t in range(len(draws))]
     except InfeasiblePlanError:
-        amps = [_feasible(_link_amps, geom, [paths], cols[:, t * m:(t + 1) * m],
+        amps = [_feasible(_link_amps, geom, [paths], cols[t * m:(t + 1) * m],
                           boundary_table(geom, grid, thr, [paths]))
                 for t, paths in enumerate(draws)]
     return [None if a is None else (a, (m,), _binding_boundaries(table, t))
@@ -475,7 +476,7 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int):
     Returns ({scheme: M amplitudes}, sub-band plan, binding boundary columns);
     subcarrier m is evaluated for the user whose sub-band holds it. The
     served users' sub-bands partition the M subcarriers in user order, so
-    the whole draw is one batch: one N x M ``channel_columns`` call, one
+    the whole draw is one batch: one M x N ``channel_columns`` call, one
     :func:`plan_antenna_rows` pass over the plan's boundary table, one call
     per scheme for the K x N analog rows, and one batched product per scheme.
     """
@@ -490,8 +491,8 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int):
         Scheme.SUBBAND_SLICING.value: owner_gain_amplitudes(fs_rows, fs_sizes, owners, cols),
         Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, users, plan.boundaries,
                                                             owners, cols),
-        Scheme.NARROWBAND_BASELINE.value: np.abs(np.sum(beams.conj()[owners] * cols.T, axis=1)),
-        Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=0),
+        Scheme.NARROWBAND_BASELINE.value: np.abs(np.sum(beams.conj()[owners] * cols, axis=1)),
+        Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=1),
     }
     return amps, plan, _binding_boundaries(plan.boundaries)
 
@@ -514,7 +515,7 @@ def _fs_draws(config: ScenarioConfig, trials: range) -> list:
 
 def _trials_per_task(config: ScenarioConfig, draw: Callable) -> int:
     """Trials one pool task evaluates: as many link draws as fit _CHUNK_BYTES of
-    N x (T M) channel, at least one; a multiuser draw already batches its users,
+    (T M) x N channel, at least one; a multiuser draw already batches its users,
     so it runs one trial per task."""
     if draw is _fs_draws:
         return 1

@@ -120,8 +120,9 @@ def owner_gain_amplitudes(
 ) -> NDArray[np.float64]:
     """|f_D^H F^H h| of each column under its owner's analog matrix and digital MRT.
 
-    Column c of ``columns`` (N x C) belongs to user ``owners[c]``, whose analog
-    matrix F holds row ``owners[c]`` of ``rows`` (K x N) in contiguous blocks.
+    ``columns`` is C x N, one channel column h per row, as ``channel_columns``
+    builds them. Column c belongs to user ``owners[c]``, whose analog matrix F
+    holds row ``owners[c]`` of ``rows`` (K x N) in contiguous blocks.
     ``block_sizes`` lists every row's blocks, flat in row order; each row's
     sizes partition it. A single link is the case K = 1 with every owner 0.
     Uses |f_D^H F^H h| = ||F^H h||^2 / ||F F^H h|| and, for unit-modulus
@@ -140,7 +141,7 @@ def owner_gain_amplitudes(
     shift = (np.cumsum(counts) - counts)[owners] - (np.cumsum(per_column) - per_column)
     block = np.arange(len(column)) + shift[column]
     first = column * n + starts[block] % n  # block starts in the flat C x N product
-    projected = np.add.reduceat((rows.conj()[owners] * columns.T).ravel(), first)
+    projected = np.add.reduceat((rows.conj()[owners] * columns).ravel(), first)
     power = np.abs(projected) ** 2
     num = np.bincount(column, power, minlength=len(owners))
     den = np.sqrt(np.bincount(column, sizes[block] * power, minlength=len(owners)))

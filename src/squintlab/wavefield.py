@@ -251,7 +251,6 @@ def path_phases(
     path: PathParams | PathBatch,
     freq_dev: NDArray[np.float64] | Sequence[float],
     *,
-    offsets: NDArray[np.float64] | None = None,
     reference_m: float | NDArray[np.float64] | None = None,
     model: FieldModel | None = None,
 ) -> NDArray[np.float64]:
@@ -260,34 +259,32 @@ def path_phases(
     Entry (n, m) is (2 pi/c) (f_c (d_n - ref) + ramp_n df_m), with ramp_n the
     delay range r + d_n for wideband-near paths and r + d otherwise; far paths
     replace d_n - ref by the planar offset delta_n s theta. Every channel and
-    beam builder evaluates its per-element phases here. ``offsets`` default to
-    the whole array, ``reference_m`` to d, and ``model`` to the path's own
-    regime. The path parameters, ``offsets`` and ``reference_m`` broadcast into
-    one element shape, and ``freq_dev`` broadcasts against it plus a trailing
-    frequency axis: one :class:`PathParams` with 1-D offsets and frequencies
-    gives the N x M table, a :class:`PathBatch` of shape (K, 1) a K x N x M one.
+    beam builder evaluates its per-element phases here. ``reference_m``
+    defaults to d, and ``model`` to the path's own regime. The path
+    parameters, the N element offsets and ``reference_m`` broadcast into one
+    element shape, and ``freq_dev`` broadcasts against it plus a trailing
+    frequency axis: one :class:`PathParams` with 1-D frequencies gives the
+    N x M table, a :class:`PathBatch` of shape (K, 1) a K x N x M one.
     """
-    if offsets is None:
-        offsets = geom.element_offsets()
-    carrier, ramp = _carrier_and_ramp(geom, path, offsets, reference_m,
+    carrier, ramp = _carrier_and_ramp(geom, path, reference_m,
                                       path.field_model if model is None else model)
     k = 2.0 * np.pi / geom.wave_speed
-    return carrier[..., None] + k * (ramp * np.asarray(freq_dev))
+    return carrier[..., None] + k * (np.expand_dims(ramp, -1) * np.asarray(freq_dev))
 
 
 def _carrier_and_ramp(
     geom: ArrayGeometry,
     path: PathParams | PathBatch,
-    offsets: NDArray[np.float64],
     reference_m: float | NDArray[np.float64] | None,
     model: FieldModel,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64] | float]:
     """The two factors of :func:`path_phases`: phase = carrier + k (ramp df), k = 2 pi/c.
 
-    The carrier phases have the element shape; the delay ramp has it too, plus
-    a trailing axis of length 1, or shape (1,) when it is one scalar.
+    The carrier phases have the element shape; the delay ramp has it too, or
+    the path parameters' shape when it is one range per path.
     """
     k = 2.0 * np.pi / geom.wave_speed
+    offsets = geom.element_offsets()
     ramp = path.total_range_m  # one per path, broadcast over the elements
     if model is FieldModel.FAR:
         carrier = k * geom.center_freq_hz * offsets * geom.spacing_m * path.sine_angle
@@ -300,7 +297,7 @@ def _carrier_and_ramp(
         if model is FieldModel.WIDEBAND_NEAR:
             # squint folds in: the delay ramp sees each element's true range
             ramp = path.ue_range_m + ranges
-    return carrier, np.expand_dims(ramp, -1)
+    return carrier, ramp
 
 
 def phasor(phases: NDArray[np.float64]) -> ComplexMatrix:
@@ -353,22 +350,22 @@ def channel_columns(
     paths: Sequence[PathParams | PathBatch],
     model_tag: str = HYBRID,
 ) -> ComplexMatrix:
-    """Raw N x M channel entries, one column per subcarrier of the grid, per draw.
+    """Raw channel entries, subcarrier-major: row m holds subcarrier m's N entries.
 
     ``model_tag`` forces one regime for every path; ``hybrid`` dispatches on each
     path's own ``field_model``. Entries are the sum of per-path terms, linear in
-    the gains. A :class:`PathParams` holds for every column. A
-    :class:`PathBatch` of shape (T, 1) holds one path of each of T link draws,
-    and the result is their channels side by side, N x (T M), draw t's at
-    columns t M .. (t + 1) M - 1; a :class:`PathParams` is the case T = 1. A
+    the gains. A :class:`PathParams` holds for every subcarrier, and the result
+    is M x N. A :class:`PathBatch` of shape (T, 1) holds one path of each of T
+    link draws, and the result stacks their channels, (T M) x N, draw t's in
+    rows t M .. (t + 1) M - 1; a :class:`PathParams` is the case T = 1. A
     :class:`PathBatch` of shape (M,) holds one path per subcarrier, so one call
-    builds several users' columns, each on its own subcarriers (index the
-    users' :func:`path_slots` by each column's user), from one phase table per
-    path.
+    builds several users' channels, each on its own subcarriers (index the
+    users' :func:`path_slots` by each subcarrier's user), from one phase table
+    per path.
 
-    A draw's term is built in blocks of B = isqrt(M) of its M columns. The
-    phase of column c0 + i is that of column c0 plus k ramp_n i df, so the
-    term is an exact phasor at every B-th column (gain folded in) times a step
+    A draw's term is built in blocks of B = isqrt(M) of its M subcarriers. The
+    phase of subcarrier c0 + i is that of c0 plus k ramp_n i df, so the term
+    is an exact phasor at every B-th subcarrier (gain folded in) times a step
     phasor exp(j k ramp_n i df), i < B: one multiply per entry, plus a shorter
     tail block.
     """
@@ -382,32 +379,31 @@ def channel_columns(
     num_cols = freq_dev.size
     draws = max([p.gain.shape[0] for p in paths if p.gain.ndim == 2], default=1)
     block = math.isqrt(num_cols)
-    body = num_cols // block * block  # columns in whole blocks; the rest is the tail
+    body = num_cols // block * block  # subcarriers in whole blocks; the rest is the tail
     k = 2.0 * np.pi / geom.wave_speed
-    out = np.zeros((geom.num_antennas, draws * num_cols), dtype=np.complex128)
-    # draw t's columns as a T x N x M view, the layout of the per-draw terms
-    terms = out.reshape(geom.num_antennas, draws, num_cols).transpose(1, 0, 2)
+    out = np.zeros((draws * num_cols, geom.num_antennas), dtype=np.complex128)
+    terms = out.reshape(draws, num_cols, geom.num_antennas)  # draw t's M x N channel
     for path in paths:
         model = path.field_model if model_tag == HYBRID else FieldModel(model_tag)
         # np.multiply(gain, term), not gain * term: numpy multiplies a
         # temporary of 256 KiB or more in place, as temporary * gain, which
         # rounds unlike gain * temporary, so the bits would hang on the size
         if path.gain.shape == (draws, 1):
-            carrier, ramp = _carrier_and_ramp(geom, path, geom.element_offsets(), None, model)
-            # T x N x ceil(M/B) anchors and a T x N x B (or T x 1 x B) step
+            carrier, ramp = _carrier_and_ramp(geom, path[..., None], None, model)
+            # carrier T x 1 x N, ramp T x 1 x N (or T x 1 x 1, one per draw);
+            # T x ceil(M/B) x N anchors and a T x B x N (or T x B x 1) step
             # table; at B = 1 the step is exactly 1 and the anchors are the
             # direct term
             anchors = np.multiply(path.gain[..., None], phasor(
-                carrier[..., None] + k * (ramp * freq_dev[::block])))
-            steps = phasor(k * (ramp * (np.arange(block) * grid.subcarrier_spacing_hz)))
-            blocks = terms[..., :body].reshape(draws, geom.num_antennas, -1, block)
-            blocks += anchors[..., :body // block, None] * steps[..., None, :]
+                carrier + k * (ramp * freq_dev[::block, None])))
+            steps = phasor(k * (ramp * (np.arange(block) * grid.subcarrier_spacing_hz)[:, None]))
+            blocks = terms[:, :body].reshape(draws, -1, block, geom.num_antennas)
+            blocks += anchors[:, :body // block, None] * steps[:, None]
             if body < num_cols:
-                terms[..., body:] += anchors[..., -1:] * steps[..., :num_cols - body]
+                terms[:, body:] += anchors[:, -1:] * steps[:, :num_cols - body]
         elif draws == 1 and path.gain.shape == freq_dev.shape:
-            out += np.multiply(path.gain, phasor(path_phases(
-                geom, path, freq_dev[:, None], offsets=geom.element_offsets()[:, None],
-                model=model)[..., 0]))
+            out += np.multiply(path.gain[:, None], phasor(path_phases(
+                geom, path[:, None], freq_dev[:, None, None], model=model)[..., 0]))
         else:
             raise ValueError(f"a PathBatch needs one path per column or per draw: "
                              f"{path.gain.shape} paths for {draws} draws of "
@@ -427,8 +423,8 @@ def synth_channel(
     narrowband near paths freeze the squint phases at the band center, and far
     paths use planar steering with the common delay ramp.
     """
-    entries = channel_columns(geom, grid, paths, model_tag)
-    return ChannelTensor(entries, geom, grid, tuple(paths))
+    return ChannelTensor(channel_columns(geom, grid, paths, model_tag).T, geom, grid,
+                         tuple(paths))
 
 
 def subarray_center_distance(

@@ -323,7 +323,7 @@ def chunked_fs_amps(config, trial: int, chunk: int = 16) -> dict:
     analog-row and product calls on its own subcarriers: the loop the
     one-batch trial replaced, kept as its reference. A chunk's channel
     columns are the direct per-column terms gain * exp(j phase), summed in
-    path order.
+    path order, one subcarrier per row.
     """
     from squintlab import (Scheme, SliceBlocks, narrowband_beams, owner_gain_amplitudes,
                            path_phases, plan_antenna_slices, slice_analog_rows,
@@ -343,12 +343,11 @@ def chunked_fs_amps(config, trial: int, chunk: int = 16) -> dict:
                                for name in ("sizes", "paths", "offsets")))
         owners = np.repeat(np.arange(len(subbands)), [sb.num_subcarriers for sb in subbands])
         at = [m for sb in subbands for m in sb.global_indices()]
-        cols = np.zeros((geom.num_antennas, len(at)), dtype=np.complex128)
+        cols = np.zeros((len(at), geom.num_antennas), dtype=np.complex128)
         for slot in path_slots(paths):
-            batch = slot[owners]
+            batch = slot[owners][:, None]
             cols += exp_path_term(batch.gain, path_phases(
-                geom, batch, freq_dev[at][:, None],
-                offsets=geom.element_offsets()[:, None])[..., 0])
+                geom, batch, freq_dev[at][:, None, None])[..., 0])
         fs_rows = subband_analog_rows(geom, paths, [sb.center_hz for sb in subbands])
         fs_sizes = [plan.subarray_size] * (len(subbands) * config.num_subarrays)
         beams = narrowband_beams(geom, paths)
@@ -357,9 +356,68 @@ def chunked_fs_amps(config, trial: int, chunk: int = 16) -> dict:
         amps[Scheme.ANTENNA_SLICING.value][at] = owner_gain_amplitudes(
             slice_analog_rows(geom, paths, blocks), blocks.sizes, owners, cols)
         amps[Scheme.NARROWBAND_BASELINE.value][at] = np.abs(
-            np.sum(beams.conj()[owners] * cols.T, axis=1))
-        amps[Scheme.OPTIMAL.value][at] = np.linalg.norm(cols, axis=0)
+            np.sum(beams.conj()[owners] * cols, axis=1))
+        amps[Scheme.OPTIMAL.value][at] = np.linalg.norm(cols, axis=1)
     return amps
+
+
+# The amplitude expressions of the antenna-major channel (N x C, one column per
+# subcarrier) that the subcarrier-major build replaced, kept as the reference of
+# its declared rounding change. Each takes the package's C x N channel and
+# copies it to the old layout first; the owner products then read it
+# transposed, as they did.
+
+
+def antenna_major_link_amps(geom, draws, table, cols: np.ndarray) -> dict:
+    """Every scheme's amplitudes of T link draws from their antenna-major channel.
+
+    The baseline is one ``beam.conj() @ entries`` product per draw and the
+    optimum the channel's column norms.
+    """
+    from squintlab import (narrowband_beams, owner_gain_amplitudes, plan_antenna_rows,
+                           slice_analog_rows)
+
+    old = np.ascontiguousarray(cols.T)
+    count = len(draws)
+    owners = np.repeat(np.arange(count), old.shape[1] // count)
+    blocks = plan_antenna_rows(geom, draws, table)
+    beams = narrowband_beams(geom, draws)
+    per_draw = old.reshape(old.shape[0], count, -1).transpose(1, 0, 2)
+    return {
+        "antenna-slicing": owner_gain_amplitudes(slice_analog_rows(geom, draws, blocks),
+                                                 blocks.sizes, owners, old.T),
+        "narrowband-mrt": np.abs(np.matmul(beams.conj()[:, None, :], per_draw)).ravel(),
+        "optimal": np.linalg.norm(old, axis=0),
+    }
+
+
+def antenna_major_fs_amps(config, trial: int) -> dict:
+    """Every scheme's amplitudes of one multiuser draw from its antenna-major channel.
+
+    The baseline sums ``beams.conj()[owners] * entries.T`` over the antennas
+    and the optimum is the channel's column norms.
+    """
+    from squintlab import (narrowband_beams, owner_gain_amplitudes, plan_antenna_rows,
+                           slice_analog_rows, subband_analog_rows)
+    from squintlab.experiments import _allocate_adaptive
+    from squintlab.wavefield import channel_columns, path_slots
+
+    geom, grid = config.geometry(), config.grid()
+    users, plan = _allocate_adaptive(config, trial)
+    owners = np.repeat(np.arange(len(users)), plan.user_subcarriers)
+    old = np.ascontiguousarray(
+        channel_columns(geom, grid, [slot[owners] for slot in path_slots(users)]).T)
+    fs_rows = subband_analog_rows(geom, users, [sb.center_hz for sb in plan.subbands])
+    fs_sizes = np.full(len(users) * config.num_subarrays, plan.subarray_size)
+    blocks = plan_antenna_rows(geom, users, plan.boundaries)
+    beams = narrowband_beams(geom, users)
+    return {
+        "subband-slicing": owner_gain_amplitudes(fs_rows, fs_sizes, owners, old.T),
+        "antenna-slicing": owner_gain_amplitudes(slice_analog_rows(geom, users, blocks),
+                                                 blocks.sizes, owners, old.T),
+        "narrowband-mrt": np.abs(np.sum(beams.conj()[owners] * old.T, axis=1)),
+        "optimal": np.linalg.norm(old, axis=0),
+    }
 
 
 def digital_mrt(channel_column: np.ndarray, analog: np.ndarray) -> np.ndarray:

@@ -171,7 +171,7 @@ def test_se_crosses_99_percent_at_the_boundaries():
 
         def mrt_over_opt(geometry, bandwidth):
             grid = CarrierGrid.from_bandwidth(bandwidth, 64)
-            cols = channel_columns(geometry, grid, [path])
+            cols = channel_columns(geometry, grid, [path]).T
             beam = narrowband_mrt(geometry, [path])
             return (mean_rate(np.abs(beam.conj() @ cols), power)
                     / mean_rate(np.linalg.norm(cols, axis=0), power))
@@ -231,7 +231,7 @@ def test_single_path_slicing_stays_near_optimal():
         for subband in plan.subbands:
             paths = users[subband.user]
             w = subband.num_subcarriers
-            cols = channel_columns(geom, grid, paths)[:, subband.start:subband.start + w]
+            cols = channel_columns(geom, grid, paths).T[:, subband.start:subband.start + w]
             precoder = subband_precoder_set(geom, paths, subband,
                                             fs_config.num_subarrays, cols)
             amps = np.abs(np.einsum("nm,nm->m", precoder.combined().conj(), cols))

@@ -35,6 +35,7 @@ from squintlab.experiments import (
     _mean_se,
     resolve_threads,
 )
+from squintlab.wavefield import path_slots
 
 # single deterministic near path at the sweep reference geometry
 _SWEEP_PATH = PathParams(1.0, 0.1, 10.0, 10.0)
@@ -534,8 +535,8 @@ def one_trial_link_draw(config, trial):
     when its plan is infeasible.
 
     Its own channel and one-row table; antenna slicing through the one-owner
-    multiuser helper, the baseline as one ``beam.conj() @ entries`` product and
-    the matched filter as the channel's column norms.
+    multiuser helper, the baseline as one ``entries @ beam.conj()`` product and
+    the matched filter as the norms of the channel's subcarrier rows.
     """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     paths = sample_scenario(config, trial)
@@ -547,8 +548,8 @@ def one_trial_link_draw(config, trial):
     except InfeasiblePlanError:
         return None
     amps = {"antenna-slicing": slicing,
-            "narrowband-mrt": np.abs(narrowband_mrt(geom, paths).conj() @ entries),
-            "optimal": np.linalg.norm(entries, axis=0)}
+            "narrowband-mrt": np.abs(entries @ narrowband_mrt(geom, paths).conj()),
+            "optimal": np.linalg.norm(entries, axis=1)}
     return amps, (grid.num_subcarriers,), _binding_boundaries(table)
 
 
@@ -572,6 +573,54 @@ def test_chunked_link_draws_equal_one_trial_draws_bit_for_bit(num_antennas, num_
     trials = range(5, 5 + chunk)
     for trial, drawn in zip(trials, _link_draws(cfg, trials), strict=True):
         assert_same_draw(drawn, one_trial_link_draw(cfg, trial))
+
+
+#: the declared rounding change of the subcarrier-major channel: the link
+#: baseline is one BLAS product per draw over M x N rows instead of 1 x N by
+#: N x M, and the norms reduce contiguous rows instead of strided columns;
+#: every other amplitude keeps its bits
+_BASELINE_RTOL, _OPTIMAL_RTOL = 1e-13, 1e-14
+
+
+def rounding_moved(got, want):
+    """Largest |got - want| / |want| over the entries that differ."""
+    moved = got != want
+    return float(np.max(np.abs(got - want)[moved] / np.abs(want[moved]), initial=0.0))
+
+
+@pytest.mark.parametrize("num_antennas, num_subcarriers, trials",
+                         [(256, 64, 12), (1024, 256, 3)])
+def test_subcarrier_major_amplitudes_keep_the_antenna_major_bits_but_declared(
+        num_antennas, num_subcarriers, trials):
+    # slicing amplitudes equal the antenna-major expressions of
+    # oracles.antenna_major_*_amps in every bit; the baseline and the optimum
+    # move within the declared relative rounding
+    cfg = ScenarioConfig(num_antennas=num_antennas, num_subcarriers=num_subcarriers, seed=23)
+    geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
+    chunk = experiments._trials_per_task(cfg, _link_draws)
+    for start in range(0, trials, chunk):
+        got = _link_draws(cfg, range(start, start + chunk))
+        draws = [sample_scenario(cfg, trial) for trial in range(start, start + chunk)]
+        cols = channel_columns(geom, grid, [slot[:, None] for slot in path_slots(draws)])
+        want = oracles.antenna_major_link_amps(
+            geom, draws, boundary_table(geom, grid, thr, draws), cols)
+        m = num_subcarriers
+        for t, drawn in enumerate(got):
+            assert drawn is not None
+            old = {scheme: values[t * m:(t + 1) * m] for scheme, values in want.items()}
+            assert np.array_equal(drawn[0]["antenna-slicing"].view(np.uint64),
+                                  old["antenna-slicing"].view(np.uint64))
+            assert rounding_moved(drawn[0]["narrowband-mrt"], old["narrowband-mrt"]) \
+                <= _BASELINE_RTOL
+            assert rounding_moved(drawn[0]["optimal"], old["optimal"]) <= _OPTIMAL_RTOL
+    fs = cfg.replace(num_users=8, num_subarrays=8)
+    for trial in range(2):
+        got, _, _ = experiments._fs_trial_amps(fs, trial)
+        old = oracles.antenna_major_fs_amps(fs, trial)
+        for scheme in ("subband-slicing", "antenna-slicing", "narrowband-mrt"):
+            assert np.array_equal(got[scheme].view(np.uint64), old[scheme].view(np.uint64)), \
+                scheme
+        assert rounding_moved(got["optimal"], old["optimal"]) <= _OPTIMAL_RTOL
 
 
 def test_a_chunk_holding_an_infeasible_trial_voids_that_trial_alone():

@@ -213,7 +213,7 @@ def test_digital_mrt_zero_channel_is_degenerate():
     analog = np.ones((4, 1), dtype=np.complex128)
     h = np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=np.complex128)
     assert not np.any(_hybrid_set(Scheme.ANTENNA_SLICING, analog, (4,), h).digital)
-    assert owner_gain_amplitudes(analog.T, [4], np.zeros(1, dtype=np.intp), h)[0] == 0.0
+    assert owner_gain_amplitudes(analog.T, [4], np.zeros(1, dtype=np.intp), h.T)[0] == 0.0
 
 
 def test_vectorized_amplitudes_match_the_scalar_route():
@@ -224,7 +224,7 @@ def test_vectorized_amplitudes_match_the_scalar_route():
     analog = block_diagonal(row, sizes)
     cols = rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6))
     cols[:, 2] = 0.0  # degenerate column reports amplitude 0
-    amps = owner_gain_amplitudes(row[None, :], sizes, np.zeros(6, dtype=np.intp), cols)
+    amps = owner_gain_amplitudes(row[None, :], sizes, np.zeros(6, dtype=np.intp), cols.T)
     for m in range(6):
         if m == 2:
             assert amps[m] == 0.0
@@ -264,7 +264,7 @@ def test_owner_amplitudes_equal_each_owners_digital_mrt(case):
     # every column's amplitude is that of the digital MRT on its owner's N x T
     # block-diagonal analog matrix, and a zero column reads exactly 0
     rows, sizes, owners, cols = case
-    amps = owner_gain_amplitudes(rows, np.concatenate(sizes), owners, cols)
+    amps = owner_gain_amplitudes(rows, np.concatenate(sizes), owners, cols.T)
     for c, owner in enumerate(owners):
         if not np.any(cols[:, c]):
             assert amps[c] == 0.0
@@ -294,7 +294,7 @@ def test_precoder_sets_match_the_single_link_amplitudes(trial):
                                 plan_antenna_slices(geom, grid, paths, thr))
     amps = np.abs(np.einsum("nm,nm->m", hybrid.combined().conj(), entries))
     table = boundary_table(geom, grid, thr, [paths])
-    want = _link_amps(geom, [paths], entries, table)["antenna-slicing"]
+    want = _link_amps(geom, [paths], entries.T, table)["antenna-slicing"]
     np.testing.assert_allclose(amps, want, rtol=1e-12, atol=0.0)
     assert not np.any(hybrid.digital[:, 5]) and amps[5] == 0.0 and want[5] == 0.0
     for m in (0, 31, 63):

@@ -1,6 +1,7 @@
 """Steering vectors and channel synthesis against 2-D coordinate oracles."""
 
 import ast
+import hashlib
 import importlib
 import inspect
 import math
@@ -72,11 +73,11 @@ def delay_ramp(grid, total_range_m):
 
 def block_channel(geom, grid, path, plan, t):
     """Path term of subarray t, its near phases referenced to the block center's range."""
-    size = plan.subarray_sizes[t]
-    offsets = plan.offsets[t] + np.arange(size) - (size - 1) / 2.0
+    start = sum(plan.subarray_sizes[:t])
     ref = subarray_center_distance(geom, path, [plan.offsets[t]])
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-    return path.gain * phasor(path_phases(geom, path, freq_dev, offsets=offsets, reference_m=ref))
+    phases = path_phases(geom, path, freq_dev, reference_m=ref)
+    return path.gain * phasor(phases[start:start + plan.subarray_sizes[t]])
 
 
 def squint_extreme(geom, grid, path):
@@ -247,11 +248,10 @@ def test_path_phases_match_the_scalar_oracle(model, field):
 def test_path_phases_take_one_reference_per_offset():
     geom = make_geom(16)
     path = make_path(theta=0.4, d=12.0, r=3.0)
-    offsets = geom.element_offsets()[4:12]
-    refs = np.repeat([11.5, 12.5], 4)
-    rows = path_phases(geom, path, [0.0, 2e6], offsets=offsets, reference_m=refs)
-    for ref, half in ((11.5, slice(0, 4)), (12.5, slice(4, 8))):
-        one = path_phases(geom, path, [0.0, 2e6], offsets=offsets[half], reference_m=ref)
+    refs = np.repeat([11.5, 12.5], 8)
+    rows = path_phases(geom, path, [0.0, 2e6], reference_m=refs)
+    for ref, half in ((11.5, slice(0, 8)), (12.5, slice(8, 16))):
+        one = path_phases(geom, path, [0.0, 2e6], reference_m=ref)[half]
         np.testing.assert_array_equal(rows[half], one)
     # the carrier column is the steering phase; far paths ignore the reference
     carrier = path_phases(geom, path, [0.0], model=FieldModel.NARROWBAND_NEAR)[:, 0]
@@ -597,11 +597,10 @@ def test_per_column_path_phases_equal_single_path_calls(num_antennas, model, dra
     geom = ArrayGeometry(num_antennas, 7e9)
     paths = _paths(drawn, model)
     dev = np.resize(np.asarray(freq_dev), len(paths))
-    cols = path_phases(geom, PathBatch.stack(paths, model), dev[:, None],
-                       offsets=geom.element_offsets()[:, None])
-    assert cols.shape == (num_antennas, len(paths), 1)
+    cols = path_phases(geom, PathBatch.stack(paths, model)[:, None], dev[:, None, None])
+    assert cols.shape == (len(paths), num_antennas, 1)
     for c, path in enumerate(paths):
-        assert np.array_equal(cols[:, c, 0], path_phases(geom, path, dev[c:c + 1])[:, 0],
+        assert np.array_equal(cols[c, :, 0], path_phases(geom, path, dev[c:c + 1])[:, 0],
                               equal_nan=True)
 
 
@@ -632,13 +631,53 @@ def test_batched_channel_columns_equal_each_users_channel(num_antennas, widths):
              for _ in widths]
     owners = np.repeat(np.arange(len(widths)), widths)
     slots = [slot[owners] for slot in path_slots(users)]
-    cols = channel_columns(geom, grid, slots)
+    cols = channel_columns(geom, grid, slots).T
     for m, user in enumerate(owners):
         assert np.array_equal(cols[:, m], direct_column(geom, grid, users[user], m))
-    forced = channel_columns(geom, grid, slots, "far")
+    forced = channel_columns(geom, grid, slots, "far").T
     assert np.array_equal(forced[:, 0], direct_column(geom, grid, users[0], 0, FieldModel.FAR))
     with pytest.raises(ValueError, match="field models"):
         path_slots([users[0], users[1][::-1]])
+
+
+def test_channel_columns_are_subcarrier_major_with_draws_in_row_blocks():
+    # every consumer reads the channel one subcarrier at a time, so it is
+    # built C-contiguous with subcarrier m's N entries in row m; T link draws
+    # stack their M x N channels in row blocks, each bit-equal to the draw
+    # built alone (M = 10 leaves a tail after the blocks of isqrt(M) = 3)
+    geom, grid = make_geom(24), CarrierGrid.from_bandwidth(300e6, 10)
+    rng = np.random.default_rng(8)
+    draws = [[make_path(theta=rng.uniform(-0.9, 0.9), d=rng.uniform(2.0, 60.0),
+                        r=rng.uniform(0.0, 60.0), gain=complex(*rng.standard_normal(2)),
+                        model=model) for model in FieldModel]
+             for _ in range(3)]
+    batch = channel_columns(geom, grid, [slot[:, None] for slot in path_slots(draws)])
+    assert batch.shape == (30, 24) and batch.flags.c_contiguous
+    for t, paths in enumerate(draws):
+        one = channel_columns(geom, grid, paths)
+        assert one.shape == (10, 24) and one.flags.c_contiguous
+        assert np.array_equal(batch[10 * t:10 * (t + 1)].view(np.uint64), one.view(np.uint64))
+        # the tensor keeps its N x M entries as the transposed view
+        entries = synth_channel(geom, grid, paths).entries
+        assert entries.shape == (24, 10)
+        assert np.array_equal(entries.T.view(np.uint64), one.view(np.uint64))
+
+
+def test_dump_stays_antenna_major(tmp_path):
+    # the SQNT payload is the N x M entries row-major, as before the channel
+    # was built subcarrier-major: the digest is that of the antenna-major
+    # build (it also fixes this platform's sin and cos bits)
+    geom, grid = make_geom(8), CarrierGrid.from_bandwidth(400e6, 4)
+    paths = [make_path(0.35, 12.0, 5.0, 0.8 - 0.3j),
+             make_path(-0.2, 30.0, 8.0, 0.25 + 0.5j, FieldModel.NARROWBAND_NEAR),
+             make_path(0.6, 90.0, 20.0, -0.4 + 0.1j, FieldModel.FAR)]
+    tensor = synth_channel(geom, grid, paths)
+    dest = tmp_path / "channel.bin"
+    write_channel_dump(tensor, dest)
+    raw = dest.read_bytes()
+    assert raw[16:] == np.ascontiguousarray(tensor.entries).astype("<c16").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == (
+        "667cdadf2910b0c4f318bafa8325db613d461e5942dda895a11abcc65a10c974")
 
 
 @pytest.mark.parametrize("num_subcarriers", [3, 5, 12])
@@ -868,10 +907,9 @@ def test_channel_columns_equal_complex_exponential_terms_bit_for_bit(
     model = FieldModel.WIDEBAND_NEAR if model_tag == HYBRID else FieldModel(model_tag)
     want = np.zeros((num_antennas, num_subcarriers), dtype=np.complex128)
     want += oracles.exp_path_term(batch.gain, path_phases(
-        geom, batch, freq_dev[:, None], offsets=geom.element_offsets()[:, None],
-        model=model)[..., 0])
+        geom, batch[:, None], freq_dev[:, None, None], model=model)[..., 0].T)
     got = channel_columns(geom, grid, [batch], model_tag)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(want.T).view(np.uint64))
 
 
 #: the largest error of the direct form gain * exp(j phases) against the
@@ -906,15 +944,16 @@ def test_blocked_path_terms_are_as_accurate_as_direct_phasors(
     got = channel_columns(geom, grid, [path])
     drawn = (theta, d, r, _FIELDS[model], num_antennas, num_subcarriers,
              grid.subcarrier_spacing_hz, cols, 7e9, geom.spacing_m)
-    re, im = oracles.path_term_longdouble(gain, *drawn)
+    re, im = (part.T for part in oracles.path_term_longdouble(gain, *drawn))
     error = np.max(np.hypot(got.real.astype(np.longdouble) - re,
                             got.imag.astype(np.longdouble) - im))
     unit = abs(gain) * np.finfo(np.float64).eps * oracles.phase_rounding_scale(*drawn)
     assert error / unit <= _DIRECT_MAX_ERROR
     if math.isqrt(num_subcarriers) == 1:
         freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-        direct = np.zeros_like(got)
+        direct = np.zeros(got.shape[::-1], dtype=np.complex128)
         direct += oracles.exp_path_term(gain, path_phases(geom, path, freq_dev))
+        direct = np.ascontiguousarray(direct.T)
         assert np.array_equal(got.view(np.uint64), direct.view(np.uint64))
 
 
@@ -932,7 +971,7 @@ def test_near_carrier_error_does_not_grow_with_the_scatterer_distance(model):
         d, theta, r = rng.uniform(0.5, 200.0), rng.uniform(-0.999, 0.999), rng.uniform(0.0, 200.0)
         geom = ArrayGeometry(n, 7e9)
         grid = CarrierGrid.from_bandwidth(10.0 ** rng.uniform(6.0, 9.0), m)
-        got = channel_columns(geom, grid, [PathParams(1.0, theta, d, r, model)])
+        got = channel_columns(geom, grid, [PathParams(1.0, theta, d, r, model)]).T
         re, im = oracles.path_term_longdouble(1.0 + 0j, theta, d, r, _FIELDS[model], n, m,
                                               grid.subcarrier_spacing_hz, np.arange(m), 7e9,
                                               geom.spacing_m)
