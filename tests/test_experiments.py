@@ -590,7 +590,7 @@ def rounding_moved(got, want):
 
 @pytest.mark.parametrize("num_antennas, num_subcarriers, trials",
                          [(256, 64, 12), (1024, 256, 3)])
-def test_subcarrier_major_amplitudes_keep_the_antenna_major_bits_but_declared(
+def test_subcarrier_major_amplitudes_move_only_by_the_declared_rounding(
         num_antennas, num_subcarriers, trials):
     # slicing amplitudes equal the antenna-major expressions of
     # oracles.antenna_major_*_amps in every bit; the baseline and the optimum
