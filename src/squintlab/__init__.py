@@ -26,7 +26,6 @@ from .precoding import (
     normalized_array_gain,
     owner_gain_amplitudes,
     per_subcarrier_rates,
-    power_for_snr_db,
     se_optimal,
     se_slicing_closed_form,
     se_subband_closed_form,

@@ -1,8 +1,10 @@
-"""Monte Carlo sweep experiments and CSV emission.
+"""Sweep experiments and CSV emission.
 
-Each experiment draws per-trial channels from counter-based substreams, runs a
-fixed set of precoding schemes, and averages spectral efficiency over trials in
-ascending-trial order, so the emitted CSV is byte-identical for any worker
+``gain-map``, ``sweep-bandwidth`` and ``sweep-antennas`` are deterministic:
+they evaluate fixed paths once per axis point and report one trial. Every
+other experiment draws per-trial channels from counter-based substreams, runs
+a fixed set of precoding schemes, and averages spectral efficiency over trials
+in ascending-trial order, so the emitted CSV is byte-identical for any worker
 count. The worker pool runs chunks of consecutive trials, and a chunk of
 single links is evaluated as one batch. One reducer serves every Monte Carlo
 experiment: an axis point whose slicing plan is infeasible in a trial is
@@ -26,11 +28,10 @@ from .precoding import (
     narrowband_beams,
     normalized_array_gain,
     owner_gain_amplitudes,
-    power_for_snr_db,
     slice_analog_rows,
     subband_analog_rows,
 )
-from .scenario import RngStream, ScenarioConfig, sample_scenario, sample_user_paths
+from .scenario import ScenarioConfig, sample_scenario, sample_user_paths
 from .slicing import (
     InfeasiblePlanError,
     allocate_subbands,
@@ -54,9 +55,8 @@ _FS_SCHEMES = (
     Scheme.OPTIMAL,
 )
 
-_SWEEP_THETA = 0.1
-_SWEEP_DISTANCE_M = 10.0
-_SWEEP_RANGE_M = 10.0
+#: the fixed path of the boundary sweeps: theta = 0.1, d = r = 10 m, unit gain
+_SWEEP_PATH = PathParams(1.0, 0.1, 10.0, 10.0)
 _SNR_AXIS_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
 _BOUNDARY_MULTS = (
     0.25, 0.5, 0.7, 0.8, 0.85, 0.9, 0.95, 1.0, 1.05,
@@ -182,8 +182,6 @@ def _binding_boundaries(
 
 def _mean_or_none(values: Sequence[float | None]) -> float | None:
     kept = [v for v in values if v is not None]
-    if len(set(kept)) == 1:  # a column every trial shares is emitted exactly
-        return float(kept[0])
     return float(np.mean(kept)) if kept else None
 
 
@@ -325,7 +323,7 @@ def _sweep(
 
 
 # ---------------------------------------------------------------------------
-# deterministic single-path experiments
+# deterministic single-path experiments: one evaluation per axis point
 # ---------------------------------------------------------------------------
 
 
@@ -348,75 +346,54 @@ def _experiment_gain_map(config: ScenarioConfig) -> SweepResult:
     return SweepResult("subcarrier_index", tuple(rows), 1, config.seed, meta)
 
 
-def _sweep_trial_gain(config: ScenarioConfig, trial: int) -> complex:
-    """CN(0,1) gain draw for the fixed-geometry sweeps."""
-    rng = RngStream(config.seed, trial).generator()
-    re = rng.standard_normal()
-    im = rng.standard_normal()
-    return complex((re + 1j * im) / np.sqrt(2.0))
+def _fixed_sweep(config: ScenarioConfig, name: str, axis_name: str,
+                 points: Sequence[tuple[float, ArrayGeometry, CarrierGrid]],
+                 n_col: float | None = None) -> SweepResult:
+    """One evaluation of the sweep path per (axis value, geometry, grid) point.
 
-
-def _fixed_geometry_trial(
-    config: ScenarioConfig,
-    geoms: Sequence[ArrayGeometry],
-    grids: Sequence[CarrierGrid],
-    boundary_cols: Sequence[tuple[float | None, float | None]],
-) -> Callable[[int], list]:
-    """trial_fn of a single-path sweep over per-axis (geometry, grid) pairs.
-
-    The path direction and ranges are fixed; only the complex gain is drawn per
-    trial, and transmit power is re-anchored to the configured SNR for each
-    draw, so the ratio curves are sharp rather than smeared over geometry.
+    The path has unit gain at the configured power: a drawn gain g with the
+    power re-anchored to the SNR, P / |g|^2, gives the same SE up to rounding,
+    so there is nothing to average. The boundary columns are the point's B_bar
+    and N_bar, or ``n_col`` for every N_bar. Raises InfeasiblePlanError naming
+    the first point whose plan is infeasible.
     """
-    thr = config.thresholds()
-
-    def point(path, power, geom, grid, cols):
-        entries = channel_columns(geom, grid, [path])
-        amps = _link_amps(geom, [[path]], entries,
-                          boundary_table(geom, grid, thr, [[path]]))
-        return _mean_se(amps, _AS_SCHEMES, (grid.num_subcarriers,), [power],
-                        config.noise_power)[0], cols, 1
-
-    def trial_fn(trials: range) -> list:
-        out = []
-        for trial in trials:
-            gain = _sweep_trial_gain(config, trial)
-            path = PathParams(gain, _SWEEP_THETA, _SWEEP_DISTANCE_M, _SWEEP_RANGE_M)
-            power = power_for_snr_db(config.snr_db, gain, config.noise_power)
-            out.append([_feasible(point, path, power, *axis_point)
-                        for axis_point in zip(geoms, grids, boundary_cols)])
-        return out
-
-    return trial_fn
+    thr, draw = config.thresholds(), [[_SWEEP_PATH]]
+    rows = []
+    for value, geom, grid in points:
+        table = boundary_table(geom, grid, thr, draw)
+        try:
+            amps = _link_amps(geom, draw, channel_columns(geom, grid, draw[0]), table)
+        except InfeasiblePlanError as exc:
+            raise InfeasiblePlanError(f"{name} at {axis_name}={_fmt(value)}: {exc}") from exc
+        se = _mean_se(amps, _AS_SCHEMES, (grid.num_subcarriers,), [config.power],
+                      config.noise_power)[0]
+        b = float(table.freq[0, 0])
+        n = float(table.antenna[0, 0]) if n_col is None else n_col
+        rows += [SweepRow(value, s.value, float(se[j]), b, n) for j, s in enumerate(_AS_SCHEMES)]
+    meta = {"experiment": name, "config": config.to_dict()}
+    return SweepResult(axis_name, tuple(rows), 1, config.seed, meta)
 
 
 def _experiment_sweep_bandwidth(config: ScenarioConfig) -> SweepResult:
-    geom, thr = config.geometry(), config.thresholds()
-    ref_path = PathParams(1.0, _SWEEP_THETA, _SWEEP_DISTANCE_M, _SWEEP_RANGE_M)
-    b_ref = float(boundary_table(geom, config.grid(), thr, [[ref_path]]).freq[0, 0])
+    geom = config.geometry()
+    b_ref = float(boundary_table(geom, config.grid(), config.thresholds(),
+                                 [[_SWEEP_PATH]]).freq[0, 0])
     axis = [b_ref * mult for mult in _BOUNDARY_MULTS]
-    grids = [CarrierGrid.from_bandwidth(b, config.num_subcarriers) for b in axis]
-    cols = [(b_ref, float(boundary_table(geom, grid, thr, [[ref_path]]).antenna[0, 0]))
-            for grid in grids]
-    trial_fn = _fixed_geometry_trial(config, [geom] * len(axis), grids, cols)
-    return _sweep(config, "sweep-bandwidth", "bandwidth_hz", axis, _AS_SCHEMES, trial_fn, 1)
+    points = [(b, geom, CarrierGrid.from_bandwidth(b, config.num_subcarriers)) for b in axis]
+    return _fixed_sweep(config, "sweep-bandwidth", "bandwidth_hz", points)
 
 
 def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
-    thr = config.thresholds()
-    ref_path = PathParams(1.0, _SWEEP_THETA, _SWEEP_DISTANCE_M, _SWEEP_RANGE_M)
     ref_grid = CarrierGrid.from_bandwidth(config.bandwidth_hz, 1)  # B exactly, not M (B / M)
-    n_ref = float(boundary_table(config.geometry(), ref_grid, thr, [[ref_path]]).antenna[0, 0])
+    n_ref = float(boundary_table(config.geometry(), ref_grid, config.thresholds(),
+                                 [[_SWEEP_PATH]]).antenna[0, 0])
     axis_n: list[int] = []
     for mult in _BOUNDARY_MULTS:
         n = max(4, int(round(n_ref * mult)))
         if n not in axis_n:
             axis_n.append(n)
-    geoms = [ArrayGeometry(n, config.center_freq_hz) for n in axis_n]
-    cols = [(float(boundary_table(g, ref_grid, thr, [[ref_path]]).freq[0, 0]), n_ref)
-            for g in geoms]
-    trial_fn = _fixed_geometry_trial(config, geoms, [config.grid()] * len(axis_n), cols)
-    return _sweep(config, "sweep-antennas", "num_antennas", axis_n, _AS_SCHEMES, trial_fn, 1)
+    points = [(float(n), ArrayGeometry(n, config.center_freq_hz), config.grid()) for n in axis_n]
+    return _fixed_sweep(config, "sweep-antennas", "num_antennas", points, n_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -378,15 +378,3 @@ def se_subband_closed_form(
     num = power * (np.sum(g**2)) ** 2
     den = np.sum(subarray_size * g**2) * noise_power
     return float(np.log2(1.0 + num / den))
-
-
-# ---------------------------------------------------------------------------
-# SNR helpers
-# ---------------------------------------------------------------------------
-
-
-def power_for_snr_db(snr: float, gain: complex, noise_power: float) -> float:
-    """Transmit power P with 10 log10(P |g|^2 / sigma^2) = snr for a path gain."""
-    if noise_power <= 0.0 or gain == 0:
-        raise ValueError("noise_power and |gain| must be positive")
-    return float(10.0 ** (snr / 10.0) * noise_power / abs(gain) ** 2)

@@ -30,7 +30,6 @@ from squintlab import (
     boundary_table,
     channel_columns,
     narrowband_mrt,
-    power_for_snr_db,
     run_experiment,
     sample_scenario,
     sample_user_paths,
@@ -165,7 +164,7 @@ def test_se_crosses_99_percent_at_the_boundaries():
     ratios = {"b_low": [], "b_high": [], "n_low": [], "n_high": []}
     for _ in range(100):
         path = draw_path(rng)
-        power = power_for_snr_db(10.0, path.gain, 1.0)
+        power = 10 ** (10.0 / 10) * 1.0 / abs(path.gain) ** 2
         # B_bar does not depend on the grid; N_bar is read at B = B_bar
         b_bar = float(boundary_table(geom, CarrierGrid(1, 1.0), THR, [[path]]).freq[0, 0])
 

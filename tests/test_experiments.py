@@ -26,11 +26,14 @@ from squintlab import (
     sample_scenario,
 )
 from squintlab import experiments
+from squintlab.cli import cli_main
 from squintlab.experiments import (
+    _AS_SCHEMES,
     _FS_SCHEMES,
     _allocate_adaptive,
     _antenna_slicing_amps,
     _binding_boundaries,
+    _link_amps,
     _link_draws,
     _mean_se,
     resolve_threads,
@@ -257,8 +260,8 @@ def test_bandwidth_sweep_axis_spans_boundary_multiples(bandwidth_sweep):
     cfg, result = bandwidth_sweep
     b_ref = sweep_report(cfg).freq_boundary_near_hz
     assert result.axis_values == pytest.approx([b_ref * m for m in _MULTS])
-    assert result.meta["infeasible_trials"] == dict.fromkeys(result.axis_values, 0)
-    assert result.meta["config"] == cfg.to_dict()
+    assert result.trials == 1
+    assert result.meta == {"experiment": "sweep-bandwidth", "config": cfg.to_dict()}
 
 
 def test_bandwidth_sweep_narrowband_decays(bandwidth_sweep):
@@ -290,6 +293,60 @@ def test_bandwidth_sweep_boundary_columns(bandwidth_sweep):
     assert b_col == pytest.approx([b_ref] * len(_MULTS))
     assert all(x > y for x, y in zip(n_col, n_col[1:]))
     assert all(np.isfinite(n_col))
+
+
+def sweep_point_se(cfg, geom, grid, path, power):
+    """Every scheme's SE of one sweep path on (geom, grid) at ``power``."""
+    draw = [[path]]
+    amps = _link_amps(geom, draw, channel_columns(geom, grid, [path]),
+                      boundary_table(geom, grid, cfg.thresholds(), draw))
+    return _mean_se(amps, _AS_SCHEMES, (grid.num_subcarriers,), [power], cfg.noise_power)[0]
+
+
+@pytest.mark.parametrize("axis, mult", [("bandwidth", 0.5), ("bandwidth", 1.0),
+                                        ("bandwidth", 3.25), ("antennas", 0.5),
+                                        ("antennas", 2.0), ("antennas", 3.25)])
+def test_fixed_sweep_se_is_gain_invariant(axis, mult):
+    # the sweeps evaluate their path once, at unit gain: a CN(0,1) gain g with
+    # the power re-anchored to the SNR, P / |g|^2, gives the same SE
+    cfg = link_config()
+    report = sweep_report(cfg)
+    if axis == "bandwidth":
+        geom = cfg.geometry()
+        grid = CarrierGrid.from_bandwidth(mult * report.freq_boundary_near_hz,
+                                          cfg.num_subcarriers)
+    else:
+        geom = ArrayGeometry(round(mult * report.antenna_boundary_near), cfg.center_freq_hz)
+        grid = cfg.grid()
+    unit = sweep_point_se(cfg, geom, grid, _SWEEP_PATH, cfg.power)
+    rng = np.random.default_rng(24)
+    gains = (rng.standard_normal(5) + 1j * rng.standard_normal(5)) / np.sqrt(2.0)
+    for gain in gains.tolist():
+        path = PathParams(gain, _SWEEP_PATH.sine_angle, _SWEEP_PATH.scatterer_distance_m,
+                          _SWEEP_PATH.ue_range_m)
+        power = 10 ** (cfg.snr_db / 10) * cfg.noise_power / abs(gain) ** 2
+        np.testing.assert_allclose(sweep_point_se(cfg, geom, grid, path, power), unit,
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_fixed_sweep_infeasible_point_raises():
+    # a 16-antenna array at kappa_a = 1 cannot host a compliant subarray at
+    # the first axis point, 0.25 B-bar; the sweep names the experiment and the
+    # point instead of emitting the other points
+    with pytest.raises(InfeasiblePlanError,
+                       match=r"^sweep-bandwidth at bandwidth_hz=4863966379\.66: "):
+        run_experiment("sweep-bandwidth", link_config(num_antennas=16, kappa_a=1.0))
+
+
+def test_fixed_sweep_infeasible_point_exits_2(capsys, tmp_path):
+    target = tmp_path / "sweep.csv"
+    code = cli_main(["run", "sweep-bandwidth", "--n", "16", "--m", "32", "--trials", "3",
+                     "--num-near-paths", "1", "--num-far-paths", "0", "--kappa-a", "1",
+                     "--output", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("infeasible scenario: sweep-bandwidth at bandwidth_hz=")
+    assert not target.exists()
 
 
 def test_antenna_sweep_axis_rounds_and_dedups(antenna_sweep):

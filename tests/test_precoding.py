@@ -28,7 +28,6 @@ from squintlab import (
     per_subcarrier_rates,
     plan_antenna_rows,
     plan_antenna_slices,
-    power_for_snr_db,
     sample_scenario,
     sample_user_paths,
     se_optimal,
@@ -526,7 +525,7 @@ def test_flat_channel_mrt_hits_the_closed_form():
     grid = CarrierGrid.from_bandwidth(600e6, 64)
     path = make_path(gain=0.5 + 0.5j, model=FieldModel.NARROWBAND_NEAR)
     ch = synth_channel(geom, grid, [path])
-    power = power_for_snr_db(10.0, path.gain, 1.0)
+    power = 10 ** (10.0 / 10) * 1.0 / abs(path.gain) ** 2
     pre = static_precoder_set(narrowband_mrt(geom, [path]), 64, Scheme.NARROWBAND_BASELINE)
     got = spectral_efficiency(ch, pre, power, 1.0)
     assert got == pytest.approx(math.log2(1.0 + 10.0 * 1024.0), rel=1e-12)
@@ -629,21 +628,6 @@ def test_subband_closed_form_special_case_is_the_optimum():
     block_sums = [(n // t) * g] * t
     got = se_subband_closed_form(10.0, 1.0, block_sums, n // t)
     assert got == pytest.approx(math.log2(1.0 + 10.0 * n * g * g), rel=1e-12)
-
-
-def test_snr_helpers_round_trip():
-    def snr_db(power, gain, noise_power):
-        return 10.0 * math.log10(power * abs(gain) ** 2 / noise_power)
-
-    assert power_for_snr_db(0.0, 1.0 + 0j, 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert power_for_snr_db(10.0, 1.0 + 0j, 1.0) == pytest.approx(10.0, rel=1e-12)
-    for snr in (-7.0, 0.0, 23.5):
-        p = power_for_snr_db(snr, 0.3 - 0.4j, 2.7)
-        assert snr_db(p, 0.3 - 0.4j, 2.7) == pytest.approx(snr, abs=1e-12)
-    with pytest.raises(ValueError):
-        power_for_snr_db(10.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        power_for_snr_db(10.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
