@@ -29,12 +29,10 @@ from .precoding import (
     se_optimal,
     se_slicing_closed_form,
     se_subband_closed_form,
-    slice_analog_matrix,
     slice_analog_rows,
     slice_precoder_set,
     spectral_efficiency,
     static_precoder_set,
-    subband_analog_matrix,
     subband_analog_rows,
     subband_precoder_set,
 )
@@ -67,7 +65,6 @@ from .wavefield import (
     channel_columns,
     path_phases,
     read_channel_dump,
-    subarray_center_distance,
     synth_channel,
     write_channel_dump,
 )

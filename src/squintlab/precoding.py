@@ -30,7 +30,6 @@ from .wavefield import (
     path_phases,
     path_slots,
     phasor,
-    subarray_center_distance,
 )
 
 
@@ -90,7 +89,7 @@ def narrowband_beams(
     for model, rows in ((FieldModel.NARROWBAND_NEAR, ~far), (FieldModel.FAR, far)):
         if rows.any():
             batch = PathBatch.stack([p for p, row in zip(best, rows) if row], model)
-            beams[rows] = phasor(path_phases(geom, batch[:, None], [0.0])[..., 0])
+            beams[rows] = phasor(path_phases(geom, batch[:, None]))
     return beams / np.sqrt(geom.num_antennas)
 
 
@@ -179,7 +178,7 @@ def slice_analog_rows(
     ``blocks`` holds the users' plans, as :func:`plan_antenna_rows` returns
     them. Row n of subarray t carries exp(j angle(B_t)), with B_t the
     gain-weighted sum of the far-path planar steerings and the assigned near
-    path's spherical steering referenced to the subarray center's range;
+    path's spherical steering referenced to the subarray center's offset;
     :func:`block_diagonal` scatters row k into user k's N x T analog matrix.
     The far paths take one :func:`path_phases` call per position in the
     users' path lists (every user must have as many), and the near paths one
@@ -190,28 +189,16 @@ def slice_analog_rows(
     acc = np.zeros((len(users), n), dtype=np.complex128)
     far = [[p for p in paths if p.field_model is FieldModel.FAR] for paths in users]
     for batch in path_slots(far):
-        acc += batch.gain[:, None] * phasor(path_phases(geom, batch[:, None], [0.0])[..., 0])
+        acc += batch.gain[:, None] * phasor(path_phases(geom, batch[:, None]))
     first = np.cumsum([0] + [len(paths) for paths in users[:-1]])
     owner = first[:, None] + np.repeat(blocks.paths, blocks.sizes).reshape(len(users), n)
     centers = np.repeat(blocks.offsets, blocks.sizes).reshape(len(users), n)
     near = PathBatch.stack([p for paths in users for p in paths],
                            FieldModel.NARROWBAND_NEAR)[owner]
-    phases = path_phases(geom, near, [0.0],
-                         reference_m=subarray_center_distance(geom, near, centers))
     # np.multiply, not *: numpy would multiply a temporary of 256 KiB or more
     # in place as temporary * gain, which rounds unlike the one-user gain * term
-    acc += np.multiply(near.gain, phasor(phases[..., 0]))
+    acc += np.multiply(near.gain, phasor(path_phases(geom, near, reference=centers)))
     return phasor(np.angle(acc))
-
-
-def slice_analog_matrix(
-    geom: ArrayGeometry, paths: Sequence[PathParams], plan: SlicingPlan
-) -> ComplexMatrix:
-    """N x T block-diagonal analog matrix of one antenna-slicing plan.
-
-    The one-user case of :func:`slice_analog_rows`.
-    """
-    return block_diagonal(slice_analog_rows(geom, [paths], plan.blocks)[0], plan.subarray_sizes)
 
 
 def slice_precoder_set(
@@ -219,7 +206,8 @@ def slice_precoder_set(
     plan: SlicingPlan,
 ) -> PrecoderSet:
     """Antenna-slicing hybrid set: per-subarray analog beams + digital MRT."""
-    analog = slice_analog_matrix(channel.geometry, channel.paths, plan)
+    rows = slice_analog_rows(channel.geometry, [channel.paths], plan.blocks)
+    analog = block_diagonal(rows[0], plan.subarray_sizes)
     return _hybrid_set(Scheme.ANTENNA_SLICING, analog, plan.subarray_sizes,
                        channel.entries)
 
@@ -245,30 +233,11 @@ def subband_analog_rows(
     near = [[p for p in paths if p.field_model is not FieldModel.FAR] for paths in users]
     acc = np.zeros((len(users), geom.num_antennas), dtype=np.complex128)
     for batch in path_slots(near):
-        phases = path_phases(geom, batch[:, None], detune[:, None, None],
-                             model=FieldModel.WIDEBAND_NEAR)
-        acc += batch.gain[:, None] * phasor(phases[..., 0])
+        acc += batch.gain[:, None] * phasor(path_phases(
+            geom, batch[:, None], detune[:, None], model=FieldModel.WIDEBAND_NEAR))
     if not np.all(np.any(acc, axis=1)):
         raise ValueError("user has no near-field paths")
     return phasor(np.angle(acc))
-
-
-def subband_analog_matrix(
-    geom: ArrayGeometry,
-    user_paths: Sequence[PathParams],
-    subband_center_hz: float,
-    num_subarrays: int,
-) -> ComplexMatrix:
-    """N x T block-diagonal analog matrix of equal subarrays retuned to a sub-band.
-
-    Block t holds rows t N/T .. (t+1) N/T - 1 of the one-user case of
-    :func:`subband_analog_rows`.
-    """
-    if geom.num_antennas % num_subarrays != 0:
-        raise ValueError("num_subarrays must divide num_antennas")
-    sizes = (geom.num_antennas // num_subarrays,) * num_subarrays
-    return block_diagonal(subband_analog_rows(geom, [user_paths], [subband_center_hz])[0],
-                          sizes)
 
 
 def subband_precoder_set(
@@ -278,9 +247,12 @@ def subband_precoder_set(
     num_subarrays: int,
     channel_block: ComplexMatrix,
 ) -> PrecoderSet:
-    """Sub-band hybrid set for one user over its own subcarriers."""
-    analog = subband_analog_matrix(geom, user_paths, subband.center_hz, num_subarrays)
+    """Sub-band hybrid set for one user over its own subcarriers, in equal subarrays."""
+    if geom.num_antennas % num_subarrays != 0:
+        raise ValueError("num_subarrays must divide num_antennas")
     sizes = (geom.num_antennas // num_subarrays,) * num_subarrays
+    analog = block_diagonal(subband_analog_rows(geom, [user_paths], [subband.center_hz])[0],
+                            sizes)
     return _hybrid_set(Scheme.SUBBAND_SLICING, analog, sizes, channel_block)
 
 

@@ -9,6 +9,7 @@ in isolation and results never depend on execution order.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ class ScenarioConfig:
     far_gain_offset_db: float = -20.0
 
     def __post_init__(self) -> None:
+        nonfinite = [f.name for f in dataclasses.fields(self)
+                 if f.type == "float" and not math.isfinite(getattr(self, f.name))]
+        if nonfinite:
+            raise ValueError(f"config fields must be finite: {', '.join(nonfinite)}")
         if self.num_antennas < 1 or self.num_subcarriers < 1:
             raise ValueError("num_antennas and num_subcarriers must be positive")
         if self.num_near_paths < 0 or self.num_far_paths < 0:

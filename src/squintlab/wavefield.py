@@ -139,6 +139,8 @@ class PathParams:
     def __post_init__(self) -> None:
         if not -1.0 < self.sine_angle < 1.0:
             raise ValueError("sine_angle must lie strictly inside (-1, 1)")
+        if not (math.isfinite(self.scatterer_distance_m) and math.isfinite(self.ue_range_m)):
+            raise ValueError("scatterer_distance_m and ue_range_m must be finite")
         if self.scatterer_distance_m <= 0.0:
             raise ValueError("scatterer_distance_m must be positive")
         if self.ue_range_m < 0.0:
@@ -183,7 +185,7 @@ class ChannelTensor:
 
 def _element_ranges(
     geom: ArrayGeometry, sine_angle: float, distance_m: float,
-    offsets: NDArray[np.float64],
+    offsets: float | NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Exact scatterer-to-element distances d_n for the given index offsets, and d_n - d.
 
@@ -249,33 +251,34 @@ def path_slots(users: Sequence[Sequence[PathParams]]) -> list[PathBatch]:
 def path_phases(
     geom: ArrayGeometry,
     path: PathParams | PathBatch,
-    freq_dev: NDArray[np.float64] | Sequence[float],
+    freq_dev: float | NDArray[np.float64] = 0.0,
     *,
-    reference_m: float | NDArray[np.float64] | None = None,
+    reference: float | NDArray[np.float64] | None = None,
     model: FieldModel | None = None,
 ) -> NDArray[np.float64]:
-    """Real phase of one path, or a batch of paths, over (elements, frequencies).
+    """Real phase of one path, or a batch of paths, at each element.
 
-    Entry (n, m) is (2 pi/c) (f_c (d_n - ref) + ramp_n df_m), with ramp_n the
-    delay range r + d_n for wideband-near paths and r + d otherwise; far paths
-    replace d_n - ref by the planar offset delta_n s theta. Every channel and
-    beam builder evaluates its per-element phases here. ``reference_m``
-    defaults to d, and ``model`` to the path's own regime. The path
-    parameters, the N element offsets and ``reference_m`` broadcast into one
-    element shape, and ``freq_dev`` broadcasts against it plus a trailing
-    frequency axis: one :class:`PathParams` with 1-D frequencies gives the
-    N x M table, a :class:`PathBatch` of shape (K, 1) a K x N x M one.
+    Element n's phase is (2 pi/c) (f_c (d_n - d_ref) + ramp_n df), with ramp_n
+    the delay range r + d_n for wideband-near paths and r + d otherwise, and
+    d_ref the range of the element offset ``reference`` (by default the array
+    center, d_ref = d); far paths replace d_n - d_ref by the planar offset
+    delta_n s theta. Every channel and beam builder evaluates its per-element
+    phases here; ``model`` defaults to the path's own regime. The path
+    parameters and the N element offsets broadcast into the element shape,
+    which ``reference`` and ``freq_dev`` broadcast against: one path gives N
+    phases (M x N at ``freq_dev[:, None]``), a :class:`PathBatch` of shape
+    (K, 1) K x N.
     """
-    carrier, ramp = _carrier_and_ramp(geom, path, reference_m,
+    carrier, ramp = _carrier_and_ramp(geom, path, reference,
                                       path.field_model if model is None else model)
     k = 2.0 * np.pi / geom.wave_speed
-    return carrier[..., None] + k * (np.expand_dims(ramp, -1) * np.asarray(freq_dev))
+    return carrier + k * (ramp * freq_dev)
 
 
 def _carrier_and_ramp(
     geom: ArrayGeometry,
     path: PathParams | PathBatch,
-    reference_m: float | NDArray[np.float64] | None,
+    reference: float | NDArray[np.float64] | None,
     model: FieldModel,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64] | float]:
     """The two factors of :func:`path_phases`: phase = carrier + k (ramp df), k = 2 pi/c.
@@ -290,10 +293,11 @@ def _carrier_and_ramp(
         carrier = k * geom.center_freq_hz * offsets * geom.spacing_m * path.sine_angle
     else:
         d = path.scatterer_distance_m
-        if reference_m is None:
-            reference_m = d
         ranges, deviation = _element_ranges(geom, path.sine_angle, d, offsets)
-        carrier = k * geom.center_freq_hz * (deviation - (reference_m - d))
+        if reference is not None:
+            # d_n - d_ref as (d_n - d) - (d_ref - d), so no two ranges cancel
+            deviation = deviation - _element_ranges(geom, path.sine_angle, d, reference)[1]
+        carrier = k * geom.center_freq_hz * deviation
         if model is FieldModel.WIDEBAND_NEAR:
             # squint folds in: the delay ramp sees each element's true range
             ramp = path.ue_range_m + ranges
@@ -403,7 +407,7 @@ def channel_columns(
                 terms[:, body:] += anchors[:, -1:] * steps[:, :num_cols - body]
         elif draws == 1 and path.gain.shape == freq_dev.shape:
             out += np.multiply(path.gain[:, None], phasor(path_phases(
-                geom, path[:, None], freq_dev[:, None, None], model=model)[..., 0]))
+                geom, path[:, None], freq_dev[:, None], model=model)))
         else:
             raise ValueError(f"a PathBatch needs one path per column or per draw: "
                              f"{path.gain.shape} paths for {draws} draws of "
@@ -425,14 +429,6 @@ def synth_channel(
     """
     return ChannelTensor(channel_columns(geom, grid, paths, model_tag).T, geom, grid,
                          tuple(paths))
-
-
-def subarray_center_distance(
-    geom: ArrayGeometry, path: PathParams | PathBatch, offsets: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Scatterer distance to each subarray center sitting ``offsets`` elements off-center."""
-    return _element_ranges(geom, path.sine_angle, path.scatterer_distance_m,
-                           np.asarray(offsets, dtype=np.float64))[0]
 
 
 # ---------------------------------------------------------------------------

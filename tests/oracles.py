@@ -346,8 +346,7 @@ def chunked_fs_amps(config, trial: int, chunk: int = 16) -> dict:
         cols = np.zeros((len(at), geom.num_antennas), dtype=np.complex128)
         for slot in path_slots(paths):
             batch = slot[owners][:, None]
-            cols += exp_path_term(batch.gain, path_phases(
-                geom, batch, freq_dev[at][:, None, None])[..., 0])
+            cols += exp_path_term(batch.gain, path_phases(geom, batch, freq_dev[at][:, None]))
         fs_rows = subband_analog_rows(geom, paths, [sb.center_hz for sb in subbands])
         fs_sizes = [plan.subarray_size] * (len(subbands) * config.num_subarrays)
         beams = narrowband_beams(geom, paths)

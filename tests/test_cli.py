@@ -270,6 +270,24 @@ def test_run_invalid_config_value_maps_to_exit_1(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["boundary", "--theta", "0.3", "--d", "nan"],
+    ["classify", "--theta", "0.3", "--d", "nan"],
+    ["classify", "--theta", "0.3", "--d", "40", "--r", "inf"],
+    ["run", "se-paths-as", "--snr-db", "nan"],
+    ["run", "se-paths-as", "--distance-max-m", "inf"],
+    ["run", "se-paths-as", "--bandwidth-hz", "inf"],
+], ids=["boundary-d", "classify-d", "classify-r", "run-snr", "run-distance", "run-bandwidth"])
+def test_nonfinite_inputs_map_to_exit_1(capsys, tmp_path, argv):
+    target = tmp_path / "x.csv"
+    if argv[0] == "run":
+        argv = argv + ["--output", str(target)]
+    code, out, err = invoke(capsys, argv)
+    assert code == 1
+    assert err.startswith("error:") and "must be finite" in err
+    assert out == "" and not target.exists()
+
+
 def emitted_per_worker_count(capsys, tmp_path, monkeypatch, argv):
     """CSV bytes of one run request at 1, 4 and 8 worker threads."""
     emitted = []

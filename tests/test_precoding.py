@@ -33,13 +33,10 @@ from squintlab import (
     se_optimal,
     se_slicing_closed_form,
     se_subband_closed_form,
-    slice_analog_matrix,
     slice_analog_rows,
     slice_precoder_set,
     spectral_efficiency,
     static_precoder_set,
-    subarray_center_distance,
-    subband_analog_matrix,
     subband_analog_rows,
     subband_precoder_set,
     synth_channel,
@@ -75,6 +72,11 @@ def column_blocks(analog, sizes):
         out.append(col[start : start + size])
         start += size
     return out
+
+
+def row_blocks(row, sizes):
+    """Each block of one user's analog row, read through its block-diagonal matrix."""
+    return column_blocks(block_diagonal(row, sizes), sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,7 @@ def test_slice_beam_is_single_path_phase_without_far_paths():
     geom = ArrayGeometry(64, 7e9)
     path = make_path(gain=np.exp(0.7j))
     plan = equal_plan(64, 4)
-    beams = column_blocks(slice_analog_matrix(geom, [path], plan), plan.subarray_sizes)
+    beams = row_blocks(slice_analog_rows(geom, [[path]], plan.blocks)[0], plan.subarray_sizes)
     for t, beam in enumerate(beams):
         np.testing.assert_allclose(np.abs(beam), 1.0, atol=1e-12)
         size = plan.subarray_sizes[t]
@@ -139,8 +141,9 @@ def test_weak_far_path_barely_perturbs_the_slice_beam():
     near = make_path(gain=1.0 + 0j)
     far = make_path(theta=-0.5, gain=1e-6 + 0j, model=FieldModel.FAR)
     plan = equal_plan(64, 2)
-    clean = column_blocks(slice_analog_matrix(geom, [near], plan), plan.subarray_sizes)
-    mixed = column_blocks(slice_analog_matrix(geom, [near, far], plan), plan.subarray_sizes)
+    clean = row_blocks(slice_analog_rows(geom, [[near]], plan.blocks)[0], plan.subarray_sizes)
+    mixed = row_blocks(slice_analog_rows(geom, [[near, far]], plan.blocks)[0],
+                       plan.subarray_sizes)
     for a, b in zip(clean, mixed):
         assert np.abs(np.angle(b / a)).max() < 1e-4
 
@@ -160,7 +163,7 @@ def test_slice_beam_matches_scalar_oracle_with_far_paths():
     assert len(set(plan.subarray_sizes)) > 1
     assert set(plan.path_assignment) == {0, 1}
     far_terms = [(p.gain, p.sine_angle) for p in paths if p.field_model is FieldModel.FAR]
-    beams = column_blocks(slice_analog_matrix(geom, paths, plan), plan.subarray_sizes)
+    beams = row_blocks(slice_analog_rows(geom, [paths], plan.blocks)[0], plan.subarray_sizes)
     for t, beam in enumerate(beams):
         near = paths[plan.path_order[plan.path_assignment[t]]]
         size = plan.subarray_sizes[t]
@@ -374,8 +377,9 @@ def test_subband_beam_at_carrier_matches_slice_beam_per_block():
     plan = equal_plan(32, 4)
     grid = CarrierGrid.from_bandwidth(40e6, 8)
     ch = synth_channel(geom, grid, [path])
-    slice_beams = column_blocks(slice_analog_matrix(geom, [path], plan), plan.subarray_sizes)
-    sub_beams = column_blocks(subband_analog_matrix(geom, [path], 7e9, 4), plan.subarray_sizes)
+    slice_beams = row_blocks(slice_analog_rows(geom, [[path]], plan.blocks)[0],
+                             plan.subarray_sizes)
+    sub_beams = row_blocks(subband_analog_rows(geom, [[path]], [7e9])[0], plan.subarray_sizes)
     for slice_beam, sub_beam in zip(slice_beams, sub_beams):
         ratio = sub_beam / slice_beam
         np.testing.assert_allclose(np.abs(ratio), 1.0, atol=1e-12)
@@ -396,7 +400,7 @@ def test_subband_beam_matches_two_path_scalar_oracle():
     ]
     f_sub = 7e9 + 17e6
     size = 8
-    beams = column_blocks(subband_analog_matrix(geom, paths, f_sub, 4), (size,) * 4)
+    beams = row_blocks(subband_analog_rows(geom, [paths], [f_sub])[0], (size,) * 4)
     terms = [(p.gain, p.sine_angle, p.scatterer_distance_m, p.ue_range_m) for p in paths]
     for t, beam in enumerate(beams):
         np.testing.assert_allclose(np.abs(beam), 1.0, atol=1e-12)
@@ -410,13 +414,14 @@ def test_subband_beam_ignores_far_paths_and_validates():
     geom = ArrayGeometry(32, 7e9)
     near = make_path()
     far = make_path(theta=0.6, model=FieldModel.FAR)
-    with_far = subband_analog_matrix(geom, [near, far], 7e9, 4)
-    without = subband_analog_matrix(geom, [near], 7e9, 4)
+    with_far = subband_analog_rows(geom, [[near, far]], [7e9])
+    without = subband_analog_rows(geom, [[near]], [7e9])
     np.testing.assert_allclose(with_far, without, atol=1e-14)
     with pytest.raises(ValueError):
-        subband_analog_matrix(geom, [far], 7e9, 4)
-    with pytest.raises(ValueError):
-        subband_analog_matrix(geom, [near], 7e9, 5)
+        subband_analog_rows(geom, [[far]], [7e9])
+    band = UserSubband(0, 1, 0, 1e6, 7e9)
+    with pytest.raises(ValueError, match="divide"):
+        subband_precoder_set(geom, [near], band, 5, np.ones((32, 1), dtype=np.complex128))
 
 
 @pytest.mark.parametrize("num_antennas,num_users", [(128, 6), (1024, 16)])
@@ -437,14 +442,12 @@ def test_batched_analog_builders_equal_one_user_at_a_time(num_antennas, num_user
     plans = [plan_antenna_slices(geom, grid, user, thr) for user in users]
     blocks = plan_antenna_rows(geom, users, boundary_table(geom, grid, thr, users))
     for row, user, plan in zip(slice_analog_rows(geom, users, blocks), users, plans):
-        assert np.array_equal(block_diagonal(row, plan.subarray_sizes),
-                              slice_analog_matrix(geom, user, plan))
+        assert np.array_equal(row, slice_analog_rows(geom, [user], plan.blocks)[0])
     centers = 7e9 + np.linspace(-250e6, 250e6, len(users))
     rows = subband_analog_rows(geom, users, centers)
     assert rows.shape == (len(users), num_antennas)
     for row, user, center in zip(rows, users, centers):
-        assert np.array_equal(block_diagonal(row, (num_antennas // 4,) * 4),
-                              subband_analog_matrix(geom, user, center, 4))
+        assert np.array_equal(row, subband_analog_rows(geom, [user], [center])[0])
     with pytest.raises(ValueError, match="field models"):
         subband_analog_rows(geom, [users[0], users[1][1:]], centers[:2])
 
@@ -458,7 +461,7 @@ def test_slice_analog_rows_equal_complex_exponential_form_bit_for_bit():
     users = [sample_scenario(cfg, trial) for trial in range(16)]
     plans = [plan_antenna_slices(geom, grid, user, thr) for user in users]
     far = [[p for p in paths if p.field_model is FieldModel.FAR] for paths in users]
-    far_terms = [(batch.gain[:, None], path_phases(geom, batch[:, None], [0.0])[..., 0])
+    far_terms = [(batch.gain[:, None], path_phases(geom, batch[:, None]))
                  for batch in path_slots(far)]
     served, centers = [], []
     for paths, plan in zip(users, plans):
@@ -467,8 +470,7 @@ def test_slice_analog_rows_equal_complex_exponential_form_bit_for_bit():
             centers += [plan.offsets[t]] * size
     rows = np.arange(16 * 1024).reshape(16, 1024)
     near = PathBatch.stack(served, FieldModel.NARROWBAND_NEAR)[rows]
-    reference = subarray_center_distance(geom, near, np.asarray(centers)[rows])
-    near_phases = path_phases(geom, near, [0.0], reference_m=reference)[..., 0]
+    near_phases = path_phases(geom, near, reference=np.asarray(centers)[rows])
     want = oracles.exp_slice_rows(far_terms, near.gain, near_phases)
     got = slice_analog_rows(geom, users,
                             plan_antenna_rows(geom, users, boundary_table(geom, grid, thr, users)))

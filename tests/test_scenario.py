@@ -1,5 +1,7 @@
 """Scenario configuration and seeded Monte Carlo sampling."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,24 @@ def test_derived_objects_echo_the_fields():
 def test_config_validation(changes):
     with pytest.raises(ValueError):
         ScenarioConfig(**changes)
+
+
+_FLOAT_FIELDS = ["center_freq_hz", "bandwidth_hz", "kappa_a", "kappa_f", "snr_db",
+                 "distance_min_m", "distance_max_m", "far_gain_offset_db"]
+
+
+def test_float_field_list_is_complete():
+    assert _FLOAT_FIELDS == [name for name, value in ScenarioConfig().to_dict().items()
+                             if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("build", [lambda d: ScenarioConfig(**d), ScenarioConfig.from_dict],
+                         ids=["constructor", "from_dict"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_config_rejects_nonfinite_floats(name, value, build):
+    with pytest.raises(ValueError, match=f"must be finite: {name}"):
+        build({name: value})
 
 
 def test_quick_caps_grid_and_trials_only():

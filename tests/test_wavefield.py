@@ -30,11 +30,10 @@ from squintlab import (
     channel_columns,
     path_phases,
     read_channel_dump,
-    subarray_center_distance,
     synth_channel,
     write_channel_dump,
 )
-from squintlab.wavefield import HYBRID, PathBatch, path_slots, phasor
+from squintlab.wavefield import HYBRID, PathBatch, _element_ranges, path_slots, phasor
 
 
 def make_geom(n=8, fc=7e9, spacing=None):
@@ -60,23 +59,22 @@ def make_plan(num_antennas, sizes, num_paths=1):
 
 
 def steering(geom, path, model=FieldModel.NARROWBAND_NEAR):
-    """Carrier steering vector: the phase kernel's column at zero frequency offset."""
-    return phasor(path_phases(geom, path, [0.0], model=model)[:, 0])
+    """Carrier steering vector: the phase kernel at its default, zero frequency offset."""
+    return phasor(path_phases(geom, path, model=model))
 
 
 def delay_ramp(grid, total_range_m):
     """Frequency ramp exp(j k df_m (r + d)): a far path's term at the array center."""
     path = make_path(theta=0.0, d=total_range_m, model=FieldModel.FAR)
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-    return phasor(path_phases(make_geom(1), path, freq_dev)[0])
+    return phasor(path_phases(make_geom(1), path, freq_dev[:, None])[:, 0])
 
 
 def block_channel(geom, grid, path, plan, t):
     """Path term of subarray t, its near phases referenced to the block center's range."""
     start = sum(plan.subarray_sizes[:t])
-    ref = subarray_center_distance(geom, path, [plan.offsets[t]])
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-    phases = path_phases(geom, path, freq_dev, reference_m=ref)
+    phases = path_phases(geom, path, freq_dev[:, None], reference=plan.offsets[t]).T
     return path.gain * phasor(phases[start:start + plan.subarray_sizes[t]])
 
 
@@ -130,6 +128,11 @@ def test_invalid_inputs_are_rejected():
         PathParams(1.0 + 0j, 0.3, -4.0)  # negative scatterer distance
     with pytest.raises(ValueError):
         PathParams(1.0 + 0j, 0.3, 40.0, -1.0)  # negative UE range
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            PathParams(1.0 + 0j, 0.3, value)  # non-finite scatterer distance
+        with pytest.raises(ValueError, match="must be finite"):
+            PathParams(1.0 + 0j, 0.3, 40.0, value)  # non-finite UE range
 
 
 # ---------------------------------------------------------------------------
@@ -139,23 +142,20 @@ def test_invalid_inputs_are_rejected():
 
 def test_center_antenna_distance_equals_d():
     geom = make_geom(3)
-    path = make_path(theta=0.7, d=10.0)
-    got = subarray_center_distance(geom, path, geom.element_offsets())
+    got = _element_ranges(geom, 0.7, 10.0, geom.element_offsets())[0]
     assert got[1] == pytest.approx(10.0, abs=1e-12)
 
 
 def test_broadside_distance_is_pythagorean():
     geom = make_geom(3, spacing=1.0)  # offsets -1, 0, +1 meters
-    path = make_path(theta=0.0, d=10.0)
-    got = subarray_center_distance(geom, path, geom.element_offsets())
+    got = _element_ranges(geom, 0.0, 10.0, geom.element_offsets())[0]
     assert got[2] == pytest.approx(math.sqrt(101.0), rel=1e-15)
 
 
 def test_distance_matches_coordinate_oracle_at_paper_scale():
     geom = make_geom(1024, 7e9)
-    path = make_path(theta=0.1, d=10.0)
     expected = oracles.element_distance(1024, 0, 0.1, 10.0, geom.spacing_m)
-    got = subarray_center_distance(geom, path, geom.element_offsets())
+    got = _element_ranges(geom, 0.1, 10.0, geom.element_offsets())[0]
     assert got[0] == pytest.approx(expected, rel=1e-14)
 
 
@@ -166,7 +166,7 @@ def test_distances_match_coordinate_oracle(seed):
     theta = float(rng.uniform(-0.99, 0.99))
     d = float(rng.uniform(1.0, 200.0))
     geom = make_geom(n)
-    got = subarray_center_distance(geom, make_path(theta=theta, d=d), geom.element_offsets())
+    got = _element_ranges(geom, theta, d, geom.element_offsets())[0]
     want = oracles.element_distances(n, theta, d, geom.spacing_m)
     assert np.allclose(got, want, rtol=1e-13)
 
@@ -236,7 +236,7 @@ def test_path_phases_match_the_scalar_oracle(model, field):
     grid = CarrierGrid.from_bandwidth(400e6, 6)
     path = make_path(theta=-0.35, d=18.0, r=6.0, gain=0.8 * np.exp(0.3j), model=model)
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
-    phases = path_phases(geom, path, freq_dev)
+    phases = path_phases(geom, path, freq_dev[:, None]).T
     assert phases.shape == (24, 6) and phases.dtype == np.float64
     for n in range(24):
         for m in range(6):
@@ -248,18 +248,19 @@ def test_path_phases_match_the_scalar_oracle(model, field):
 def test_path_phases_take_one_reference_per_offset():
     geom = make_geom(16)
     path = make_path(theta=0.4, d=12.0, r=3.0)
-    refs = np.repeat([11.5, 12.5], 8)
-    rows = path_phases(geom, path, [0.0, 2e6], reference_m=refs)
-    for ref, half in ((11.5, slice(0, 8)), (12.5, slice(8, 16))):
-        one = path_phases(geom, path, [0.0, 2e6], reference_m=ref)[half]
+    freq_dev = np.array([0.0, 2e6])[:, None]
+    refs = np.repeat([-4.0, 4.0], 8)
+    rows = path_phases(geom, path, freq_dev, reference=refs).T
+    for ref, half in ((-4.0, slice(0, 8)), (4.0, slice(8, 16))):
+        one = path_phases(geom, path, freq_dev, reference=ref).T[half]
         np.testing.assert_array_equal(rows[half], one)
-    # the carrier column is the steering phase; far paths ignore the reference
-    carrier = path_phases(geom, path, [0.0], model=FieldModel.NARROWBAND_NEAR)[:, 0]
+    # the default carrier is the steering phase; far paths ignore the reference
+    carrier = path_phases(geom, path, model=FieldModel.NARROWBAND_NEAR)
     ranges = oracles.element_distances(16, 0.4, 12.0, geom.spacing_m)
     np.testing.assert_allclose(carrier, 2 * math.pi / geom.wavelength_m * (ranges - 12.0),
                                rtol=1e-12, atol=1e-12)
-    far = path_phases(geom, path, [0.0], reference_m=99.0, model=FieldModel.FAR)
-    np.testing.assert_array_equal(far, path_phases(geom, path, [0.0], model=FieldModel.FAR))
+    far = path_phases(geom, path, reference=99.0, model=FieldModel.FAR)
+    np.testing.assert_array_equal(far, path_phases(geom, path, model=FieldModel.FAR))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +557,7 @@ _PATHS = st.lists(
         st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),  # sine angle
         st.floats(0.5, 200.0),  # scatterer distance d
         st.floats(0.0, 200.0),  # UE range r
-        st.floats(0.5, 200.0),  # reference range
+        st.floats(-2048.0, 2048.0),  # reference element offset
     ),
     min_size=1, max_size=6,
 )
@@ -577,12 +578,13 @@ def test_batched_path_phases_rows_equal_single_path_calls(
     paths = _paths(drawn, model)
     refs = np.array([ref for *_, ref in drawn]) if per_row_reference else None
     batch = PathBatch.stack(paths, model)[:, None]
-    rows = path_phases(geom, batch, freq_dev,
-                       reference_m=None if refs is None else refs[:, None])
+    dev = np.asarray(freq_dev)
+    rows = np.moveaxis(path_phases(geom, batch, dev[:, None, None],
+                                   reference=None if refs is None else refs[:, None]), 0, -1)
     assert rows.shape == (len(paths), num_antennas, len(freq_dev))
     for k, path in enumerate(paths):
-        one = path_phases(geom, path, freq_dev,
-                          reference_m=None if refs is None else refs[k])
+        one = path_phases(geom, path, dev[:, None],
+                          reference=None if refs is None else refs[k]).T
         # a scatterer within rounding of an element may give the square root
         # of a rounded negative, which both sides must then give alike
         assert np.array_equal(rows[k], one, equal_nan=True)
@@ -597,20 +599,18 @@ def test_per_column_path_phases_equal_single_path_calls(num_antennas, model, dra
     geom = ArrayGeometry(num_antennas, 7e9)
     paths = _paths(drawn, model)
     dev = np.resize(np.asarray(freq_dev), len(paths))
-    cols = path_phases(geom, PathBatch.stack(paths, model)[:, None], dev[:, None, None])
-    assert cols.shape == (len(paths), num_antennas, 1)
+    cols = path_phases(geom, PathBatch.stack(paths, model)[:, None], dev[:, None])
+    assert cols.shape == (len(paths), num_antennas)
     for c, path in enumerate(paths):
-        assert np.array_equal(cols[c, :, 0], path_phases(geom, path, dev[c:c + 1])[:, 0],
-                              equal_nan=True)
+        assert np.array_equal(cols[c], path_phases(geom, path, dev[c]), equal_nan=True)
 
 
 def direct_column(geom, grid, paths, m, model=None):
     """Channel column m as the direct terms gain * exp(j phase), summed in path order."""
-    freq_dev = (grid.subcarrier_offsets() * grid.subcarrier_spacing_hz)[m:m + 1]
+    freq_dev = (grid.subcarrier_offsets() * grid.subcarrier_spacing_hz)[m]
     out = np.zeros(geom.num_antennas, dtype=np.complex128)
     for path in paths:
-        out += oracles.exp_path_term(path.gain,
-                                     path_phases(geom, path, freq_dev, model=model)[:, 0])
+        out += oracles.exp_path_term(path.gain, path_phases(geom, path, freq_dev, model=model))
     return out
 
 
@@ -809,6 +809,35 @@ def test_squint_phases_carry_the_range_deviation_free_of_cancellation():
     assert worst <= 1e-14
 
 
+def test_subarray_carrier_is_free_of_cancellation():
+    # the carrier at a subarray center's offset is (d_n - d) - (d_c - d), each
+    # deviation free of cancellation, not a difference of two ranges of up to
+    # 2 km: against a long-double k f_c (d_n - d_c) it stays within 1e-14 of
+    # k f_c max |d_n - d| (about 8.4e-16 over these draws; the center's range
+    # passed as the reference read about 2.0e-11)
+    rng = np.random.default_rng(2029)
+    ld = np.longdouble
+    worst = 0.0
+    for _ in range(400):
+        n, d = int(rng.integers(2, 2049)), rng.uniform(0.5, 2000.0)
+        theta = rng.uniform(-0.99, 0.99)
+        centers = rng.uniform(-n / 2.0, n / 2.0, 8)
+        geom = make_geom(n)
+        path = make_path(theta=theta, d=d, model=FieldModel.NARROWBAND_NEAR)
+        got = path_phases(geom, path, reference=centers[:, None])
+
+        def deviation(offsets):
+            x = np.asarray(offsets, dtype=ld) * ld(geom.spacing_m)
+            excess = x * x - 2 * ld(d) * x * ld(theta)
+            return excess / (np.sqrt(ld(d) * ld(d) + excess) + ld(d))
+
+        scale = ld(2.0 * math.pi / SPEED_OF_LIGHT * geom.center_freq_hz)
+        spread = deviation(geom.element_offsets())
+        want = scale * (spread - deviation(centers)[:, None])
+        worst = max(worst, float(np.max(np.abs(got - want)) / (scale * np.max(np.abs(spread)))))
+    assert worst <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # channel synthesis
 # ---------------------------------------------------------------------------
@@ -907,7 +936,7 @@ def test_channel_columns_equal_complex_exponential_terms_bit_for_bit(
     model = FieldModel.WIDEBAND_NEAR if model_tag == HYBRID else FieldModel(model_tag)
     want = np.zeros((num_antennas, num_subcarriers), dtype=np.complex128)
     want += oracles.exp_path_term(batch.gain, path_phases(
-        geom, batch[:, None], freq_dev[:, None, None], model=model)[..., 0].T)
+        geom, batch[:, None], freq_dev[:, None], model=model).T)
     got = channel_columns(geom, grid, [batch], model_tag)
     assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(want.T).view(np.uint64))
 
@@ -952,7 +981,7 @@ def test_blocked_path_terms_are_as_accurate_as_direct_phasors(
     if math.isqrt(num_subcarriers) == 1:
         freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
         direct = np.zeros(got.shape[::-1], dtype=np.complex128)
-        direct += oracles.exp_path_term(gain, path_phases(geom, path, freq_dev))
+        direct += oracles.exp_path_term(gain, path_phases(geom, path, freq_dev[:, None]).T)
         direct = np.ascontiguousarray(direct.T)
         assert np.array_equal(got.view(np.uint64), direct.view(np.uint64))
 
@@ -1032,8 +1061,10 @@ def test_blocks_reassemble_with_relocation_phase(seed):
         for t, size in enumerate(plan.subarray_sizes):
             block = block_channel(geom, grid, path, plan, t)
             if path.field_model is not FieldModel.FAR:
-                d_sub = subarray_center_distance(geom, path, [plan.offsets[t]])[0]
-                block = block * np.exp(1j * k * (d_sub - path.scatterer_distance_m))
+                # d_sub - d as the kernel forms it: free of cancellation
+                shift = _element_ranges(geom, path.sine_angle, path.scatterer_distance_m,
+                                        plan.offsets[t])[1]
+                block = block * np.exp(1j * k * shift)
             rebuilt.append(block)
         assert np.allclose(np.vstack(rebuilt), full, rtol=1e-12, atol=1e-12)
 
