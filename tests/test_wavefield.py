@@ -809,6 +809,14 @@ def test_squint_phases_carry_the_range_deviation_free_of_cancellation():
     assert worst <= 1e-14
 
 
+def _longdouble_deviation(spacing_m, d, theta, offsets):
+    """d_n - d at the given element offsets, in long double, as (d_n^2 - d^2) / (d_n + d)."""
+    ld = np.longdouble
+    x = np.asarray(offsets, dtype=ld) * ld(spacing_m)
+    excess = x * x - 2 * ld(d) * x * ld(theta)
+    return excess / (np.sqrt(ld(d) * ld(d) + excess) + ld(d))
+
+
 def test_subarray_carrier_is_free_of_cancellation():
     # the carrier at a subarray center's offset is (d_n - d) - (d_c - d), each
     # deviation free of cancellation, not a difference of two ranges of up to
@@ -816,7 +824,6 @@ def test_subarray_carrier_is_free_of_cancellation():
     # k f_c max |d_n - d| (about 8.4e-16 over these draws; the center's range
     # passed as the reference read about 2.0e-11)
     rng = np.random.default_rng(2029)
-    ld = np.longdouble
     worst = 0.0
     for _ in range(400):
         n, d = int(rng.integers(2, 2049)), rng.uniform(0.5, 2000.0)
@@ -825,15 +832,9 @@ def test_subarray_carrier_is_free_of_cancellation():
         geom = make_geom(n)
         path = make_path(theta=theta, d=d, model=FieldModel.NARROWBAND_NEAR)
         got = path_phases(geom, path, reference=centers[:, None])
-
-        def deviation(offsets):
-            x = np.asarray(offsets, dtype=ld) * ld(geom.spacing_m)
-            excess = x * x - 2 * ld(d) * x * ld(theta)
-            return excess / (np.sqrt(ld(d) * ld(d) + excess) + ld(d))
-
-        scale = ld(2.0 * math.pi / SPEED_OF_LIGHT * geom.center_freq_hz)
-        spread = deviation(geom.element_offsets())
-        want = scale * (spread - deviation(centers)[:, None])
+        scale = np.longdouble(2.0 * math.pi / SPEED_OF_LIGHT * geom.center_freq_hz)
+        spread = _longdouble_deviation(geom.spacing_m, d, theta, geom.element_offsets())
+        want = scale * (spread - _longdouble_deviation(geom.spacing_m, d, theta, centers)[:, None])
         worst = max(worst, float(np.max(np.abs(got - want)) / (scale * np.max(np.abs(spread)))))
     assert worst <= 1e-14
 
