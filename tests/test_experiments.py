@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from squintlab import (
@@ -24,6 +26,7 @@ from squintlab import (
     plan_antenna_slices,
     run_experiment,
     sample_scenario,
+    subcarrier_caps,
 )
 from squintlab import experiments
 from squintlab.cli import cli_main
@@ -38,6 +41,7 @@ from squintlab.experiments import (
     _mean_se,
     resolve_threads,
 )
+from squintlab.slicing import _EDGE_EPS
 from squintlab.wavefield import path_slots
 
 # single deterministic near path at the sweep reference geometry
@@ -766,3 +770,91 @@ def test_batched_mean_se_equals_the_per_user_loop(seed, one_user_width):
     for row, power in zip(got, powers):
         assert np.array_equal(row, oracles.per_user_mean_se(amps, plan.subbands, schemes,
                                                             power, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# draw-level properties far beyond the defaults
+# ---------------------------------------------------------------------------
+
+
+#: unit roundoff of float64. Amplitudes and the matched filter sum up to N
+#: terms each, in different orders, so a scheme may read above ||h|| by
+#: rounding that grows with N. Over 1,100 random configs of the space below
+#: (5,000 draws) the largest excess was 0.099 N u, sub-band slicing with one
+#: antenna per subarray at N = 1631 (1.8e-14); the bound allows N u
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@st.composite
+def draw_configs(draw):
+    """Configs over N 2-2048, M 1-256 (N M <= 300,000), f_c 1-30 GHz, B 1 MHz-2 GHz,
+    d 0.5 m-2.2 km, kappa 0.01-0.5, 1-5 near and 0-2 far paths, 1-8 users."""
+    n = draw(st.integers(2, 2048))
+    low = draw(st.floats(0.5, 2200.0))
+    return ScenarioConfig(
+        num_antennas=n, num_subcarriers=draw(st.integers(1, min(256, 300_000 // n))),
+        center_freq_hz=draw(st.floats(1e9, 30e9)), bandwidth_hz=draw(st.floats(1e6, 2e9)),
+        distance_min_m=low, distance_max_m=draw(st.floats(low, 2200.0)),
+        kappa_a=draw(st.floats(0.01, 0.5)), kappa_f=draw(st.floats(0.01, 0.5)),
+        num_near_paths=draw(st.integers(1, 5)), num_far_paths=draw(st.integers(0, 2)),
+        num_users=draw(st.integers(1, 8)),
+        num_subarrays=draw(st.sampled_from([t for t in range(1, n + 1) if n % t == 0])),
+        seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_amplitudes_bounded(amps, num_antennas):
+    bound = (1.0 + num_antennas * _UNIT_ROUNDOFF) * amps["optimal"]
+    for scheme, values in amps.items():
+        assert np.all(np.isfinite(values)), scheme
+        assert np.all(values <= bound), scheme
+
+
+def assert_blocks_in_windows(config, paths):
+    """Every antenna-slicing block of the user's plan lies inside its path's window."""
+    geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
+    plan = plan_antenna_slices(geom, grid, paths, thr)
+    assert sum(plan.subarray_sizes) == config.num_antennas
+    for size, slot in zip(plan.subarray_sizes, plan.path_assignment):
+        report = boundary_report(geom, grid, paths[plan.path_order[slot]], thr)
+        assert report.near_field_threshold - _EDGE_EPS <= size <= report.antenna_boundary_near
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=draw_configs())
+def test_link_draws_hold_their_bounds_across_the_geometry(config):
+    # any exception but InfeasiblePlanError escapes _link_draws and fails here
+    drawn = _link_draws(config, range(3))
+    for trial, got in enumerate(drawn):
+        assert_same_draw(got, _link_draws(config, range(trial, trial + 1))[0])
+        paths = sample_scenario(config, trial)
+        if got is None:
+            with pytest.raises(InfeasiblePlanError):
+                assert_blocks_in_windows(config, paths)
+            continue
+        assert got[1] == (config.num_subcarriers,)
+        assert_amplitudes_bounded(got[0], config.num_antennas)
+        assert_blocks_in_windows(config, paths)
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=draw_configs())
+def test_multiuser_draws_hold_their_bounds_across_the_geometry(config):
+    grid = config.grid()
+    for trial, got in enumerate(experiments._fs_draws(config, range(2))):
+        try:
+            users, plan = _allocate_adaptive(config, trial)
+        except InfeasiblePlanError:
+            assert got is None
+            continue
+        if got is None:
+            with pytest.raises(InfeasiblePlanError):
+                for paths in users:
+                    assert_blocks_in_windows(config, paths)
+            continue
+        amps, widths, _ = got
+        assert widths == plan.user_subcarriers
+        assert sum(widths) == config.num_subcarriers and min(widths) >= 1
+        assert np.all(np.array(widths) <= subcarrier_caps(plan.boundaries, grid))
+        assert_amplitudes_bounded(amps, config.num_antennas)
+        for paths in users:
+            assert_blocks_in_windows(config, paths)
