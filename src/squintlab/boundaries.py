@@ -18,13 +18,13 @@ bounds included, comes from :func:`boundary_report`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .wavefield import ArrayGeometry, CarrierGrid, FieldModel, PathParams
+from .wavefield import ArrayGeometry, CarrierGrid, FieldModel, PathBatch, PathParams, path_slots
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,13 @@ class BoundaryReport:
 class BoundaryTable:
     """Near-mode boundaries of every path of a draw: entry (k, l) is path l of user k.
 
-    ``near`` marks the entries that hold a near-field path (shorter users are
-    padded). ``near_threshold`` (N_tilde), ``antenna`` (N_bar) and ``freq``
-    (B_bar) are at full-array scale. A table built with a subarray size also
+    ``near`` marks the entries that hold a near-field path; the users share
+    one sequence of field models, so every row marks the same paths.
+    ``near_threshold`` (N_tilde), ``antenna`` (N_bar) and ``freq`` (B_bar)
+    are at full-array scale. A table built with a subarray size also
     holds the sub-band caps' inputs: ``freq_subarray`` (B_bar of one subarray)
     and ``delay_spread`` (per user; inf without two distinct total ranges).
+    A slice of users indexes their table.
     """
 
     near: NDArray[np.bool_]
@@ -82,6 +84,11 @@ class BoundaryTable:
     freq: NDArray[np.float64]
     freq_subarray: NDArray[np.float64] | None = None
     delay_spread: NDArray[np.float64] | None = None
+
+    def __getitem__(self, rows: slice) -> "BoundaryTable":
+        # every entry is elementwise in its path or reduced over its own row
+        values = [getattr(self, f.name) for f in fields(self)]
+        return BoundaryTable(*[None if value is None else value[rows] for value in values])
 
 
 def _near_variation(n: int, s: float, theta, d):
@@ -149,27 +156,20 @@ def boundary_table(
     geom: ArrayGeometry,
     grid: CarrierGrid,
     thr: SquintThresholds,
-    users: Sequence[Sequence[PathParams]],
+    slots: Sequence[PathBatch],
     subarray_size: int | None = None,
 ) -> BoundaryTable:
     """Near-mode boundaries of every path of every user, as users-by-paths arrays.
 
-    ``subarray_size`` asks for the sub-band caps' inputs at that subarray
-    scale as well.
+    ``slots`` are the users' :func:`path_slots`. ``subarray_size`` asks for
+    the sub-band caps' inputs at that subarray scale as well.
     """
-    if not users:
-        raise ValueError("at least one user is required")
-    counts = [len(paths) for paths in users]
-    width = max(max(counts), 1)
-    fields = np.array([(abs(p.sine_angle), p.scatterer_distance_m, p.total_range_m,
-                        p.field_model is not FieldModel.FAR)
-                       for paths in users for p in paths], dtype=np.float64).reshape(-1, 4).T
-    if min(counts) < width:  # pad shorter users with entries that are not near
-        padded = np.zeros((4, len(users), width))
-        padded[:, np.arange(width) < np.array(counts)[:, None]] = fields
-        fields = padded
-    theta, d, total, near = np.ascontiguousarray(fields).reshape(4, len(users), width)
-    near = near > 0.0
+    if not slots:
+        raise ValueError("at least one path is required")
+    theta = np.abs(np.stack([slot.sine_angle for slot in slots], axis=1))
+    d = np.stack([slot.scatterer_distance_m for slot in slots], axis=1)
+    total = np.stack([slot.total_range_m for slot in slots], axis=1)
+    near = np.repeat([[slot.field_model is not FieldModel.FAR for slot in slots]], len(d), axis=0)
 
     table = BoundaryTable(near, *_near_boundaries(geom, grid, thr, theta, d))
     if subarray_size is None:
@@ -232,7 +232,7 @@ def boundary_report(
     mode inverts the planar variation (N-1) s |theta| / 2, so both far
     boundaries are inf at broadside and B_bar is inf at N=1 too.
     """
-    near = boundary_table(geom, grid, thr, [[path]])
+    near = boundary_table(geom, grid, thr, path_slots([[path]]))
     s, c, kappa = geom.spacing_m, geom.wave_speed, thr.total
     theta = abs(path.sine_angle)
     planar = (geom.num_antennas - 1) * s * theta / 2.0
@@ -259,7 +259,7 @@ def classify_path(
     near-mode boundary; otherwise the path is planar (far) below the near-field
     threshold and narrowband-near in between.
     """
-    near = boundary_table(geom, grid, thr, [[path]])
+    near = boundary_table(geom, grid, thr, path_slots([[path]]))
     if geom.num_antennas >= near.antenna[0, 0] or grid.bandwidth_hz >= near.freq[0, 0]:
         return FieldModel.WIDEBAND_NEAR
     if geom.num_antennas < near.near_threshold[0, 0]:

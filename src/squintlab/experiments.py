@@ -40,6 +40,7 @@ from .slicing import (
 from .wavefield import (
     ArrayGeometry,
     CarrierGrid,
+    PathBatch,
     PathParams,
     channel_columns,
     path_slots,
@@ -56,7 +57,7 @@ _FS_SCHEMES = (
 )
 
 #: the fixed path of the boundary sweeps: theta = 0.1, d = r = 10 m, unit gain
-_SWEEP_PATH = PathParams(1.0, 0.1, 10.0, 10.0)
+_SWEEP_SLOTS = path_slots([[PathParams(1.0, 0.1, 10.0, 10.0)]])
 _SNR_AXIS_DB = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
 _BOUNDARY_MULTS = (
     0.25, 0.5, 0.7, 0.8, 0.85, 0.9, 0.95, 1.0, 1.05,
@@ -187,7 +188,7 @@ def _mean_or_none(values: Sequence[float | None]) -> float | None:
 
 def _antenna_slicing_amps(
     geom: ArrayGeometry,
-    users: Sequence[Sequence[PathParams]],
+    slots: Sequence[PathBatch],
     table: BoundaryTable,
     owners: np.ndarray,
     cols: np.ndarray,
@@ -198,33 +199,33 @@ def _antenna_slicing_amps(
     and takes one :func:`owner_gain_amplitudes` product; raises the first
     infeasible user's InfeasiblePlanError.
     """
-    blocks = plan_antenna_rows(geom, users, table)
-    return owner_gain_amplitudes(slice_analog_rows(geom, users, blocks), blocks.sizes,
+    blocks = plan_antenna_rows(geom, slots, table)
+    return owner_gain_amplitudes(slice_analog_rows(geom, slots, blocks), blocks.sizes,
                                  owners, cols)
 
 
 def _link_amps(
     geom: ArrayGeometry,
-    draws: Sequence[Sequence[PathParams]],
+    slots: Sequence[PathBatch],
     cols: np.ndarray,
     table: BoundaryTable,
 ) -> dict[str, np.ndarray]:
     """Per-subcarrier beamforming amplitudes |f^H h| of T link draws, per scheme.
 
     The draws are T users of the multiuser batch, each owning its own M
-    subcarriers: ``cols`` is their (T M) x N channel, as
-    :func:`channel_columns` builds it from their path slots, and ``table``
-    their T-row :func:`boundary_table`. Every scheme's amplitudes run over
-    the T M subcarriers. The baseline takes one BLAS product per draw, which
+    subcarriers: ``slots`` are their :func:`path_slots`, ``cols`` their
+    (T M) x N channel, as :func:`channel_columns` builds it from the slots,
+    and ``table`` their T-row :func:`boundary_table`. Every scheme's
+    amplitudes run over the T M subcarriers. The baseline takes one BLAS product per draw, which
     rounds as ``entries @ beam.conj()`` of the draw alone. Raises the first
     infeasible draw's InfeasiblePlanError.
     """
-    count = len(draws)
+    count = len(table.near)
     owners = np.repeat(np.arange(count), cols.shape[0] // count)
-    beams = narrowband_beams(geom, draws)
+    beams = narrowband_beams(geom, slots)
     per_draw = cols.reshape(count, -1, cols.shape[1])
     return {
-        Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, draws, table, owners, cols),
+        Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, slots, table, owners, cols),
         Scheme.NARROWBAND_BASELINE.value:
             np.abs(np.matmul(per_draw, beams.conj()[:, :, None])).ravel(),
         Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=1),
@@ -334,7 +335,7 @@ def _experiment_gain_map(config: ScenarioConfig) -> SweepResult:
         path = PathParams(1.0, theta, d, 0.0)
         label = f"eta_theta{theta:g}_d{d:g}"
         eta = np.asarray(normalized_array_gain(geom, grid, path))
-        near = boundary_table(geom, grid, thr, [[path]])
+        near = boundary_table(geom, grid, thr, path_slots([[path]]))
         b, n = float(near.freq[0, 0]), float(near.antenna[0, 0])
         curves.append((label, eta, b if np.isfinite(b) else None, n))
     rows = [
@@ -357,12 +358,12 @@ def _fixed_sweep(config: ScenarioConfig, name: str, axis_name: str,
     and N_bar, or ``n_col`` for every N_bar. Raises InfeasiblePlanError naming
     the first point whose plan is infeasible.
     """
-    thr, draw = config.thresholds(), [[_SWEEP_PATH]]
-    rows = []
+    thr, rows = config.thresholds(), []
     for value, geom, grid in points:
-        table = boundary_table(geom, grid, thr, draw)
+        table = boundary_table(geom, grid, thr, _SWEEP_SLOTS)
         try:
-            amps = _link_amps(geom, draw, channel_columns(geom, grid, draw[0]), table)
+            cols = channel_columns(geom, grid, [slot[:, None] for slot in _SWEEP_SLOTS])
+            amps = _link_amps(geom, _SWEEP_SLOTS, cols, table)
         except InfeasiblePlanError as exc:
             raise InfeasiblePlanError(f"{name} at {axis_name}={_fmt(value)}: {exc}") from exc
         se = _mean_se(amps, _AS_SCHEMES, (grid.num_subcarriers,), [config.power],
@@ -377,7 +378,7 @@ def _fixed_sweep(config: ScenarioConfig, name: str, axis_name: str,
 def _experiment_sweep_bandwidth(config: ScenarioConfig) -> SweepResult:
     geom = config.geometry()
     b_ref = float(boundary_table(geom, config.grid(), config.thresholds(),
-                                 [[_SWEEP_PATH]]).freq[0, 0])
+                                 _SWEEP_SLOTS).freq[0, 0])
     axis = [b_ref * mult for mult in _BOUNDARY_MULTS]
     points = [(b, geom, CarrierGrid.from_bandwidth(b, config.num_subcarriers)) for b in axis]
     return _fixed_sweep(config, "sweep-bandwidth", "bandwidth_hz", points)
@@ -386,7 +387,7 @@ def _experiment_sweep_bandwidth(config: ScenarioConfig) -> SweepResult:
 def _experiment_sweep_antennas(config: ScenarioConfig) -> SweepResult:
     ref_grid = CarrierGrid.from_bandwidth(config.bandwidth_hz, 1)  # B exactly, not M (B / M)
     n_ref = float(boundary_table(config.geometry(), ref_grid, config.thresholds(),
-                                 [[_SWEEP_PATH]]).antenna[0, 0])
+                                 _SWEEP_SLOTS).antenna[0, 0])
     axis_n: list[int] = []
     for mult in _BOUNDARY_MULTS:
         n = max(4, int(round(n_ref * mult)))
@@ -405,23 +406,23 @@ def _link_draws(config: ScenarioConfig, trials: range) -> list:
     """Per trial: amplitudes, sub-band widths (M,) and binding boundary columns of
     its link draw, or None when the draw's slicing plan is infeasible.
 
-    The trials' draws are one batch: one boundary table, one channel and one
-    :func:`_link_amps` call. When the batch holds an infeasible draw, each
-    draw is evaluated again on its own columns of the channel.
+    The trials' draws are one batch: one set of path slots, one boundary
+    table, one channel and one :func:`_link_amps` call. When the batch holds
+    an infeasible draw, each draw is evaluated again on its own rows of them.
     """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     m = grid.num_subcarriers
-    draws = [sample_scenario(config, trial) for trial in trials]
-    table = boundary_table(geom, grid, thr, draws)
-    cols = channel_columns(geom, grid, [slot[:, None] for slot in path_slots(draws)])
+    slots = path_slots([sample_scenario(config, trial) for trial in trials])
+    table = boundary_table(geom, grid, thr, slots)
+    cols = channel_columns(geom, grid, [slot[:, None] for slot in slots])
     try:
-        batch = _link_amps(geom, draws, cols, table)
+        batch = _link_amps(geom, slots, cols, table)
         amps = [{scheme: values[t * m:(t + 1) * m] for scheme, values in batch.items()}
-                for t in range(len(draws))]
+                for t in range(len(trials))]
     except InfeasiblePlanError:
-        amps = [_feasible(_link_amps, geom, [paths], cols[t * m:(t + 1) * m],
-                          boundary_table(geom, grid, thr, [paths]))
-                for t, paths in enumerate(draws)]
+        amps = [_feasible(_link_amps, geom, [slot[t:t + 1] for slot in slots],
+                          cols[t * m:(t + 1) * m], table[t:t + 1])
+                for t in range(len(trials))]
     return [None if a is None else (a, (m,), _binding_boundaries(table, t))
             for t, a in enumerate(amps)]
 
@@ -455,18 +456,20 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int):
     served users' sub-bands partition the M subcarriers in user order, so
     the whole draw is one batch: one M x N ``channel_columns`` call, one
     :func:`plan_antenna_rows` pass over the plan's boundary table, one call
-    per scheme for the K x N analog rows, and one batched product per scheme.
+    per scheme for the K x N analog rows from the users' path slots, and one
+    batched product per scheme.
     """
-    geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
+    geom, grid = config.geometry(), config.grid()
     users, plan = _allocate_adaptive(config, trial)
+    slots = path_slots(users)
     owners = np.repeat(np.arange(len(users)), plan.user_subcarriers)
-    cols = channel_columns(geom, grid, [slot[owners] for slot in path_slots(users)])
-    fs_rows = subband_analog_rows(geom, users, [sb.center_hz for sb in plan.subbands])
+    cols = channel_columns(geom, grid, [slot[owners] for slot in slots])
+    fs_rows = subband_analog_rows(geom, slots, [sb.center_hz for sb in plan.subbands])
     fs_sizes = np.full(len(users) * config.num_subarrays, plan.subarray_size)
-    beams = narrowband_beams(geom, users)
+    beams = narrowband_beams(geom, slots)
     amps = {
         Scheme.SUBBAND_SLICING.value: owner_gain_amplitudes(fs_rows, fs_sizes, owners, cols),
-        Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, users, plan.boundaries,
+        Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, slots, plan.boundaries,
                                                             owners, cols),
         Scheme.NARROWBAND_BASELINE.value: np.abs(np.sum(beams.conj()[owners] * cols, axis=1)),
         Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=1),

@@ -70,32 +70,24 @@ class PrecoderSet:
 # ---------------------------------------------------------------------------
 
 
-def narrowband_beams(
-    geom: ArrayGeometry, users: Sequence[Sequence[PathParams]]
-) -> ComplexMatrix:
+def narrowband_beams(geom: ArrayGeometry, slots: Sequence[PathBatch]) -> ComplexMatrix:
     """K x N frequency-flat full-array MRT beams, row k matched to user k.
 
     Each beam is the narrowband baseline of its user: matched to the
     strongest near-field path, ignoring both beam squint and the weaker
-    paths, or to the strongest far-field path if no near path exists. The
-    near and the far beams take one :func:`path_phases` call each.
+    paths, or to the strongest far-field path if no near path exists. As the
+    users' :func:`path_slots` share their field models, all beams take one
+    :func:`path_phases` call.
     """
-    best = []
-    for paths in users:
-        near = [p for p in paths if p.field_model is not FieldModel.FAR]
-        best.append(max(near or list(paths), key=lambda p: abs(p.gain)))
-    far = np.array([p.field_model is FieldModel.FAR for p in best], dtype=bool)
-    beams = np.empty((len(best), geom.num_antennas), dtype=np.complex128)
-    for model, rows in ((FieldModel.NARROWBAND_NEAR, ~far), (FieldModel.FAR, far)):
-        if rows.any():
-            batch = PathBatch.stack([p for p, row in zip(best, rows) if row], model)
-            beams[rows] = phasor(path_phases(geom, batch[:, None]))
-    return beams / np.sqrt(geom.num_antennas)
+    near = [slot for slot in slots if slot.field_model is not FieldModel.FAR]
+    paths = PathBatch.join(near or slots, FieldModel.NARROWBAND_NEAR if near else FieldModel.FAR)
+    best = paths[np.arange(len(paths.gain)), np.argmax(np.abs(paths.gain), axis=1)]
+    return phasor(path_phases(geom, best[:, None])) / np.sqrt(geom.num_antennas)
 
 
 def narrowband_mrt(geom: ArrayGeometry, paths: Sequence[PathParams]) -> ComplexVector:
     """Narrowband baseline beam of one user (see :func:`narrowband_beams`)."""
-    return narrowband_beams(geom, [paths])[0]
+    return narrowband_beams(geom, path_slots([paths]))[0]
 
 
 def static_precoder_set(beam: ComplexVector, num_subcarriers: int, scheme: Scheme) -> PrecoderSet:
@@ -170,31 +162,30 @@ def _hybrid_set(
 
 def slice_analog_rows(
     geom: ArrayGeometry,
-    users: Sequence[Sequence[PathParams]],
+    slots: Sequence[PathBatch],
     blocks: SliceBlocks,
 ) -> ComplexMatrix:
     """K x N phase-shifter entries of each user's antenna-slicing plan.
 
-    ``blocks`` holds the users' plans, as :func:`plan_antenna_rows` returns
-    them. Row n of subarray t carries exp(j angle(B_t)), with B_t the
-    gain-weighted sum of the far-path planar steerings and the assigned near
-    path's spherical steering referenced to the subarray center's offset;
+    ``slots`` are the users' :func:`path_slots`, and ``blocks`` holds their
+    plans, as :func:`plan_antenna_rows` returns them. Row n of subarray t
+    carries exp(j angle(B_t)), with B_t the gain-weighted sum of the
+    far-path planar steerings and the assigned near path's spherical
+    steering referenced to the subarray center's offset;
     :func:`block_diagonal` scatters row k into user k's N x T analog matrix.
-    The far paths take one :func:`path_phases` call per position in the
-    users' path lists (every user must have as many), and the near paths one
+    Each far slot takes one :func:`path_phases` call, and the near paths one
     call with one path per element: the path its subarray serves. Each
-    element's path and subarray center are one ``np.repeat`` of the blocks.
+    element's path and subarray center are one gather by its block.
     """
     n = geom.num_antennas
-    acc = np.zeros((len(users), n), dtype=np.complex128)
-    far = [[p for p in paths if p.field_model is FieldModel.FAR] for paths in users]
-    for batch in path_slots(far):
-        acc += batch.gain[:, None] * phasor(path_phases(geom, batch[:, None]))
-    first = np.cumsum([0] + [len(paths) for paths in users[:-1]])
-    owner = first[:, None] + np.repeat(blocks.paths, blocks.sizes).reshape(len(users), n)
-    centers = np.repeat(blocks.offsets, blocks.sizes).reshape(len(users), n)
-    near = PathBatch.stack([p for paths in users for p in paths],
-                           FieldModel.NARROWBAND_NEAR)[owner]
+    acc = np.zeros((len(slots[0].gain), n), dtype=np.complex128)
+    for batch in slots:
+        if batch.field_model is FieldModel.FAR:
+            acc += batch.gain[:, None] * phasor(path_phases(geom, batch[:, None]))
+    block = np.repeat(np.arange(len(blocks.sizes)), blocks.sizes).reshape(acc.shape)
+    centers = blocks.offsets[block]
+    user = (np.cumsum(blocks.sizes) - blocks.sizes) // n  # the user of each block
+    near = PathBatch.join(slots, FieldModel.NARROWBAND_NEAR)[user, blocks.paths][block]
     # np.multiply, not *: numpy would multiply a temporary of 256 KiB or more
     # in place as temporary * gain, which rounds unlike the one-user gain * term
     acc += np.multiply(near.gain, phasor(path_phases(geom, near, reference=centers)))
@@ -206,7 +197,7 @@ def slice_precoder_set(
     plan: SlicingPlan,
 ) -> PrecoderSet:
     """Antenna-slicing hybrid set: per-subarray analog beams + digital MRT."""
-    rows = slice_analog_rows(channel.geometry, [channel.paths], plan.blocks)
+    rows = slice_analog_rows(channel.geometry, path_slots([channel.paths]), plan.blocks)
     analog = block_diagonal(rows[0], plan.subarray_sizes)
     return _hybrid_set(Scheme.ANTENNA_SLICING, analog, plan.subarray_sizes,
                        channel.entries)
@@ -214,7 +205,7 @@ def slice_precoder_set(
 
 def subband_analog_rows(
     geom: ArrayGeometry,
-    users: Sequence[Sequence[PathParams]],
+    slots: Sequence[PathBatch],
     subband_centers_hz: Sequence[float],
 ) -> ComplexMatrix:
     """K x N phase-shifter entries of each user's sub-band analog beams.
@@ -226,15 +217,15 @@ def subband_analog_rows(
     carrier) keeps every element of a block phase-aligned to the channel at
     the sub-band center for any subarray size, and the full-array range
     reference preserves the paths' relative carrier phases. Far paths are
-    ignored. Every user must have as many near paths; each position in their
-    lists takes one :func:`path_phases` call.
+    ignored. ``slots`` are the users' :func:`path_slots`, and each near slot
+    takes one :func:`path_phases` call.
     """
     detune = np.asarray(subband_centers_hz, dtype=np.float64) - geom.center_freq_hz
-    near = [[p for p in paths if p.field_model is not FieldModel.FAR] for paths in users]
-    acc = np.zeros((len(users), geom.num_antennas), dtype=np.complex128)
-    for batch in path_slots(near):
-        acc += batch.gain[:, None] * phasor(path_phases(
-            geom, batch[:, None], detune[:, None], model=FieldModel.WIDEBAND_NEAR))
+    acc = np.zeros((len(detune), geom.num_antennas), dtype=np.complex128)
+    for batch in slots:
+        if batch.field_model is not FieldModel.FAR:
+            acc += batch.gain[:, None] * phasor(path_phases(
+                geom, batch[:, None], detune[:, None], model=FieldModel.WIDEBAND_NEAR))
     if not np.all(np.any(acc, axis=1)):
         raise ValueError("user has no near-field paths")
     return phasor(np.angle(acc))
@@ -251,9 +242,8 @@ def subband_precoder_set(
     if geom.num_antennas % num_subarrays != 0:
         raise ValueError("num_subarrays must divide num_antennas")
     sizes = (geom.num_antennas // num_subarrays,) * num_subarrays
-    analog = block_diagonal(subband_analog_rows(geom, [user_paths], [subband.center_hz])[0],
-                            sizes)
-    return _hybrid_set(Scheme.SUBBAND_SLICING, analog, sizes, channel_block)
+    rows = subband_analog_rows(geom, path_slots([user_paths]), [subband.center_hz])[0]
+    return _hybrid_set(Scheme.SUBBAND_SLICING, block_diagonal(rows, sizes), sizes, channel_block)
 
 
 # ---------------------------------------------------------------------------

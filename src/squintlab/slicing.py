@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .boundaries import BoundaryTable, SquintThresholds, boundary_table
-from .wavefield import ArrayGeometry, CarrierGrid, PathParams
+from .wavefield import ArrayGeometry, CarrierGrid, PathBatch, PathParams, path_slots
 
 #: guard applied before floor/ceil so boundary-exact sizes stay strictly inside
 _EDGE_EPS = 1e-9
@@ -141,8 +141,9 @@ def plan_antenna_slices(
     The one-user case of :func:`plan_antenna_rows`, on the paths' one-row
     :func:`boundary_table`.
     """
-    table = boundary_table(geom, grid, thr, [paths])
-    blocks = plan_antenna_rows(geom, [paths], table)
+    slots = path_slots([paths])
+    table = boundary_table(geom, grid, thr, slots)
+    blocks = plan_antenna_rows(geom, slots, table)
     num_near = int(np.count_nonzero(table.near))
     sizes = tuple(blocks.sizes.tolist())
     return SlicingPlan(sizes, tuple(range(num_near)) + (0,) * (len(sizes) - num_near),
@@ -152,13 +153,14 @@ def plan_antenna_slices(
 
 def plan_antenna_rows(
     geom: ArrayGeometry,
-    users: Sequence[Sequence[PathParams]],
+    slots: Sequence[PathBatch],
     table: BoundaryTable,
 ) -> SliceBlocks:
     """Every user's antenna-slicing plan in one pass over the rows of ``table``.
 
-    Row k of ``table`` holds user k's boundaries. In each row the near paths
-    are ranked by descending gain power (ties keep path order), and each
+    ``slots`` are the users' :func:`path_slots`, and row k of ``table``
+    holds user k's boundaries. In each row the near paths are ranked by
+    descending gain power (ties keep path order), and each
     path's window [ceil(N_tilde), floor(N_bar)] comes from the row. Every
     weaker path gets one subarray of its smallest compliant size
     ceil(N_tilde). The strongest path takes the remaining R antennas in the
@@ -177,9 +179,7 @@ def plan_antenna_rows(
     n = geom.num_antennas
     near = table.near
     num_users, width = near.shape
-    gain_power = np.zeros(near.shape)
-    gain_power[np.arange(width) < np.array([len(paths) for paths in users])[:, None]] = [
-        abs(p.gain) ** 2 for paths in users for p in paths]
+    gain_power = np.abs(np.stack([slot.gain for slot in slots], axis=1)) ** 2
     order = np.argsort(np.where(near, -gain_power, math.inf), axis=1, kind="stable")
     num_near = np.count_nonzero(near, axis=1)
     ranked = np.arange(width) < num_near[:, None]  # rank slots that hold a near path
@@ -264,7 +264,7 @@ def allocate_subbands(
         )
     size = geom.num_antennas // num_subarrays
 
-    table = boundary_table(geom, grid, thr, users, size)
+    table = boundary_table(geom, grid, thr, path_slots(users), size)
     caps = subcarrier_caps(table, grid).tolist()
     if sum(caps) < m_total:
         raise InfeasiblePlanError(

@@ -67,14 +67,14 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be >= 1")
-        if self.center_freq_hz <= 0.0:
-            raise ValueError("center_freq_hz must be positive")
-        if self.wave_speed <= 0.0:
-            raise ValueError("wave_speed must be positive")
+        if not 0.0 < self.center_freq_hz < math.inf:
+            raise ValueError("center_freq_hz must be positive and finite")
+        if not 0.0 < self.wave_speed < math.inf:
+            raise ValueError("wave_speed must be positive and finite")
         if self.spacing_m is None:
             object.__setattr__(self, "spacing_m", self.wavelength_m / 2.0)
-        elif self.spacing_m <= 0.0:
-            raise ValueError("spacing_m must be positive")
+        elif not 0.0 < self.spacing_m < math.inf:
+            raise ValueError("spacing_m must be positive and finite")
 
     @property
     def wavelength_m(self) -> float:
@@ -101,8 +101,8 @@ class CarrierGrid:
     def __post_init__(self) -> None:
         if self.num_subcarriers < 1:
             raise ValueError("num_subcarriers must be >= 1")
-        if self.subcarrier_spacing_hz <= 0.0:
-            raise ValueError("subcarrier_spacing_hz must be positive")
+        if not 0.0 < self.subcarrier_spacing_hz < math.inf:
+            raise ValueError("subcarrier_spacing_hz must be positive and finite")
 
     @classmethod
     def from_bandwidth(cls, bandwidth_hz: float, num_subcarriers: int) -> "CarrierGrid":
@@ -225,6 +225,13 @@ class PathBatch:
             field_model,
         )
 
+    @classmethod
+    def join(cls, slots: Sequence["PathBatch"], field_model: FieldModel) -> "PathBatch":
+        """Slots of shape (K,) side by side: one (K, L) batch of ``field_model``."""
+        return cls(*(np.stack([getattr(slot, name) for slot in slots], axis=1)
+                     for name in ("gain", "sine_angle", "scatterer_distance_m", "ue_range_m")),
+                   field_model)
+
     def __getitem__(self, key) -> "PathBatch":
         return PathBatch(self.gain[key], self.sine_angle[key],
                          self.scatterer_distance_m[key], self.ue_range_m[key],
@@ -239,7 +246,8 @@ def path_slots(users: Sequence[Sequence[PathParams]]) -> list[PathBatch]:
     """The l-th paths of every user as one batch per l, in path order.
 
     Every user must list the same sequence of field models, so each batch
-    holds one model.
+    holds one model. The slots are a draw's array form, which every consumer
+    of several users takes; one-user functions convert their list here once.
     """
     models = [p.field_model for p in users[0]]
     if any([p.field_model for p in paths] != models for paths in users):
@@ -351,17 +359,16 @@ _MODEL_TAGS = (
 def channel_columns(
     geom: ArrayGeometry,
     grid: CarrierGrid,
-    paths: Sequence[PathParams | PathBatch],
+    paths: Sequence[PathBatch],
     model_tag: str = HYBRID,
 ) -> ComplexMatrix:
     """Raw channel entries, subcarrier-major: row m holds subcarrier m's N entries.
 
     ``model_tag`` forces one regime for every path; ``hybrid`` dispatches on each
     path's own ``field_model``. Entries are the sum of per-path terms, linear in
-    the gains. A :class:`PathParams` holds for every subcarrier, and the result
-    is M x N. A :class:`PathBatch` of shape (T, 1) holds one path of each of T
-    link draws, and the result stacks their channels, (T M) x N, draw t's in
-    rows t M .. (t + 1) M - 1; a :class:`PathParams` is the case T = 1. A
+    the gains. A :class:`PathBatch` of shape (T, 1) holds one path of each of T
+    link draws (their :func:`path_slots` at ``[:, None]``), and the result
+    stacks their channels, (T M) x N, draw t's in rows t M .. (t + 1) M - 1. A
     :class:`PathBatch` of shape (M,) holds one path per subcarrier, so one call
     builds several users' channels, each on its own subcarriers (index the
     users' :func:`path_slots` by each subcarrier's user), from one phase table
@@ -375,8 +382,6 @@ def channel_columns(
     """
     if model_tag not in _MODEL_TAGS:
         raise ValueError(f"unknown model_tag {model_tag!r}")
-    paths = [PathBatch.stack([p], p.field_model)[:, None] if isinstance(p, PathParams) else p
-             for p in paths]
     if not paths:
         raise ValueError("at least one path is required")
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
@@ -427,7 +432,8 @@ def synth_channel(
     narrowband near paths freeze the squint phases at the band center, and far
     paths use planar steering with the common delay ramp.
     """
-    return ChannelTensor(channel_columns(geom, grid, paths, model_tag).T, geom, grid,
+    slots = [slot[:, None] for slot in path_slots([paths])]
+    return ChannelTensor(channel_columns(geom, grid, slots, model_tag).T, geom, grid,
                          tuple(paths))
 
 

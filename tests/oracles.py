@@ -344,16 +344,17 @@ def chunked_fs_amps(config, trial: int, chunk: int = 16) -> dict:
         owners = np.repeat(np.arange(len(subbands)), [sb.num_subcarriers for sb in subbands])
         at = [m for sb in subbands for m in sb.global_indices()]
         cols = np.zeros((len(at), geom.num_antennas), dtype=np.complex128)
-        for slot in path_slots(paths):
+        slots = path_slots(paths)
+        for slot in slots:
             batch = slot[owners][:, None]
             cols += exp_path_term(batch.gain, path_phases(geom, batch, freq_dev[at][:, None]))
-        fs_rows = subband_analog_rows(geom, paths, [sb.center_hz for sb in subbands])
+        fs_rows = subband_analog_rows(geom, slots, [sb.center_hz for sb in subbands])
         fs_sizes = [plan.subarray_size] * (len(subbands) * config.num_subarrays)
-        beams = narrowband_beams(geom, paths)
+        beams = narrowband_beams(geom, slots)
         amps[Scheme.SUBBAND_SLICING.value][at] = owner_gain_amplitudes(
             fs_rows, fs_sizes, owners, cols)
         amps[Scheme.ANTENNA_SLICING.value][at] = owner_gain_amplitudes(
-            slice_analog_rows(geom, paths, blocks), blocks.sizes, owners, cols)
+            slice_analog_rows(geom, slots, blocks), blocks.sizes, owners, cols)
         amps[Scheme.NARROWBAND_BASELINE.value][at] = np.abs(
             np.sum(beams.conj()[owners] * cols, axis=1))
         amps[Scheme.OPTIMAL.value][at] = np.linalg.norm(cols, axis=1)
@@ -367,8 +368,9 @@ def chunked_fs_amps(config, trial: int, chunk: int = 16) -> dict:
 # transposed, as they did.
 
 
-def antenna_major_link_amps(geom, draws, table, cols: np.ndarray) -> dict:
-    """Every scheme's amplitudes of T link draws from their antenna-major channel.
+def antenna_major_link_amps(geom, slots, table, cols: np.ndarray) -> dict:
+    """Every scheme's amplitudes of T link draws, given as their path slots, from
+    their antenna-major channel.
 
     The baseline is one ``beam.conj() @ entries`` product per draw and the
     optimum the channel's column norms.
@@ -377,13 +379,13 @@ def antenna_major_link_amps(geom, draws, table, cols: np.ndarray) -> dict:
                            slice_analog_rows)
 
     old = np.ascontiguousarray(cols.T)
-    count = len(draws)
+    count = len(table.near)
     owners = np.repeat(np.arange(count), old.shape[1] // count)
-    blocks = plan_antenna_rows(geom, draws, table)
-    beams = narrowband_beams(geom, draws)
+    blocks = plan_antenna_rows(geom, slots, table)
+    beams = narrowband_beams(geom, slots)
     per_draw = old.reshape(old.shape[0], count, -1).transpose(1, 0, 2)
     return {
-        "antenna-slicing": owner_gain_amplitudes(slice_analog_rows(geom, draws, blocks),
+        "antenna-slicing": owner_gain_amplitudes(slice_analog_rows(geom, slots, blocks),
                                                  blocks.sizes, owners, old.T),
         "narrowband-mrt": np.abs(np.matmul(beams.conj()[:, None, :], per_draw)).ravel(),
         "optimal": np.linalg.norm(old, axis=0),
@@ -403,16 +405,16 @@ def antenna_major_fs_amps(config, trial: int) -> dict:
 
     geom, grid = config.geometry(), config.grid()
     users, plan = _allocate_adaptive(config, trial)
+    slots = path_slots(users)
     owners = np.repeat(np.arange(len(users)), plan.user_subcarriers)
-    old = np.ascontiguousarray(
-        channel_columns(geom, grid, [slot[owners] for slot in path_slots(users)]).T)
-    fs_rows = subband_analog_rows(geom, users, [sb.center_hz for sb in plan.subbands])
+    old = np.ascontiguousarray(channel_columns(geom, grid, [slot[owners] for slot in slots]).T)
+    fs_rows = subband_analog_rows(geom, slots, [sb.center_hz for sb in plan.subbands])
     fs_sizes = np.full(len(users) * config.num_subarrays, plan.subarray_size)
-    blocks = plan_antenna_rows(geom, users, plan.boundaries)
-    beams = narrowband_beams(geom, users)
+    blocks = plan_antenna_rows(geom, slots, plan.boundaries)
+    beams = narrowband_beams(geom, slots)
     return {
         "subband-slicing": owner_gain_amplitudes(fs_rows, fs_sizes, owners, old.T),
-        "antenna-slicing": owner_gain_amplitudes(slice_analog_rows(geom, users, blocks),
+        "antenna-slicing": owner_gain_amplitudes(slice_analog_rows(geom, slots, blocks),
                                                  blocks.sizes, owners, old.T),
         "narrowband-mrt": np.abs(np.sum(beams.conj()[owners] * old.T, axis=1)),
         "optimal": np.linalg.norm(old, axis=0),

@@ -28,7 +28,6 @@ from squintlab import (
     boundary_bounds,
     boundary_report,
     boundary_table,
-    channel_columns,
     narrowband_mrt,
     run_experiment,
     sample_scenario,
@@ -43,6 +42,7 @@ from squintlab import (
 from squintlab import experiments
 from squintlab.cli import cli_main
 from squintlab.experiments import _link_amps
+from squintlab.wavefield import path_slots
 
 THR = SquintThresholds()
 PHASE_CAP = (THR.kappa_a + THR.kappa_f) * np.pi
@@ -94,7 +94,7 @@ def test_antenna_boundary_matches_brute_force():
         fc = rng.uniform(6.425e9, 7.125e9)
         b = rng.uniform(2e8, 6e8)
         closed = boundary_table(ArrayGeometry(2, fc), CarrierGrid.from_bandwidth(b, 1), THR,
-                                [[PathParams(1.0, theta, d, 0.0)]]).antenna[0, 0]
+                                path_slots([[PathParams(1.0, theta, d, 0.0)]])).antenna[0, 0]
         brute = oracles.largest_admissible_antennas(theta, d, b, fc, 1024,
                                                     PHASE_CAP)
         worst = max(worst, abs(int(np.floor(closed)) - brute))
@@ -166,11 +166,12 @@ def test_se_crosses_99_percent_at_the_boundaries():
         path = draw_path(rng)
         power = 10 ** (10.0 / 10) * 1.0 / abs(path.gain) ** 2
         # B_bar does not depend on the grid; N_bar is read at B = B_bar
-        b_bar = float(boundary_table(geom, CarrierGrid(1, 1.0), THR, [[path]]).freq[0, 0])
+        b_bar = float(boundary_table(geom, CarrierGrid(1, 1.0), THR,
+                                     path_slots([[path]])).freq[0, 0])
 
         def mrt_over_opt(geometry, bandwidth):
             grid = CarrierGrid.from_bandwidth(bandwidth, 64)
-            cols = channel_columns(geometry, grid, [path]).T
+            cols = synth_channel(geometry, grid, [path]).entries
             beam = narrowband_mrt(geometry, [path])
             return (mean_rate(np.abs(beam.conj() @ cols), power)
                     / mean_rate(np.linalg.norm(cols, axis=0), power))
@@ -178,7 +179,7 @@ def test_se_crosses_99_percent_at_the_boundaries():
         ratios["b_low"].append(mrt_over_opt(geom, 0.9 * b_bar))
         ratios["b_high"].append(mrt_over_opt(geom, 3.0 * b_bar))
         n_bar = boundary_table(geom, CarrierGrid.from_bandwidth(b_bar, 1), THR,
-                               [[path]]).antenna[0, 0]
+                               path_slots([[path]])).antenna[0, 0]
         low = ArrayGeometry(int(np.floor(0.9 * n_bar)), 7e9)
         high = ArrayGeometry(int(np.ceil(3.0 * n_bar)), 7e9)
         ratios["n_low"].append(mrt_over_opt(low, b_bar))
@@ -205,10 +206,10 @@ def test_single_path_slicing_stays_near_optimal():
     slicing_se, optimal_se = [], []
     for trial in range(config.trials):
         paths = sample_scenario(config, trial)
-        entries = channel_columns(geom, grid, paths)
+        entries = synth_channel(geom, grid, paths).entries.T
+        slots = path_slots([paths])
         try:
-            amps = _link_amps(geom, [paths], entries,
-                              boundary_table(geom, grid, thr, [paths]))
+            amps = _link_amps(geom, slots, entries, boundary_table(geom, grid, thr, slots))
         except InfeasiblePlanError:
             continue
         slicing_se.append(mean_rate(amps["antenna-slicing"], config.power))
@@ -230,7 +231,7 @@ def test_single_path_slicing_stays_near_optimal():
         for subband in plan.subbands:
             paths = users[subband.user]
             w = subband.num_subcarriers
-            cols = channel_columns(geom, grid, paths).T[:, subband.start:subband.start + w]
+            cols = synth_channel(geom, grid, paths).entries[:, subband.start:subband.start + w]
             precoder = subband_precoder_set(geom, paths, subband,
                                             fs_config.num_subarrays, cols)
             amps = np.abs(np.einsum("nm,nm->m", precoder.combined().conj(), cols))

@@ -22,6 +22,7 @@ from squintlab import (
     beam_squint_matrix,
     subcarrier_caps,
 )
+from squintlab.wavefield import path_slots
 
 THR = SquintThresholds()
 
@@ -46,7 +47,7 @@ def report_of(geom, path, bandwidth_hz=300e6):
 
 def near_table(geom, paths, bandwidth_hz=300e6):
     """The near-mode boundaries of paths, one user's row of a boundary table."""
-    table = boundary_table(geom, one_grid(bandwidth_hz), THR, [paths])
+    table = boundary_table(geom, one_grid(bandwidth_hz), THR, path_slots([paths]))
     return table.near_threshold[0], table.antenna[0], table.freq[0]
 
 
@@ -290,7 +291,8 @@ def test_wideband_test_precedes_the_near_far_split():
 
 def delay_spread(paths):
     """The user's delay-spread limit, from its row of the boundary table."""
-    return boundary_table(make_geom(16), CarrierGrid(16, 1e6), THR, [paths], 16).delay_spread[0]
+    table = boundary_table(make_geom(16), CarrierGrid(16, 1e6), THR, path_slots([paths]), 16)
+    return table.delay_spread[0]
 
 
 def test_subband_limit_single_path_is_unbounded():
@@ -437,14 +439,24 @@ def test_unbounded_value_orders_above_floats():
 # ---------------------------------------------------------------------------
 
 _ANGLES = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
-_PATH = st.tuples(_ANGLES, st.floats(0.5, 200.0), st.floats(0.0, 200.0), st.booleans())
-# a user whose paths share one total range r + d = 200.5 exactly (d in halves)
-_TIED_PATH = st.tuples(_ANGLES, st.integers(1, 400).map(lambda k: k / 2.0), st.booleans())
-_USER = st.one_of(
-    st.lists(_PATH, min_size=1, max_size=10),
-    st.lists(_TIED_PATH, min_size=1, max_size=10).map(
-        lambda paths: [(theta, d, 200.5 - d, far) for theta, d, far in paths]),
-)
+_PATH = st.tuples(_ANGLES, st.floats(0.5, 200.0), st.floats(0.0, 200.0))
+# a path of total range r + d = 200.5 exactly (d in halves)
+_TIED_PATH = st.tuples(_ANGLES, st.integers(1, 400).map(lambda k: k / 2.0)).map(
+    lambda path: (path[0], path[1], 200.5 - path[1]))
+_FAR = st.lists(st.booleans(), min_size=1, max_size=10)
+
+
+def _user(far):
+    """One user's (theta, d, r, far) paths, path l far where far[l]; either every
+    path of the user shares one total range or none is tied."""
+    return st.sampled_from([_PATH, _TIED_PATH]).flatmap(
+        lambda path: st.tuples(*[path] * len(far))).map(
+        lambda paths: [(*path, is_far) for path, is_far in zip(paths, far)])
+
+
+# users that share one sequence of field models, and a user of its own
+_USERS = _FAR.flatmap(lambda far: st.lists(_user(far), min_size=1, max_size=6))
+_SOLO = _FAR.flatmap(_user)
 
 
 def _bits(values):
@@ -455,26 +467,29 @@ def _bits(values):
 @given(n=st.integers(1, 2048), size=st.integers(1, 2048), bandwidth=st.floats(1e6, 1e9),
        subcarriers=st.integers(1, 64), center=st.floats(1e9, 30e9),
        kappa_a=st.sampled_from([0.125, 0.3, 1.0]), kappa_f=st.sampled_from([0.125, 0.05]),
-       drawn=st.lists(_USER, min_size=1, max_size=6))
+       drawn=_USERS, solo=_SOLO)
 # every inf: one antenna (and subarray), broadside in far mode, tied total ranges
 @example(n=1, size=1, bandwidth=1e6, subcarriers=1, center=7e9, kappa_a=0.125, kappa_f=0.125,
-         drawn=[[(0.0, 0.5, 0.0, False), (0.0, 200.0, 200.0, True)],
-                [(0.3, 10.0, 190.5, False), (-0.3, 100.0, 100.5, False)]])
+         drawn=[[(0.0, 0.5, 0.0, False), (0.0, 200.0, 200.0, True)]],
+         solo=[(0.3, 10.0, 190.5, False), (-0.3, 100.0, 100.5, False)])
 @example(n=2048, size=64, bandwidth=1e9, subcarriers=64, center=7e9, kappa_a=0.125,
-         kappa_f=0.125, drawn=[[(0.0, 0.5, 200.0, True)], [(0.99, 200.0, 0.0, False)] * 5])
+         kappa_f=0.125, drawn=[[(0.99, 200.0, 0.0, False)] * 5], solo=[(0.0, 0.5, 200.0, True)])
 def test_boundary_table_equals_the_scalar_formulas_bit_for_bit(
-        n, size, bandwidth, subcarriers, center, kappa_a, kappa_f, drawn):
+        n, size, bandwidth, subcarriers, center, kappa_a, kappa_f, drawn, solo):
     geom, thr = ArrayGeometry(n, center), SquintThresholds(kappa_a, kappa_f)
     grid = CarrierGrid.from_bandwidth(bandwidth, subcarriers)
     sub = min(size, n)
     users = [[PathParams(1.0, theta, d, r, FieldModel.FAR if far else FieldModel.WIDEBAND_NEAR)
-              for theta, d, r, far in user] for user in drawn]
-    table = boundary_table(geom, grid, thr, users, sub)
+              for theta, d, r, far in user] for user in drawn + [solo]]
+    # the drawn users share one sequence of field models, so they take one
+    # table; the solo user, of any length and models, takes its own
+    batch = boundary_table(geom, grid, thr, path_slots(users[:-1]), sub)
+    alone = boundary_table(geom, grid, thr, path_slots(users[-1:]), sub)
+    rows = [(batch, k) for k in range(len(drawn))] + [(alone, 0)]
     s, c, b = geom.spacing_m, geom.wave_speed, grid.bandwidth_hz
     kappa = thr.total
-    for k, user in enumerate(users):
-        assert list(table.near[k]) == ([p.field_model is not FieldModel.FAR for p in user]
-                                       + [False] * (table.near.shape[1] - len(user)))
+    for (table, k), user in zip(rows, users, strict=True):
+        assert list(table.near[k]) == [p.field_model is not FieldModel.FAR for p in user]
         want = {"near_threshold": [], "antenna": [], "freq": [], "freq_subarray": []}
         for p in user:
             theta, d = p.sine_angle, p.scatterer_distance_m
@@ -495,7 +510,7 @@ def test_boundary_table_equals_the_scalar_formulas_bit_for_bit(
                 oracles.freq_boundary_from_variation(
                     kappa, c, oracles.far_distance_variation(n, s, theta))]))
         for name, values in want.items():
-            np.testing.assert_array_equal(_bits(getattr(table, name)[k, :len(user)]),
+            np.testing.assert_array_equal(_bits(getattr(table, name)[k]),
                                           _bits(values), err_msg=name)
         near = [p for p in user if p.field_model is not FieldModel.FAR]
         spread = oracles.delay_spread_limit([p.total_range_m for p in near], kappa_f, c)

@@ -301,9 +301,9 @@ def test_bandwidth_sweep_boundary_columns(bandwidth_sweep):
 
 def sweep_point_se(cfg, geom, grid, path, power):
     """Every scheme's SE of one sweep path on (geom, grid) at ``power``."""
-    draw = [[path]]
-    amps = _link_amps(geom, draw, channel_columns(geom, grid, [path]),
-                      boundary_table(geom, grid, cfg.thresholds(), draw))
+    slots = path_slots([[path]])
+    amps = _link_amps(geom, slots, channel_columns(geom, grid, [slot[:, None] for slot in slots]),
+                      boundary_table(geom, grid, cfg.thresholds(), slots))
     return _mean_se(amps, _AS_SCHEMES, (grid.num_subcarriers,), [power], cfg.noise_power)[0]
 
 
@@ -601,11 +601,12 @@ def one_trial_link_draw(config, trial):
     """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     paths = sample_scenario(config, trial)
-    table = boundary_table(geom, grid, thr, [paths])
-    entries = channel_columns(geom, grid, paths)
+    slots = path_slots([paths])
+    table = boundary_table(geom, grid, thr, slots)
+    entries = channel_columns(geom, grid, [slot[:, None] for slot in slots])
     owners = np.zeros(grid.num_subcarriers, dtype=np.intp)
     try:
-        slicing = _antenna_slicing_amps(geom, [paths], table, owners, entries)
+        slicing = _antenna_slicing_amps(geom, slots, table, owners, entries)
     except InfeasiblePlanError:
         return None
     amps = {"antenna-slicing": slicing,
@@ -661,10 +662,10 @@ def test_subcarrier_major_amplitudes_move_only_by_the_declared_rounding(
     chunk = experiments._trials_per_task(cfg, _link_draws)
     for start in range(0, trials, chunk):
         got = _link_draws(cfg, range(start, start + chunk))
-        draws = [sample_scenario(cfg, trial) for trial in range(start, start + chunk)]
-        cols = channel_columns(geom, grid, [slot[:, None] for slot in path_slots(draws)])
+        slots = path_slots([sample_scenario(cfg, trial) for trial in range(start, start + chunk)])
+        cols = channel_columns(geom, grid, [slot[:, None] for slot in slots])
         want = oracles.antenna_major_link_amps(
-            geom, draws, boundary_table(geom, grid, thr, draws), cols)
+            geom, slots, boundary_table(geom, grid, thr, slots), cols)
         m = num_subcarriers
         for t, drawn in enumerate(got):
             assert drawn is not None

@@ -127,7 +127,8 @@ def test_slice_beam_is_single_path_phase_without_far_paths():
     geom = ArrayGeometry(64, 7e9)
     path = make_path(gain=np.exp(0.7j))
     plan = equal_plan(64, 4)
-    beams = row_blocks(slice_analog_rows(geom, [[path]], plan.blocks)[0], plan.subarray_sizes)
+    beams = row_blocks(slice_analog_rows(geom, path_slots([[path]]), plan.blocks)[0],
+                       plan.subarray_sizes)
     for t, beam in enumerate(beams):
         np.testing.assert_allclose(np.abs(beam), 1.0, atol=1e-12)
         size = plan.subarray_sizes[t]
@@ -141,8 +142,9 @@ def test_weak_far_path_barely_perturbs_the_slice_beam():
     near = make_path(gain=1.0 + 0j)
     far = make_path(theta=-0.5, gain=1e-6 + 0j, model=FieldModel.FAR)
     plan = equal_plan(64, 2)
-    clean = row_blocks(slice_analog_rows(geom, [[near]], plan.blocks)[0], plan.subarray_sizes)
-    mixed = row_blocks(slice_analog_rows(geom, [[near, far]], plan.blocks)[0],
+    clean = row_blocks(slice_analog_rows(geom, path_slots([[near]]), plan.blocks)[0],
+                       plan.subarray_sizes)
+    mixed = row_blocks(slice_analog_rows(geom, path_slots([[near, far]]), plan.blocks)[0],
                        plan.subarray_sizes)
     for a, b in zip(clean, mixed):
         assert np.abs(np.angle(b / a)).max() < 1e-4
@@ -163,7 +165,8 @@ def test_slice_beam_matches_scalar_oracle_with_far_paths():
     assert len(set(plan.subarray_sizes)) > 1
     assert set(plan.path_assignment) == {0, 1}
     far_terms = [(p.gain, p.sine_angle) for p in paths if p.field_model is FieldModel.FAR]
-    beams = row_blocks(slice_analog_rows(geom, [paths], plan.blocks)[0], plan.subarray_sizes)
+    beams = row_blocks(slice_analog_rows(geom, path_slots([paths]), plan.blocks)[0],
+                       plan.subarray_sizes)
     for t, beam in enumerate(beams):
         near = paths[plan.path_order[plan.path_assignment[t]]]
         size = plan.subarray_sizes[t]
@@ -295,8 +298,9 @@ def test_precoder_sets_match_the_single_link_amplitudes(trial):
     hybrid = slice_precoder_set(dataclasses.replace(ch, entries=entries),
                                 plan_antenna_slices(geom, grid, paths, thr))
     amps = np.abs(np.einsum("nm,nm->m", hybrid.combined().conj(), entries))
-    table = boundary_table(geom, grid, thr, [paths])
-    want = _link_amps(geom, [paths], entries.T, table)["antenna-slicing"]
+    slots = path_slots([paths])
+    table = boundary_table(geom, grid, thr, slots)
+    want = _link_amps(geom, slots, entries.T, table)["antenna-slicing"]
     np.testing.assert_allclose(amps, want, rtol=1e-12, atol=0.0)
     assert not np.any(hybrid.digital[:, 5]) and amps[5] == 0.0 and want[5] == 0.0
     for m in (0, 31, 63):
@@ -377,9 +381,9 @@ def test_subband_beam_at_carrier_matches_slice_beam_per_block():
     plan = equal_plan(32, 4)
     grid = CarrierGrid.from_bandwidth(40e6, 8)
     ch = synth_channel(geom, grid, [path])
-    slice_beams = row_blocks(slice_analog_rows(geom, [[path]], plan.blocks)[0],
-                             plan.subarray_sizes)
-    sub_beams = row_blocks(subband_analog_rows(geom, [[path]], [7e9])[0], plan.subarray_sizes)
+    slots = path_slots([[path]])
+    slice_beams = row_blocks(slice_analog_rows(geom, slots, plan.blocks)[0], plan.subarray_sizes)
+    sub_beams = row_blocks(subband_analog_rows(geom, slots, [7e9])[0], plan.subarray_sizes)
     for slice_beam, sub_beam in zip(slice_beams, sub_beams):
         ratio = sub_beam / slice_beam
         np.testing.assert_allclose(np.abs(ratio), 1.0, atol=1e-12)
@@ -400,7 +404,7 @@ def test_subband_beam_matches_two_path_scalar_oracle():
     ]
     f_sub = 7e9 + 17e6
     size = 8
-    beams = row_blocks(subband_analog_rows(geom, [paths], [f_sub])[0], (size,) * 4)
+    beams = row_blocks(subband_analog_rows(geom, path_slots([paths]), [f_sub])[0], (size,) * 4)
     terms = [(p.gain, p.sine_angle, p.scatterer_distance_m, p.ue_range_m) for p in paths]
     for t, beam in enumerate(beams):
         np.testing.assert_allclose(np.abs(beam), 1.0, atol=1e-12)
@@ -414,11 +418,11 @@ def test_subband_beam_ignores_far_paths_and_validates():
     geom = ArrayGeometry(32, 7e9)
     near = make_path()
     far = make_path(theta=0.6, model=FieldModel.FAR)
-    with_far = subband_analog_rows(geom, [[near, far]], [7e9])
-    without = subband_analog_rows(geom, [[near]], [7e9])
+    with_far = subband_analog_rows(geom, path_slots([[near, far]]), [7e9])
+    without = subband_analog_rows(geom, path_slots([[near]]), [7e9])
     np.testing.assert_allclose(with_far, without, atol=1e-14)
     with pytest.raises(ValueError):
-        subband_analog_rows(geom, [[far]], [7e9])
+        subband_analog_rows(geom, path_slots([[far]]), [7e9])
     band = UserSubband(0, 1, 0, 1e6, 7e9)
     with pytest.raises(ValueError, match="divide"):
         subband_precoder_set(geom, [near], band, 5, np.ones((32, 1), dtype=np.complex128))
@@ -426,30 +430,35 @@ def test_subband_beam_ignores_far_paths_and_validates():
 
 @pytest.mark.parametrize("num_antennas,num_users", [(128, 6), (1024, 16)])
 def test_batched_analog_builders_equal_one_user_at_a_time(num_antennas, num_users):
-    # each user's row in a batch is bit-equal to the one-user builder; a user
-    # without near paths gets the planar beam of its far path. 16 x 1024
-    # complex rows fill 256 KiB, where numpy starts to multiply temporaries in
-    # place, in the other operand order
+    # each user's row in a batch is bit-equal to the one-user builder; the
+    # users share one sequence of field models, and a far-only user, which
+    # gets the planar beam of its strongest far path, takes its own batch of
+    # two. 16 x 1024 complex rows fill 256 KiB, where numpy starts to
+    # multiply temporaries in place, in the other operand order
     cfg = ScenarioConfig(num_antennas=num_antennas, num_subcarriers=16, num_near_paths=3,
                          num_far_paths=2, seed=5)
     geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
     users = [sample_scenario(cfg, trial) for trial in range(num_users)]
-    far_only = [make_path(theta=0.2, gain=0.3j, model=FieldModel.FAR),
-                make_path(theta=-0.5, gain=0.6, model=FieldModel.FAR)]
-    beams = narrowband_beams(geom, users + [far_only])
-    for beam, user in zip(beams, users + [far_only]):
-        assert np.array_equal(beam, narrowband_mrt(geom, user))
+    slots = path_slots(users)
+    far_only = [[make_path(theta=0.2, gain=0.3j, model=FieldModel.FAR),
+                 make_path(theta=-0.5, gain=0.6, model=FieldModel.FAR)],
+                [make_path(theta=0.7, gain=0.2, model=FieldModel.FAR),
+                 make_path(theta=-0.1, gain=0.1j, model=FieldModel.FAR)]]
+    for group, beams in ((users, narrowband_beams(geom, slots)),
+                         (far_only, narrowband_beams(geom, path_slots(far_only)))):
+        for beam, user in zip(beams, group, strict=True):
+            assert np.array_equal(beam, narrowband_mrt(geom, user))
     plans = [plan_antenna_slices(geom, grid, user, thr) for user in users]
-    blocks = plan_antenna_rows(geom, users, boundary_table(geom, grid, thr, users))
-    for row, user, plan in zip(slice_analog_rows(geom, users, blocks), users, plans):
-        assert np.array_equal(row, slice_analog_rows(geom, [user], plan.blocks)[0])
+    blocks = plan_antenna_rows(geom, slots, boundary_table(geom, grid, thr, slots))
+    for row, user, plan in zip(slice_analog_rows(geom, slots, blocks), users, plans):
+        assert np.array_equal(row, slice_analog_rows(geom, path_slots([user]), plan.blocks)[0])
     centers = 7e9 + np.linspace(-250e6, 250e6, len(users))
-    rows = subband_analog_rows(geom, users, centers)
+    rows = subband_analog_rows(geom, slots, centers)
     assert rows.shape == (len(users), num_antennas)
     for row, user, center in zip(rows, users, centers):
-        assert np.array_equal(row, subband_analog_rows(geom, [user], [center])[0])
+        assert np.array_equal(row, subband_analog_rows(geom, path_slots([user]), [center])[0])
     with pytest.raises(ValueError, match="field models"):
-        subband_analog_rows(geom, [users[0], users[1][1:]], centers[:2])
+        subband_analog_rows(geom, path_slots([users[0], users[1][1:]]), centers[:2])
 
 
 def test_slice_analog_rows_equal_complex_exponential_form_bit_for_bit():
@@ -472,8 +481,9 @@ def test_slice_analog_rows_equal_complex_exponential_form_bit_for_bit():
     near = PathBatch.stack(served, FieldModel.NARROWBAND_NEAR)[rows]
     near_phases = path_phases(geom, near, reference=np.asarray(centers)[rows])
     want = oracles.exp_slice_rows(far_terms, near.gain, near_phases)
-    got = slice_analog_rows(geom, users,
-                            plan_antenna_rows(geom, users, boundary_table(geom, grid, thr, users)))
+    slots = path_slots(users)
+    got = slice_analog_rows(geom, slots,
+                            plan_antenna_rows(geom, slots, boundary_table(geom, grid, thr, slots)))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -539,7 +549,7 @@ def test_mrt_collapses_below_the_boundary_and_degrades_above():
     geom = ArrayGeometry(512, 7e9)
     path = make_path()
     b_bar = float(boundary_table(geom, CarrierGrid.from_bandwidth(300e6, 64), THR,
-                                 [[path]]).freq[0, 0])
+                                 path_slots([[path]])).freq[0, 0])
     pre = None
     ratios = {}
     for mult in (0.5, 4.0):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from squintlab import (
     ArrayGeometry,
+    BoundaryTable,
     CarrierGrid,
     FieldModel,
     InfeasiblePlanError,
@@ -28,6 +29,7 @@ from squintlab import (
     sample_user_paths,
     subcarrier_caps,
 )
+from squintlab.wavefield import path_slots
 
 THR = SquintThresholds()
 
@@ -38,7 +40,7 @@ def make_path(theta=0.3, d=40.0, r=0.0, gain=1.0 + 0j, model=FieldModel.WIDEBAND
 
 def size_window(path, geom, grid):
     """(min, max) compliant subarray sizes for one path."""
-    table = boundary_table(geom, grid, THR, [[path]])
+    table = boundary_table(geom, grid, THR, path_slots([[path]]))
     lo, hi = table.near_threshold[0, 0], table.antenna[0, 0]
     return max(1, math.ceil(lo - 1e-9)), math.floor(hi - 1e-9)
 
@@ -266,20 +268,42 @@ def test_row_planner_equals_the_one_user_planner_row_by_row(num_antennas, bandwi
             plans.append(plan_antenna_slices(geom, grid, user, THR))
         except InfeasiblePlanError as err:
             errors.append(err)
-    table = boundary_table(geom, grid, THR, users)
+    slots = path_slots(users)
+    table = boundary_table(geom, grid, THR, slots)
     if errors:
         with pytest.raises(InfeasiblePlanError) as err:
-            plan_antenna_rows(geom, users, table)
+            plan_antenna_rows(geom, slots, table)
         assert err.value.args == errors[0].args
         assert err.value.details == errors[0].details
         return
-    blocks = plan_antenna_rows(geom, users, table)
+    blocks = plan_antenna_rows(geom, slots, table)
     split = np.cumsum([len(plan.subarray_sizes) for plan in plans])[:-1]
     rows = zip(plans, *(np.split(a, split) for a in (blocks.sizes, blocks.paths, blocks.offsets)))
     for plan, sizes, paths, offsets in rows:
         assert tuple(sizes.tolist()) == plan.subarray_sizes
         assert tuple(paths.tolist()) == tuple(plan.path_order[a] for a in plan.path_assignment)
         assert np.array_equal(offsets.view(np.uint64), np.array(plan.offsets).view(np.uint64))
+
+
+
+def test_row_planner_ranks_gain_powers_as_python_abs_and_ties_keep_path_order():
+    # the planner ranks |g|^2 from numpy's |z|, which differs from Python's
+    # abs(z) in the last bit for most sampled users; only the order is used.
+    # Windows that admit every size make each user's blocks its rank order
+    cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64)
+    users = [paths for trial in range(300) for paths in sample_user_paths(cfg, trial, 65)]
+    users += [[make_path(gain=complex(g)) for g in gains]
+              for gains in ((1, 1j, -1, 0.5), (0.5, 1j, -1, 1), (2, 2, 2, 2))]
+    slots = path_slots(users)
+    shape = (len(users), cfg.num_near_paths)
+    table = BoundaryTable(np.ones(shape, dtype=bool), np.ones(shape), np.full(shape, 257.0),
+                          np.full(shape, math.inf))
+    order = plan_antenna_rows(cfg.geometry(), slots, table).paths.reshape(shape)
+    assert order.tolist() == [sorted(range(len(paths)), key=lambda l: -abs(paths[l].gain) ** 2)
+                              for paths in users]
+    assert order[-3:].tolist() == [[0, 1, 2, 3], [1, 2, 3, 0], [0, 1, 2, 3]]
+    powers = np.abs(np.stack([slot.gain for slot in slots], axis=1)) ** 2
+    assert np.any(powers != [[abs(p.gain) ** 2 for p in paths] for paths in users])
 
 
 def test_planner_is_deterministic():
@@ -305,7 +329,7 @@ def test_plan_serializes_subarray_records():
 
 def user_subcarrier_cap(user, geom, grid, thr, subarray_size):
     """One user's sub-band size cap, from its row of the boundary table."""
-    table = boundary_table(geom, grid, thr, [user], subarray_size)
+    table = boundary_table(geom, grid, thr, path_slots([user]), subarray_size)
     return int(subcarrier_caps(table, grid)[0])
 
 
@@ -321,7 +345,7 @@ def test_delay_spread_cap_counts_occupied_span():
     geom = ArrayGeometry(16, 7e9)
     grid = CarrierGrid(16, 1e6)
     user = [make_path(d=30.0, r=10.0), make_path(d=50.0, r=10.0)]
-    limit = boundary_table(geom, grid, THR, [user], 1).delay_spread[0]
+    limit = boundary_table(geom, grid, THR, path_slots([user]), 1).delay_spread[0]
     assert limit == pytest.approx(3.748e6, rel=1e-3)
     # span (M_s - 1) * df must stay below the limit: 4 subcarriers span 3 MHz
     assert user_subcarrier_cap(user, geom, grid, THR, 1) == 4
@@ -334,7 +358,7 @@ def test_exact_multiple_limit_keeps_span_strictly_inside():
     dev = THR.kappa_f * 299792458.0 / (3 * df)
     user = [make_path(d=30.0, r=0.0), make_path(d=30.0 + 2 * dev, r=0.0)]
     grid = CarrierGrid(16, df)
-    limit = boundary_table(geom, grid, THR, [user], 1).delay_spread[0]
+    limit = boundary_table(geom, grid, THR, path_slots([user]), 1).delay_spread[0]
     assert limit == pytest.approx(3 * df, rel=1e-12)
     assert user_subcarrier_cap(user, geom, grid, THR, 1) == 3
 
@@ -383,7 +407,8 @@ def test_capped_user_releases_subcarriers_to_the_rest():
     geom = ArrayGeometry(16, 7e9)
     grid = CarrierGrid(16, 1e6)
     capped = [make_path(d=30.0, r=10.0), make_path(d=50.0, r=10.0)]
-    free = [make_path(theta=0.2)]
+    # one total range (40 m) on both paths: no delay-spread cap
+    free = [make_path(theta=0.2), make_path(theta=-0.3, d=25.0, r=15.0)]
     plan = allocate_subbands([capped, free], geom, grid, THR, 16)
     assert plan.user_subcarriers == (4, 12)
     assert sum(plan.user_subcarriers) == 16
@@ -442,7 +467,8 @@ def test_multipath_user_span_respects_the_phase_oracle():
     geom = ArrayGeometry(16, 7e9)
     grid = CarrierGrid(64, 1e6)
     capped = [make_path(d=30.0, r=10.0), make_path(d=50.0, r=10.0)]
-    free = [make_path(theta=0.2)]
+    # one total range (40 m) on both paths: no delay-spread cap
+    free = [make_path(theta=0.2), make_path(theta=-0.3, d=25.0, r=15.0)]
     plan = allocate_subbands([capped, free], geom, grid, THR, 16)
     ms = plan.subbands[0].num_subcarriers
     spread = oracles.user_phase_spread(

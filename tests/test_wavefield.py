@@ -135,6 +135,24 @@ def test_invalid_inputs_are_rejected():
             PathParams(1.0 + 0j, 0.3, 40.0, value)  # non-finite UE range
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ArrayGeometry(8, math.nan),
+    lambda: ArrayGeometry(8, math.inf),
+    lambda: ArrayGeometry(8, 7e9, spacing_m=math.inf),
+    lambda: ArrayGeometry(8, 7e9, spacing_m=math.nan),
+    lambda: ArrayGeometry(8, 7e9, wave_speed=math.nan),
+    lambda: ArrayGeometry(8, 7e9, wave_speed=math.inf),
+    lambda: CarrierGrid(4, math.inf),
+    lambda: CarrierGrid(4, math.nan),
+    lambda: CarrierGrid.from_bandwidth(math.nan, 4),
+    lambda: CarrierGrid.from_bandwidth(math.inf, 4),
+], ids=["fc-nan", "fc-inf", "spacing-inf", "spacing-nan", "speed-nan", "speed-inf",
+        "df-inf", "df-nan", "bandwidth-nan", "bandwidth-inf"])
+def test_geometry_and_grid_reject_non_finite_values(build):
+    with pytest.raises(ValueError, match="positive and finite"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # scatterer-antenna distance
 # ---------------------------------------------------------------------------
@@ -605,6 +623,11 @@ def test_per_column_path_phases_equal_single_path_calls(num_antennas, model, dra
         assert np.array_equal(cols[c], path_phases(geom, path, dev[c]), equal_nan=True)
 
 
+def link_columns(geom, grid, paths):
+    """``channel_columns`` of one link draw, M x N, from its path slots."""
+    return channel_columns(geom, grid, [slot[:, None] for slot in path_slots([paths])])
+
+
 def direct_column(geom, grid, paths, m, model=None):
     """Channel column m as the direct terms gain * exp(j phase), summed in path order."""
     freq_dev = (grid.subcarrier_offsets() * grid.subcarrier_spacing_hz)[m]
@@ -654,7 +677,7 @@ def test_channel_columns_are_subcarrier_major_with_draws_in_row_blocks():
     batch = channel_columns(geom, grid, [slot[:, None] for slot in path_slots(draws)])
     assert batch.shape == (30, 24) and batch.flags.c_contiguous
     for t, paths in enumerate(draws):
-        one = channel_columns(geom, grid, paths)
+        one = link_columns(geom, grid, paths)
         assert one.shape == (10, 24) and one.flags.c_contiguous
         assert np.array_equal(batch[10 * t:10 * (t + 1)].view(np.uint64), one.view(np.uint64))
         # the tensor keeps its N x M entries as the transposed view
@@ -923,7 +946,7 @@ def test_channel_columns_equal_complex_exponential_terms_bit_for_bit(
     # a batch entry holds one path per column, each column its own user, and
     # keeps the direct form; 128 x 16 terms stay below numpy's 256 KiB
     # in-place threshold, 1024 x 256 terms (4 MiB) exceed it, so each keeps its
-    # own product rounding. PathParams terms are built in subcarrier blocks:
+    # own product rounding. A link draw's terms are built in subcarrier blocks:
     # test_blocked_path_terms_are_as_accurate_as_direct_phasors bounds them.
     geom = make_geom(num_antennas)
     grid = CarrierGrid.from_bandwidth(600e6, num_subcarriers)
@@ -971,7 +994,7 @@ def test_blocked_path_terms_are_as_accurate_as_direct_phasors(
     gain = 10.0 ** (gain_db / 20.0) * complex(math.cos(gain_angle), math.sin(gain_angle))
     path = PathParams(gain, theta, d, r, model)
     cols = np.arange(num_subcarriers)
-    got = channel_columns(geom, grid, [path])
+    got = link_columns(geom, grid, [path])
     drawn = (theta, d, r, _FIELDS[model], num_antennas, num_subcarriers,
              grid.subcarrier_spacing_hz, cols, 7e9, geom.spacing_m)
     re, im = (part.T for part in oracles.path_term_longdouble(gain, *drawn))
@@ -1001,7 +1024,7 @@ def test_near_carrier_error_does_not_grow_with_the_scatterer_distance(model):
         d, theta, r = rng.uniform(0.5, 200.0), rng.uniform(-0.999, 0.999), rng.uniform(0.0, 200.0)
         geom = ArrayGeometry(n, 7e9)
         grid = CarrierGrid.from_bandwidth(10.0 ** rng.uniform(6.0, 9.0), m)
-        got = channel_columns(geom, grid, [PathParams(1.0, theta, d, r, model)]).T
+        got = link_columns(geom, grid, [PathParams(1.0, theta, d, r, model)]).T
         re, im = oracles.path_term_longdouble(1.0 + 0j, theta, d, r, _FIELDS[model], n, m,
                                               grid.subcarrier_spacing_hz, np.arange(m), 7e9,
                                               geom.spacing_m)
