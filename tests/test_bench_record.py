@@ -83,3 +83,47 @@ def test_usage_delta_takes_each_field_between_the_two_readings():
     after = SimpleNamespace(ru_minflt=15200, ru_utime=24.75, ru_stime=0.625, ru_majflt=9)
     assert bench_record.usage_delta(before, after) == {
         "minflt": 14000, "utime_s": 21.5, "stime_s": 0.125}
+
+
+def test_cpu_model_reads_the_first_model_name(tmp_path):
+    cpuinfo = tmp_path / "cpuinfo"
+    cpuinfo.write_text("processor\t: 0\nvendor_id\t: GenuineIntel\n"
+                       "model name\t: Example CPU @ 2.10GHz\n\n"
+                       "processor\t: 1\nmodel name\t: Other CPU\n")
+    assert bench_record.cpu_model(cpuinfo) == "Example CPU @ 2.10GHz"
+    cpuinfo.write_text("processor\t: 0\nBogoMIPS\t: 50.00\n")
+    assert bench_record.cpu_model(cpuinfo) is None
+    assert bench_record.cpu_model(tmp_path / "missing") is None
+
+
+def test_calibration_probe_takes_the_best_of_five_timings(monkeypatch):
+    ticks = iter([0.0, 3.0, 10.0, 11.0, 20.0, 22.0, 30.0, 35.0, 40.0, 44.0])
+    monkeypatch.setattr(bench_record, "perf_counter", lambda: next(ticks))
+    assert bench_record.calibration_probe() == 1.0
+    assert next(ticks, None) is None
+
+
+def test_calibration_probe_times_real_work():
+    assert 0.0 < bench_record.calibration_probe(repeats=1) < 10.0
+
+
+def test_record_holds_the_cpu_model_and_each_runs_calibration(monkeypatch):
+    metrics = [{"name": "trials_per_s", "unit": "trials/s", "better": "higher", "bound": 0.25}]
+    probes = iter([0.004, 0.003, 0.005, 0.006])
+
+    def fake_run(checkout, workload, seed, seconds):
+        return {"metrics": {"trials_per_s": {"value": 10.0 + seed}}, "correct": True,
+                "steal_share": 0.0, "environment": {"python": "3"},
+                "fingerprint": {"cross_check_csv_sha256": "aa"},
+                "usage": dict.fromkeys(bench_record.USAGE, 1.0)}
+
+    monkeypatch.setattr(bench_record, "run_once", fake_run)
+    monkeypatch.setattr(bench_record, "calibration_probe", lambda: next(probes))
+    monkeypatch.setattr(bench_record, "cpu_model", lambda: "Example CPU")
+    bench = bench_record.record({"parent": Path("p"), "change": Path("c")}, ["desk-as"],
+                                metrics, pairs=2, seconds=1.0)
+    assert bench["cpu_model"] == "Example CPU"
+    # seed 1 runs the parent first, seed 2 the change
+    probe = bench["workloads"]["desk-as"]["calibration_s"]
+    assert probe["parent"]["runs"] == [0.004, 0.006]
+    assert probe["change"]["runs"] == [0.003, 0.005]

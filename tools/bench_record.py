@@ -26,7 +26,12 @@ read with ``getrusage(RUSAGE_CHILDREN)`` around the subprocess, and the record
 summarises them per side under ``usage``. These figures cover the whole run:
 the warm-up, the 15 set-up probes and the checks as well as the timed loop;
 they inform, and refuse nothing. The record also holds ``src_lines``, both
-sides' line count over ``src/**/*.py``. If
+sides' line count over ``src/**/*.py``, the host's ``cpu_model`` from
+``/proc/cpuinfo``, and, per workload and side, ``calibration_s``: a fixed
+numpy-only probe (cos and sin of a 1024 x 256 table, best of 5) timed just
+before every run. Only the pairs inside one record compare code: absolute
+figures across records reflect host state and are not a trajectory, and the
+probe lets a reader tell a slower host from a slower commit. If
 any run's outputs were incorrect, or the cross-check CSV digests of a workload
 differ between runs or sides, the script writes no file and exits non-zero.
 """
@@ -36,6 +41,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import resource
 import statistics
@@ -44,6 +50,9 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from time import perf_counter
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
@@ -70,6 +79,32 @@ def src_lines(checkout: Path) -> int:
     """Lines of the package source: the sum over ``src/**/*.py`` in ``checkout``."""
     return sum(len(path.read_text(encoding="utf-8").splitlines())
                for path in (checkout / "src").rglob("*.py"))
+
+
+def cpu_model(cpuinfo: Path = Path("/proc/cpuinfo")) -> str | None:
+    """The first ``model name`` in ``cpuinfo``, or None where it names none."""
+    try:
+        lines = cpuinfo.read_text(encoding="utf-8", errors="replace").splitlines()
+    except OSError:
+        return None
+    for line in lines:
+        key, _, value = line.partition(":")
+        if key.strip() == "model name":
+            return value.strip()
+    return None
+
+
+def calibration_probe(repeats: int = 5) -> float:
+    """Best of ``repeats`` timings, in seconds, of cos and sin over a fixed 1024 x 256
+    table: the same numpy work on every host and commit."""
+    phases = np.linspace(-math.pi, math.pi, 1024 * 256).reshape(1024, 256)
+    best = math.inf
+    for _ in range(repeats):
+        start = perf_counter()
+        np.cos(phases)
+        np.sin(phases)
+        best = min(best, perf_counter() - start)
+    return best
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -122,7 +157,9 @@ def record(checkouts: dict[str, Path], workloads: list[str], metrics: list[dict]
         orders.append(order[0] + " first")
         for name in workloads:
             for side in order:
+                calibration = calibration_probe()
                 report = run_once(checkouts[side], name, seed, seconds)
+                report["calibration_s"] = calibration
                 reports[name][side].append(report)
                 print(f"{name} seed {seed} {side}: "
                       f"{report['metrics']['trials_per_s']['value']:.2f} trials/s, "
@@ -138,6 +175,8 @@ def record(checkouts: dict[str, Path], workloads: list[str], metrics: list[dict]
                                               for side in SIDES for r in runs[side]}),
             "usage": {key: {side: summarise([r["usage"][key] for r in runs[side]])
                             for side in SIDES} for key in USAGE},
+            "calibration_s": {side: summarise([r["calibration_s"] for r in runs[side]])
+                              for side in SIDES},
             "metrics": {
                 m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                             **{side: summarise(values[m["name"]][side]) for side in SIDES},
@@ -146,6 +185,7 @@ def record(checkouts: dict[str, Path], workloads: list[str], metrics: list[dict]
             },
         }
     return {"pairs_per_workload": pairs, "seconds_per_run": seconds, "order": orders,
+            "cpu_model": cpu_model(),
             "environment": reports[workloads[0]]["change"][0]["environment"],
             "workloads": out}
 
@@ -193,6 +233,9 @@ def main(argv=None) -> None:
               f"[IQR {tps['parent']['iqr']:.2f}] change {tps['change']['median']:.2f} "
               f"[IQR {tps['change']['iqr']:.2f}]  median ratio {tps['median_ratio']:.3f}, "
               f"change won {tps['change_wins']}/{bench['pairs_per_workload']}")
+        probe = summary["calibration_s"]
+        print(f"{'':<10} calibration probe parent {probe['parent']['median'] * 1e3:.2f} ms, "
+              f"change {probe['change']['median'] * 1e3:.2f} ms")
     print(f"src/ lines parent {lines['parent']} change {lines['change']}")
     print(f"wrote {out.relative_to(ROOT)}")
 
