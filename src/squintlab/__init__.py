@@ -60,10 +60,12 @@ from .wavefield import (
     CarrierGrid,
     ChannelTensor,
     FieldModel,
+    PathBatch,
     PathParams,
     beam_squint_matrix,
     channel_columns,
     path_phases,
+    path_slots,
     read_channel_dump,
     synth_channel,
     write_channel_dump,

@@ -166,9 +166,8 @@ def boundary_table(
     """
     if not slots:
         raise ValueError("at least one path is required")
-    theta = np.abs(np.stack([slot.sine_angle for slot in slots], axis=1))
-    d = np.stack([slot.scatterer_distance_m for slot in slots], axis=1)
-    total = np.stack([slot.total_range_m for slot in slots], axis=1)
+    paths = PathBatch.join(slots, FieldModel.NARROWBAND_NEAR)  # `near` reads the slot models
+    theta, d, total = np.abs(paths.sine_angle), paths.scatterer_distance_m, paths.total_range_m
     near = np.repeat([[slot.field_model is not FieldModel.FAR for slot in slots]], len(d), axis=0)
 
     table = BoundaryTable(near, *_near_boundaries(geom, grid, thr, theta, d))

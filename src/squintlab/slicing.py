@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .boundaries import BoundaryTable, SquintThresholds, boundary_table
-from .wavefield import ArrayGeometry, CarrierGrid, PathBatch, PathParams, path_slots
+from .wavefield import ArrayGeometry, CarrierGrid, FieldModel, PathBatch, PathParams, path_slots
 
 #: guard applied before floor/ceil so boundary-exact sizes stay strictly inside
 _EDGE_EPS = 1e-9
@@ -179,7 +179,7 @@ def plan_antenna_rows(
     n = geom.num_antennas
     near = table.near
     num_users, width = near.shape
-    gain_power = np.abs(np.stack([slot.gain for slot in slots], axis=1)) ** 2
+    gain_power = np.abs(PathBatch.join(slots, FieldModel.NARROWBAND_NEAR).gain) ** 2
     order = np.argsort(np.where(near, -gain_power, math.inf), axis=1, kind="stable")
     num_near = np.count_nonzero(near, axis=1)
     ranked = np.arange(width) < num_near[:, None]  # rank slots that hold a near path
@@ -272,9 +272,7 @@ def allocate_subbands(
             {"caps": caps, "required": m_total},
         )
 
-    shares = [m_total // k_users] * k_users
-    for k in range(m_total % k_users):
-        shares[k] += 1
+    shares = [m_total // k_users + (k < m_total % k_users) for k in range(k_users)]
     shares = [min(sh, cap) for sh, cap in zip(shares, caps)]
     deficit = m_total - sum(shares)
     k = 0

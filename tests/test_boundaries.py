@@ -519,3 +519,17 @@ def test_boundary_table_equals_the_scalar_formulas_bit_for_bit(
                   if p.field_model is not FieldModel.FAR] + [spread]
         cap = oracles.subcarrier_cap(limits, grid.subcarrier_spacing_hz, subcarriers)
         assert subcarrier_caps(table, grid)[k] == cap
+
+
+def test_package_exports_the_path_slots_the_consumers_take():
+    # the slot consumers are public, so is the way to build their argument
+    import squintlab
+
+    geom, grid = make_geom(256), CarrierGrid.from_bandwidth(400e6, 16)
+    path = PathParams(1.0, 0.3, 40.0, 5.0)
+    slots = squintlab.path_slots([[path]])
+    assert isinstance(slots[0], squintlab.PathBatch)
+    table = squintlab.boundary_table(geom, grid, THR, slots)
+    report = boundary_report(geom, grid, path, THR)
+    assert table.antenna[0, 0] == report.antenna_boundary_near
+    assert table.freq[0, 0] == report.freq_boundary_near_hz

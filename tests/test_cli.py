@@ -184,6 +184,26 @@ def test_plan_infeasible_maps_to_exit_2(capsys):
     assert err.startswith("infeasible scenario:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "antenna", "--num-near-paths", "0", "--num-far-paths", "0"],
+    ["plan", "subband", "--num-near-paths", "0", "--num-users", "2"],
+    ["run", "se-snr-fs", "--num-near-paths", "0", "--trials", "1"],
+])
+def test_pathless_draws_map_to_exit_1(capsys, argv):
+    # a draw with no paths has no boundary table: a usage error (1), as for
+    # the sweeps, not an infeasible plan (2)
+    code, out, err = invoke(capsys, argv + ["--n", "32", "--m", "8"])
+    assert code == 1
+    assert out == "" and err == "error: at least one path is required\n"
+
+
+def test_far_only_plan_maps_to_exit_2(capsys):
+    code, _, err = invoke(capsys, ["plan", "antenna", "--n", "32", "--m", "8",
+                                   "--num-near-paths", "0", "--num-far-paths", "1"])
+    assert code == 2
+    assert err == "infeasible scenario: no near-field paths to serve\n"
+
+
 # ---------------------------------------------------------------------------
 # channel dumps
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from squintlab import (
 )
 from squintlab.experiments import _fs_trial_amps, _link_amps
 from squintlab.precoding import _hybrid_set, block_diagonal
-from squintlab.wavefield import PathBatch, path_phases, path_slots
+from squintlab.wavefield import PathBatch, path_phases, path_slots, phasor
 
 THR = SquintThresholds()
 
@@ -459,6 +459,34 @@ def test_batched_analog_builders_equal_one_user_at_a_time(num_antennas, num_user
         assert np.array_equal(row, subband_analog_rows(geom, path_slots([user]), [center])[0])
     with pytest.raises(ValueError, match="field models"):
         subband_analog_rows(geom, path_slots([users[0], users[1][1:]]), centers[:2])
+
+
+def test_narrowband_beams_pick_the_python_abs_strongest_path_and_ties_keep_path_order():
+    # the beams pick numpy's argmax of |g|; numpy's |z| differs from Python's
+    # abs(z) in the last bit for most sampled users, but the pick must be
+    # max(near or paths, key=abs(gain)), which keeps the first of tied paths.
+    # The pick does not depend on N, so 16 elements keep the beams small
+    cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64)
+    geom = ArrayGeometry(16, cfg.center_freq_hz)
+    users = [paths for trial in range(300) for paths in sample_user_paths(cfg, trial, 65)]
+    users += [[make_path(gain=complex(g)) for g in gains]
+              for gains in ((1, 1j, -1, 0.5), (0.5, 1j, -1, 1), (2, 2, 2, 2))]
+    mixed = [sample_scenario(cfg, trial) for trial in range(300)]
+    mixed.append([make_path(gain=0.5), make_path(gain=-0.5j), make_path(gain=0.1),
+                  make_path(gain=-0.5), make_path(gain=2.0, model=FieldModel.FAR)])
+    far = [[make_path(theta=t, gain=g, model=FieldModel.FAR) for t, g in gains]
+           for gains in (((0.2, 0.5j), (-0.4, -0.5), (0.6, 0.1)),
+                         ((0.2, 0.1), (-0.4, 0.2j), (0.6, -0.3)))]
+    for group in (users, mixed, far):
+        best = []
+        for paths in group:
+            near = [p for p in paths if p.field_model is not FieldModel.FAR]
+            best.append(max(near or paths, key=lambda p: abs(p.gain)))
+        model = FieldModel.FAR if group is far else FieldModel.NARROWBAND_NEAR
+        want = phasor(path_phases(geom, PathBatch.stack(best, model)[:, None])) / 4.0
+        assert np.array_equal(narrowband_beams(geom, path_slots(group)), want)
+    assert [p.gain for p in best] == [0.5j, -0.3]
+    assert np.any(np.abs(path_slots(users)[0].gain) != [abs(p[0].gain) for p in users])
 
 
 def test_slice_analog_rows_equal_complex_exponential_form_bit_for_bit():

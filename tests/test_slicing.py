@@ -285,7 +285,6 @@ def test_row_planner_equals_the_one_user_planner_row_by_row(num_antennas, bandwi
         assert np.array_equal(offsets.view(np.uint64), np.array(plan.offsets).view(np.uint64))
 
 
-
 def test_row_planner_ranks_gain_powers_as_python_abs_and_ties_keep_path_order():
     # the planner ranks |g|^2 from numpy's |z|, which differs from Python's
     # abs(z) in the last bit for most sampled users; only the order is used.
