@@ -96,15 +96,18 @@ def test_cpu_model_reads_the_first_model_name(tmp_path):
     assert bench_record.cpu_model(tmp_path / "missing") is None
 
 
-def test_calibration_probe_takes_the_best_of_five_timings(monkeypatch):
-    ticks = iter([0.0, 3.0, 10.0, 11.0, 20.0, 22.0, 30.0, 35.0, 40.0, 44.0])
+def test_calibration_probe_takes_the_best_of_its_timings(monkeypatch):
+    # one (start, stop) pair per timing; timing 7 is the shortest
+    durations = [3.0 + (i % 4) for i in range(bench_record.PROBE_REPEATS)]
+    durations[7] = 1.0
+    ticks = iter([t for i, d in enumerate(durations) for t in (10.0 * i, 10.0 * i + d)])
     monkeypatch.setattr(bench_record, "perf_counter", lambda: next(ticks))
     assert bench_record.calibration_probe() == 1.0
     assert next(ticks, None) is None
 
 
 def test_calibration_probe_times_real_work():
-    assert 0.0 < bench_record.calibration_probe(repeats=1) < 10.0
+    assert 0.0 < bench_record.calibration_probe() < 10.0
 
 
 def test_record_holds_the_cpu_model_and_each_runs_calibration(monkeypatch):

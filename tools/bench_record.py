@@ -28,12 +28,20 @@ the warm-up, the 15 set-up probes and the checks as well as the timed loop;
 they inform, and refuse nothing. The record also holds ``src_lines``, both
 sides' line count over ``src/**/*.py``, the host's ``cpu_model`` from
 ``/proc/cpuinfo``, and, per workload and side, ``calibration_s``: a fixed
-numpy-only probe (cos and sin of a 1024 x 256 table, best of 5) timed just
-before every run. Only the pairs inside one record compare code: absolute
-figures across records reflect host state and are not a trajectory, and the
-probe lets a reader tell a slower host from a slower commit. If
-any run's outputs were incorrect, or the cross-check CSV digests of a workload
-differ between runs or sides, the script writes no file and exits non-zero.
+numpy-only probe (cos and sin of a 1024 x 256 table, best of PROBE_REPEATS,
+about 1 s) timed just before every run.
+
+Only the pairs inside one record compare code: absolute figures across
+records reflect host state and are not a trajectory. The probe reads the
+CPU's unloaded speed, so a different CPU or clock shows in it; contention
+from other tenants of a shared host mostly does not. On a 2-vCPU Xeon host
+the same work's median over one second swung between 3.2 and 5.8 ms from
+one second to the next, which a short probe samples as host drift: best of
+5 read 3.1 to 5.9 ms, best over one second (about 300) 3.0 to 3.9 ms. A
+probe that agrees between records, beside trials/s that do not, points at
+contention or at the code, and the probe cannot tell which. If any run's outputs were
+incorrect, or the cross-check CSV digests of a workload differ between runs
+or sides, the script writes no file and exits non-zero.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 PAIRS = 10  # per workload: the fewest pairs a comparison may rest on
 SECONDS = 20.0  # timed loop of one run
+PROBE_REPEATS = 300  # calibration timings per run, about 1 s: a best of 5 swings with load
 SIDES = ("parent", "change")
 USAGE = ("minflt", "utime_s", "stime_s")
 
@@ -94,12 +103,12 @@ def cpu_model(cpuinfo: Path = Path("/proc/cpuinfo")) -> str | None:
     return None
 
 
-def calibration_probe(repeats: int = 5) -> float:
-    """Best of ``repeats`` timings, in seconds, of cos and sin over a fixed 1024 x 256
-    table: the same numpy work on every host and commit."""
+def calibration_probe() -> float:
+    """Best of PROBE_REPEATS timings, in seconds, of cos and sin over a fixed
+    1024 x 256 table: the same numpy work on every host and commit."""
     phases = np.linspace(-math.pi, math.pi, 1024 * 256).reshape(1024, 256)
     best = math.inf
-    for _ in range(repeats):
+    for _ in range(PROBE_REPEATS):
         start = perf_counter()
         np.cos(phases)
         np.sin(phases)
@@ -234,8 +243,9 @@ def main(argv=None) -> None:
               f"[IQR {tps['change']['iqr']:.2f}]  median ratio {tps['median_ratio']:.3f}, "
               f"change won {tps['change_wins']}/{bench['pairs_per_workload']}")
         probe = summary["calibration_s"]
-        print(f"{'':<10} calibration probe parent {probe['parent']['median'] * 1e3:.2f} ms, "
-              f"change {probe['change']['median'] * 1e3:.2f} ms")
+        print(f"{'':<10} calibration probe parent {probe['parent']['median'] * 1e3:.2f} ms "
+              f"[IQR {probe['parent']['iqr'] * 1e3:.2f}] change "
+              f"{probe['change']['median'] * 1e3:.2f} ms [IQR {probe['change']['iqr'] * 1e3:.2f}]")
     print(f"src/ lines parent {lines['parent']} change {lines['change']}")
     print(f"wrote {out.relative_to(ROOT)}")
 
