@@ -32,16 +32,15 @@ numpy-only probe (cos and sin of a 1024 x 256 table, best of PROBE_REPEATS,
 about 1 s) timed just before every run.
 
 Only the pairs inside one record compare code: absolute figures across
-records reflect host state and are not a trajectory. The probe reads the
-CPU's unloaded speed, so a different CPU or clock shows in it; contention
-from other tenants of a shared host mostly does not. On a 2-vCPU Xeon host
-the same work's median over one second swung between 3.2 and 5.8 ms from
-one second to the next, which a short probe samples as host drift: best of
-5 read 3.1 to 5.9 ms, best over one second (about 300) 3.0 to 3.9 ms. A
-probe that agrees between records, beside trials/s that do not, points at
-contention or at the code, and the probe cannot tell which. If any run's outputs were
-incorrect, or the cross-check CSV digests of a workload differ between runs
-or sides, the script writes no file and exits non-zero.
+records reflect host state and are not a trajectory. The probe does not
+resolve host drift run by run. On a 2-vCPU Xeon host (``BENCH_26.json``)
+single probes read either 3.0-3.4 ms or 4.6-5.9 ms: a load can last the
+whole second of timings. Across a workload's 20 runs their correlation with
+trials/s was -0.4 to -0.1. What the probe shows is a different CPU or clock,
+and, per record, whether the two sides' medians agree (3.20 and 3.31 ms on
+desk-as there). If any run's outputs were incorrect, or the cross-check CSV
+digests of a workload differ between runs or sides, the script writes no
+file and exits non-zero.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 PAIRS = 10  # per workload: the fewest pairs a comparison may rest on
 SECONDS = 20.0  # timed loop of one run
-PROBE_REPEATS = 300  # calibration timings per run, about 1 s: a best of 5 swings with load
+PROBE_REPEATS = 300  # calibration timings per run, about 1 s
 SIDES = ("parent", "change")
 USAGE = ("minflt", "utime_s", "stime_s")
 
