@@ -44,6 +44,7 @@ from .wavefield import (
     PathParams,
     channel_columns,
     path_slots,
+    slab_rows,
 )
 
 CSV_HEADER = "axis,scheme,se_bits_per_hz,trials,seed,boundary_b_wn_hz,boundary_n_wn"
@@ -70,10 +71,11 @@ _GAIN_MAP_CURVES = (
     (0.1, 10.0), (0.1, 50.0), (0.1, 100.0),
 )
 #: channel bytes of one pool task's chunk of link draws (see _trials_per_task):
-#: three 256 x 64 trials, one 1024 x 256 trial. A chunk's tracemalloc peak is
-#: 2.6x its channel at 256 x 64 and 2.2x at 1024 x 256, so the budget bounds
-#: the memory batching adds
-_CHUNK_BYTES = 768 << 10
+#: eight 256 x 64 trials, one 1024 x 256 trial. The chunk's products go
+#: through slabs (wavefield.slab_rows), so its tracemalloc peak is the
+#: channel plus a fixed share: 3.42 MiB for eight 256 x 64 trials, where
+#: three took 1.96 MiB (2.6x their channel) before the slabs
+_CHUNK_BYTES = 2 << 20
 
 
 def resolve_threads() -> int:
@@ -217,18 +219,21 @@ def _link_amps(
     (T M) x N channel, as :func:`channel_columns` builds it from the slots,
     and ``table`` their T-row :func:`boundary_table`. Every scheme's
     amplitudes run over the T M subcarriers. The baseline takes one BLAS product per draw, which
-    rounds as ``entries @ beam.conj()`` of the draw alone. Raises the first
-    infeasible draw's InfeasiblePlanError.
+    rounds as ``entries @ beam.conj()`` of the draw alone. The optimum's row
+    norms are taken one slab of rows at a time (:func:`slab_rows`), each row
+    as alone. Raises the first infeasible draw's InfeasiblePlanError.
     """
     count = len(table.near)
     owners = np.repeat(np.arange(count), cols.shape[0] // count)
     beams = narrowband_beams(geom, slots)
     per_draw = cols.reshape(count, -1, cols.shape[1])
+    step = slab_rows(16 * cols.shape[1])
     return {
         Scheme.ANTENNA_SLICING.value: _antenna_slicing_amps(geom, slots, table, owners, cols),
         Scheme.NARROWBAND_BASELINE.value:
             np.abs(np.matmul(per_draw, beams.conj()[:, :, None])).ravel(),
-        Scheme.OPTIMAL.value: np.linalg.norm(cols, axis=1),
+        Scheme.OPTIMAL.value: np.concatenate([np.linalg.norm(cols[c:c + step], axis=1)
+                                              for c in range(0, len(cols), step)]),
     }
 
 
@@ -495,11 +500,13 @@ def _fs_draws(config: ScenarioConfig, trials: range) -> list:
 
 def _trials_per_task(config: ScenarioConfig, draw: Callable) -> int:
     """Trials one pool task evaluates: as many link draws as fit _CHUNK_BYTES of
-    (T M) x N channel, at least one; a multiuser draw already batches its users,
-    so it runs one trial per task."""
+    (T M) x N channel, at least one, and no more than an even share of the
+    trials per worker, so a short sweep leaves no worker idle; a multiuser draw
+    already batches its users, so it runs one trial per task."""
     if draw is _fs_draws:
         return 1
-    return max(1, _CHUNK_BYTES // (16 * config.num_antennas * config.num_subcarriers))
+    share = -(-config.trials // resolve_threads())
+    return max(1, min(share, _CHUNK_BYTES // (16 * config.num_antennas * config.num_subcarriers)))
 
 
 def _each_draw(config: ScenarioConfig, draw: Callable, entries: Callable) -> Callable:

@@ -30,6 +30,7 @@ from .wavefield import (
     path_phases,
     path_slots,
     phasor,
+    slab_rows,
 )
 
 
@@ -119,8 +120,10 @@ def owner_gain_amplitudes(
     Uses |f_D^H F^H h| = ||F^H h||^2 / ||F F^H h|| and, for unit-modulus
     blocks, ||F F^H h||^2 = sum_t N_t |(F^H h)_t|^2. Then (F^H h)_t is the sum
     of conj(row) * h over block t, so all columns take one elementwise
-    product and one segmented sum, and the per-column sums over blocks are
-    bincounts. Degenerate columns yield amplitude 0.
+    product and one segmented sum, formed one scratch slab of columns at a
+    time (:func:`slab_rows`; each column's blocks lie in its slab), and the
+    per-column sums over blocks are bincounts. Degenerate columns yield
+    amplitude 0.
     """
     n = rows.shape[1]
     sizes = np.asarray(block_sizes)
@@ -132,7 +135,17 @@ def owner_gain_amplitudes(
     shift = (np.cumsum(counts) - counts)[owners] - (np.cumsum(per_column) - per_column)
     block = np.arange(len(column)) + shift[column]
     first = column * n + starts[block] % n  # block starts in the flat C x N product
-    projected = np.add.reduceat((rows.conj()[owners] * columns).ravel(), first)
+    conj = rows.conj()
+    step = slab_rows(16 * n)
+    scratch = np.empty((min(step, len(owners)), n), dtype=np.complex128)
+    projected = np.empty(len(first), dtype=np.complex128)
+    bounds = np.searchsorted(column, np.arange(0, len(owners) + step, step))
+    for c, lo, hi in zip(range(0, len(owners), step), bounds, bounds[1:]):
+        slab = scratch[:min(step, len(owners) - c)]
+        # mode="clip" writes straight to out=, which the default mode would buffer
+        np.take(conj, owners[c:c + len(slab)], axis=0, out=slab, mode="clip")
+        np.multiply(slab, columns[c:c + len(slab)], out=slab)
+        projected[lo:hi] = np.add.reduceat(slab.ravel(), first[lo:hi] - c * n)
     power = np.abs(projected) ** 2
     num = np.bincount(column, power, minlength=len(owners))
     den = np.sqrt(np.bincount(column, sizes[block] * power, minlength=len(owners)))

@@ -33,6 +33,11 @@ DUMP_VERSION = 1
 ComplexVector = NDArray[np.complex128]
 ComplexMatrix = NDArray[np.complex128]
 
+#: bytes of one scratch slab: the channel-sized products of a link chunk
+#: (the channel's blocks, the owners' projections, the matched-filter norms)
+#: are formed one slab of rows at a time, so no temporary grows with the chunk
+_SLAB_BYTES = 256 << 10
+
 
 class FieldModel(Enum):
     """Per-path propagation regime."""
@@ -242,6 +247,11 @@ class PathBatch:
         return self.ue_range_m + self.scatterer_distance_m
 
 
+def slab_rows(row_bytes: int) -> int:
+    """Rows of ``row_bytes`` each that fill one scratch slab, at least one."""
+    return max(1, _SLAB_BYTES // row_bytes)
+
+
 def path_slots(users: Sequence[Sequence[PathParams]]) -> list[PathBatch]:
     """The l-th paths of every user as one batch per l, in path order.
 
@@ -378,7 +388,9 @@ def channel_columns(
     phase of subcarrier c0 + i is that of c0 plus k ramp_n i df, so the term
     is an exact phasor at every B-th subcarrier (gain folded in) times a step
     phasor exp(j k ramp_n i df), i < B: one multiply per entry, plus a shorter
-    tail block.
+    tail block. The whole blocks' products go through one scratch slab (see
+    :func:`slab_rows`), a range of draws and of their anchor blocks at a time,
+    and are added to the output from there.
     """
     if model_tag not in _MODEL_TAGS:
         raise ValueError(f"unknown model_tag {model_tag!r}")
@@ -392,6 +404,12 @@ def channel_columns(
     k = 2.0 * np.pi / geom.wave_speed
     out = np.zeros((draws * num_cols, geom.num_antennas), dtype=np.complex128)
     terms = out.reshape(draws, num_cols, geom.num_antennas)  # draw t's M x N channel
+    whole = body // block
+    blocks = terms[:, :body].reshape(draws, whole, block, geom.num_antennas)
+    # a slab holds whole draws when one draw's blocks fit, else a range of one draw's blocks
+    per_slab = slab_rows(16 * block * geom.num_antennas)
+    span, width = min(draws, max(1, per_slab // whole)), min(whole, per_slab)
+    scratch = np.empty((span, width, block, geom.num_antennas), dtype=np.complex128)
     for path in paths:
         model = path.field_model if model_tag == HYBRID else FieldModel(model_tag)
         # np.multiply(gain, term), not gain * term: numpy multiplies a
@@ -406,8 +424,12 @@ def channel_columns(
             anchors = np.multiply(path.gain[..., None], phasor(
                 carrier + k * (ramp * freq_dev[::block, None])))
             steps = phasor(k * (ramp * (np.arange(block) * grid.subcarrier_spacing_hz)[:, None]))
-            blocks = terms[:, :body].reshape(draws, -1, block, geom.num_antennas)
-            blocks += anchors[:, :body // block, None] * steps[:, None]
+            for t in range(0, draws, span):
+                for j in range(0, whole, width):
+                    part = anchors[t:t + span, j:min(j + width, whole), None]
+                    slab = scratch[:part.shape[0], :part.shape[1]]
+                    np.multiply(part, steps[t:t + span, None], out=slab)
+                    blocks[t:t + span, j:j + width] += slab
             if body < num_cols:
                 terms[:, body:] += anchors[:, -1:] * steps[:, :num_cols - body]
         elif draws == 1 and path.gain.shape == freq_dev.shape:

@@ -130,3 +130,66 @@ def test_record_holds_the_cpu_model_and_each_runs_calibration(monkeypatch):
     probe = bench["workloads"]["desk-as"]["calibration_s"]
     assert probe["parent"]["runs"] == [0.004, 0.006]
     assert probe["change"]["runs"] == [0.003, 0.005]
+
+
+def _metric(parent, change, better="higher", bound=0.25):
+    """One metric's summary as ``record`` builds it."""
+    return {"better": better, "bound": bound,
+            "parent": bench_record.summarise(parent), "change": bench_record.summarise(change),
+            **bench_record.compare(parent, change, better)}
+
+
+_PARENT = [100.0, 101.0, 99.0, 102.0, 98.0, 100.0, 103.0, 97.0, 100.0, 100.0]  # IQR 1.5
+
+
+@pytest.mark.parametrize("better, change, want", [
+    # won 10/10, medians 3 apart against the parent's IQR of 1.5
+    ("higher", [p + 3.0 for p in _PARENT], "gain"),
+    ("lower", [p - 3.0 for p in _PARENT], "gain"),
+    # won 9/10: still a gain
+    ("higher", [p + 3.0 for p in _PARENT[:9]] + [90.0], "gain"),
+    # won 8/10, though the medians moved by more than the IQR
+    ("higher", [p + 3.0 for p in _PARENT[:8]] + [90.0, 90.0], "unchanged"),
+    # won 10/10 by less than the IQR
+    ("higher", [p + 1.0 for p in _PARENT], "unchanged"),
+    # worse by 30 % of the parent's median, past the 25 % bound
+    ("higher", [p * 0.7 for p in _PARENT], "regression"),
+    ("lower", [p * 1.3 for p in _PARENT], "regression"),
+    # worse by 20 %: inside the bound
+    ("higher", [p * 0.8 for p in _PARENT], "unchanged"),
+    ("lower", [p * 1.2 for p in _PARENT], "unchanged"),
+])
+def test_verdict_reads_gain_regression_or_unchanged(better, change, want):
+    assert bench_record.verdict(_metric(_PARENT, change, better), pairs=10) == want
+
+
+def test_verdict_is_unresolved_when_the_parents_spread_outgrows_the_bound():
+    parent = [60.0, 140.0, 70.0, 130.0, 100.0, 100.0, 65.0, 135.0, 100.0, 100.0]
+    assert bench_record.summarise(parent)["iqr"] > 25.0
+    assert bench_record.verdict(_metric(parent, [p * 1.1 for p in parent]), 10) == "unresolved"
+    # a clear gain or regression still reads as one
+    assert bench_record.verdict(_metric(parent, [p * 2.0 for p in parent]), 10) == "gain"
+    assert bench_record.verdict(_metric(parent, [p * 0.5 for p in parent]), 10) == "regression"
+
+
+def test_record_writes_a_verdict_per_workload_and_metric(monkeypatch):
+    metrics = [{"name": "trials_per_s", "unit": "trials/s", "better": "higher", "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.2}]
+
+    def fake_run(checkout, workload, seed, seconds):
+        fast = checkout == Path("c") and workload == "desk-as"
+        return {"metrics": {"trials_per_s": {"value": (20.0 if fast else 10.0) + 0.1 * seed},
+                            "peak_rss_mb": {"value": 50.0}},
+                "correct": True, "steal_share": 0.0, "environment": {"python": "3"},
+                "fingerprint": {"cross_check_csv_sha256": "aa"},
+                "usage": dict.fromkeys(bench_record.USAGE, 1.0)}
+
+    monkeypatch.setattr(bench_record, "run_once", fake_run)
+    monkeypatch.setattr(bench_record, "calibration_probe", lambda: 0.003)
+    monkeypatch.setattr(bench_record, "cpu_model", lambda: None)
+    bench = bench_record.record({"parent": Path("p"), "change": Path("c")},
+                                ["desk-as", "full-link"], metrics, pairs=10, seconds=1.0)
+    verdicts = {name: {metric: entry["verdict"] for metric, entry in w["metrics"].items()}
+                for name, w in bench["workloads"].items()}
+    assert verdicts == {"desk-as": {"trials_per_s": "gain", "peak_rss_mb": "unchanged"},
+                        "full-link": {"trials_per_s": "unchanged", "peak_rss_mb": "unchanged"}}

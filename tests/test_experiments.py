@@ -28,7 +28,7 @@ from squintlab import (
     sample_scenario,
     subcarrier_caps,
 )
-from squintlab import experiments
+from squintlab import experiments, wavefield
 from squintlab.cli import cli_main
 from squintlab.experiments import (
     _AS_SCHEMES,
@@ -628,13 +628,51 @@ def assert_same_draw(got, want):
 
 @pytest.mark.parametrize("num_antennas, num_subcarriers, chunk",
                          [(n, m, chunk) for n, m in ((128, 16), (256, 64))
-                          for chunk in (1, 2, 3, 7)] + [(1024, 256, 2)])
+                          for chunk in (1, 2, 3, 7, 8)] + [(1024, 256, 2)])
 def test_chunked_link_draws_equal_one_trial_draws_bit_for_bit(num_antennas, num_subcarriers,
                                                                chunk):
     cfg = ScenarioConfig(num_antennas=num_antennas, num_subcarriers=num_subcarriers, seed=11)
     trials = range(5, 5 + chunk)
     for trial, drawn in zip(trials, _link_draws(cfg, trials), strict=True):
         assert_same_draw(drawn, one_trial_link_draw(cfg, trial))
+
+
+@pytest.mark.parametrize("workers, trials, num_antennas, num_subcarriers, chunk", [
+    ("2", 10, 256, 64, 5),  # an even share: 5 + 5, not 8 + 2
+    ("2", 100, 256, 64, 8),  # the budget: 2 MiB of 256 KiB channels
+    ("1", 10, 256, 64, 8),
+    ("2", 17, 256, 64, 8),
+    ("4", 3, 256, 64, 1),
+    ("2", 10, 1024, 256, 1),  # one 4 MiB channel is over the budget
+    ("1", 1, 64, 16, 1),
+])
+def test_trials_per_task_fill_the_budget_but_leave_no_worker_idle(
+        workers, trials, num_antennas, num_subcarriers, chunk, monkeypatch):
+    monkeypatch.setenv("SQUINTLAB_THREADS", workers)
+    cfg = ScenarioConfig(num_antennas=num_antennas, num_subcarriers=num_subcarriers,
+                         trials=trials)
+    assert experiments._trials_per_task(cfg, _link_draws) == chunk
+    assert experiments._trials_per_task(cfg, experiments._fs_draws) == 1
+
+
+def test_link_amps_equal_across_slab_budgets(monkeypatch):
+    # the matched-filter norms run one slab of rows at a time, each row as
+    # the norm of the whole chunk's channel gives it; one row per slab, a
+    # ragged last slab (100 of 8 x 64 rows) and the whole chunk agree
+    cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64, seed=11)
+    geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
+    slots = path_slots([sample_scenario(cfg, trial) for trial in range(8)])
+    table = boundary_table(geom, grid, thr, slots)
+    cols = channel_columns(geom, grid, [slot[:, None] for slot in slots])
+    built = []
+    for budget in (16 * 256, 100 * 16 * 256, 1 << 30):
+        monkeypatch.setattr(wavefield, "_SLAB_BYTES", budget)
+        built.append(_link_amps(geom, slots, cols, table))
+    assert np.array_equal(built[-1]["optimal"].view(np.uint64),
+                          np.linalg.norm(cols, axis=1).view(np.uint64))
+    for amps in built[:-1]:
+        for scheme, values in built[-1].items():
+            assert np.array_equal(amps[scheme].view(np.uint64), values.view(np.uint64)), scheme
 
 
 #: the declared rounding change of the subcarrier-major channel: the link

@@ -41,6 +41,7 @@ from squintlab import (
     subband_precoder_set,
     synth_channel,
 )
+from squintlab import wavefield
 from squintlab.experiments import _fs_trial_amps, _link_amps
 from squintlab.precoding import _hybrid_set, block_diagonal
 from squintlab.wavefield import PathBatch, path_phases, path_slots, phasor
@@ -277,6 +278,31 @@ def test_owner_amplitudes_equal_each_owners_digital_mrt(case):
         analog = block_diagonal(rows[owner], sizes[owner])
         want = abs(np.vdot(analog @ oracles.digital_mrt(cols[:, c], analog), cols[:, c]))
         assert amps[c] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("draws", [1, 3, 8])
+def test_owner_amplitudes_equal_across_slab_budgets(draws, monkeypatch):
+    # the owners' products and segmented sums go through one scratch slab of
+    # columns; every budget gives the same bits: one column per slab, seven (a
+    # ragged last slab of 10, 30 or 80 columns), the whole array, and less
+    # than one column; each of the draws owns M = 10 columns, its row split
+    # into blocks of random sizes
+    n, m = 24, 10
+    rng = np.random.default_rng(draws)
+    rows = phasor(rng.uniform(-np.pi, np.pi, (draws, n)))
+    sizes = np.concatenate([np.diff([0, *sorted(rng.choice(np.arange(1, n), 4, replace=False)),
+                                     n]) for _ in range(draws)])
+    owners = np.repeat(np.arange(draws), m)
+    cols = rng.standard_normal((draws * m, n)) + 1j * rng.standard_normal((draws * m, n))
+    cols[3] = 0.0  # a degenerate column reads 0 in every slab
+    built = {}
+    for budget in (16 * n, 7 * 16 * n, 1 << 30, 1):
+        monkeypatch.setattr(wavefield, "_SLAB_BYTES", budget)
+        built[budget] = owner_gain_amplitudes(rows, sizes, owners, cols)
+    whole = built.pop(1 << 30)
+    assert whole[3] == 0.0
+    for budget, amps in built.items():
+        assert np.array_equal(amps.view(np.uint64), whole.view(np.uint64)), budget
 
 
 DESK_USERS = ScenarioConfig(num_antennas=256, num_subcarriers=64, num_users=8,

@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 import squintlab
+from squintlab import wavefield
 from squintlab import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
@@ -684,6 +685,32 @@ def test_channel_columns_are_subcarrier_major_with_draws_in_row_blocks():
         entries = synth_channel(geom, grid, paths).entries
         assert entries.shape == (24, 10)
         assert np.array_equal(entries.T.view(np.uint64), one.view(np.uint64))
+
+
+@pytest.mark.parametrize("draws", [1, 3, 8])
+def test_channel_columns_equal_across_slab_budgets(draws, monkeypatch):
+    # the blocks' products go through one scratch slab; every slab budget
+    # gives the same bits: one anchor block per slab, two (a ragged last slab
+    # of a draw's three), two draws per slab (ragged for 3), the whole array,
+    # and less than one block; M = 10 leaves a tail after blocks of B = 3
+    geom, grid = make_geom(24), CarrierGrid.from_bandwidth(300e6, 10)
+    rng = np.random.default_rng(draws)
+    slots = path_slots([[make_path(theta=rng.uniform(-0.9, 0.9), d=rng.uniform(2.0, 60.0),
+                                   r=rng.uniform(0.0, 60.0),
+                                   gain=complex(*rng.standard_normal(2)), model=model)
+                         for model in (*FieldModel, FieldModel.WIDEBAND_NEAR)]
+                        for _ in range(draws)])
+    block = 16 * 3 * 24  # bytes of one draw's anchor block of products
+    built = {}
+    for budget in (block, 2 * block, 2 * 3 * block, 1 << 30, 1):
+        monkeypatch.setattr(wavefield, "_SLAB_BYTES", budget)
+        built[budget] = channel_columns(geom, grid, [slot[:, None] for slot in slots])
+    whole = built.pop(1 << 30).view(np.uint64)
+    for budget, cols in built.items():
+        assert np.array_equal(cols.view(np.uint64), whole), budget
+    for t in range(draws):
+        one = channel_columns(geom, grid, [slot[t:t + 1, None] for slot in slots])
+        assert np.array_equal(one.view(np.uint64), whole[10 * t:10 * (t + 1)])
 
 
 def test_dump_stays_antenna_major(tmp_path):

@@ -20,8 +20,9 @@ the change side is not HEAD's committed files). It gets, per workload and
 for every end-to-end metric that ``BENCHMARK.json`` names, both sides' run
 values with their median and interquartile range, the change/parent ratio of
 each pair, the median ratio and the number of pairs the change won (in the
-metric's better direction), plus the hypervisor steal share of each run. Each
-run also records its minor page faults and its user and system CPU seconds,
+metric's better direction) and a verdict (see ``verdict``), which the
+script also prints, plus the hypervisor steal share of each run. Each run
+also records its minor page faults and its user and system CPU seconds,
 read with ``getrusage(RUSAGE_CHILDREN)`` around the subprocess, and the record
 summarises them per side under ``usage``. These figures cover the whole run:
 the warm-up, the 15 set-up probes and the checks as well as the timed loop;
@@ -68,6 +69,7 @@ SECONDS = 20.0  # timed loop of one run
 PROBE_REPEATS = 300  # calibration timings per run, about 1 s
 SIDES = ("parent", "change")
 USAGE = ("minflt", "utime_s", "stime_s")
+GAIN_SHARE = (9, 10)  # a gain wins at least 9 of every 10 pairs
 
 
 def summarise(values: list[float]) -> dict:
@@ -155,6 +157,32 @@ def compare(parent: list[float], change: list[float], better: str) -> dict:
     return {"ratios": ratios, "median_ratio": statistics.median(ratios), "change_wins": wins}
 
 
+def verdict(metric: dict, pairs: int) -> str:
+    """One metric's verdict from its summary (both sides, ``change_wins``, ``better``
+    and the ``BENCHMARK.json`` ``bound``), in this order of precedence:
+
+    - ``gain``: the change won at least 9 of 10 pairs, and its median is
+      better than the parent's by more than the parent's IQR;
+    - ``regression``: the change's median is worse than the parent's by more
+      than ``bound`` times the parent's median;
+    - ``unresolved``: the parent's IQR is wider than that bound, so the runs
+      cannot tell a move of the bound's size from noise;
+    - ``unchanged`` otherwise.
+    """
+    parent, change = metric["parent"], metric["change"]
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    better_by = sign * (change["median"] - parent["median"])
+    allowed = metric["bound"] * abs(parent["median"])
+    wins, share = metric["change_wins"], GAIN_SHARE
+    if wins * share[1] >= share[0] * pairs and better_by > parent["iqr"]:
+        return "gain"
+    if -better_by > allowed:
+        return "regression"
+    if parent["iqr"] > allowed:
+        return "unresolved"
+    return "unchanged"
+
+
 def record(checkouts: dict[str, Path], workloads: list[str], metrics: list[dict],
            pairs: int, seconds: float) -> dict:
     """Run every workload ``pairs`` times on each side, interleaved, and summarise."""
@@ -185,13 +213,13 @@ def record(checkouts: dict[str, Path], workloads: list[str], metrics: list[dict]
                             for side in SIDES} for key in USAGE},
             "calibration_s": {side: summarise([r["calibration_s"] for r in runs[side]])
                               for side in SIDES},
-            "metrics": {
-                m["name"]: {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                            **{side: summarise(values[m["name"]][side]) for side in SIDES},
-                            **compare(*(values[m["name"]][side] for side in SIDES), m["better"])}
-                for m in metrics
-            },
+            "metrics": {},
         }
+        for m in metrics:
+            summary = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                       **{side: summarise(values[m["name"]][side]) for side in SIDES},
+                       **compare(*(values[m["name"]][side] for side in SIDES), m["better"])}
+            out[name]["metrics"][m["name"]] = {**summary, "verdict": verdict(summary, pairs)}
     return {"pairs_per_workload": pairs, "seconds_per_run": seconds, "order": orders,
             "cpu_model": cpu_model(),
             "environment": reports[workloads[0]]["change"][0]["environment"],
@@ -236,11 +264,11 @@ def main(argv=None) -> None:
         sys.exit(f"bench_record: not writing {out.name}:\n" + "\n".join(found))
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     for name, summary in bench["workloads"].items():
-        tps = summary["metrics"]["trials_per_s"]
-        print(f"{name:<10} trials/s parent {tps['parent']['median']:.2f} "
-              f"[IQR {tps['parent']['iqr']:.2f}] change {tps['change']['median']:.2f} "
-              f"[IQR {tps['change']['iqr']:.2f}]  median ratio {tps['median_ratio']:.3f}, "
-              f"change won {tps['change_wins']}/{bench['pairs_per_workload']}")
+        for metric, entry in summary["metrics"].items():
+            print(f"{name:<10} {metric:<13} {entry['verdict']:<10} parent "
+                  f"{entry['parent']['median']:.4g} [IQR {entry['parent']['iqr']:.3g}] change "
+                  f"{entry['change']['median']:.4g}, median ratio {entry['median_ratio']:.3f}, "
+                  f"change won {entry['change_wins']}/{bench['pairs_per_workload']}")
         probe = summary["calibration_s"]
         print(f"{'':<10} calibration probe parent {probe['parent']['median'] * 1e3:.2f} ms "
               f"[IQR {probe['parent']['iqr'] * 1e3:.2f}] change "
