@@ -141,10 +141,11 @@ def owner_gain_amplitudes(
     projected = np.empty(len(first), dtype=np.complex128)
     bounds = np.searchsorted(column, np.arange(0, len(owners) + step, step))
     for c, lo, hi in zip(range(0, len(owners), step), bounds, bounds[1:]):
-        slab = scratch[:min(step, len(owners) - c)]
+        slab_owners = owners[c:c + step]
+        slab = scratch[:len(slab_owners)]
         # mode="clip" writes straight to out=, which the default mode would buffer
-        np.take(conj, owners[c:c + len(slab)], axis=0, out=slab, mode="clip")
-        np.multiply(slab, columns[c:c + len(slab)], out=slab)
+        np.take(conj, slab_owners, axis=0, out=slab, mode="clip")
+        np.multiply(slab, columns[c:c + step], out=slab)
         projected[lo:hi] = np.add.reduceat(slab.ravel(), first[lo:hi] - c * n)
     power = np.abs(projected) ** 2
     num = np.bincount(column, power, minlength=len(owners))
