@@ -69,7 +69,6 @@ SECONDS = 20.0  # timed loop of one run
 PROBE_REPEATS = 300  # calibration timings per run, about 1 s
 SIDES = ("parent", "change")
 USAGE = ("minflt", "utime_s", "stime_s")
-GAIN_SHARE = (9, 10)  # a gain wins at least 9 of every 10 pairs
 
 
 def summarise(values: list[float]) -> dict:
@@ -173,8 +172,7 @@ def verdict(metric: dict, pairs: int) -> str:
     sign = 1.0 if metric["better"] == "higher" else -1.0
     better_by = sign * (change["median"] - parent["median"])
     allowed = metric["bound"] * abs(parent["median"])
-    wins, share = metric["change_wins"], GAIN_SHARE
-    if wins * share[1] >= share[0] * pairs and better_by > parent["iqr"]:
+    if 10 * metric["change_wins"] >= 9 * pairs and better_by > parent["iqr"]:
         return "gain"
     if -better_by > allowed:
         return "regression"
