@@ -46,7 +46,6 @@ from .scenario import (
 from .slicing import (
     InfeasiblePlanError,
     SliceBlocks,
-    SlicingPlan,
     SubbandPlan,
     UserSubband,
     allocate_subbands,

@@ -413,21 +413,25 @@ def _link_draws(config: ScenarioConfig, trials: range) -> list:
 
     The trials' draws are one batch: one set of path slots, one boundary
     table, one channel and one :func:`_link_amps` call. When the batch holds
-    an infeasible draw, each draw is evaluated again on its own rows of them.
+    infeasible draws, the planner's error flags them all, and the feasible
+    draws are evaluated again as one batch on their rows.
     """
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     m = grid.num_subcarriers
     slots = path_slots([sample_scenario(config, trial) for trial in trials])
     table = boundary_table(geom, grid, thr, slots)
     cols = channel_columns(geom, grid, [slot[:, None] for slot in slots])
+    kept = np.arange(len(trials))
     try:
         batch = _link_amps(geom, slots, cols, table)
-        amps = [{scheme: values[t * m:(t + 1) * m] for scheme, values in batch.items()}
-                for t in range(len(trials))]
-    except InfeasiblePlanError:
-        amps = [_feasible(_link_amps, geom, [slot[t:t + 1] for slot in slots],
-                          cols[t * m:(t + 1) * m], table[t:t + 1])
-                for t in range(len(trials))]
+    except InfeasiblePlanError as exc:
+        kept = np.flatnonzero(~exc.users)
+        rows = cols.reshape(len(trials), m, -1)[kept].reshape(-1, cols.shape[1])
+        batch = _link_amps(geom, [slot[kept] for slot in slots], rows,
+                           table[kept]) if kept.size else {}
+    amps = [None] * len(trials)
+    for i, t in enumerate(kept.tolist()):
+        amps[t] = {scheme: values[i * m:(i + 1) * m] for scheme, values in batch.items()}
     return [None if a is None else (a, (m,), _binding_boundaries(table, t))
             for t, a in enumerate(amps)]
 
@@ -466,7 +470,7 @@ def _fs_trial_amps(config: ScenarioConfig, trial: int):
     """
     geom, grid = config.geometry(), config.grid()
     users, plan = _allocate_adaptive(config, trial)
-    slots = path_slots(users)
+    slots = plan.slots
     owners = np.repeat(np.arange(len(users)), plan.user_subcarriers)
     cols = channel_columns(geom, grid, [slot[owners] for slot in slots])
     fs_rows = subband_analog_rows(geom, slots, [sb.center_hz for sb in plan.subbands])

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .slicing import SliceBlocks, SlicingPlan, UserSubband
+from .slicing import SliceBlocks, UserSubband
 from .wavefield import (
     ArrayGeometry,
     CarrierGrid,
@@ -208,13 +208,12 @@ def slice_analog_rows(
 
 def slice_precoder_set(
     channel: ChannelTensor,
-    plan: SlicingPlan,
+    blocks: SliceBlocks,
 ) -> PrecoderSet:
-    """Antenna-slicing hybrid set: per-subarray analog beams + digital MRT."""
-    rows = slice_analog_rows(channel.geometry, path_slots([channel.paths]), plan.blocks)
-    analog = block_diagonal(rows[0], plan.subarray_sizes)
-    return _hybrid_set(Scheme.ANTENNA_SLICING, analog, plan.subarray_sizes,
-                       channel.entries)
+    """Antenna-slicing hybrid set of one link's plan: per-subarray analog beams + digital MRT."""
+    rows = slice_analog_rows(channel.geometry, path_slots([channel.paths]), blocks)
+    analog = block_diagonal(rows[0], blocks.sizes)
+    return _hybrid_set(Scheme.ANTENNA_SLICING, analog, blocks.sizes, channel.entries)
 
 
 def subband_analog_rows(
@@ -253,8 +252,8 @@ def subband_precoder_set(
     channel_block: ComplexMatrix,
 ) -> PrecoderSet:
     """Sub-band hybrid set for one user over its own subcarriers, in equal subarrays."""
-    if geom.num_antennas % num_subarrays != 0:
-        raise ValueError("num_subarrays must divide num_antennas")
+    if num_subarrays < 1 or geom.num_antennas % num_subarrays != 0:
+        raise ValueError("num_subarrays must be positive and divide num_antennas")
     sizes = (geom.num_antennas // num_subarrays,) * num_subarrays
     rows = subband_analog_rows(geom, path_slots([user_paths]), [subband.center_hz])[0]
     return _hybrid_set(Scheme.SUBBAND_SLICING, block_diagonal(rows, sizes), sizes, channel_block)

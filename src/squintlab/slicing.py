@@ -25,46 +25,16 @@ _EDGE_EPS = 1e-9
 
 
 class InfeasiblePlanError(ValueError):
-    """No plan satisfies the boundary constraints; details carry the numbers."""
+    """No plan satisfies the boundary constraints; details carry the numbers.
 
-    def __init__(self, message: str, details: dict | None = None) -> None:
-        super().__init__(message)
-        self.details = details or {}
-
-
-@dataclass(frozen=True)
-class SlicingPlan:
-    """Contiguous partition of the array with one near-field path per subarray.
-
-    ``path_assignment[t]`` indexes into ``path_order`` (0-based), which lists the
-    near-field paths sorted by descending gain power; ``offsets[t]`` is the
-    subarray center's element offset from the array center (units of spacing).
-    Every near path has a subarray inside its window [ceil(N_tilde), floor(N_bar)],
-    and the assignment reads (0, 1, ..., L - 1, 0, ..., 0) for L near paths.
+    ``users`` flags every infeasible row of a :func:`plan_antenna_rows` batch.
     """
 
-    subarray_sizes: tuple[int, ...]
-    path_assignment: tuple[int, ...]
-    path_order: tuple[int, ...]
-    offsets: tuple[float, ...]
-    num_antennas: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "subarrays": [
-                {"size": size, "path": path, "offset": offset}
-                for size, path, offset in zip(
-                    self.subarray_sizes, self.path_assignment, self.offsets
-                )
-            ]
-        }
-
-    @property
-    def blocks(self) -> SliceBlocks:
-        """This plan as the one-user :class:`SliceBlocks`."""
-        return SliceBlocks(np.array(self.subarray_sizes),
-                           np.take(self.path_order, self.path_assignment),
-                           np.array(self.offsets))
+    def __init__(self, message: str, details: dict | None = None,
+                 users: NDArray[np.bool_] | None = None) -> None:
+        super().__init__(message)
+        self.details = details or {}
+        self.users = users
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,12 +44,22 @@ class SliceBlocks:
     Blocks run in user order, and each user's ``sizes`` partition the array
     in element order. ``paths[b]`` indexes block b's near path in its user's
     path list, and ``offsets[b]`` is the block center's element offset from
-    the array center, as in :class:`SlicingPlan`.
+    the array center (units of spacing).
     """
 
     sizes: NDArray[np.int64]
     paths: NDArray[np.int64]
     offsets: NDArray[np.float64]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "subarrays": [
+                {"size": size, "path": path, "offset": offset}
+                for size, path, offset in zip(
+                    self.sizes.tolist(), self.paths.tolist(), self.offsets.tolist()
+                )
+            ]
+        }
 
 
 @dataclass(frozen=True)
@@ -102,11 +82,13 @@ class UserSubband:
 
 @dataclass(frozen=True)
 class SubbandPlan:
-    """Per-user sub-bands of the full band, the subarray size and the caps' boundary table."""
+    """Per-user sub-bands of the full band, the subarray size, and the caps' boundary
+    table with the users' path slots it was built from."""
 
     subbands: tuple[UserSubband, ...]
     subarray_size: int
     boundaries: BoundaryTable | None = field(default=None, compare=False, repr=False)
+    slots: list[PathBatch] | None = field(default=None, compare=False, repr=False)
 
     @property
     def user_subcarriers(self) -> tuple[int, ...]:
@@ -135,20 +117,14 @@ def plan_antenna_slices(
     grid: CarrierGrid,
     paths: Sequence[PathParams],
     thr: SquintThresholds,
-) -> SlicingPlan:
+) -> SliceBlocks:
     """Partition the array into contiguous subarrays over the near-field paths.
 
     The one-user case of :func:`plan_antenna_rows`, on the paths' one-row
     :func:`boundary_table`.
     """
     slots = path_slots([paths])
-    table = boundary_table(geom, grid, thr, slots)
-    blocks = plan_antenna_rows(geom, slots, table)
-    num_near = int(np.count_nonzero(table.near))
-    sizes = tuple(blocks.sizes.tolist())
-    return SlicingPlan(sizes, tuple(range(num_near)) + (0,) * (len(sizes) - num_near),
-                       tuple(blocks.paths[:num_near].tolist()),
-                       tuple(blocks.offsets.tolist()), geom.num_antennas)
+    return plan_antenna_rows(geom, slots, boundary_table(geom, grid, thr, slots))
 
 
 def plan_antenna_rows(
@@ -174,7 +150,8 @@ def plan_antenna_rows(
     antennas earn the most on the strongest path. A plan is infeasible when
     its user has no near path, a window is empty, or R < q ceil(N_tilde) of
     the strongest path; then no block count fits R into that path's window.
-    The first infeasible user's :class:`InfeasiblePlanError` is raised.
+    The first infeasible user's :class:`InfeasiblePlanError` is raised, and
+    its ``users`` flags every infeasible row.
     """
     n = geom.num_antennas
     near = table.near
@@ -194,18 +171,17 @@ def plan_antenna_rows(
     if infeasible.any():
         k = int(np.argmax(infeasible))
         if num_near[k] == 0:
-            raise InfeasiblePlanError("no near-field paths to serve")
-        if empty[k].any():
+            message, details = "no near-field paths to serve", None
+        elif empty[k].any():
             j = int(np.argmax(empty[k]))
-            raise InfeasiblePlanError(
-                "a path admits no compliant subarray size",
-                {"path": int(order[k, j]), "window": (int(lows[k, j]), int(highs[k, j]))},
-            )
-        raise InfeasiblePlanError(
-            "the array cannot host a compliant subarray for every near path",
-            {"num_antennas": n, "min_size": int(lows[k, 0]), "remainder": int(remainder[k]),
-             "blocks": int(q[k]), "window": (int(lows[k, 0]), int(highs[k, 0]))},
-        )
+            message = "a path admits no compliant subarray size"
+            details = {"path": int(order[k, j]), "window": (int(lows[k, j]), int(highs[k, j]))}
+        else:
+            message = "the array cannot host a compliant subarray for every near path"
+            details = {"num_antennas": n, "min_size": int(lows[k, 0]),
+                       "remainder": int(remainder[k]), "blocks": int(q[k]),
+                       "window": (int(lows[k, 0]), int(highs[k, 0]))}
+        raise InfeasiblePlanError(message, details, infeasible)
 
     base, extra = np.divmod(remainder, q)
     counts = num_near + q - 1  # blocks per user
@@ -255,8 +231,8 @@ def allocate_subbands(
     k_users = len(users)
     if k_users < 1:
         raise ValueError("at least one user is required")
-    if geom.num_antennas % num_subarrays != 0:
-        raise ValueError("num_subarrays must divide num_antennas")
+    if num_subarrays < 1 or geom.num_antennas % num_subarrays != 0:
+        raise ValueError("num_subarrays must be positive and divide num_antennas")
     m_total = grid.num_subcarriers
     if k_users > m_total:
         raise InfeasiblePlanError(
@@ -264,7 +240,8 @@ def allocate_subbands(
         )
     size = geom.num_antennas // num_subarrays
 
-    table = boundary_table(geom, grid, thr, path_slots(users), size)
+    slots = path_slots(users)
+    table = boundary_table(geom, grid, thr, slots, size)
     caps = subcarrier_caps(table, grid).tolist()
     if sum(caps) < m_total:
         raise InfeasiblePlanError(
@@ -293,4 +270,4 @@ def allocate_subbands(
         center = f_c - band / 2.0 + start * spacing + width / 2.0
         subbands.append(UserSubband(k, count, start, spacing, center))
         start += count
-    return SubbandPlan(tuple(subbands), size, table)
+    return SubbandPlan(tuple(subbands), size, table, slots)

@@ -339,7 +339,7 @@ def chunked_fs_amps(config, trial: int, chunk: int = 16) -> dict:
         subbands = plan.subbands[lo:lo + chunk]
         paths = [users[sb.user] for sb in subbands]
         plans = [plan_antenna_slices(geom, grid, p, thr) for p in paths]
-        blocks = SliceBlocks(*(np.concatenate([getattr(p.blocks, name) for p in plans])
+        blocks = SliceBlocks(*(np.concatenate([getattr(p, name) for p in plans])
                                for name in ("sizes", "paths", "offsets")))
         owners = np.repeat(np.arange(len(subbands)), [sb.num_subcarriers for sb in subbands])
         at = [m for sb in subbands for m in sb.global_indices()]

@@ -21,7 +21,7 @@ from squintlab import (
     InfeasiblePlanError,
     PathParams,
     ScenarioConfig,
-    SlicingPlan,
+    SliceBlocks,
     SquintThresholds,
     UserSubband,
     allocate_subbands,
@@ -257,8 +257,7 @@ def test_closed_form_se_cross_check():
                    FieldModel.NARROWBAND_NEAR)
         for i, a in enumerate([1.0, 0.9, 0.8, 0.7])
     ]
-    plan = SlicingPlan((32,) * 4, (0, 1, 2, 3), (0, 1, 2, 3),
-                       (-48.0, -16.0, 16.0, 48.0), 128)
+    plan = SliceBlocks(np.full(4, 32), np.arange(4), np.array([-48.0, -16.0, 16.0, 48.0]))
     channel = synth_channel(geom, grid, paths)
     measured = spectral_efficiency(channel, slice_precoder_set(channel, plan),
                                    10.0, 1.0)

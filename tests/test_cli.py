@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from squintlab import (
+    FieldModel,
     PathParams,
     ScenarioConfig,
     allocate_subbands,
@@ -116,6 +117,26 @@ def test_plan_antenna_sampled_trial_matches_library(capsys):
     plan = plan_antenna_slices(config.geometry(), config.grid(),
                                sample_scenario(config, 3), config.thresholds())
     assert json.loads(out) == plan.to_json_dict()
+
+
+@pytest.mark.parametrize("trial", [0, 3])
+def test_plan_antenna_path_is_the_served_path_index_of_the_draw(capsys, trial):
+    # "path" indexes the trial's drawn path list: the strongest near path by
+    # |g|^2, each weaker near path once in rank order, then the strongest for
+    # every other block; the far path (index 4) serves no block
+    code, out, _ = invoke(capsys, ["plan", "antenna", "--n", "256", "--m", "64",
+                                   "--num-near-paths", "4", "--num-far-paths", "1",
+                                   "--far-gain-offset-db", "0", "--seed", "42",
+                                   "--trial", str(trial)])
+    assert code == 0
+    config = ScenarioConfig(num_antennas=256, num_subcarriers=64, num_near_paths=4,
+                            num_far_paths=1, far_gain_offset_db=0.0, seed=42)
+    paths = sample_scenario(config, trial)
+    near = [i for i, p in enumerate(paths) if p.field_model is not FieldModel.FAR]
+    ranked = sorted(near, key=lambda i: -abs(paths[i].gain) ** 2)
+    assert ranked != list(range(4))  # a gain rank would not name the served path
+    served = [block["path"] for block in json.loads(out)["subarrays"]]
+    assert served == ranked + [ranked[0]] * (len(served) - len(ranked))
 
 
 def test_plan_subband_matches_library(capsys):

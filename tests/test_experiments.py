@@ -737,6 +737,30 @@ def test_a_chunk_holding_an_infeasible_trial_voids_that_trial_alone():
         assert_same_draw(drawn, want[trial])
 
 
+def test_a_chunk_evaluates_its_feasible_draws_as_one_batch(monkeypatch):
+    # the planner flags every infeasible draw of a chunk in its one pass, so
+    # the 186 feasible draws of 200 take one more batch call, not one call
+    # per draw, and a chunk of one infeasible draw takes no second call
+    cfg = ScenarioConfig(num_antennas=6, num_subcarriers=8, trials=200,
+                         num_near_paths=1, num_far_paths=0)
+    want = [one_trial_link_draw(cfg, trial) for trial in range(cfg.trials)]
+    calls = []
+
+    def spy(geom, slots, cols, table):
+        calls.append(len(table.near))
+        return _link_amps(geom, slots, cols, table)
+
+    monkeypatch.setattr(experiments, "_link_amps", spy)
+    got = _link_draws(cfg, range(cfg.trials))
+    assert calls == [200, 186]
+    for drawn, ref in zip(got, want, strict=True):
+        assert_same_draw(drawn, ref)
+    first = want.index(None)
+    calls.clear()
+    assert _link_draws(cfg, range(first, first + 1)) == [None]
+    assert calls == [1]
+
+
 def test_link_draws_build_every_channel_through_the_metered_binding(monkeypatch):
     # the benchmark meters phase elements by wrapping experiments.channel_columns
     # and counting N x columns x paths per call; a link channel built any
@@ -852,9 +876,9 @@ def assert_blocks_in_windows(config, paths):
     """Every antenna-slicing block of the user's plan lies inside its path's window."""
     geom, grid, thr = config.geometry(), config.grid(), config.thresholds()
     plan = plan_antenna_slices(geom, grid, paths, thr)
-    assert sum(plan.subarray_sizes) == config.num_antennas
-    for size, slot in zip(plan.subarray_sizes, plan.path_assignment):
-        report = boundary_report(geom, grid, paths[plan.path_order[slot]], thr)
+    assert sum(plan.sizes.tolist()) == config.num_antennas
+    for size, path in zip(plan.sizes.tolist(), plan.paths.tolist()):
+        report = boundary_report(geom, grid, paths[path], thr)
         assert report.near_field_threshold - _EDGE_EPS <= size <= report.antenna_boundary_near
 
 

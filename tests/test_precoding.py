@@ -17,7 +17,7 @@ from squintlab import (
     PrecoderSet,
     ScenarioConfig,
     Scheme,
-    SlicingPlan,
+    SliceBlocks,
     SquintThresholds,
     UserSubband,
     boundary_table,
@@ -54,10 +54,10 @@ def make_path(theta=0.3, d=40.0, r=0.0, gain=1.0 + 0j, model=FieldModel.WIDEBAND
 
 
 def equal_plan(n, num_blocks, num_paths=1):
+    """Equal blocks of n // num_blocks antennas serving paths 0, 1, ..., num_paths - 1 in turn."""
     size = n // num_blocks
-    offsets = tuple(-n / 2.0 + t * size + size / 2.0 for t in range(num_blocks))
-    assign = tuple(t % num_paths for t in range(num_blocks))
-    return SlicingPlan((size,) * num_blocks, assign, tuple(range(num_paths)), offsets, n)
+    t = np.arange(num_blocks)
+    return SliceBlocks(np.full(num_blocks, size), t % num_paths, -n / 2.0 + t * size + size / 2.0)
 
 
 def column_blocks(analog, sizes):
@@ -128,11 +128,11 @@ def test_slice_beam_is_single_path_phase_without_far_paths():
     geom = ArrayGeometry(64, 7e9)
     path = make_path(gain=np.exp(0.7j))
     plan = equal_plan(64, 4)
-    beams = row_blocks(slice_analog_rows(geom, path_slots([[path]]), plan.blocks)[0],
-                       plan.subarray_sizes)
+    beams = row_blocks(slice_analog_rows(geom, path_slots([[path]]), plan)[0],
+                       plan.sizes)
     for t, beam in enumerate(beams):
         np.testing.assert_allclose(np.abs(beam), 1.0, atol=1e-12)
-        size = plan.subarray_sizes[t]
+        size = plan.sizes[t]
         want = [oracles.slice_beam_entry(np.exp(0.7j), 0.3, 40.0, [], plan.offsets[t], size, i, 7e9)
                 for i in range(size)]
         np.testing.assert_allclose(beam, want, atol=1e-12)
@@ -143,10 +143,10 @@ def test_weak_far_path_barely_perturbs_the_slice_beam():
     near = make_path(gain=1.0 + 0j)
     far = make_path(theta=-0.5, gain=1e-6 + 0j, model=FieldModel.FAR)
     plan = equal_plan(64, 2)
-    clean = row_blocks(slice_analog_rows(geom, path_slots([[near]]), plan.blocks)[0],
-                       plan.subarray_sizes)
-    mixed = row_blocks(slice_analog_rows(geom, path_slots([[near, far]]), plan.blocks)[0],
-                       plan.subarray_sizes)
+    clean = row_blocks(slice_analog_rows(geom, path_slots([[near]]), plan)[0],
+                       plan.sizes)
+    mixed = row_blocks(slice_analog_rows(geom, path_slots([[near, far]]), plan)[0],
+                       plan.sizes)
     for a, b in zip(clean, mixed):
         assert np.abs(np.angle(b / a)).max() < 1e-4
 
@@ -163,14 +163,14 @@ def test_slice_beam_matches_scalar_oracle_with_far_paths():
         make_path(theta=0.65, gain=0.25 * np.exp(-0.8j), model=FieldModel.FAR),
     ]
     plan = plan_antenna_slices(geom, grid, paths, THR)
-    assert len(set(plan.subarray_sizes)) > 1
-    assert set(plan.path_assignment) == {0, 1}
+    assert len(set(plan.sizes.tolist())) > 1
+    assert set(plan.paths.tolist()) == {0, 2}
     far_terms = [(p.gain, p.sine_angle) for p in paths if p.field_model is FieldModel.FAR]
-    beams = row_blocks(slice_analog_rows(geom, path_slots([paths]), plan.blocks)[0],
-                       plan.subarray_sizes)
+    beams = row_blocks(slice_analog_rows(geom, path_slots([paths]), plan)[0],
+                       plan.sizes)
     for t, beam in enumerate(beams):
-        near = paths[plan.path_order[plan.path_assignment[t]]]
-        size = plan.subarray_sizes[t]
+        near = paths[plan.paths[t]]
+        size = plan.sizes[t]
         want = [
             oracles.slice_beam_entry(
                 near.gain, near.sine_angle, near.scatterer_distance_m, far_terms,
@@ -408,8 +408,8 @@ def test_subband_beam_at_carrier_matches_slice_beam_per_block():
     grid = CarrierGrid.from_bandwidth(40e6, 8)
     ch = synth_channel(geom, grid, [path])
     slots = path_slots([[path]])
-    slice_beams = row_blocks(slice_analog_rows(geom, slots, plan.blocks)[0], plan.subarray_sizes)
-    sub_beams = row_blocks(subband_analog_rows(geom, slots, [7e9])[0], plan.subarray_sizes)
+    slice_beams = row_blocks(slice_analog_rows(geom, slots, plan)[0], plan.sizes)
+    sub_beams = row_blocks(subband_analog_rows(geom, slots, [7e9])[0], plan.sizes)
     for slice_beam, sub_beam in zip(slice_beams, sub_beams):
         ratio = sub_beam / slice_beam
         np.testing.assert_allclose(np.abs(ratio), 1.0, atol=1e-12)
@@ -452,6 +452,11 @@ def test_subband_beam_ignores_far_paths_and_validates():
     band = UserSubband(0, 1, 0, 1e6, 7e9)
     with pytest.raises(ValueError, match="divide"):
         subband_precoder_set(geom, [near], band, 5, np.ones((32, 1), dtype=np.complex128))
+    # -4 divides 32, and 0 divides nothing; both are refused as counts
+    for count in (0, -4):
+        with pytest.raises(ValueError, match="num_subarrays must be positive"):
+            subband_precoder_set(geom, [near], band, count,
+                                 np.ones((32, 1), dtype=np.complex128))
 
 
 @pytest.mark.parametrize("num_antennas,num_users", [(128, 6), (1024, 16)])
@@ -477,7 +482,7 @@ def test_batched_analog_builders_equal_one_user_at_a_time(num_antennas, num_user
     plans = [plan_antenna_slices(geom, grid, user, thr) for user in users]
     blocks = plan_antenna_rows(geom, slots, boundary_table(geom, grid, thr, slots))
     for row, user, plan in zip(slice_analog_rows(geom, slots, blocks), users, plans):
-        assert np.array_equal(row, slice_analog_rows(geom, path_slots([user]), plan.blocks)[0])
+        assert np.array_equal(row, slice_analog_rows(geom, path_slots([user]), plan)[0])
     centers = 7e9 + np.linspace(-250e6, 250e6, len(users))
     rows = subband_analog_rows(geom, slots, centers)
     assert rows.shape == (len(users), num_antennas)
@@ -528,8 +533,8 @@ def test_slice_analog_rows_equal_complex_exponential_form_bit_for_bit():
                  for batch in path_slots(far)]
     served, centers = [], []
     for paths, plan in zip(users, plans):
-        for t, size in enumerate(plan.subarray_sizes):
-            served += [paths[plan.path_order[plan.path_assignment[t]]]] * size
+        for t, size in enumerate(plan.sizes):
+            served += [paths[plan.paths[t]]] * size
             centers += [plan.offsets[t]] * size
     rows = np.arange(16 * 1024).reshape(16, 1024)
     near = PathBatch.stack(served, FieldModel.NARROWBAND_NEAR)[rows]
@@ -713,7 +718,8 @@ def test_orthogonal_paths_reproduce_the_slicing_closed_form():
         PathParams(a * np.exp(0.31j * i), th, 1e8, 0.0, FieldModel.NARROWBAND_NEAR)
         for i, (a, th) in enumerate(zip(amps, thetas))
     ]
-    plan = SlicingPlan((32,) * 4, (0, 1, 2, 3), (0, 1, 2, 3), (-48.0, -16.0, 16.0, 48.0), 128)
+    plan = equal_plan(128, 4, 4)
+    assert plan.offsets.tolist() == [-48.0, -16.0, 16.0, 48.0]
     ch = synth_channel(geom, grid, paths)
     measured = spectral_efficiency(ch, slice_precoder_set(ch, plan), 10.0, 1.0)
     closed = se_slicing_closed_form(10.0, 1.0, [p.gain for p in paths], [32] * 4)

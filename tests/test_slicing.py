@@ -17,7 +17,6 @@ from squintlab import (
     InfeasiblePlanError,
     PathParams,
     ScenarioConfig,
-    SlicingPlan,
     SquintThresholds,
     SubbandPlan,
     UserSubband,
@@ -45,6 +44,19 @@ def size_window(path, geom, grid):
     return max(1, math.ceil(lo - 1e-9)), math.floor(hi - 1e-9)
 
 
+def ranked_near(paths):
+    """Near path indices by descending |g|^2, ties in path order."""
+    near = [i for i, p in enumerate(paths) if p.field_model is not FieldModel.FAR]
+    return sorted(near, key=lambda i: -abs(paths[i].gain) ** 2)
+
+
+def rank_layout(paths, num_blocks):
+    """The served path of each block: the strongest near path, each weaker one
+    in rank order, then the strongest again for the remaining blocks."""
+    order = ranked_near(paths)
+    return order + [order[0]] * (num_blocks - len(order))
+
+
 # ---------------------------------------------------------------------------
 # antenna-domain planner
 # ---------------------------------------------------------------------------
@@ -54,10 +66,9 @@ def test_small_array_single_path_is_one_block():
     geom = ArrayGeometry(64, 7e9)
     grid = CarrierGrid.from_bandwidth(300e6, 16)
     plan = plan_antenna_slices(geom, grid, [make_path()], THR)
-    assert plan.subarray_sizes == (64,)
-    assert plan.path_assignment == (0,)
-    assert plan.path_order == (0,)
-    assert plan.offsets == (0.0,)
+    assert plan.sizes.tolist() == [64]
+    assert plan.paths.tolist() == [0]
+    assert plan.offsets.tolist() == [0.0]
 
 
 def test_single_path_block_count_is_ceil_of_capped_split():
@@ -69,9 +80,9 @@ def test_single_path_block_count_is_ceil_of_capped_split():
     lo, hi = size_window(path, geom, grid)
     assert hi == 76
     plan = plan_antenna_slices(geom, grid, [path], THR)
-    assert len(plan.subarray_sizes) == 14
-    assert plan.subarray_sizes == (74, 74) + (73,) * 12
-    assert sum(plan.subarray_sizes) == 1024
+    assert len(plan.sizes) == 14
+    assert plan.sizes.tolist() == [74, 74] + [73] * 12
+    assert sum(plan.sizes.tolist()) == 1024
 
 
 def test_default_scenario_plan_is_compliant_everywhere():
@@ -79,20 +90,17 @@ def test_default_scenario_plan_is_compliant_everywhere():
     geom, grid = cfg.geometry(), cfg.grid()
     paths = sample_scenario(cfg, 0)
     plan = plan_antenna_slices(geom, grid, paths, cfg.thresholds())
-    assert sum(plan.subarray_sizes) == geom.num_antennas
-    near = [i for i, p in enumerate(paths) if p.field_model is not FieldModel.FAR]
-    assert sorted(plan.path_order) == near
-    powers = [abs(paths[i].gain) ** 2 for i in plan.path_order]
-    assert powers == sorted(powers, reverse=True)
-    for t, size in enumerate(plan.subarray_sizes):
-        path = paths[plan.path_order[plan.path_assignment[t]]]
-        lo, hi = size_window(path, geom, grid)
+    sizes, served = plan.sizes.tolist(), plan.paths.tolist()
+    assert sum(sizes) == geom.num_antennas
+    assert served == rank_layout(paths, len(sizes))
+    for size, l in zip(sizes, served):
+        lo, hi = size_window(paths[l], geom, grid)
         assert lo <= size <= hi
     # spot-check grid compliance of the widest block with the phase oracle
-    t_max = plan.subarray_sizes.index(max(plan.subarray_sizes))
-    path = paths[plan.path_order[plan.path_assignment[t_max]]]
+    t_max = sizes.index(max(sizes))
+    path = paths[served[t_max]]
     got = oracles.squint_phase_grid_max(
-        plan.subarray_sizes[t_max], 64, path.sine_angle, path.scatterer_distance_m,
+        sizes[t_max], 64, path.sine_angle, path.scatterer_distance_m,
         grid.bandwidth_hz, geom.center_freq_hz,
     )
     assert got < THR.total * math.pi
@@ -107,19 +115,18 @@ def test_plan_partition_offsets_and_cycle(seed):
     paths = sample_scenario(cfg, int(rng.integers(0, 50)))
     plan = plan_antenna_slices(geom, grid, paths, cfg.thresholds())
     n = geom.num_antennas
-    assert sum(plan.subarray_sizes) == n
-    assert plan.num_antennas == n
-    starts = np.cumsum((0,) + plan.subarray_sizes[:-1])
-    for t, size in enumerate(plan.subarray_sizes):
+    sizes = plan.sizes.tolist()
+    assert sum(sizes) == n
+    starts = np.cumsum([0] + sizes[:-1])
+    for t, size in enumerate(sizes):
         assert plan.offsets[t] == -n / 2.0 + starts[t] + size / 2.0
     # every near path is served once, weaker ones at their smallest compliant
     # size, and the strongest path takes the rest of the array
-    num_near = len(plan.path_order)
-    assign = plan.path_assignment
-    assert assign == tuple(range(num_near)) + (0,) * (len(assign) - num_near)
-    for t in range(1, num_near):
-        lo, _ = size_window(paths[plan.path_order[t]], geom, grid)
-        assert plan.subarray_sizes[t] == lo
+    order = ranked_near(paths)
+    assert plan.paths.tolist() == rank_layout(paths, len(sizes))
+    for t in range(1, len(order)):
+        lo, _ = size_window(paths[order[t]], geom, grid)
+        assert sizes[t] == lo
 
 
 def test_irreducible_runt_is_infeasible():
@@ -138,8 +145,8 @@ def test_irreducible_runt_is_infeasible():
                                  "blocks": 2, "window": (35, 35)}
     # the same draw with a partitionable count stays fully compliant
     plan70 = plan_antenna_slices(ArrayGeometry(70, 7e9), grid, paths, THR)
-    assert plan70.subarray_sizes == (35, 35)
-    assert plan70.path_assignment == (0, 1)
+    assert plan70.sizes.tolist() == [35, 35]
+    assert plan70.paths.tolist() == [0, 1]
 
 
 def test_planner_shrinks_a_block_to_leave_room_for_the_next_path():
@@ -150,8 +157,8 @@ def test_planner_shrinks_a_block_to_leave_room_for_the_next_path():
     grid = CarrierGrid.from_bandwidth(2.7e10, 4)
     paths = [make_path(theta=theta, gain=2.0 + 0j), make_path(theta=theta, gain=1.0 + 0j)]
     plan = plan_antenna_slices(geom, grid, paths, THR)
-    assert plan.subarray_sizes == (35, 35, 35)
-    assert plan.path_assignment == (0, 1, 0)
+    assert plan.sizes.tolist() == [35, 35, 35]
+    assert plan.paths.tolist() == [0, 1, 0]
 
 
 def test_array_below_first_threshold_is_infeasible():
@@ -192,9 +199,11 @@ def test_every_near_path_is_served_when_the_strongest_window_spans_the_array():
     geom, grid = cfg.geometry(), cfg.grid()
     paths = sample_scenario(cfg, 75)
     plan = plan_antenna_slices(geom, grid, paths, cfg.thresholds())
-    assert plan.path_assignment == (0, 1, 2, 3)
-    lows = [size_window(paths[i], geom, grid)[0] for i in plan.path_order]
-    assert plan.subarray_sizes == (256 - sum(lows[1:]),) + tuple(lows[1:])
+    order = ranked_near(paths)
+    assert len(order) == 4
+    assert plan.paths.tolist() == order
+    lows = [size_window(paths[i], geom, grid)[0] for i in order]
+    assert plan.sizes.tolist() == [256 - sum(lows[1:])] + lows[1:]
 
 
 def feasible_remainder(remainder, lo, hi):
@@ -216,8 +225,7 @@ def test_plan_serves_every_near_path_within_its_window(num_antennas, bandwidth, 
     paths = [make_path(theta, d, r, complex(amp), model)
              for amp, theta, d, r, model in draws]
     paths[0] = dataclasses.replace(paths[0], field_model=first_model)
-    near = [i for i, p in enumerate(paths) if p.field_model is not FieldModel.FAR]
-    order = sorted(near, key=lambda i: -abs(paths[i].gain) ** 2)
+    order = ranked_near(paths)
     windows = [size_window(paths[i], geom, grid) for i in order]
     remainder = num_antennas - sum(lo for lo, _ in windows[1:])
     feasible = (all(lo <= hi for lo, hi in windows)
@@ -227,17 +235,18 @@ def test_plan_serves_every_near_path_within_its_window(num_antennas, bandwidth, 
             plan_antenna_slices(geom, grid, paths, THR)
         return
     plan = plan_antenna_slices(geom, grid, paths, THR)
-    assert plan.path_order == tuple(order)
-    assert sum(plan.subarray_sizes) == num_antennas == plan.num_antennas
-    starts = np.cumsum((0,) + plan.subarray_sizes[:-1])
-    for t, size in enumerate(plan.subarray_sizes):
+    sizes, served = plan.sizes.tolist(), plan.paths.tolist()
+    assert served == rank_layout(paths, len(sizes))
+    assert sum(sizes) == num_antennas
+    window = dict(zip(order, windows))
+    starts = np.cumsum([0] + sizes[:-1])
+    for t, size in enumerate(sizes):
         assert plan.offsets[t] == -num_antennas / 2.0 + starts[t] + size / 2.0
-        lo, hi = windows[plan.path_assignment[t]]
+        lo, hi = window[served[t]]
         assert lo <= size <= hi
-    assert set(plan.path_assignment) == set(range(len(order)))
     for j in range(1, len(order)):
-        assert plan.path_assignment.count(j) == 1
-        assert plan.subarray_sizes[plan.path_assignment.index(j)] == windows[j][0]
+        assert served.count(order[j]) == 1
+        assert sizes[served.index(order[j])] == windows[j][0]
 
 
 _SHARED_MODELS = st.lists(st.sampled_from(FieldModel), min_size=1, max_size=7).filter(
@@ -250,7 +259,8 @@ _SHARED_MODELS = st.lists(st.sampled_from(FieldModel), min_size=1, max_size=7).f
 def test_row_planner_equals_the_one_user_planner_row_by_row(num_antennas, bandwidth, models,
                                                             num_users, data):
     # K users sharing one model sequence: row k of the batch is user k's plan
-    # field for field, and the batch raises the first infeasible user's error
+    # field for field, and the batch raises the first infeasible user's error,
+    # flagging every infeasible user
     geom = ArrayGeometry(num_antennas, 7e9)
     grid = CarrierGrid.from_bandwidth(bandwidth, 16)
     seed = data.draw(st.integers(0, 2**32 - 1))
@@ -262,12 +272,14 @@ def test_row_planner_equals_the_one_user_planner_row_by_row(num_antennas, bandwi
         data.draw(st.lists(st.tuples(st.floats(0.01, 4.0), st.floats(-0.99, 0.99),
                                      st.floats(0.5, 200.0), st.floats(0.0, 100.0)),
                            min_size=len(models), max_size=len(models))), models)]
-    plans, errors = [], []
+    plans, errors, flags = [], [], []
     for user in users:
         try:
             plans.append(plan_antenna_slices(geom, grid, user, THR))
+            flags.append(False)
         except InfeasiblePlanError as err:
             errors.append(err)
+            flags.append(True)
     slots = path_slots(users)
     table = boundary_table(geom, grid, THR, slots)
     if errors:
@@ -275,14 +287,15 @@ def test_row_planner_equals_the_one_user_planner_row_by_row(num_antennas, bandwi
             plan_antenna_rows(geom, slots, table)
         assert err.value.args == errors[0].args
         assert err.value.details == errors[0].details
+        assert err.value.users.tolist() == flags  # every infeasible row, not only the first
         return
     blocks = plan_antenna_rows(geom, slots, table)
-    split = np.cumsum([len(plan.subarray_sizes) for plan in plans])[:-1]
+    split = np.cumsum([len(plan.sizes) for plan in plans])[:-1]
     rows = zip(plans, *(np.split(a, split) for a in (blocks.sizes, blocks.paths, blocks.offsets)))
     for plan, sizes, paths, offsets in rows:
-        assert tuple(sizes.tolist()) == plan.subarray_sizes
-        assert tuple(paths.tolist()) == tuple(plan.path_order[a] for a in plan.path_assignment)
-        assert np.array_equal(offsets.view(np.uint64), np.array(plan.offsets).view(np.uint64))
+        assert sizes.tolist() == plan.sizes.tolist()
+        assert paths.tolist() == plan.paths.tolist()
+        assert np.array_equal(offsets.view(np.uint64), plan.offsets.view(np.uint64))
 
 
 def test_row_planner_ranks_gain_powers_as_python_abs_and_ties_keep_path_order():
@@ -310,7 +323,8 @@ def test_planner_is_deterministic():
     paths = sample_scenario(cfg, 3)
     a = plan_antenna_slices(cfg.geometry(), cfg.grid(), paths, cfg.thresholds())
     b = plan_antenna_slices(cfg.geometry(), cfg.grid(), paths, cfg.thresholds())
-    assert a == b
+    for name in ("sizes", "paths", "offsets"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_plan_serializes_subarray_records():
@@ -319,6 +333,36 @@ def test_plan_serializes_subarray_records():
     plan = plan_antenna_slices(geom, grid, [make_path()], THR)
     doc = plan.to_json_dict()
     assert doc == {"subarrays": [{"size": 64, "path": 0, "offset": 0.0}]}
+    # "path" is the served path's index in the path list: a weaker path
+    # listed first is served by the second block, and the strongest (listed
+    # second) by the first and the last
+    geom = ArrayGeometry(105, 7e9)
+    grid = CarrierGrid.from_bandwidth(2.7e10, 4)
+    theta = 0.25 / 89.0
+    paths = [make_path(theta=theta, gain=1.0 + 0j), make_path(theta=theta, gain=2.0 + 0j)]
+    doc = plan_antenna_slices(geom, grid, paths, THR).to_json_dict()
+    assert doc == {"subarrays": [{"size": 35, "path": 1, "offset": -35.0},
+                                 {"size": 35, "path": 0, "offset": 0.0},
+                                 {"size": 35, "path": 1, "offset": 35.0}]}
+    assert all(type(block[key]) is kind for block in doc["subarrays"]
+               for key, kind in (("size", int), ("path", int), ("offset", float)))
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_one_link_plan_is_the_one_row_batch_plan(trial):
+    # plan_antenna_slices returns plan_antenna_rows' arrays for the one-row
+    # table of the link's paths: same dtypes, same bits
+    cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64, num_near_paths=4,
+                         num_far_paths=1, far_gain_offset_db=0.0, seed=42)
+    geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
+    paths = sample_scenario(cfg, trial)
+    slots = path_slots([paths])
+    want = plan_antenna_rows(geom, slots, boundary_table(geom, grid, thr, slots))
+    got = plan_antenna_slices(geom, grid, paths, thr)
+    for name in ("sizes", "paths", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +543,31 @@ def test_allocator_input_validation():
         allocate_subbands([user], geom, grid, THR, 3)  # 3 does not divide 16
     with pytest.raises(InfeasiblePlanError):
         allocate_subbands([user] * 9, geom, grid, THR, 2)  # 9 users, 8 subcarriers
+
+
+@pytest.mark.parametrize("num_subarrays", [0, -4])
+def test_allocator_rejects_a_nonpositive_subarray_count(num_subarrays):
+    # -4 divides 256, and 0 divides nothing; both are refused as counts
+    geom = ArrayGeometry(256, 7e9)
+    grid = CarrierGrid.from_bandwidth(1e6, 8)
+    with pytest.raises(ValueError, match="num_subarrays must be positive") as err:
+        allocate_subbands([[make_path()]], geom, grid, THR, num_subarrays)
+    assert err.type is ValueError
+
+
+def test_subband_plan_carries_the_path_slots_of_its_boundary_table():
+    cfg = ScenarioConfig(num_antennas=256, num_subcarriers=64)
+    geom, grid, thr = cfg.geometry(), cfg.grid(), cfg.thresholds()
+    users = sample_user_paths(cfg, 2, 64)
+    plan = allocate_subbands(users, geom, grid, thr, cfg.num_subarrays)
+    want = path_slots(users)
+    assert len(plan.slots) == len(want)
+    for got, ref in zip(plan.slots, want):
+        assert got.field_model is ref.field_model
+        for name in ("gain", "sine_angle", "scatterer_distance_m", "ue_range_m"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+    table = boundary_table(geom, grid, thr, plan.slots, plan.subarray_size)
+    assert np.array_equal(table.freq_subarray, plan.boundaries.freq_subarray)
 
 
 def test_allocator_is_deterministic():

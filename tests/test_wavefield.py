@@ -26,7 +26,7 @@ from squintlab import (
     ChannelTensor,
     FieldModel,
     PathParams,
-    SlicingPlan,
+    SliceBlocks,
     beam_squint_matrix,
     channel_columns,
     path_phases,
@@ -47,16 +47,12 @@ def make_path(theta=0.3, d=40.0, r=0.0, gain=1.0 + 0j, model=FieldModel.WIDEBAND
     return PathParams(gain, theta, d, r, model)
 
 
-def make_plan(num_antennas, sizes, num_paths=1):
-    """Contiguous plan over the given block sizes with cyclic path assignment."""
-    offsets, acc = [], 0
-    for size in sizes:
-        offsets.append(-num_antennas / 2.0 + acc + size / 2.0)
-        acc += size
-    assert acc == num_antennas
-    assign = tuple(t % num_paths for t in range(len(sizes)))
-    return SlicingPlan(tuple(sizes), assign, tuple(range(num_paths)),
-                       tuple(offsets), num_antennas)
+def make_plan(num_antennas, sizes):
+    """Contiguous plan over the given block sizes, every block serving path 0."""
+    sizes = np.asarray(sizes)
+    assert sizes.sum() == num_antennas
+    starts = np.cumsum(sizes) - sizes
+    return SliceBlocks(sizes, np.zeros_like(sizes), -num_antennas / 2.0 + starts + sizes / 2.0)
 
 
 def steering(geom, path, model=FieldModel.NARROWBAND_NEAR):
@@ -73,10 +69,10 @@ def delay_ramp(grid, total_range_m):
 
 def block_channel(geom, grid, path, plan, t):
     """Path term of subarray t, its near phases referenced to the block center's range."""
-    start = sum(plan.subarray_sizes[:t])
+    start = sum(plan.sizes[:t])
     freq_dev = grid.subcarrier_offsets() * grid.subcarrier_spacing_hz
     phases = path_phases(geom, path, freq_dev[:, None], reference=plan.offsets[t]).T
-    return path.gain * phasor(phases[start:start + plan.subarray_sizes[t]])
+    return path.gain * phasor(phases[start:start + plan.sizes[t]])
 
 
 def squint_extreme(geom, grid, path):
@@ -1109,7 +1105,7 @@ def test_blocks_reassemble_with_relocation_phase(seed):
         full = synth_channel(geom, grid, [path]).entries
         k = 2 * math.pi / SPEED_OF_LIGHT * geom.center_freq_hz
         rebuilt = []
-        for t, size in enumerate(plan.subarray_sizes):
+        for t, size in enumerate(plan.sizes):
             block = block_channel(geom, grid, path, plan, t)
             if path.field_model is not FieldModel.FAR:
                 # d_sub - d as the kernel forms it: free of cancellation
